@@ -118,10 +118,11 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     mode = coarse.PLAIN if args.mode == "plain" else coarse.LAMBDA_GROWN
     block = coarse.BlockSpec(h, w, mode)
-    if min(h, w) > 8:
-        print("block short side capped at 8", file=sys.stderr)
+    try:
+        est = coarse.s_estimate(block, theta_grid=args.grid, bisect_tol=args.bisect_tol)
+    except coarse.BlockTooLarge as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    est = coarse.s_estimate(block, theta_grid=args.grid, bisect_tol=args.bisect_tol)
     result = {
         "block": f"{h}x{w}",
         "mode": args.mode,
@@ -129,6 +130,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "r_upper": est.upper,
         "grid": est.theta_grid,
         "certified_grid": est.cert_grid,
+        "cert_inflation": est.cert_inflation,
         "witness_assignment": list(est.witness) if est.witness else None,
         "search_capped": est.capped,
     }

@@ -9,32 +9,69 @@ projection onto (I - X)/2 per qubit.  The quantity of interest is
     s_lambda(B) same, but boundary radii are grown by LAMBDA per external
                 edge of the lattice embedding: radius_i = r * LAMBDA^e_i
 
-The block value is multilinear in the per-qubit transverse components
-a_i = (rho_i / 2) exp(-i theta_i); a coefficient tensor over {1, a, conj(a)}
-per site evaluates it in 3^n operations for any assignment.  Multilinearity
-also yields certified lower bounds: each disc |a_i| <= rho_i/2 sits inside
-the convex hull of G polygon vertices at radius rho_i / (2 cos(pi/G)), and a
-multilinear function on a product of polytopes attains its minimum at a
-vertex product, so an exact minimum over the inflated angle grid bounds the
-continuous minimum from below.
+The block value is defined once, by factors.  Each site carries a code for
+one of the monomials (1, a_i, conj(a_i)) of its transverse component
+a_i = (rho_i / 2) exp(-i theta_i), weighted by the site factor _SITE; each CZ
+edge multiplies by the sign _EDGE of its two codes.  The value is the sum
+over all code strings of the product of these factors, evaluated in two
+contraction orders:
+
+- the frontier contraction absorbs the sites one by one along the long side,
+  holding 3^H codes for the short side H.  It gives single values and, with
+  left and right environments cached as in DMRG sweeps, the per-site kernel
+  (the value as an affine function of one site's monomials) in
+  O(3^(H+1)) per site.  Coordinate descent and the {0, pi} flip search run
+  on these kernels.
+- the coefficient tensor multiplies all factors out into 3^n real entries,
+  by broadcasting, in the per-site basis (1, Re a_i, Im a_i).  Exact grid
+  minima contract it with every grid point at once, one matrix product per
+  site.
+
+Multilinearity also yields certified lower bounds: each disc
+|a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
+rho_i / (2 cos(pi/G)), and a multilinear function on a product of polytopes
+attains its minimum at a vertex product, so an exact minimum over the
+inflated angle grid bounds the continuous minimum from below.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .czdec import LAMBDA
 from .geometry import TWO_PI
+from .oracle import DENSE_CAP, _cz_signs
 
 PLAIN = "plain"
 LAMBDA_GROWN = "lambda"
 
-#: entry budget for exact grid minimization (chunked tensor contraction)
+#: point budget of the angle grid that seeds coordinate descent
 _GRID_BUDGET = 1 << 22
+
+#: values per chunk of an exact grid minimum, few enough to stay in cache
+_CHUNK = 1 << 16
+
+#: point budget of the certification grid, which has at least 4 angles per site
+_CERT_BUDGET = 1 << 24
+
+#: site factor per code (1, a, conj(a)): the projection (I - X)/2 weighs
+#: operator entry (s, t) by (-1)^(s+t) / 2, and a sits at (0, 1), conj(a) at (1, 0)
+_SITE = np.array([1.0, -1.0, -1.0]) / 2.0
+
+#: CZ sign (-1)^(s_u s_v + t_u t_v) between the codes of neighboring sites
+_EDGE = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+
+#: monomials (1, a, conj(a)) in the real basis (1, Re a, Im a)
+_TO_REAL = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0j], [0.0, 1.0, -1.0j]])
+
+
+class BlockTooLarge(ValueError):
+    """The certification grid of a block would exceed _CERT_BUDGET points."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +121,6 @@ class BlockSpec:
         return r * LAMBDA ** self.ext_counts().astype(float)
 
 
-@dataclass(frozen=True)
-class BlockAssignment:
-    """Input angles per qubit (pole +1, projector (I-X)/2 fixed by reduction)."""
-
-    thetas: tuple[float, ...]
-
-
 def two_block_formula(rp: float, thetaA: float, thetaB: float) -> float:
     """Closed form for the 1x2 block, up to the positive factor 1/4."""
     return (
@@ -101,70 +131,133 @@ def two_block_formula(rp: float, thetaA: float, thetaB: float) -> float:
     )
 
 
-def _coeff_tensor(b: BlockSpec) -> np.ndarray:
-    """Real tensor C of shape (3,)*n with block value = Re sum C_v prod x_i(v_i).
+def _transverse(radii, thetas):
+    """Transverse components a = (rho / 2) exp(-i theta)."""
+    return (np.asarray(radii, dtype=float) / 2.0) * np.exp(-1j * np.asarray(thetas, dtype=float))
 
-    Per-site code: 0 -> factor 1, 1 -> a_i, 2 -> conj(a_i).  The sign of a
-    term is (-1)^(number of nonzero codes) times the CZ parity of the row
-    and column bitstrings (s_i = 1 iff code 2, t_i = 1 iff code 1).
+
+def _along(factor: np.ndarray, ndim: int, *axes: int) -> np.ndarray:
+    """View of a per-code factor that broadcasts along the given axes (ascending)."""
+    shape = [1] * ndim
+    for ax in axes:
+        shape[ax] = 3
+    return factor.reshape(shape)
+
+
+def _weight(a) -> np.ndarray:
+    """Site factor times the monomials (1, a, conj(a)) of one site."""
+    return _SITE * np.array([1.0, a, np.conj(a)])
+
+
+class _Frontier:
+    """Frontier contraction of one block, with cached environments.
+
+    Sites are absorbed along the long side, one line of the short side at a
+    time, so the frontier holds one code per short-side position: 3^H
+    states for short side H, with code 0 (a factor 1 on every edge) standing in for missing
+    neighbors before the first line.  open_[p] is the frontier with the
+    code of the p-th absorbed site open and its weight not yet applied; it
+    depends on the sites before p.  right[p] is sites p.. contracted against
+    a frontier; it depends on the sites from p on.  Changing one site
+    invalidates only the environments that contain it, and they are rebuilt
+    when next needed, so a sweep in absorption order costs O(n 3^(H+1)).
     """
-    n = b.n
-    edges = b.edges()
-    C = np.zeros((3,) * n)
-    for v in itertools.product((0, 1, 2), repeat=n):
-        s = [1 if c == 2 else 0 for c in v]
-        t = [1 if c == 1 else 0 for c in v]
-        parity = sum(1 for c in v if c != 0)
-        parity += sum(s[u] * s[w] + t[u] * t[w] for u, w in edges)
-        C[v] = (-1.0) ** parity
-    return C / 2.0**n
 
+    def __init__(self, b: BlockSpec, a):
+        H, W = b.height, b.width
+        if W <= H:
+            self.axes = W
+            order = [b.index(i, j) for i in range(H) for j in range(W)]
+        else:
+            self.axes = H
+            order = [b.index(i, j) for j in range(W) for i in range(H)]
+        if self.axes > 8:
+            raise ValueError("frontier contraction capped at short side 8")
+        self.order = order
+        self.pos = {site: p for p, site in enumerate(order)}
+        self.w = np.array([_weight(x) for x in np.asarray(a)[order]])
+        start = np.zeros((3,) * self.axes)
+        start[(0,) * self.axes] = 1.0
+        n = len(order)
+        self.open_ = [self._open(start, 0)] + [None] * (n - 1)
+        self.right = [None] * n + [np.ones((3,) * self.axes)]
+        self.open_ok = 0  # open_[p] is valid for p <= open_ok
+        self.right_ok = n  # right[p] is valid for p >= right_ok
 
-_COEFF_CACHE: dict[tuple[int, int], np.ndarray] = {}
+    def _open(self, F: np.ndarray, p: int) -> np.ndarray:
+        """Absorb the edges of the p-th site into frontier F, leaving its code open."""
+        r = p % self.axes
+        t = np.tensordot(F, _EDGE, axes=([r], [0]))  # the open code is the last axis
+        if r > 0:
+            t = t * _along(_EDGE, self.axes, r - 1, self.axes - 1)
+        return np.moveaxis(t, -1, r)
 
+    def _close(self, R: np.ndarray, p: int) -> np.ndarray:
+        """Contract the p-th site, its weight and its edges into right environment R."""
+        r = p % self.axes
+        t = R * _along(self.w[p], self.axes, r)
+        if r > 0:
+            t = t * _along(_EDGE, self.axes, r - 1, r)
+        return np.moveaxis(np.tensordot(_EDGE, t, axes=([1], [r])), 0, r)
 
-def coeff_tensor(b: BlockSpec) -> np.ndarray:
-    key = (b.height, b.width)
-    if key not in _COEFF_CACHE:
-        _COEFF_CACHE[key] = _coeff_tensor(b)
-    return _COEFF_CACHE[key]
+    def _raw(self, p: int) -> np.ndarray:
+        """Unweighted kernel of the p-th site: value = _raw(p) @ w[p]."""
+        while self.open_ok < p:
+            q = self.open_ok
+            F = self.open_[q] * _along(self.w[q], self.axes, q % self.axes)
+            self.open_[q + 1] = self._open(F, q + 1)
+            self.open_ok += 1
+        while self.right_ok > p + 1:
+            self.right_ok -= 1
+            q = self.right_ok
+            self.right[q] = self._close(self.right[q + 1], q)
+        r = p % self.axes
+        others = tuple(ax for ax in range(self.axes) if ax != r)
+        return (self.open_[p] * self.right[p + 1]).sum(axis=others)
 
+    def kernel(self, site: int) -> np.ndarray:
+        """(k0, k1, k2) with value = k0 + k1 a + k2 conj(a) in the site's component a."""
+        return _SITE * self._raw(self.pos[site])
 
-def _site_vectors(radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    a = (radii / 2.0) * np.exp(-1j * np.asarray(thetas))
-    return np.stack([np.ones_like(a), a, np.conj(a)])  # (3, n)
+    def set(self, site: int, a) -> None:
+        """Replace the transverse component of one site."""
+        p = self.pos[site]
+        self.w[p] = _weight(a)
+        self.open_ok = min(self.open_ok, p)
+        self.right_ok = max(self.right_ok, p + 1)
+
+    def value(self) -> float:
+        """Block value at the current transverse components."""
+        p = len(self.order) - 1
+        return float(np.real(self._raw(p) @ self.w[p]))
 
 
 def block_value(b: BlockSpec, radii: np.ndarray, thetas) -> float:
-    """Exact block value for one assignment via the coefficient tensor."""
-    x = _site_vectors(np.asarray(radii, dtype=float), thetas)
-    t = coeff_tensor(b).astype(complex)
-    for i in range(b.n):
-        t = np.tensordot(t, x[:, i], axes=([0], [0]))
-    return float(np.real(t))
+    """Exact block value for one assignment via the frontier contraction."""
+    return _Frontier(b, _transverse(radii, thetas)).value()
 
 
-def block_min_prob_dense(b: BlockSpec, r: float, a: BlockAssignment) -> float:
+def block_prob_contraction(b: BlockSpec, r: float, thetas) -> float:
+    """Exact block value at radius r (grown per mode) for input angles thetas."""
+    return block_value(b, b.radii(r), thetas)
+
+
+def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
     """Dense-matrix evaluation of the block value (independent backend).
 
     Builds the 2^n x 2^n product operator, applies the CZ signs, and
     projects every qubit onto (I - X)/2.
     """
     n = b.n
-    if n > 14:
-        raise ValueError("dense backend capped at 14 qubits")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense backend capped at {DENSE_CAP} qubits")
     radii = b.radii(r)
     rho = np.array([[1.0]], dtype=complex)
     for i in range(n):
-        amp = (radii[i] / 2.0) * np.exp(-1j * a.thetas[i])
+        amp = (radii[i] / 2.0) * np.exp(-1j * thetas[i])
         site = np.array([[1.0, amp], [np.conj(amp), 0.0]])
         rho = np.kron(rho, site)
-    bits = np.array(
-        [[(k >> (n - 1 - q)) & 1 for q in range(n)] for k in range(2**n)]
-    )
-    signs = np.ones(2**n)
-    for u, v in b.edges():
-        signs *= np.where(bits[:, u] * bits[:, v] == 1, -1.0, 1.0)
+    signs = _cz_signs(n, b.edges()).ravel()
     rho = rho * np.outer(signs, signs)
     minus = np.array([1.0])
     for _ in range(n):
@@ -172,90 +265,67 @@ def block_min_prob_dense(b: BlockSpec, r: float, a: BlockAssignment) -> float:
     return float(np.real(minus @ rho @ minus))
 
 
-_K4 = np.array(
-    [
-        [(-1.0) ** ((a >> 1) * (c >> 1) + (a & 1) * (c & 1)) for c in range(4)]
-        for a in range(4)
-    ]
-)
+def _code_tensor(b: BlockSpec) -> np.ndarray:
+    """Block factors multiplied out over the codes (1, a, conj(a)) per site.
 
-
-def block_prob_contraction(b: BlockSpec, r: float, a: BlockAssignment) -> float:
-    """Exact block value by frontier contraction, linear in the block area.
-
-    Sites carry a 4-state index encoding the (row, column) bits of the
-    operator entry; edges contribute parity signs, sites contribute their
-    matrix entry times a sign.  The frontier spans the short side of the
-    rectangle (capped at 8), so memory is at most 4^8 complex numbers.
+    Shape (3,)*n; the block value is sum_v C_v prod_i x_i(v_i) with
+    x_i = (1, a_i, conj(a_i)).  Every entry is +-2^-n, computed exactly.
     """
-    H, W = b.height, b.width
-    thetas = np.asarray(a.thetas, dtype=float)
-    radii = b.radii(r)
-    if H > W:
-        # transpose the raster so the frontier is the short side
-        perm = [b.index(i, j) for j in range(W) for i in range(H)]
-        thetas = thetas[perm]
-        radii = radii[perm]
-        H, W = W, H
-    if H > 8:
-        raise ValueError("frontier contraction capped at short side 8")
-    amp = (radii / 2.0) * np.exp(-1j * thetas)
-    # mu[site, state]: state = 2s + t; entry (-1)^(s+t) M[s,t] / 2
-    mu = np.stack(
-        [np.ones_like(amp), -amp, -np.conj(amp), np.zeros_like(amp)], axis=1
-    ) / 2.0
-    F = np.ones((1,) * H, dtype=complex)
-    for col in range(W):
-        for row in range(H):
-            site = row * W + col
-            left = _K4 if col > 0 else np.ones((1, 4))
-            t = np.tensordot(F, left, axes=([row], [0]))  # new axis last
-            t = t * mu[site]
-            if row > 0:
-                shape = [1] * t.ndim
-                shape[row - 1] = 4
-                shape[-1] = 4
-                t = t * _K4.reshape(shape)
-            F = np.moveaxis(t, -1, row)
-    return float(np.real(F.sum()))
+    C = reduce(np.multiply, [_along(_SITE, b.n, i) for i in range(b.n)])
+    for u, v in b.edges():
+        C = C * _along(_EDGE, b.n, u, v)
+    return C
+
+
+def coeff_tensor(b: BlockSpec) -> np.ndarray:
+    """Real coefficient tensor D of shape (3,)*n.
+
+    The block value is sum_u D_u prod_i y_i(u_i) with y_i = (1, Re a_i,
+    Im a_i).  D is real because the value is real for all real (Re a_i,
+    Im a_i); the basis change is exact in floating point.
+    """
+    t = _code_tensor(b).astype(complex)
+    for _ in range(b.n):
+        # contract the leading axis; the new axis goes last, so n steps restore the order
+        t = np.tensordot(t, _TO_REAL, axes=([0], [0]))
+    return np.ascontiguousarray(t.real)
 
 
 def _grid_min(
-    b: BlockSpec, radii: np.ndarray, grid: int
+    D: np.ndarray, radii: np.ndarray, grid: int
 ) -> tuple[float, tuple[float, ...]]:
-    """Exact minimum of the block value over a uniform per-qubit angle grid."""
-    n = b.n
+    """Exact minimum of the block value over a uniform per-qubit angle grid.
+
+    Matrix products with the rows (1, Re a, Im a) of each site's grid points
+    contract the coefficient tensor D: the leading k sites first, at every
+    grid point at once, then the rest in chunks of head rows, last site
+    first, each chunk small enough (_CHUNK values) to stay in cache.
+    """
+    n = D.ndim
     angles = np.arange(grid) * (TWO_PI / grid)
-    phases = np.exp(-1j * angles)
-    best = math.inf
-    best_thetas: tuple[float, ...] = (0.0,) * n
-    # loop over enough leading axes that the contracted tail fits the budget
-    k = 0
-    while grid ** (n - k) > _GRID_BUDGET:
-        k += 1
-    C = coeff_tensor(b).astype(complex)
-    tail_x = [
-        np.stack(
-            [np.ones(grid), (radii[i] / 2.0) * phases, np.conj((radii[i] / 2.0) * phases)]
-        )
-        for i in range(k, n)
+    Y = [
+        np.stack([np.ones(grid), (rho / 2.0) * np.cos(angles), -(rho / 2.0) * np.sin(angles)], axis=1)
+        for rho in radii
     ]
-    for head in itertools.product(range(grid), repeat=k):
-        t = C
-        for i, gi in enumerate(head):
-            av = (radii[i] / 2.0) * phases[gi]
-            t = np.tensordot(t, np.array([1.0, av, np.conj(av)]), axes=([0], [0]))
-        for x in tail_x:
-            t = np.tensordot(t, x, axes=([0], [0]))
-        vals = np.real(t)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        v = float(vals[idx])
+    k = 0
+    while grid ** (n - k) > _CHUNK:
+        k += 1
+    heads = D.reshape(1, -1)
+    for i in range(k):
+        heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
+    tail = grid ** (n - k)
+    rows = max(1, _CHUNK // tail)
+    best, best_j = math.inf, 0
+    for s in range(0, len(heads), rows):
+        t = heads[s : s + rows]
+        for i in range(n - 1, k - 1, -1):
+            # grid indices so far lead each row; site i's code is the last axis
+            t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
+        j = int(np.argmin(t))
+        v = float(t.flat[j])
         if v < best:
-            best = v
-            best_thetas = tuple(angles[g] for g in head) + tuple(
-                angles[i] for i in idx
-            )
-    return best, best_thetas
+            best, best_j = v, s * tail + j
+    return best, tuple(angles[g] for g in np.unravel_index(best_j, (grid,) * n))
 
 
 def _coordinate_descent(
@@ -263,27 +333,20 @@ def _coordinate_descent(
 ) -> tuple[float, tuple[float, ...]]:
     """Exact per-coordinate minimization: the value is affine in each a_i,
     so the optimal angle given the others is available in closed form."""
-    n = b.n
     thetas = np.array(thetas0, dtype=float)
-    C = coeff_tensor(b).astype(complex)
-    val = block_value(b, radii, thetas)
+    chain = _Frontier(b, _transverse(radii, thetas))
+    val = chain.value()
     for _ in range(max_sweeps):
         improved = False
-        for i in range(n):
-            x = _site_vectors(radii, thetas)
-            t = C
-            for j in range(n):
-                if j == i:
-                    continue
-                # axis 0 until site i's axis is in front, then axis 1
-                t = np.tensordot(t, x[:, j], axes=([0 if j < i else 1], [0]))
-            # length-3 kernel: value = Re(k0 + k1 a_i + conj(k1) conj(a_i))
-            k0, k1 = complex(t[0]), complex(t[1])
+        for i in range(b.n):
+            # value = Re(k0 + k1 a_i + conj(k1) conj(a_i))
+            k0, k1, _ = chain.kernel(i)
             if abs(k1) < 1e-18:
                 continue
             cand = k0.real - radii[i] * abs(k1)
             if cand < val - 1e-15:
                 thetas[i] = math.atan2(k1.imag, k1.real) - math.pi
+                chain.set(i, _transverse(radii[i], thetas[i]))
                 val = cand
                 improved = True
         if not improved:
@@ -295,36 +358,51 @@ def _coordinate_descent(
 class SEstimate:
     """Bracket [lower, upper] for a block threshold.
 
-    lower is certified: the exact grid minimum at polygon-inflated radii was
-    nonnegative, which bounds the continuous minimum from below.  upper is
-    witnessed: a concrete assignment with a negative value exists just above
-    it (or the search cap was reached).
+    lower is certified: the exact grid minimum at radii inflated by
+    cert_inflation = 1/cos(pi/cert_grid) was nonnegative, which bounds the
+    continuous minimum from below.  upper is witnessed: a concrete
+    assignment with a negative value exists just above it (or the search cap
+    was reached).
     """
 
     lower: float
     upper: float
     theta_grid: int
     cert_grid: int
+    cert_inflation: float
     witness: tuple[float, ...] | None
     capped: bool = False
 
 
-def _refined_min(b: BlockSpec, radii: np.ndarray, grid: int) -> tuple[float, tuple[float, ...]]:
+def _refined_min(
+    b: BlockSpec, D: np.ndarray, radii: np.ndarray, grid: int
+) -> tuple[float, tuple[float, ...]]:
     """Grid seed plus exact coordinate descent; value is exact at the result."""
-    g_seed = grid
-    while g_seed > 4 and g_seed**b.n > _GRID_BUDGET:
-        g_seed //= 2
-    v0, th0 = _grid_min(b, radii, g_seed)
+    v0, th0 = _grid_min(D, radii, _grid_size(b.n, grid, _GRID_BUDGET))
     v1, th1 = _coordinate_descent(b, radii, th0)
     v2, th2 = _coordinate_descent(b, radii, (0.0,) * b.n)
     return (v1, th1) if v1 <= v2 else (v2, th2)
 
 
-def _cert_grid_size(n: int, theta_grid: int) -> int:
-    g = theta_grid
-    while g > 4 and g**n > (1 << 24):
-        g //= 2
+def _grid_size(n: int, grid: int, budget: int) -> int:
+    """Halve grid until grid^n fits budget, but not below 4 angles per site."""
+    g = grid
+    while g > 4 and g**n > budget:
+        g = max(4, g // 2)
     return g
+
+
+def _bisect(lo: float, hi: float, tol: float, holds) -> tuple[float, float]:
+    """Shrink [lo, hi] to width tol, moving lo where holds(r) and hi where not."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: tol is below the resolution at this radius
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 R_SEARCH_CAP = 4.0
@@ -339,61 +417,59 @@ def s_estimate(
     exact radii: any negative value certifies that r exceeds the threshold.
     The lower bound bisects on the exact grid minimum at radii inflated by
     1/cos(pi/G): nonnegativity there certifies the continuous minimum.
+
+    Raises ValueError for a theta_grid that is not an integer >= 4 or a
+    bisect_tol that is not finite and positive, and BlockTooLarge, before
+    any work, when the certification grid of 4 angles per site exceeds
+    _CERT_BUDGET points.
     """
-    inflate = 1.0 / math.cos(math.pi / _cert_grid_size(b.n, theta_grid))
-    cert_grid = _cert_grid_size(b.n, theta_grid)
+    if not isinstance(theta_grid, numbers.Integral) or theta_grid < 4:
+        raise ValueError(f"theta_grid must be an integer >= 4, got {theta_grid!r}")
+    if not (math.isfinite(bisect_tol) and bisect_tol > 0.0):
+        raise ValueError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
+    # compare log2 of 4^n, so that huge blocks are refused without forming 4^n
+    if 2 * b.n > math.log2(_CERT_BUDGET):
+        raise BlockTooLarge(
+            f"block {b.height}x{b.width} has {b.n} sites: its certification grid "
+            f"of 4 angles per site needs 4^{b.n} points, over the budget of "
+            f"2^{_CERT_BUDGET.bit_length() - 1}"
+        )
+    D = coeff_tensor(b)
+    cert_grid = _grid_size(b.n, theta_grid, _CERT_BUDGET)
+    inflate = 1.0 / math.cos(math.pi / cert_grid)
+    witness = None
 
-    def refined(r: float) -> tuple[float, tuple[float, ...]]:
-        return _refined_min(b, b.radii(r), theta_grid)
+    def nonnegative(r: float) -> bool:
+        nonlocal witness
+        v, th = _refined_min(b, D, b.radii(r), theta_grid)
+        if v < 0.0:
+            witness = th
+        return v >= 0.0
 
-    def certified(r: float) -> float:
-        v, _ = _grid_min(b, b.radii(r) * inflate, cert_grid)
-        return v
+    def certified(r: float) -> bool:
+        return _grid_min(D, b.radii(r) * inflate, cert_grid)[0] >= 0.0
 
     # upper: smallest r with a concrete negative witness
     hi = 0.05
-    witness = None
-    capped = False
-    while hi <= R_SEARCH_CAP:
-        v, th = refined(hi)
-        if v < 0.0:
-            witness = th
-            break
+    while hi <= R_SEARCH_CAP and nonnegative(hi):
         hi *= 1.5
-    if hi > R_SEARCH_CAP:
+    capped = hi > R_SEARCH_CAP
+    if capped:
         upper = R_SEARCH_CAP
-        capped = True
-        lo_u = upper
     else:
-        lo_u = hi / 1.5
-        while hi - lo_u > bisect_tol:
-            mid = 0.5 * (lo_u + hi)
-            v, th = refined(mid)
-            if v < 0.0:
-                hi, witness = mid, th
-            else:
-                lo_u = mid
-        upper = hi
+        _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
 
     # lower: largest r whose inflated-grid minimum is certified nonnegative
-    lo = 0.0
-    hi_c = upper if not capped else R_SEARCH_CAP
-    if certified(hi_c) >= 0.0:
-        lower = hi_c
+    if certified(upper):
+        lower = upper
     else:
-        while hi_c - lo > bisect_tol:
-            mid = 0.5 * (lo + hi_c)
-            if certified(mid) >= 0.0:
-                lo = mid
-            else:
-                hi_c = mid
-        lower = lo
-    lower = min(lower, upper)
+        lower, _ = _bisect(0.0, upper, bisect_tol, certified)
     return SEstimate(
-        lower=lower,
+        lower=min(lower, upper),
         upper=upper,
         theta_grid=theta_grid,
         cert_grid=cert_grid,
+        cert_inflation=inflate,
         witness=witness,
         capped=capped,
     )
@@ -442,30 +518,29 @@ def conjecture_fast_path(
     """Heuristic minimum over inputs with no Y component (angles 0 or pi).
 
     Greedy single-site sign flips from the all-zero pattern and from random
-    patterns; exact values via the frontier contraction.  The restriction to
-    real transverse components is a conjecture about where the optimum sits,
-    so results are upper-bound material only.
+    patterns; each flip is valued exactly from the site's frontier kernel.
+    The restriction to real transverse components is a conjecture about
+    where the optimum sits, so results are upper-bound material only.
     """
     n = b.n
+    half = b.radii(r) / 2.0
     rng = np.random.default_rng(seed)
 
-    def value(pattern: np.ndarray) -> float:
-        thetas = tuple(0.0 if s > 0 else math.pi for s in pattern)
-        return block_prob_contraction(b, r, BlockAssignment(thetas))
-
     def descend(pattern: np.ndarray) -> tuple[float, np.ndarray]:
-        best = value(pattern)
+        chain = _Frontier(b, pattern * half)
+        best = chain.value()
         improved = True
         while improved:
             improved = False
             for i in range(n):
-                pattern[i] *= -1
-                v = value(pattern)
+                k0, k1, k2 = chain.kernel(i)
+                flipped = -pattern[i] * half[i]
+                v = k0 + (k1 + k2) * flipped  # a is real, so conj(a) = a
                 if v < best - 1e-15:
+                    pattern[i] *= -1
+                    chain.set(i, flipped)
                     best = v
                     improved = True
-                else:
-                    pattern[i] *= -1
         return best, pattern
 
     best_v, best_p = descend(np.ones(n, dtype=int))

@@ -98,11 +98,39 @@ def test_coarse_1x2_bracket(tmp_path, capsys):
     assert result["r_lower"] <= 0.5 <= result["r_upper"]
     assert result["block"] == "1x2"
     assert not result["search_capped"]
+    assert result["cert_inflation"] == 1.0 / math.cos(math.pi / result["certified_grid"])
 
 
 def test_coarse_bad_block_and_cap(capsys):
     assert main(["coarse", "--block", "nope"]) == EXIT_ERROR
     assert main(["coarse", "--block", "9x9"]) == EXIT_RESOURCE_CAP
+    # refused by cost: more than 12 sites put 4 angles per site over 2^24 points
+    for block in ("4x4", "1x13", "100000x100000"):
+        assert main(["coarse", "--block", block]) == EXIT_RESOURCE_CAP
+    assert "4^16 points" in capsys.readouterr().err
+
+
+def test_coarse_accepts_3x4(tmp_path, capsys):
+    out = tmp_path / "coarse.json"
+    code = main(
+        ["coarse", "--block", "3x4", "--mode", "lambda", "--grid", "4",
+         "--bisect-tol", "0.01", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    result = json.loads(out.read_text())
+    assert result["certified_grid"] == 4
+    assert result["cert_inflation"] == pytest.approx(math.sqrt(2.0))
+    assert 0.0 < result["r_lower"] <= result["r_upper"]
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--grid", "0"], ["--grid", "3"], ["--bisect-tol", "0"], ["--bisect-tol", "nan"],
+     ["--bisect-tol=-1e-3"], ["--bisect-tol", "inf"]],
+)
+def test_coarse_rejects_bad_grid_and_tolerance(option, capsys):
+    assert main(["coarse", "--block", "1x2", *option]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_purify_default(capsys):

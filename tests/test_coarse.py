@@ -1,14 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylsim import coarse
 from cylsim.coarse import (
     LAMBDA_GROWN,
     PLAIN,
-    BlockAssignment,
     BlockSpec,
+    BlockTooLarge,
+    _code_tensor,
+    _Frontier,
+    _grid_min,
+    _transverse,
     block_min_prob_dense,
     block_prob_contraction,
     block_value,
@@ -65,7 +71,7 @@ def test_block_value_matches_closed_form_1x2(rp, tA, tB):
     assert v == pytest.approx(two_block_formula(rp, tA, tB) / 4.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3), (3, 3)])
 @pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
 def test_backends_agree(hw, mode):
     h, w = hw
@@ -73,9 +79,8 @@ def test_backends_agree(hw, mode):
     rng = np.random.default_rng(5)
     for r in (0.0, 0.03, 0.1):
         thetas = tuple(rng.uniform(0, 2 * math.pi, b.n))
-        a = BlockAssignment(thetas)
-        dense = block_min_prob_dense(b, r, a)
-        contracted = block_prob_contraction(b, r, a)
+        dense = block_min_prob_dense(b, r, thetas)
+        contracted = block_prob_contraction(b, r, thetas)
         tensor = block_value(b, b.radii(r), thetas)
         assert dense == pytest.approx(contracted, abs=1e-13)
         assert dense == pytest.approx(tensor, abs=1e-13)
@@ -86,10 +91,8 @@ def test_contraction_transposed_block():
     rng = np.random.default_rng(7)
     thetas = rng.uniform(0, 2 * math.pi, 6)
     tall = BlockSpec(3, 2)
-    v_tall = block_prob_contraction(tall, 0.2, BlockAssignment(tuple(thetas)))
-    assert v_tall == pytest.approx(
-        block_min_prob_dense(tall, 0.2, BlockAssignment(tuple(thetas))), abs=1e-13
-    )
+    v_tall = block_prob_contraction(tall, 0.2, thetas)
+    assert v_tall == pytest.approx(block_min_prob_dense(tall, 0.2, thetas), abs=1e-13)
 
 
 def test_coeff_tensor_zero_radius_value():
@@ -140,7 +143,7 @@ def test_find_negativity_witness_1x2():
     assert hit is not None
     r, thetas = hit
     assert r == pytest.approx(0.55)
-    assert block_prob_contraction(b, r, BlockAssignment(thetas)) < 0
+    assert block_prob_contraction(b, r, thetas) < 0
 
     assert find_negativity_witness(b, [0.1, 0.2]) is None
 
@@ -153,3 +156,115 @@ def test_lemma4_checks_small():
     assert report["all_ok"]
     assert report["s_plain"]["KL"].lower <= report["s_plain"]["K"].upper
     assert report["s_lambda"]["KL"].upper >= report["s_lambda"]["K"].lower
+
+
+def _reference_code_tensor(b: BlockSpec) -> np.ndarray:
+    """Coefficient tensor over the codes (1, a, conj(a)), entry by entry.
+
+    Per-site code: 0 -> factor 1, 1 -> a_i, 2 -> conj(a_i).  The sign of a
+    term is (-1)^(number of nonzero codes) times the CZ parity of the row
+    and column bitstrings (s_i = 1 iff code 2, t_i = 1 iff code 1).
+    """
+    n = b.n
+    edges = b.edges()
+    C = np.zeros((3,) * n)
+    for v in itertools.product((0, 1, 2), repeat=n):
+        s = [1 if c == 2 else 0 for c in v]
+        t = [1 if c == 1 else 0 for c in v]
+        parity = sum(1 for c in v if c != 0)
+        parity += sum(s[u] * s[w] + t[u] * t[w] for u, w in edges)
+        C[v] = (-1.0) ** parity
+    return C / 2.0**n
+
+
+@pytest.mark.parametrize("hw", [(1, 2), (2, 2), (1, 5), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8)])
+def test_code_tensor_matches_enumeration(hw):
+    b = BlockSpec(*hw)
+    assert np.array_equal(_code_tensor(b), _reference_code_tensor(b))
+
+
+@pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3), (3, 3)])
+def test_coeff_tensor_real_basis_matches_dense(hw):
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    D = coeff_tensor(b)
+    assert D.dtype == np.float64
+    rng = np.random.default_rng(3)
+    for r in (0.02, 0.07):
+        thetas = rng.uniform(0, 2 * math.pi, b.n)
+        a = _transverse(b.radii(r), thetas)
+        t = D
+        for i in range(b.n):
+            t = np.array([1.0, a[i].real, a[i].imag]) @ t.reshape(3, -1)
+        assert t.item() == pytest.approx(block_min_prob_dense(b, r, thetas), abs=1e-14)
+
+
+@pytest.mark.parametrize("hw", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_grid_min_matches_dense_brute_force(hw, mode, monkeypatch):
+    b = BlockSpec(*hw, mode)
+    r = 0.25 if mode == PLAIN else 0.075
+    radii = b.radii(r)
+    angles = np.arange(4) * (2 * math.pi / 4)
+    brute = min(
+        block_min_prob_dense(b, r, [angles[g] for g in idx])
+        for idx in itertools.product(range(4), repeat=b.n)
+    )
+    D = coeff_tensor(b)
+    # one chunk for the whole grid, then one grid point of the last site per chunk
+    for chunk in (coarse._CHUNK, 4):
+        monkeypatch.setattr(coarse, "_CHUNK", chunk)
+        v, thetas = _grid_min(D, radii, 4)
+        assert v == pytest.approx(brute, abs=1e-12)
+        assert v == pytest.approx(block_value(b, radii, thetas), abs=1e-12)
+        assert set(thetas) <= set(angles)
+
+
+@pytest.mark.parametrize("hw", [(3, 4), (4, 3), (6, 7)])
+def test_frontier_kernels_match_full_contraction(hw):
+    b = BlockSpec(*hw, PLAIN)
+    r = 0.14
+    radii = b.radii(r)
+    rng = np.random.default_rng(11)
+    thetas = rng.uniform(0, 2 * math.pi, b.n)
+    chain = _Frontier(b, _transverse(radii, thetas))
+    scale = 2.0**b.n  # block values are of order 2^-n
+    # visit sites out of absorption order so that updates invalidate both environments
+    for i in rng.permutation(b.n):
+        k0, k1, k2 = chain.kernel(i)
+        thetas[i] = rng.uniform(0, 2 * math.pi)
+        a = _transverse(radii[i], thetas[i])
+        full = block_prob_contraction(b, r, thetas)
+        assert scale * (k0 + k1 * a + k2 * np.conj(a)).real == pytest.approx(
+            scale * full, abs=1e-12
+        )
+        chain.set(i, a)
+        assert scale * chain.value() == pytest.approx(scale * full, abs=1e-12)
+
+
+def test_fast_path_value_is_exact_3x4():
+    b = BlockSpec(3, 4, PLAIN)
+    v, thetas = conjecture_fast_path(b, 0.3, restarts=2, seed=1)
+    assert set(thetas) <= {0.0, math.pi}
+    scale = 2.0**b.n
+    assert scale * v == pytest.approx(
+        scale * block_prob_contraction(b, 0.3, thetas), abs=1e-12
+    )
+
+
+def test_s_estimate_validates_arguments():
+    b = BlockSpec(1, 2)
+    for grid in (0, 3, -8, 8.0, True):
+        with pytest.raises(ValueError, match="theta_grid"):
+            s_estimate(b, theta_grid=grid)
+    for tol in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bisect_tol"):
+            s_estimate(b, bisect_tol=tol)
+    for hw in ((4, 4), (1, 13), (100000, 100000)):
+        with pytest.raises(BlockTooLarge):
+            s_estimate(BlockSpec(*hw))
+
+
+def test_s_estimate_tolerance_below_float_resolution_terminates():
+    est = s_estimate(BlockSpec(1, 2, PLAIN), theta_grid=8, bisect_tol=1e-300)
+    assert est.lower <= 0.5 <= est.upper
+    assert est.upper - est.lower < 0.1
