@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum
@@ -26,8 +27,11 @@ class MeasurementRule:
     def __post_init__(self):
         if self.kind not in (Z_BASIS, XY_PLANE):
             raise ValueError(f"unknown measurement kind {self.kind!r}")
-        object.__setattr__(self, "sign_deps", frozenset(self.sign_deps))
-        object.__setattr__(self, "shift_deps", frozenset(self.shift_deps))
+        if not math.isfinite(self.base_alpha):
+            raise ValueError(f"non-finite angle base_alpha={self.base_alpha!r}")
+        for name in ("sign_deps", "shift_deps"):
+            deps = frozenset(_index(d, name) for d in getattr(self, name))
+            object.__setattr__(self, name, deps)
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,15 @@ class ClusterCircuit:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.n_qubits
+        n = _index(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValueError("n_qubits must be >= 1")
         if len(self.inputs) != n or len(self.plan) != n:
             raise ValueError("inputs and plan must have one entry per qubit")
+        edges = tuple((_index(u, "edge entry"), _index(v, "edge entry")) for u, v in self.edges)
+        order = tuple(_index(v, "order entry") for v in self.order)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "order", order)
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -93,24 +101,34 @@ class ClusterCircuit:
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterCircuit":
+        """Parse circuit JSON; malformed content raises ValueError."""
         data = json.loads(text)
-        return cls(
-            n_qubits=data["n_qubits"],
-            edges=tuple((u, v) for u, v in data["edges"]),
-            inputs=tuple(
-                CylinderExtremum(d["r"], d["theta"], d["pole"]) for d in data["inputs"]
-            ),
-            plan=tuple(
-                MeasurementRule(
-                    kind=d["kind"],
-                    base_alpha=d.get("base_alpha", 0.0),
-                    sign_deps=frozenset(d.get("sign_deps", ())),
-                    shift_deps=frozenset(d.get("shift_deps", ())),
-                )
-                for d in data["plan"]
-            ),
-            order=tuple(data["order"]),
-        )
+        try:
+            return cls(
+                n_qubits=data["n_qubits"],
+                edges=tuple((u, v) for u, v in data["edges"]),
+                inputs=tuple(
+                    CylinderExtremum(d["r"], d["theta"], d["pole"]) for d in data["inputs"]
+                ),
+                plan=tuple(
+                    MeasurementRule(
+                        kind=d["kind"],
+                        base_alpha=d.get("base_alpha", 0.0),
+                        sign_deps=frozenset(d.get("sign_deps", ())),
+                        shift_deps=frozenset(d.get("shift_deps", ())),
+                    )
+                    for d in data["plan"]
+                ),
+                order=tuple(data["order"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed circuit JSON: {type(exc).__name__}: {exc}") from exc
+
+
+def _index(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def resolve_alpha(rule: MeasurementRule, outcomes: dict[int, int]) -> float:

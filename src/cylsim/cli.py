@@ -18,7 +18,7 @@ import numpy as np
 
 from . import coarse, oracle, pbs, purify, sampler
 from .circuits import ClusterCircuit
-from .czdec import LAMBDA, ppt_determinants, separability_condition
+from .czdec import LAMBDA, DecompositionError, ppt_determinants, separability_condition
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -44,9 +44,13 @@ def _provenance(args: argparse.Namespace, extra: dict) -> dict:
     return {"config": cfg, **extra}
 
 
+def _read_circuit(path: str) -> ClusterCircuit:
+    with open(path, encoding="utf-8") as f:
+        return ClusterCircuit.from_json(f.read())
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
-    with open(args.circuit, encoding="utf-8") as f:
-        c = ClusterCircuit.from_json(f.read())
+    c = _read_circuit(args.circuit)
     rep = sampler.default_rep(args.growth_margin)
     report = sampler.check_simulable(c, rep.growth)
     if not report.simulable:
@@ -66,6 +70,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             args,
             {
                 "growth": rep.growth,
+                "representation": sampler.rep_provenance(args.growth_margin),
                 "simulable": True,
                 "vertex_bounds": [
                     {"vertex": v.vertex, "degree": v.degree, "bound": v.bound}
@@ -78,8 +83,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    with open(args.circuit, encoding="utf-8") as f:
-        c = ClusterCircuit.from_json(f.read())
+    if args.shots < 1:
+        raise ValueError(f"compare needs --shots >= 1, got {args.shots}")
+    c = _read_circuit(args.circuit)
     if c.n_qubits > oracle.DENSE_CAP:
         print(f"dense oracle capped at {oracle.DENSE_CAP} qubits", file=sys.stderr)
         return EXIT_RESOURCE_CAP
@@ -241,7 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -8,9 +8,11 @@ in the radius ratios holds.  The symmetric critical growth is
 
 This module evaluates the criterion, produces the explicit 4x4 Pauli
 coefficient matrix of the CZ output, and constructs an explicit
-decomposition by linear programming over discretized rim angles.  The
+decomposition by linear programming over discretized rim angles, or loads
+one stored as angle-grid indices after checking its residual.  The
 resulting StochasticRep drives the sampler: one CZ application becomes a
-radius growth plus a sampled pair of Z-rotation offsets.
+radius growth plus a sampled pair of Z-rotation offsets.  scipy's LP solver
+is imported only when an LP is solved.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import TWO_PI, CylinderExtremum, canonical_angle
 
@@ -116,16 +117,11 @@ def lp_feasibility(
     rim-extrema products (angles on a uniform grid, poles +1) and the target
     Pauli matrix.  Returns (residual <= tol, residual, branches).
     """
+    from scipy.optimize import linprog
+
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    target = np.array(
-        [
-            [1.0, fB, 0.0, 1.0],
-            [fA, 0.0, 0.0, fA],
-            [0.0, 0.0, fA * fB, 0.0],
-            [1.0, fB, 0.0, 1.0],
-        ]
-    ).ravel()
+    target = cz_pauli_output(fA, fB).ravel()
     prods, angles, _ = _product_columns(grid_size)
     n = prods.shape[1]
     # variables: p_0 .. p_{n-1}, t; minimize t
@@ -205,13 +201,39 @@ def build_decomposition(
     return StochasticRep(growth=1.0 / f, branches=tuple(branches))
 
 
-def _sample_branch(rep: StochasticRep, rnd: float) -> tuple[float, float]:
-    acc = 0.0
-    for p, da, db in rep.branches:
-        acc += p
-        if rnd < acc:
-            return da, db
-    return rep.branches[-1][1], rep.branches[-1][2]
+def mixture_residual(f: float, branches) -> float:
+    """Max-norm gap between a branch mixture and the CZ output at ratios (f, f).
+
+    The quantity lp_feasibility minimizes: branches are (weight, angleA,
+    angleB) of unit-radius, pole +1 rim-extrema products.
+    """
+    w, a, b = np.array(branches, dtype=float).T
+    one = np.ones_like(a)
+    va = np.stack([one, np.cos(a), np.sin(a), one])
+    vb = np.stack([one, np.cos(b), np.sin(b), one])
+    return float(np.max(np.abs((va * w) @ vb.T - cz_pauli_output(f, f))))
+
+
+def grid_rep(
+    f: float, grid_size: int, triples, tol: float = 1e-6
+) -> tuple[StochasticRep, float]:
+    """StochasticRep at growth 1/f from stored (weight, j, k) angle-grid indices.
+
+    Branch angles are j and k steps of 2*pi/grid_size, as lp_feasibility
+    builds them.  The table is refused with DecompositionError unless its
+    mixture_residual is <= tol, the acceptance rule of lp_feasibility.
+    Returns the rep and that residual.
+    """
+    step = TWO_PI / grid_size
+    branches = tuple((float(w), j * step, k * step) for w, j, k in triples)
+    residual = mixture_residual(f, branches)
+    if not residual <= tol:
+        raise DecompositionError(
+            f"stored decomposition at f={f} misses the CZ output: "
+            f"residual {residual:.3e} > {tol:.1e}",
+            residual,
+        )
+    return StochasticRep(growth=1.0 / f, branches=branches), residual
 
 
 def apply_branch(
@@ -249,16 +271,6 @@ def apply_branch(
     return outA, outB
 
 
-def apply_stochastic(
-    eA: CylinderExtremum, eB: CylinderExtremum, rep: StochasticRep, rnd: float
-) -> tuple[CylinderExtremum, CylinderExtremum]:
-    """Sample a branch of rep by rnd and apply it; see apply_branch."""
-    if not 0.0 <= rnd < 1.0:
-        raise ValueError("rnd must lie in [0, 1)")
-    da, db = _sample_branch(rep, rnd)
-    return apply_branch(eA, eB, rep.growth, da, db)
-
-
 def extremum_coeffs(e: CylinderExtremum) -> np.ndarray:
     """Pauli coefficient vector [1, r cos(theta), r sin(theta), pole]."""
     return np.array(
@@ -271,13 +283,7 @@ def reconstructed_output(
 ) -> np.ndarray:
     """Branch-weighted Pauli coefficient matrix of the stochastic CZ output."""
     out = np.zeros((4, 4))
-    acc = 0.0
-    for p, _, _ in rep.branches[:-1]:
-        # probe each branch through apply_stochastic at a point inside its cell
-        oA, oB = apply_stochastic(eA, eB, rep, acc)
+    for p, da, db in rep.branches:
+        oA, oB = apply_branch(eA, eB, rep.growth, da, db)
         out += p * np.outer(extremum_coeffs(oA), extremum_coeffs(oB))
-        acc += p
-    p_last = rep.branches[-1][0]
-    oA, oB = apply_stochastic(eA, eB, rep, min(acc, math.nextafter(1.0, 0.0)))
-    out += p_last * np.outer(extremum_coeffs(oA), extremum_coeffs(oB))
     return out

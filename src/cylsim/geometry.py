@@ -68,6 +68,8 @@ class CylinderExtremum:
             raise ValueError(f"invalid radius {self.r!r}")
         if self.pole not in (+1, -1):
             raise ValueError(f"pole must be +1 or -1, got {self.pole!r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"non-finite angle theta={self.theta!r}")
         object.__setattr__(self, "theta", canonical_angle(self.theta))
 
 

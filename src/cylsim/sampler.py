@@ -6,12 +6,23 @@ from single-qubit Born values.  This is efficient whenever every vertex v
 satisfies r_v <= growth^(-D_v) with D_v the vertex degree, since radii grow
 by the factor `growth` per incident gate and must end inside the unit
 cylinder (the dual of the allowed measurements).
+
+A branch update never changes a pole and multiplies both radii by the
+growth, so one shot is a vector of n angles plus n adaptive draws.  Shots
+are sampled in fixed-size blocks, vectorised over the block; each block
+draws its uniforms from its own counter-based stream Philox(key=[seed,
+block]), so the count table for a seed does not depend on how many threads
+share the blocks.
+
+The default representation is stored below as angle-grid indices and
+checked on load; only a non-default growth margin solves the LP.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +32,11 @@ from .czdec import (
     LAMBDA,
     StochasticRep,
     apply_branch,
-    apply_stochastic,
     build_decomposition,
+    grid_rep,
+    mixture_residual,
 )
-from .geometry import Measurement, measure_prob, to_bloch
+from .geometry import Z_BASIS, Measurement, measure_prob, to_bloch
 
 #: relative headroom between the sampler's growth factor and the critical one
 DEFAULT_GROWTH_MARGIN = 1e-3
@@ -33,7 +45,27 @@ DEFAULT_GROWTH_MARGIN = 1e-3
 #: feasibility slack at f = 1/(LAMBDA*(1+margin)) where 64 does not
 REP_GRID_SIZE = 128
 
+#: max-norm residual a representation must meet, stored or solved
+REP_TOL = 1e-6
+
+#: the LP solution at DEFAULT_GROWTH_MARGIN on REP_GRID_SIZE as (weight, j, k):
+#: branch angles are j and k steps of 2*pi/REP_GRID_SIZE
+_DEFAULT_TABLE = (
+    (0.08316908131323694, 3, 33),
+    (0.18266411299837287, 6, 30),
+    (0.04582532377044778, 31, 3),
+    (0.06440991747267705, 31, 5),
+    (0.10475283812078656, 33, 6),
+    (0.044973792284386076, 66, 127),
+    (0.02964531168693419, 97, 121),
+    (0.1833546036259833, 98, 123),
+    (0.2612050187271752, 123, 97),
+)
+
 RADIUS_TOL = 1e-9
+
+#: shots per counter-based stream; a block's arrays take a few MB
+BLOCK_SHOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -64,45 +96,129 @@ def check_simulable(c: ClusterCircuit, growth: float) -> SimulabilityReport:
         d = c.degree(v)
         bound = growth ** (-d)
         r = c.inputs[v].r
-        rows.append(VertexBound(v, d, r, bound, r <= bound + 1e-12))
+        ok = _final_radius(r, growth, d) <= 1.0 + RADIUS_TOL
+        rows.append(VertexBound(v, d, r, bound, ok))
     return SimulabilityReport(growth=growth, vertices=tuple(rows))
+
+
+def _final_radius(r: float, growth: float, degree: int) -> float:
+    """Radius after `degree` incident gates; a zero radius stays zero."""
+    return 0.0 if r == 0.0 else r * growth**degree
 
 
 def default_rep(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> StochasticRep:
     """Cached stochastic CZ representation at growth LAMBDA*(1+margin)."""
+    return _rep_entry(growth_margin)[0]
+
+
+def rep_provenance(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> dict:
+    """Growth, branch count, residual and source ("stored" or "lp") of default_rep."""
+    rep, residual, source = _rep_entry(growth_margin)
+    return {
+        "growth": rep.growth,
+        "branches": len(rep.branches),
+        "residual": residual,
+        "source": source,
+    }
+
+
+def _rep_entry(growth_margin: float) -> tuple[StochasticRep, float, str]:
     key = round(growth_margin, 15)
-    rep = _REP_CACHE.get(key)
-    if rep is None:
-        g = LAMBDA * (1.0 + growth_margin)
-        rep = build_decomposition(1.0 / g, grid_size=REP_GRID_SIZE, tol=1e-6)
-        _REP_CACHE[key] = rep
-    return rep
+    entry = _REP_CACHE.get(key)
+    if entry is None:
+        f = 1.0 / (LAMBDA * (1.0 + growth_margin))
+        if key == DEFAULT_GROWTH_MARGIN:
+            rep, residual = grid_rep(f, REP_GRID_SIZE, _DEFAULT_TABLE, tol=REP_TOL)
+            entry = (rep, residual, "stored")
+        else:
+            rep = build_decomposition(f, grid_size=REP_GRID_SIZE, tol=REP_TOL)
+            entry = (rep, mixture_residual(f, rep.branches), "lp")
+        _REP_CACHE[key] = entry
+    return entry
 
 
-_REP_CACHE: dict[float, StochasticRep] = {}
+_REP_CACHE: dict[float, tuple[StochasticRep, float, str]] = {}
 
 
-def run_shot(c: ClusterCircuit, rep: StochasticRep, rng: np.random.Generator) -> str:
-    """One sampled outcome bitstring (position v holds vertex v's bit)."""
-    u = rng.random(len(c.edges) + c.n_qubits)
-    state = list(c.inputs)
-    for i, (a, b) in enumerate(c.edges):
-        state[a], state[b] = apply_stochastic(state[a], state[b], rep, u[i])
-    for v, e in enumerate(state):
-        if e.r > 1.0 + RADIUS_TOL:
-            raise RuntimeError(
-                f"vertex {v} left the unit cylinder (radius {e.r}); "
-                "circuit does not satisfy the simulability bounds"
+class _ShotKernel:
+    """Per-circuit constants of the batched sampler.
+
+    A row of uniforms holds one draw per edge (branch selection), then one
+    per measurement in c.order; outcomes() maps rows to outcome bits.
+    """
+
+    def __init__(self, c: ClusterCircuit, rep: StochasticRep):
+        g = rep.growth
+        radius = [_final_radius(e.r, g, c.degree(v)) for v, e in enumerate(c.inputs)]
+        bad = [v for v, r in enumerate(radius) if r > 1.0 + RADIUS_TOL]
+        if bad:
+            raise ValueError(
+                f"circuit not simulable at growth {g:.6f}: vertices {bad} would leave "
+                "the unit cylinder"
             )
-    outcomes: dict[int, int] = {}
-    base = len(c.edges)
-    for k, v in enumerate(c.order):
-        rule = c.plan[v]
-        m = Measurement(rule.kind, resolve_alpha(rule, outcomes))
-        p0 = measure_prob(to_bloch(state[v]), m, 0)
-        p0 = min(1.0, max(0.0, p0))
-        outcomes[v] = 0 if u[base + k] < p0 else 1
-    return "".join(str(outcomes[v]) for v in range(c.n_qubits))
+        self.radius = radius
+        self.pole = [e.pole for e in c.inputs]
+        # a partner of pole -1 adds pi to the angle (see apply_branch)
+        theta = [e.theta for e in c.inputs]
+        for a, b in c.edges:
+            if self.pole[b] < 0:
+                theta[a] += math.pi
+            if self.pole[a] < 0:
+                theta[b] += math.pi
+        self.theta = np.array(theta)
+        self.edges = c.edges
+        self.cdf = np.cumsum([b[0] for b in rep.branches])
+        self.da = np.array([b[1] for b in rep.branches])
+        self.db = np.array([b[2] for b in rep.branches])
+        self.steps = [(v, c.plan[v], sorted(c.plan[v].sign_deps), sorted(c.plan[v].shift_deps))
+                      for v in c.order]
+        self.n = c.n_qubits
+        self.width = len(c.edges) + c.n_qubits
+
+    def outcomes(self, u: np.ndarray) -> np.ndarray:
+        """Outcome bits, shape (shots, n) with column v for vertex v, of uniform rows u."""
+        shots, n_edges = len(u), len(self.edges)
+        # branch i where cdf[i-1] <= u < cdf[i]; rounding past cdf[-1] takes the last
+        branch = np.searchsorted(self.cdf, u[:, :n_edges], side="right")
+        np.minimum(branch, len(self.cdf) - 1, out=branch)
+        theta = np.tile(self.theta, (shots, 1))
+        for e, (a, b) in enumerate(self.edges):
+            theta[:, a] += self.pole[a] * self.da[branch[:, e]]
+            theta[:, b] += self.pole[b] * self.db[branch[:, e]]
+        bits = np.empty((shots, self.n), dtype=np.uint8)
+        for col, (v, rule, sign_deps, shift_deps) in enumerate(self.steps, start=n_edges):
+            if rule.kind == Z_BASIS:
+                bits[:, v] = self.pole[v] < 0  # p0 = (1 + pole)/2 is 1 or 0
+                continue
+            # p0 = (1 + r cos(theta - alpha))/2 with alpha = +-base_alpha (+ pi)
+            phase = theta[:, v] - rule.base_alpha
+            if sign_deps:
+                phase += 2.0 * rule.base_alpha * np.bitwise_xor.reduce(bits[:, sign_deps], axis=1)
+            amp = 0.5 * self.radius[v]
+            if shift_deps:
+                amp = amp * (1.0 - 2.0 * np.bitwise_xor.reduce(bits[:, shift_deps], axis=1))
+            # u < p0 gives 0; u lies in [0, 1), so p0 needs no clamping
+            bits[:, v] = u[:, col] >= 0.5 + amp * np.cos(phase)
+        return bits
+
+
+def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct outcome rows, as packed-bit byte strings, and their counts."""
+    packed = np.packbits(bits, axis=1)
+    rows = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))
+    return np.unique(rows.ravel(), return_counts=True)
+
+
+def _count_table(parts: list, n: int) -> dict[str, int]:
+    if not parts:
+        return {}
+    keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in parts]))
+    nbytes = keys.dtype.itemsize
+    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, nbytes), axis=1)[:, :n]
+    text = (bits + ord("0")).tobytes().decode("ascii")
+    return {text[i * n:(i + 1) * n]: int(k) for i, k in enumerate(counts)}
 
 
 def sample(
@@ -112,28 +228,47 @@ def sample(
     rep: StochasticRep | None = None,
     growth_margin: float = DEFAULT_GROWTH_MARGIN,
 ) -> dict[str, int]:
-    """Aggregate independent shots into a bitstring -> count table.
-
-    Each shot draws from its own counter-based stream keyed by (seed, shot),
-    so the table is reproducible under any parallel schedule.
-    """
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    """Bitstring -> count table of `shots` shots (position v holds vertex v's bit)."""
     if rep is None:
         rep = default_rep(growth_margin)
-    report = check_simulable(c, rep.growth)
-    if not report.simulable:
-        bad = [v for v in report.vertices if not v.ok]
-        raise ValueError(
-            "circuit not simulable at growth "
-            f"{rep.growth:.6f}: vertices {[v.vertex for v in bad]} exceed their bounds"
-        )
-    counts: dict[str, int] = {}
-    for shot in range(shots):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, shot], dtype=np.uint64)))
-        s = run_shot(c, rep, rng)
-        counts[s] = counts.get(s, 0) + 1
-    return counts
+    return sample_parallel(c, shots, seed, rep, 1)
+
+
+def sample_parallel(
+    c: ClusterCircuit,
+    shots: int,
+    seed: int,
+    rep: StochasticRep,
+    threads: int,
+) -> dict[str, int]:
+    """Count table of `shots` shots, blocks of BLOCK_SHOTS split across threads.
+
+    Block b draws from Philox(key=[seed, b]), so the table is the same for
+    every thread count.  Raises ValueError for a negative shot count, a seed
+    outside [0, 2^64), fewer than one thread, or a circuit whose final radii
+    leave the unit cylinder.
+    """
+    if shots < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    kernel = _ShotKernel(c, rep)
+    blocks = range(-(-shots // BLOCK_SHOTS))
+
+    def run(block: int):
+        size = min(BLOCK_SHOTS, shots - block * BLOCK_SHOTS)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+        return _tally(kernel.outcomes(rng.random((size, kernel.width))))
+
+    workers = min(threads, len(blocks))
+    if workers <= 1:
+        parts = [run(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, blocks))
+    return _count_table(parts, c.n_qubits)
 
 
 def exact_branch_distribution(
@@ -180,53 +315,3 @@ def _accumulate_outcomes(
             nxt = dict(outcomes)
             nxt[v] = outcome
             stack.append((k + 1, w * pv, nxt))
-
-
-def _sample_range(args: tuple[str, str, int, int, int]) -> dict[str, int]:
-    """Worker for parallel sampling: shots [start, stop) of a serialized job."""
-    circuit_json, rep_json, start, stop, seed = args
-    c = ClusterCircuit.from_json(circuit_json)
-    rep = StochasticRep.from_json(rep_json)
-    counts: dict[str, int] = {}
-    for shot in range(start, stop):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, shot], dtype=np.uint64))
-        )
-        s = run_shot(c, rep, rng)
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
-def sample_parallel(
-    c: ClusterCircuit,
-    shots: int,
-    seed: int,
-    rep: StochasticRep,
-    threads: int,
-) -> dict[str, int]:
-    """Same table as sample(); shots split across worker processes.
-
-    Per-shot counter-based streams make the result identical to the serial
-    run regardless of how the ranges are scheduled.
-    """
-    if threads <= 1 or shots < 2 * threads:
-        report = check_simulable(c, rep.growth)
-        if not report.simulable:
-            raise ValueError("circuit not simulable at the given growth")
-        return _sample_range((c.to_json(), rep.to_json(), 0, shots, seed))
-    report = check_simulable(c, rep.growth)
-    if not report.simulable:
-        raise ValueError("circuit not simulable at the given growth")
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [shots * i // threads for i in range(threads + 1)]
-    jobs = [
-        (c.to_json(), rep.to_json(), bounds[i], bounds[i + 1], seed)
-        for i in range(threads)
-    ]
-    counts: dict[str, int] = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_sample_range, jobs):
-            for k, v in part.items():
-                counts[k] = counts.get(k, 0) + v
-    return counts

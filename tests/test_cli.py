@@ -39,6 +39,9 @@ def test_sample_deterministic_csv(tmp_path, circuit_file):
     prov = json.loads((tmp_path / "a.csv.provenance.json").read_text())
     assert prov["simulable"] is True
     assert prov["config"]["seed"] == 3
+    rep = prov["representation"]
+    assert rep["source"] == "stored" and rep["branches"] == 9
+    assert rep["growth"] == prov["growth"] and rep["residual"] <= 1e-6
 
 
 def test_sample_zero_shots(tmp_path, circuit_file):
@@ -67,6 +70,67 @@ def test_sample_rejects_nonsimulable(tmp_path, capsys):
     )
     assert code == EXIT_NOT_SIMULABLE
     assert "EXCEEDED" in capsys.readouterr().err
+
+
+def _malformed(tmp_path, case):
+    """Circuit path and extra arguments for one malformed-input case."""
+    path = tmp_path / "c.json"
+    data = json.loads(build_fixture("chain2", LAMBDA, adaptive=True).to_json())
+    extra = []
+    if case == "missing-file":
+        path = tmp_path / "absent.json"
+    elif case == "missing-key":
+        del data["order"]
+    elif case == "float-edges":
+        data["edges"] = [[0.0, 1.0]]
+    elif case == "nan-theta":
+        data["inputs"][0]["theta"] = math.nan
+    elif case == "nan-base-alpha":
+        data["plan"][0]["base_alpha"] = math.nan
+    elif case == "not-json":
+        path.write_text("{")
+        return path, extra
+    else:
+        extra = {
+            "seed-negative": ["--seed=-1"],
+            "seed-too-large": ["--seed", str(2**64)],
+            "shots-negative": ["--shots=-5"],
+            "threads-zero": ["--threads", "0"],
+        }[case]
+    if case != "missing-file":
+        path.write_text(json.dumps(data))
+    return path, extra
+
+
+@pytest.mark.parametrize("command", ["sample", "compare"])
+@pytest.mark.parametrize(
+    "case",
+    ["missing-file", "missing-key", "float-edges", "nan-theta", "nan-base-alpha", "not-json",
+     "seed-negative", "seed-too-large", "shots-negative", "threads-zero"],
+)
+def test_sample_compare_reject_malformed_input(tmp_path, capsys, command, case):
+    path, extra = _malformed(tmp_path, case)
+    args = [command, "--circuit", str(path), "--shots", "10", "--seed", "1",
+            "--out", str(tmp_path / "out"), *extra]
+    assert main(args) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_rejects_infeasible_growth_margin(tmp_path, circuit_file, capsys):
+    # below the critical growth no decomposition exists on the LP's angle grid
+    args = ["sample", "--circuit", str(circuit_file), "--shots", "10", "--seed", "1",
+            "--out", str(tmp_path / "out"), "--growth-margin=-1e-3"]
+    assert main(args) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: no decomposition")
+
+
+def test_compare_rejects_zero_shots(tmp_path, circuit_file, capsys):
+    args = ["compare", "--circuit", str(circuit_file), "--shots", "0", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: compare needs --shots >= 1")
 
 
 def test_compare_small_circuit(tmp_path, circuit_file, capsys):

@@ -9,7 +9,7 @@ from cylsim.czdec import (
     LAMBDA,
     DecompositionError,
     StochasticRep,
-    apply_stochastic,
+    apply_branch,
     build_decomposition,
     cz_pauli_output,
     lp_feasibility,
@@ -123,11 +123,11 @@ def module_rep():
     return build_decomposition(1.0 / (LAMBDA * 1.001), grid_size=128)
 
 
-def test_apply_stochastic_diagonal_fixed_point(module_rep):
+def test_apply_branch_diagonal_fixed_point(module_rep):
     eA = CylinderExtremum(0, 0, 1)
     eB = CylinderExtremum(0, 1.0, 1)
-    for rnd in (0.0, 0.37, 0.93):
-        oA, oB = apply_stochastic(eA, eB, module_rep, rnd)
+    for _, da, db in module_rep.branches:
+        oA, oB = apply_branch(eA, eB, module_rep.growth, da, db)
         assert oA.r == 0 and oB.r == 0
         assert oA.pole == 1 and oB.pole == 1
 
@@ -152,7 +152,8 @@ def test_reconstruction_all_pole_combos(module_rep, poleA, poleB):
 def test_output_radii_grow_exactly(module_rep):
     eA = CylinderExtremum(0.2, 0.5, -1)
     eB = CylinderExtremum(0.1, 2.5, 1)
-    oA, oB = apply_stochastic(eA, eB, module_rep, 0.5)
+    _, da, db = module_rep.branches[len(module_rep.branches) // 2]
+    oA, oB = apply_branch(eA, eB, module_rep.growth, da, db)
     assert oA.r == pytest.approx(0.2 * module_rep.growth, rel=1e-15)
     assert oB.r == pytest.approx(0.1 * module_rep.growth, rel=1e-15)
     assert (oA.pole, oB.pole) == (-1, 1)

@@ -43,6 +43,9 @@ def test_extremum_validation():
         CylinderExtremum(-0.1, 0, 1)
     with pytest.raises(ValueError):
         CylinderExtremum(0.5, 0, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            CylinderExtremum(0.5, bad, 1)
 
 
 @given(angles)

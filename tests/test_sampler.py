@@ -1,19 +1,29 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture
 
+import cylsim
+from cylsim import sampler
 from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
-from cylsim.czdec import LAMBDA
-from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
+from cylsim.czdec import LAMBDA, DecompositionError, apply_branch, grid_rep, lp_feasibility
+from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, Measurement, measure_prob, to_bloch
 from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
 from cylsim.sampler import (
+    BLOCK_SHOTS,
     check_simulable,
+    default_rep,
     exact_branch_distribution,
-    run_shot,
+    rep_provenance,
     sample,
     sample_parallel,
 )
@@ -38,6 +48,13 @@ def test_circuit_validation():
         xy_circuit(2, ((0, 1), (1, 0)), [0.1, 0.1])
     with pytest.raises(ValueError):
         xy_circuit(2, ((0, 1),), [0.1, 0.1], order=(0, 0))
+    with pytest.raises(ValueError):
+        xy_circuit(2, ((0.0, 1.0),), [0.1, 0.1])
+    with pytest.raises(ValueError):
+        xy_circuit(2, ((0, 1),), [0.1, 0.1], order=(0.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            xy_circuit(2, ((0, 1),), [0.1, 0.1], angles=[0.0, bad])
     with pytest.raises(ValueError):
         # dependency on a later vertex
         ClusterCircuit(
@@ -82,17 +99,194 @@ def test_check_simulable_examples():
     assert check_simulable(c, LAMBDA).simulable
 
 
-def test_run_shot_deterministic_cases(rep):
-    # pole +1, zero radius, Z measurements: all zeros with certainty
+@pytest.mark.parametrize("excess,ok", [(0.0, True), (5e-13, False)])
+def test_check_simulable_agrees_with_sampler_on_high_degree(rep, excess, ok):
+    # degree 20: an absolute 5e-13 on the input radius is 1e-6 on the final one
+    d = 20
+    c = xy_circuit(d + 1, tuple((0, v) for v in range(1, d + 1)),
+                   [rep.growth**-d + excess] + [0.0] * d)
+    assert check_simulable(c, rep.growth).simulable is ok
+    if ok:
+        assert sum(sample(c, 10, seed=1, rep=rep).values()) == 10
+    else:
+        with pytest.raises(ValueError):
+            sample(c, 10, seed=1, rep=rep)
+
+
+def reference_shot(c, rep, u):
+    """The per-shot object path the batched kernel replaced, fed one row of
+    uniforms: (bitstring, closest distance of an XY draw to its p0)."""
+    state = list(c.inputs)
+    for i, (a, b) in enumerate(c.edges):
+        acc = 0.0
+        da, db = rep.branches[-1][1:]
+        for p, xa, xb in rep.branches:
+            acc += p
+            if u[i] < acc:
+                da, db = xa, xb
+                break
+        state[a], state[b] = apply_branch(state[a], state[b], rep.growth, da, db)
+    assert all(e.r <= 1.0 + sampler.RADIUS_TOL for e in state)
+    outcomes, gap = {}, math.inf
+    base = len(c.edges)
+    for k, v in enumerate(c.order):
+        rule = c.plan[v]
+        m = Measurement(rule.kind, resolve_alpha(rule, outcomes))
+        p0 = min(1.0, max(0.0, measure_prob(to_bloch(state[v]), m, 0)))
+        if rule.kind == XY_PLANE:
+            gap = min(gap, abs(u[base + k] - p0))
+        outcomes[v] = 0 if u[base + k] < p0 else 1
+    return "".join(str(outcomes[v]) for v in range(c.n_qubits)), gap
+
+
+def poles_zero_radius_z_circuit(growth):
+    """Pole -1 and zero-radius inputs, Z and adaptive XY measurements, and a
+    measurement order that is not the vertex order."""
+    return ClusterCircuit(
+        4,
+        ((0, 1), (1, 2), (2, 3), (1, 3)),
+        (
+            CylinderExtremum(0.0, 0.3, -1),
+            CylinderExtremum(0.9 * growth**-3, 1.1, -1),
+            CylinderExtremum(0.9 * growth**-2, 2.0, 1),
+            CylinderExtremum(0.0, 0.5, 1),
+        ),
+        (
+            MeasurementRule(Z_BASIS),
+            MeasurementRule(XY_PLANE, 0.7, sign_deps=frozenset({0})),
+            MeasurementRule(XY_PLANE, 1.9, sign_deps=frozenset({1}), shift_deps=frozenset({3})),
+            MeasurementRule(XY_PLANE, 0.2),
+        ),
+        (3, 0, 1, 2),
+    )
+
+
+def chain10_circuit(growth):
+    """Ten qubits, so outcome rows pack into two bytes."""
+    n = 10
+    return ClusterCircuit(
+        n,
+        tuple((v, v + 1) for v in range(n - 1)),
+        tuple(
+            CylinderExtremum(0.9 * growth ** -(1 if v in (0, n - 1) else 2), 0.7 * v,
+                             -1 if v % 4 == 1 else 1)
+            for v in range(n)
+        ),
+        tuple(
+            MeasurementRule(XY_PLANE, 0.2 * v, sign_deps=frozenset({v - 1} if v else ()))
+            for v in range(n)
+        ),
+        tuple(range(n)),
+    )
+
+
+REFERENCE_CASES = [(name, adaptive) for name in FIXTURE_GRAPHS for adaptive in (False, True)]
+EXTRA_CASES = {"poles-zero-z": poles_zero_radius_z_circuit, "chain10": chain10_circuit}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES + [(name, None) for name in EXTRA_CASES])
+def test_kernel_matches_per_shot_reference(rep, case):
+    name, adaptive = case
+    if adaptive is None:
+        c = EXTRA_CASES[name](rep.growth)
+    else:
+        c = build_fixture(name, rep.growth, adaptive=adaptive)
+    shots, seed = 3000, 11
+    kernel = sampler._ShotKernel(c, rep)
+    u = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random(
+        (shots, kernel.width)
+    )
+    bits = kernel.outcomes(u)
+    got = ["".join(map(str, row)) for row in bits]
+    ref = [reference_shot(c, rep, row) for row in u]
+    checked = [(g, s) for g, (s, gap) in zip(got, ref) if gap > 1e-12]
+    assert len(checked) >= shots - 2
+    assert all(g == s for g, s in checked)
+    # sample_parallel draws block 0 from the same stream
+    assert sample_parallel(c, shots, seed, rep, 1) == Counter(got)
+
+
+def test_deterministic_cases(rep):
+    # zero radius, Z measurements: pole +1 gives 0 and pole -1 gives 1 with certainty
     c = ClusterCircuit(
         3,
         ((0, 1), (1, 2)),
-        tuple(CylinderExtremum(0, 0.3 * v, 1) for v in range(3)),
+        tuple(CylinderExtremum(0, 0.3 * v, 1 if v < 2 else -1) for v in range(3)),
         (MeasurementRule(Z_BASIS),) * 3,
         (0, 1, 2),
     )
-    rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
-    assert run_shot(c, rep, rng) == "000"
+    assert sample(c, 1000, seed=1, rep=rep) == {"001": 1000}
+
+
+def test_tables_identical_across_threads_and_blocks(rep):
+    c = build_fixture("cycle4", rep.growth, adaptive=True)
+    shots = 5 * BLOCK_SHOTS // 2
+    tables = [sample_parallel(c, shots, 8, rep, t) for t in (1, 2, 4)]
+    assert tables[0] == tables[1] == tables[2]
+    assert sum(tables[0].values()) == shots
+    assert sample(c, shots, 8, rep=rep) == tables[0]
+
+
+def test_pool_capped_by_blocks(rep, monkeypatch):
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Recording)
+    c = build_fixture("chain2", rep.growth, adaptive=False)
+    sample_parallel(c, 3 * BLOCK_SHOTS - 5, 2, rep, 64)
+    sample_parallel(c, BLOCK_SHOTS, 2, rep, 8)
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize(
+    "shots,seed,threads", [(-5, 1, 1), (10, -1, 1), (10, 2**64, 1), (10, 1, 0)]
+)
+def test_sample_parallel_rejects_bad_arguments(rep, shots, seed, threads):
+    c = build_fixture("chain2", rep.growth, adaptive=False)
+    with pytest.raises(ValueError):
+        sample_parallel(c, shots, seed, rep, threads)
+
+
+def test_stored_rep_passes_residual_check():
+    f = 1.0 / (LAMBDA * (1.0 + sampler.DEFAULT_GROWTH_MARGIN))
+    rep, residual = grid_rep(f, sampler.REP_GRID_SIZE, sampler._DEFAULT_TABLE, tol=1e-6)
+    assert residual <= 1e-6
+    assert rep == default_rep()
+    assert rep_provenance() == {
+        "growth": rep.growth, "branches": 9, "residual": residual, "source": "stored",
+    }
+    for i in range(len(sampler._DEFAULT_TABLE)):
+        table = list(sampler._DEFAULT_TABLE)
+        w, j, k = table[i]
+        table[i] = (w + 1e-3, j, k)
+        with pytest.raises(DecompositionError):
+            grid_rep(f, sampler.REP_GRID_SIZE, table, tol=1e-6)
+    ok, _, _ = lp_feasibility(f, f, grid_size=sampler.REP_GRID_SIZE, tol=1e-6)
+    assert ok
+
+
+def test_nondefault_margin_solves_lp():
+    prov = rep_provenance(2e-3)
+    assert prov["source"] == "lp"
+    assert prov["residual"] <= 1e-6
+    assert prov["growth"] == pytest.approx(LAMBDA * 1.002)
+
+
+def test_cli_path_does_not_load_lp_solver():
+    code = (
+        "import sys, cylsim.cli, cylsim.sampler; cylsim.sampler.default_rep(); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cylsim.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_single_vertex_frequency(rep):
@@ -121,6 +315,8 @@ def test_sample_rejects_nonsimulable(rep):
     c = xy_circuit(2, ((0, 1),), [0.9, 0.9])
     with pytest.raises(ValueError):
         sample(c, 10, seed=0, rep=rep)
+    with pytest.raises(ValueError):
+        sample_parallel(c, 10, 0, rep, 2)
 
 
 def test_edge_order_invariance(rep):
