@@ -53,6 +53,7 @@ class ClusterCircuit:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "order", order)
         seen = set()
+        degrees = [0] * n
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
@@ -62,6 +63,10 @@ class ClusterCircuit:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
+            degrees[u] += 1
+            degrees[v] += 1
+        # counted once: a scan of every edge per degree(v) call is quadratic
+        object.__setattr__(self, "_degrees", tuple(degrees))
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of all vertices")
         pos = {v: i for i, v in enumerate(self.order)}
@@ -75,7 +80,7 @@ class ClusterCircuit:
                     )
 
     def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
+        return self._degrees[v]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -102,8 +107,8 @@ class ClusterCircuit:
     @classmethod
     def from_json(cls, text: str) -> "ClusterCircuit":
         """Parse circuit JSON; malformed content raises ValueError."""
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             return cls(
                 n_qubits=data["n_qubits"],
                 edges=tuple((u, v) for u, v in data["edges"]),
@@ -121,7 +126,8 @@ class ClusterCircuit:
                 ),
                 order=tuple(data["order"]),
             )
-        except (KeyError, TypeError) as exc:
+        # RecursionError: nesting too deep to parse; OverflowError: an int past float
+        except (KeyError, TypeError, RecursionError, OverflowError) as exc:
             raise ValueError(f"malformed circuit JSON: {type(exc).__name__}: {exc}") from exc
 
 

@@ -2,8 +2,12 @@
 
 Subcommands: sample, compare, lemma1, coarse, purify, pbs-verify.  Exit
 codes: 0 success, 2 non-simulable circuit, 3 resource cap exceeded, 1 any
-other error.  Stochastic commands require --seed and echo a provenance
-JSON sufficient to reproduce their output bit-exactly.
+other error, usage errors included.  sample and compare share one path:
+read the circuit, get the representation, check simulability once, sample.
+compare first refuses with exit 3 a circuit whose dense oracle is over
+DENSE_CAP qubits or would not fit in physical memory.  Stochastic commands
+require --seed and echo a provenance JSON sufficient to reproduce their
+output bit-exactly.
 """
 
 from __future__ import annotations
@@ -49,20 +53,46 @@ def _read_circuit(path: str) -> ClusterCircuit:
         return ClusterCircuit.from_json(f.read())
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+class _Refused(Exception):
+    """Ends a subcommand: args are the exit code and the message for stderr."""
+
+
+def _sample(args: argparse.Namespace, refuse=lambda c: None):
+    """The path of sample and compare: read --circuit, let refuse(c) raise
+    _Refused, get the representation, check simulability once and sample.
+    Returns the circuit, representation, simulability report and counts."""
     c = _read_circuit(args.circuit)
+    refuse(c)
     rep = sampler.default_rep(args.growth_margin)
     report = sampler.check_simulable(c, rep.growth)
     if not report.simulable:
-        for v in report.vertices:
-            status = "ok" if v.ok else "EXCEEDED"
-            print(
-                f"vertex {v.vertex}: degree {v.degree}, radius {v.radius:.6g}, "
-                f"bound {v.bound:.6g} [{status}]",
-                file=sys.stderr,
-            )
-        return EXIT_NOT_SIMULABLE
-    counts = sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
+        raise _Refused(EXIT_NOT_SIMULABLE, "\n".join(
+            f"vertex {v.vertex}: degree {v.degree}, radius {v.radius:.6g}, "
+            f"bound {v.bound:.6g} [{'ok' if v.ok else 'EXCEEDED'}]"
+            for v in report.vertices
+        ))
+    return c, rep, report, sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_dense(c: ClusterCircuit) -> None:
+    if c.n_qubits > oracle.DENSE_CAP:
+        raise _Refused(EXIT_RESOURCE_CAP, f"dense oracle capped at {oracle.DENSE_CAP} qubits")
+    # exact_distribution peaks at about 2.5x the 16 * 4^n-byte dense operator
+    need, have = 2.5 * 16 * 4**c.n_qubits, _physical_memory()
+    if need > have:
+        raise _Refused(
+            EXIT_RESOURCE_CAP,
+            f"dense oracle needs about {need:.3g} bytes at {c.n_qubits} qubits, "
+            f"more than the {have:.3g} bytes of physical memory",
+        )
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    _, rep, report, counts = _sample(args)
     _write_counts_csv(args.out, counts)
     _write_json(
         args.out + ".provenance.json",
@@ -85,15 +115,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError(f"compare needs --shots >= 1, got {args.shots}")
-    c = _read_circuit(args.circuit)
-    if c.n_qubits > oracle.DENSE_CAP:
-        print(f"dense oracle capped at {oracle.DENSE_CAP} qubits", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
-    rep = sampler.default_rep(args.growth_margin)
-    report = sampler.check_simulable(c, rep.growth)
-    if not report.simulable:
-        return EXIT_NOT_SIMULABLE
-    counts = sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
+    c, _, _, counts = _sample(args, _refuse_dense)
     tv = oracle.tv_distance(oracle.normalize_counts(counts), oracle.exact_distribution(c))
     result = {"tv": tv, "shots": args.shots, "epsilon_pass": tv <= 0.02}
     _write_json(args.out, _provenance(args, result))
@@ -199,24 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cylsim")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def sampling(name, summary, func, **shots):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--circuit", required=True)
+        sp.add_argument("--shots", type=int, **shots)
+        sp.add_argument("--growth-margin", type=float, default=sampler.DEFAULT_GROWTH_MARGIN)
         sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--out", type=str, required=True)
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("sample", help="sample a circuit to CSV")
-    sp.add_argument("--circuit", required=True)
-    sp.add_argument("--shots", type=int, required=True)
-    sp.add_argument("--growth-margin", type=float, default=sampler.DEFAULT_GROWTH_MARGIN)
-    common(sp)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("compare", help="sampler vs exact oracle TV distance")
-    sp.add_argument("--circuit", required=True)
-    sp.add_argument("--shots", type=int, default=100000)
-    sp.add_argument("--growth-margin", type=float, default=sampler.DEFAULT_GROWTH_MARGIN)
-    common(sp)
-    sp.set_defaults(func=cmd_compare)
+    sampling("sample", "sample a circuit to CSV", cmd_sample, required=True)
+    sampling("compare", "sampler vs exact oracle TV distance", cmd_compare, default=100000)
 
     sp = sub.add_parser("lemma1", help="print the critical growth constant")
     sp.add_argument("--out", type=str, default=None)
@@ -244,9 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # after help (code 0) or a usage error; 2 means non-simulable
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
+    except _Refused as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
     except (ValueError, OSError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -9,7 +9,7 @@ in the radius ratios holds.  The symmetric critical growth is
 This module evaluates the criterion, produces the explicit 4x4 Pauli
 coefficient matrix of the CZ output, and constructs an explicit
 decomposition by linear programming over discretized rim angles, or loads
-one stored as angle-grid indices after checking its residual.  The
+one stored as angle-grid indices; both meet one residual check.  The
 resulting StochasticRep drives the sampler: one CZ application becomes a
 radius growth plus a sampled pair of Z-rotation offsets.  scipy's LP solver
 is imported only when an LP is solved.
@@ -17,7 +17,6 @@ is imported only when an LP is solved.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,23 +88,26 @@ def ppt_determinants(fA: float, fB: float) -> tuple[float, float]:
 
 
 class DecompositionError(RuntimeError):
-    """LP could not meet the requested residual; carries the achieved one."""
+    """A representation missed the requested residual; carries the achieved one."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
 
 
-def _product_columns(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rim_vectors(angles) -> np.ndarray:
+    """Coefficient vectors (1, cos, sin, 1) of unit-radius, pole +1 extrema, shape (4, len)."""
+    one = np.ones_like(angles)
+    return np.stack([one, np.cos(angles), np.sin(angles), one])
+
+
+def _product_columns(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """All 16-coefficient vectors of rim-extrema products on a uniform angle grid."""
     angles = np.arange(grid_size) * (TWO_PI / grid_size)
-    # coefficient vector of a unit-radius, pole +1 extremum at each angle
-    vecs = np.stack(
-        [np.ones(grid_size), np.cos(angles), np.sin(angles), np.ones(grid_size)]
-    )  # (4, G)
+    vecs = _rim_vectors(angles)  # (4, G)
     # products over all angle pairs: (4, 4, G, G) -> (16, G*G)
     prods = np.einsum("ij,kl->ikjl", vecs, vecs).reshape(16, -1)
-    return prods, angles, vecs
+    return prods, angles
 
 
 def lp_feasibility(
@@ -122,7 +124,7 @@ def lp_feasibility(
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
     target = cz_pauli_output(fA, fB).ravel()
-    prods, angles, _ = _product_columns(grid_size)
+    prods, angles = _product_columns(grid_size)
     n = prods.shape[1]
     # variables: p_0 .. p_{n-1}, t; minimize t
     c = np.zeros(n + 1)
@@ -164,19 +166,6 @@ class StochasticRep:
         if abs(total - 1.0) > 1e-9 or any(b[0] < 0.0 for b in self.branches):
             raise ValueError("branch weights must be a probability vector")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"growth": self.growth, "branches": [list(b) for b in self.branches]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StochasticRep":
-        data = json.loads(text)
-        return cls(
-            growth=data["growth"],
-            branches=tuple(tuple(b) for b in data["branches"]),
-        )
-
 
 def build_decomposition(
     f: float, grid_size: int = 64, tol: float = 1e-6
@@ -184,21 +173,18 @@ def build_decomposition(
     """Construct a StochasticRep for inputs at radius ratio f = r/R per qubit.
 
     The decomposition depends only on f; growth is 1/f.  Requires f strictly
-    inside the separable region so the finite angle grid has room; an
-    infeasible LP raises DecompositionError with the achieved residual.
+    inside the separable region so the finite angle grid has room; an LP
+    solution that fails the acceptance rule (see grid_rep) raises
+    DecompositionError.
     """
     if not 0.0 <= f < 1.0:
         raise ValueError(f"f must lie in [0, 1), got {f!r}")
     if f == 0.0:
-        # diagonal inputs: CZ acts trivially on the Pauli coefficients
+        # diagonal inputs: CZ acts trivially on the Pauli coefficients.  Exempt
+        # from the acceptance rule, which pictures outputs on the unit rim.
         return StochasticRep(growth=math.inf, branches=((1.0, 0.0, 0.0),))
-    ok, residual, branches = lp_feasibility(f, f, grid_size=grid_size, tol=tol)
-    if not ok:
-        raise DecompositionError(
-            f"no decomposition at f={f} on grid {grid_size}: residual {residual:.3e} > {tol:.1e}",
-            residual,
-        )
-    return StochasticRep(growth=1.0 / f, branches=tuple(branches))
+    _, _, branches = lp_feasibility(f, f, grid_size=grid_size, tol=tol)
+    return _accepted(f, grid_size, branches, tol)
 
 
 def mixture_residual(f: float, branches) -> float:
@@ -208,32 +194,31 @@ def mixture_residual(f: float, branches) -> float:
     angleB) of unit-radius, pole +1 rim-extrema products.
     """
     w, a, b = np.array(branches, dtype=float).T
-    one = np.ones_like(a)
-    va = np.stack([one, np.cos(a), np.sin(a), one])
-    vb = np.stack([one, np.cos(b), np.sin(b), one])
-    return float(np.max(np.abs((va * w) @ vb.T - cz_pauli_output(f, f))))
+    mixture = (_rim_vectors(a) * w) @ _rim_vectors(b).T
+    return float(np.max(np.abs(mixture - cz_pauli_output(f, f))))
 
 
-def grid_rep(
-    f: float, grid_size: int, triples, tol: float = 1e-6
-) -> tuple[StochasticRep, float]:
+def grid_rep(f: float, grid_size: int, triples, tol: float = 1e-6) -> StochasticRep:
     """StochasticRep at growth 1/f from stored (weight, j, k) angle-grid indices.
 
     Branch angles are j and k steps of 2*pi/grid_size, as lp_feasibility
-    builds them.  The table is refused with DecompositionError unless its
-    mixture_residual is <= tol, the acceptance rule of lp_feasibility.
-    Returns the rep and that residual.
+    builds them.  Stored and solved representations meet one acceptance
+    rule: the mixture_residual of their branches must be <= tol, else
+    DecompositionError carries that residual.
     """
     step = TWO_PI / grid_size
-    branches = tuple((float(w), j * step, k * step) for w, j, k in triples)
-    residual = mixture_residual(f, branches)
+    return _accepted(f, grid_size, [(float(w), j * step, k * step) for w, j, k in triples], tol)
+
+
+def _accepted(f: float, grid_size: int, branches, tol: float) -> StochasticRep:
+    # a solver failure returns no branches
+    residual = mixture_residual(f, branches) if branches else math.inf
     if not residual <= tol:
         raise DecompositionError(
-            f"stored decomposition at f={f} misses the CZ output: "
-            f"residual {residual:.3e} > {tol:.1e}",
+            f"no decomposition at f={f} on grid {grid_size}: residual {residual:.3e} > {tol:.1e}",
             residual,
         )
-    return StochasticRep(growth=1.0 / f, branches=branches), residual
+    return StochasticRep(growth=1.0 / f, branches=tuple(branches))
 
 
 def apply_branch(

@@ -14,12 +14,14 @@ draws its uniforms from its own counter-based stream Philox(key=[seed,
 block]), so the count table for a seed does not depend on how many threads
 share the blocks.
 
-The default representation is stored below as angle-grid indices and
-checked on load; only a non-default growth margin solves the LP.
+sample_parallel is the one sampling entry point.  The default representation
+is stored below as angle-grid indices and checked on load; only a
+non-default growth margin solves the LP.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -106,38 +108,28 @@ def _final_radius(r: float, growth: float, degree: int) -> float:
     return 0.0 if r == 0.0 else r * growth**degree
 
 
+@functools.cache
 def default_rep(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> StochasticRep:
-    """Cached stochastic CZ representation at growth LAMBDA*(1+margin)."""
-    return _rep_entry(growth_margin)[0]
+    """Stochastic CZ representation at growth LAMBDA*(1+margin), built once per
+    margin: from _DEFAULT_TABLE at the default margin, else by LP."""
+    if not growth_margin > -1.0:
+        raise ValueError(f"growth margin must exceed -1, got {growth_margin!r}")
+    f = 1.0 / (LAMBDA * (1.0 + growth_margin))
+    if round(growth_margin, 15) == DEFAULT_GROWTH_MARGIN:
+        return grid_rep(f, REP_GRID_SIZE, _DEFAULT_TABLE, tol=REP_TOL)
+    return build_decomposition(f, grid_size=REP_GRID_SIZE, tol=REP_TOL)
 
 
 def rep_provenance(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> dict:
     """Growth, branch count, residual and source ("stored" or "lp") of default_rep."""
-    rep, residual, source = _rep_entry(growth_margin)
+    rep = default_rep(growth_margin)
+    stored = round(growth_margin, 15) == DEFAULT_GROWTH_MARGIN
     return {
         "growth": rep.growth,
         "branches": len(rep.branches),
-        "residual": residual,
-        "source": source,
+        "residual": mixture_residual(1.0 / rep.growth, rep.branches),
+        "source": "stored" if stored else "lp",
     }
-
-
-def _rep_entry(growth_margin: float) -> tuple[StochasticRep, float, str]:
-    key = round(growth_margin, 15)
-    entry = _REP_CACHE.get(key)
-    if entry is None:
-        f = 1.0 / (LAMBDA * (1.0 + growth_margin))
-        if key == DEFAULT_GROWTH_MARGIN:
-            rep, residual = grid_rep(f, REP_GRID_SIZE, _DEFAULT_TABLE, tol=REP_TOL)
-            entry = (rep, residual, "stored")
-        else:
-            rep = build_decomposition(f, grid_size=REP_GRID_SIZE, tol=REP_TOL)
-            entry = (rep, mixture_residual(f, rep.branches), "lp")
-        _REP_CACHE[key] = entry
-    return entry
-
-
-_REP_CACHE: dict[float, tuple[StochasticRep, float, str]] = {}
 
 
 class _ShotKernel:
@@ -221,32 +213,19 @@ def _count_table(parts: list, n: int) -> dict[str, int]:
     return {text[i * n:(i + 1) * n]: int(k) for i, k in enumerate(counts)}
 
 
-def sample(
-    c: ClusterCircuit,
-    shots: int,
-    seed: int,
-    rep: StochasticRep | None = None,
-    growth_margin: float = DEFAULT_GROWTH_MARGIN,
-) -> dict[str, int]:
-    """Bitstring -> count table of `shots` shots (position v holds vertex v's bit)."""
-    if rep is None:
-        rep = default_rep(growth_margin)
-    return sample_parallel(c, shots, seed, rep, 1)
-
-
 def sample_parallel(
     c: ClusterCircuit,
     shots: int,
     seed: int,
     rep: StochasticRep,
-    threads: int,
+    threads: int = 1,
 ) -> dict[str, int]:
-    """Count table of `shots` shots, blocks of BLOCK_SHOTS split across threads.
+    """Bitstring -> count table of `shots` shots, blocks of BLOCK_SHOTS split across threads.
 
-    Block b draws from Philox(key=[seed, b]), so the table is the same for
-    every thread count.  Raises ValueError for a negative shot count, a seed
-    outside [0, 2^64), fewer than one thread, or a circuit whose final radii
-    leave the unit cylinder.
+    Position v holds vertex v's bit.  Block b draws from Philox(key=[seed, b]),
+    so the table is the same for every thread count.  Raises ValueError for a
+    negative shot count, a seed outside [0, 2^64), fewer than one thread, or a
+    circuit whose final radii leave the unit cylinder.
     """
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")

@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture
 
+from cylsim import cli
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.cli import (
     EXIT_ERROR,
@@ -64,12 +71,16 @@ def test_sample_rejects_nonsimulable(tmp_path, capsys):
     )
     path = tmp_path / "bad.json"
     path.write_text(c.to_json())
-    code = main(
-        ["sample", "--circuit", str(path), "--shots", "10", "--seed", "0",
-         "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == EXIT_NOT_SIMULABLE
-    assert "EXCEEDED" in capsys.readouterr().err
+    for command in ("sample", "compare"):
+        code = main(
+            [command, "--circuit", str(path), "--shots", "10", "--seed", "0",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == EXIT_NOT_SIMULABLE
+        assert capsys.readouterr().err.splitlines() == [
+            f"vertex {v}: degree 1, radius 0.9, bound 0.485383 [EXCEEDED]" for v in (0, 1)
+        ]
+        assert not (tmp_path / "x.csv").exists()
 
 
 def _malformed(tmp_path, case):
@@ -90,12 +101,16 @@ def _malformed(tmp_path, case):
     elif case == "not-json":
         path.write_text("{")
         return path, extra
+    elif case == "deep-nesting":
+        path.write_text("[" * 100000 + "]" * 100000)
+        return path, extra
     else:
         extra = {
             "seed-negative": ["--seed=-1"],
             "seed-too-large": ["--seed", str(2**64)],
             "shots-negative": ["--shots=-5"],
             "threads-zero": ["--threads", "0"],
+            "margin-minus-one": ["--growth-margin=-1"],
         }[case]
     if case != "missing-file":
         path.write_text(json.dumps(data))
@@ -106,7 +121,8 @@ def _malformed(tmp_path, case):
 @pytest.mark.parametrize(
     "case",
     ["missing-file", "missing-key", "float-edges", "nan-theta", "nan-base-alpha", "not-json",
-     "seed-negative", "seed-too-large", "shots-negative", "threads-zero"],
+     "deep-nesting", "seed-negative", "seed-too-large", "shots-negative", "threads-zero",
+     "margin-minus-one"],
 )
 def test_sample_compare_reject_malformed_input(tmp_path, capsys, command, case):
     path, extra = _malformed(tmp_path, case)
@@ -131,6 +147,33 @@ def test_compare_rejects_zero_shots(tmp_path, circuit_file, capsys):
             "--out", str(tmp_path / "out")]
     assert main(args) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: compare needs --shots >= 1")
+
+
+def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
+    out = tmp_path / "cmp.json"
+    args = ["compare", "--shots", "10", "--seed", "1", "--out", str(out)]
+    wide = ClusterCircuit(
+        15, (), (CylinderExtremum(0.1, 0, 1),) * 15, (MeasurementRule(XY_PLANE),) * 15,
+        tuple(range(15)),
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(wide.to_json())
+    assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
+    assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
+    # chain2's estimated peak is 2.5 * 16 * 4^2 = 640 bytes
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 640)
+    assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
+    out.unlink()
+
+    def not_sampled(*_):
+        raise AssertionError("sampled before the memory check")
+
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 639)
+    monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
+    assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
+    err = capsys.readouterr().err
+    assert "about 640 bytes at 2 qubits" in err and "639 bytes of physical memory" in err
+    assert not out.exists()
 
 
 def test_compare_small_circuit(tmp_path, circuit_file, capsys):
@@ -222,3 +265,106 @@ def test_pbs_verify(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["all_pass"] is True
     assert {c["d"] for c in result["identities"]} == {2, 3, 4}
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse exits 2 on a usage error, which here would read as non-simulable
+    assert main(["sample", "--shots", "10"]) == EXIT_ERROR
+    assert main(["coarse", "--block", "1x2", "--grid", "x"]) == EXIT_ERROR
+    assert main(["nope"]) == EXIT_ERROR
+    assert "usage: cylsim" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+
+
+#: values that break a circuit JSON field: wrong types, non-finite numbers,
+#: integers out of range of an index or a float
+BAD_VALUES = [None, True, "x", [], {}, [[0, 1, 2]], -1, 6, 7, 1.5, 10**400,
+              math.nan, math.inf, -math.inf, 1e308]
+DEEP = "@deep@"
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutated_circuit(data, draw) -> str:
+    """Circuit JSON with one to three fields dropped, replaced by a bad value
+    or nested 100,000 lists deep."""
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(data))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["drop", "set", "nest"]))
+        if action == "drop":
+            del parent[path[-1]]
+        else:
+            bad = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+            parent[path[-1]] = DEEP if action == "nest" else bad
+    return json.dumps(data).replace(f'"{DEEP}"', "[" * 100000 + "]" * 100000)
+
+
+def _option(draw, name, good, bad):
+    """Arguments for one option: omitted, a good value or a malformed one."""
+    choice = draw(st.sampled_from(["omit", "good", "bad"]))
+    if choice == "omit":
+        return []
+    return [f"{name}={draw(st.sampled_from(good if choice == 'good' else bad))}"]
+
+
+def _run_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_NOT_SIMULABLE, EXIT_RESOURCE_CAP), argv
+    if code != EXIT_OK:
+        assert err.getvalue(), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_contract_fuzz(data):
+    """Mutated circuit JSON and malformed arguments end in an exit code of the
+    contract, never in an exception escaping main()."""
+    draw = data.draw
+    command = draw(st.sampled_from(["sample", "compare", "coarse"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "coarse":
+            argv = [
+                "coarse",
+                *_option(draw, "--block", ["1x2", "2x1", "2x2", "1x3", "4x4", "1x13"],
+                         ["", "x", "0x2", "1x1", "-1x2", "1x2x3", "ax2", "2x"]),
+                *_option(draw, "--mode", ["plain", "lambda"], ["", "grown"]),
+                *_option(draw, "--grid", ["4", "8"], ["", "0", "3", "-8", "x", "8.5"]),
+                *_option(draw, "--bisect-tol", ["1e-2", "5e-3"],
+                         ["", "0", "-1e-3", "nan", "inf", "x"]),
+            ]
+            _run_contract(argv)
+            return
+        name = draw(st.sampled_from(sorted(FIXTURE_GRAPHS)))
+        circuit = json.loads(build_fixture(name, LAMBDA, adaptive=draw(st.booleans())).to_json())
+        path = Path(tmp) / "c.json"
+        if draw(st.booleans()):
+            path.write_text(_mutated_circuit(circuit, draw))
+        else:
+            path.write_text(json.dumps(circuit))
+        argv = [
+            command,
+            *_option(draw, "--circuit", [str(path)], [tmp, str(Path(tmp) / "absent.json")]),
+            *_option(draw, "--shots", ["0", "1", "64"], ["", "-1", "x", "1e3", "2.5"]),
+            *_option(draw, "--seed", ["0", "7", str(2**64 - 1)],
+                     ["", "-1", str(2**64), "x", "1.0"]),
+            *_option(draw, "--out", [str(Path(tmp) / "out")],
+                     [tmp, str(Path(tmp) / "no" / "out")]),
+            "--threads=1",
+            *_option(draw, "--growth-margin", ["1e-3", "2e-3", "inf"],
+                     ["", "-1", "-2", "nan", "x"]),
+        ]
+        _run_contract(argv)

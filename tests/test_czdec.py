@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylsim import czdec
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import (
     LAMBDA,
     DecompositionError,
-    StochasticRep,
     apply_branch,
     build_decomposition,
     cz_pauli_output,
@@ -94,6 +94,20 @@ def test_build_decomposition_trivial_and_infeasible():
     assert exc.value.residual > 1e-4
 
 
+def test_build_decomposition_accepts_by_mixture_residual(monkeypatch):
+    # a solver failure returns no branches and is refused with residual inf
+    monkeypatch.setattr(czdec, "lp_feasibility", lambda *a, **k: (False, math.inf, []))
+    with pytest.raises(DecompositionError) as exc:
+        build_decomposition(0.3)
+    assert exc.value.residual == math.inf
+    # the rule reads the branches, not the solver's own verdict
+    branch = [(1.0, 0.0, 0.0)]
+    monkeypatch.setattr(czdec, "lp_feasibility", lambda *a, **k: (True, 0.0, branch))
+    with pytest.raises(DecompositionError) as exc:
+        build_decomposition(0.3)
+    assert exc.value.residual == czdec.mixture_residual(0.3, branch) > 0.1
+
+
 def test_build_decomposition_near_critical():
     rep = build_decomposition(1.0 / LAMBDA - 1e-3, grid_size=64)
     f = 1.0 / rep.growth
@@ -109,13 +123,6 @@ def test_lp_feasibility_asymmetric():
     assert ok and residual < 1e-6
     ok, residual, _ = lp_feasibility(0.8, 0.4, grid_size=48)
     assert not ok and residual > 1e-3
-
-
-def test_json_round_trip_bit_exact():
-    rep = build_decomposition(1.0 / (LAMBDA * 1.001), grid_size=64)
-    again = StochasticRep.from_json(rep.to_json())
-    assert again == rep
-    assert StochasticRep.from_json(again.to_json()) == again
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -10,12 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_GRAPHS, build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture, degree
 
 import cylsim
 from cylsim import sampler
 from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
-from cylsim.czdec import LAMBDA, DecompositionError, apply_branch, grid_rep, lp_feasibility
+from cylsim.czdec import (
+    LAMBDA,
+    DecompositionError,
+    apply_branch,
+    grid_rep,
+    lp_feasibility,
+    mixture_residual,
+)
 from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, Measurement, measure_prob, to_bloch
 from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
 from cylsim.sampler import (
@@ -24,7 +32,6 @@ from cylsim.sampler import (
     default_rep,
     exact_branch_distribution,
     rep_provenance,
-    sample,
     sample_parallel,
 )
 
@@ -75,6 +82,20 @@ def test_circuit_json_round_trip():
     assert again == c
 
 
+def test_degree_matches_edge_count():
+    cases = [build_fixture(name, LAMBDA, adaptive=True) for name in FIXTURE_GRAPHS]
+    cases.append(xy_circuit(4, ((0, 1), (1, 2)), [0.1] * 4))  # vertex 3 is isolated
+    rng = np.random.default_rng(4)
+    for c in cases:
+        for _ in range(3):
+            edges = [tuple(rng.permutation(e)) for e in rng.permutation(c.edges)]
+            c = dataclasses.replace(c, edges=tuple(edges))
+            assert [c.degree(v) for v in range(c.n_qubits)] == [
+                degree(c.n_qubits, c.edges, v) for v in range(c.n_qubits)
+            ]
+    assert c.degree(3) == 0
+
+
 def test_resolve_alpha_parity():
     rule = MeasurementRule(
         XY_PLANE, base_alpha=0.7, sign_deps=frozenset({0, 1}), shift_deps=frozenset({2})
@@ -107,10 +128,10 @@ def test_check_simulable_agrees_with_sampler_on_high_degree(rep, excess, ok):
                    [rep.growth**-d + excess] + [0.0] * d)
     assert check_simulable(c, rep.growth).simulable is ok
     if ok:
-        assert sum(sample(c, 10, seed=1, rep=rep).values()) == 10
+        assert sum(sample_parallel(c, 10, seed=1, rep=rep).values()) == 10
     else:
         with pytest.raises(ValueError):
-            sample(c, 10, seed=1, rep=rep)
+            sample_parallel(c, 10, seed=1, rep=rep)
 
 
 def reference_shot(c, rep, u):
@@ -215,7 +236,7 @@ def test_deterministic_cases(rep):
         (MeasurementRule(Z_BASIS),) * 3,
         (0, 1, 2),
     )
-    assert sample(c, 1000, seed=1, rep=rep) == {"001": 1000}
+    assert sample_parallel(c, 1000, seed=1, rep=rep) == {"001": 1000}
 
 
 def test_tables_identical_across_threads_and_blocks(rep):
@@ -224,7 +245,7 @@ def test_tables_identical_across_threads_and_blocks(rep):
     tables = [sample_parallel(c, shots, 8, rep, t) for t in (1, 2, 4)]
     assert tables[0] == tables[1] == tables[2]
     assert sum(tables[0].values()) == shots
-    assert sample(c, shots, 8, rep=rep) == tables[0]
+    assert sample_parallel(c, shots, 8, rep=rep) == tables[0]
 
 
 def test_pool_capped_by_blocks(rep, monkeypatch):
@@ -253,7 +274,8 @@ def test_sample_parallel_rejects_bad_arguments(rep, shots, seed, threads):
 
 def test_stored_rep_passes_residual_check():
     f = 1.0 / (LAMBDA * (1.0 + sampler.DEFAULT_GROWTH_MARGIN))
-    rep, residual = grid_rep(f, sampler.REP_GRID_SIZE, sampler._DEFAULT_TABLE, tol=1e-6)
+    rep = grid_rep(f, sampler.REP_GRID_SIZE, sampler._DEFAULT_TABLE, tol=1e-6)
+    residual = mixture_residual(f, rep.branches)
     assert residual <= 1e-6
     assert rep == default_rep()
     assert rep_provenance() == {
@@ -291,22 +313,22 @@ def test_cli_path_does_not_load_lp_solver():
 
 def test_single_vertex_frequency(rep):
     c = xy_circuit(1, (), [0.5])
-    counts = sample(c, 40000, seed=3, rep=rep)
+    counts = sample_parallel(c, 40000, seed=3, rep=rep)
     assert counts["0"] / 40000 == pytest.approx(0.75, abs=0.01)
 
 
 def test_sample_empty_and_deterministic(rep):
     c = build_fixture("chain2", rep.growth, adaptive=False)
-    assert sample(c, 0, seed=1, rep=rep) == {}
-    a = sample(c, 2000, seed=7, rep=rep)
-    b = sample(c, 2000, seed=7, rep=rep)
+    assert sample_parallel(c, 0, seed=1, rep=rep) == {}
+    a = sample_parallel(c, 2000, seed=7, rep=rep)
+    b = sample_parallel(c, 2000, seed=7, rep=rep)
     assert a == b
     assert sum(a.values()) == 2000
 
 
 def test_sample_parallel_matches_serial(rep):
     c = build_fixture("cycle4", rep.growth, adaptive=True)
-    serial = sample(c, 3000, seed=5, rep=rep)
+    serial = sample_parallel(c, 3000, seed=5, rep=rep)
     parallel = sample_parallel(c, 3000, seed=5, rep=rep, threads=4)
     assert serial == parallel
 
@@ -314,7 +336,7 @@ def test_sample_parallel_matches_serial(rep):
 def test_sample_rejects_nonsimulable(rep):
     c = xy_circuit(2, ((0, 1),), [0.9, 0.9])
     with pytest.raises(ValueError):
-        sample(c, 10, seed=0, rep=rep)
+        sample_parallel(c, 10, seed=0, rep=rep)
     with pytest.raises(ValueError):
         sample_parallel(c, 10, 0, rep, 2)
 
@@ -340,6 +362,6 @@ def test_branch_distribution_matches_oracle(rep):
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_fixture_tv_small_shots(rep, adaptive):
     c = build_fixture("cycle4", rep.growth, adaptive=adaptive)
-    counts = sample(c, 20000, seed=9, rep=rep)
+    counts = sample_parallel(c, 20000, seed=9, rep=rep)
     tv = tv_distance(normalize_counts(counts), exact_distribution(c))
     assert tv < 0.03
