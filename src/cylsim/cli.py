@@ -5,9 +5,10 @@ codes: 0 success, 2 non-simulable circuit, 3 resource cap exceeded, 1 any
 other error, usage errors included.  sample and compare share one path:
 read the circuit, get the representation, check simulability once, sample.
 compare first refuses with exit 3 a circuit whose dense oracle is over
-DENSE_CAP qubits or would not fit in physical memory.  Stochastic commands
-require --seed and echo a provenance JSON sufficient to reproduce their
-output bit-exactly.
+DENSE_CAP qubits or would not fit in physical memory; both refuse with exit 3
+a --shots whose uniform draws exceed sampler.MAX_UNIFORMS.  Stochastic
+commands require --seed and echo a provenance JSON sufficient to reproduce
+their output bit-exactly.
 """
 
 from __future__ import annotations
@@ -71,18 +72,29 @@ def _sample(args: argparse.Namespace, refuse=lambda c: None):
             f"bound {v.bound:.6g} [{'ok' if v.ok else 'EXCEEDED'}]"
             for v in report.vertices
         ))
-    return c, rep, report, sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
+    try:
+        counts = sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
+    except sampler.TooManyShots as exc:
+        raise _Refused(EXIT_RESOURCE_CAP, f"resource cap: {exc}") from None
+    return c, rep, report, counts
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _dense_peak(n: int) -> float:
+    """Estimated peak bytes of oracle.exact_distribution at n qubits: 1.75x
+    the 16 * 4^n-byte operator (the operator, both outcomes' halves and one
+    quarter-size term), plus 1 MiB for buffers that do not grow with n (133 kB
+    measured by tracemalloc at n = 8 to 11)."""
+    return 1.75 * 16 * 4**n + 2**20
+
+
 def _refuse_dense(c: ClusterCircuit) -> None:
     if c.n_qubits > oracle.DENSE_CAP:
         raise _Refused(EXIT_RESOURCE_CAP, f"dense oracle capped at {oracle.DENSE_CAP} qubits")
-    # exact_distribution peaks at about 2.5x the 16 * 4^n-byte dense operator
-    need, have = 2.5 * 16 * 4**c.n_qubits, _physical_memory()
+    need, have = _dense_peak(c.n_qubits), _physical_memory()
     if need > have:
         raise _Refused(
             EXIT_RESOURCE_CAP,
@@ -142,8 +154,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
     try:
         h, w = (int(x) for x in args.block.lower().split("x"))
     except ValueError:
-        print("--block must look like HxW, e.g. 2x2", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"--block must look like HxW, e.g. 2x2, got {args.block!r}") from None
     mode = coarse.PLAIN if args.mode == "plain" else coarse.LAMBDA_GROWN
     block = coarse.BlockSpec(h, w, mode)
     try:

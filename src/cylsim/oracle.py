@@ -1,9 +1,10 @@
 """Exact dense reference for small circuits.
 
 Builds the full 2^n x 2^n operator (inputs may be non-positive
-quasi-states), applies CZ gates by elementwise sign masks, and enumerates
-the adaptive measurement tree exactly.  Deliberately method-independent of
-the sampler: no separable decompositions, no stabilizer shortcuts.
+quasi-states), applies CZ gates by elementwise sign masks, and measures the
+adaptive outcome tree exactly, breadth-first over one array of all branches.
+Deliberately method-independent of the sampler: no separable decompositions,
+no stabilizer shortcuts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .circuits import ClusterCircuit, resolve_alpha
+from .circuits import ClusterCircuit, MeasurementRule
 from .geometry import XY_PLANE, CylinderExtremum, to_bloch
 
 DENSE_CAP = 14
@@ -45,77 +46,76 @@ def dense_output(c: ClusterCircuit, edges=None) -> np.ndarray:
     """Tensor product of the inputs conjugated by every CZ in the circuit.
 
     CZ is real diagonal, so conjugation multiplies entry (s, t) by the
-    product of the basis-state signs of s and t.
+    product of the basis-state signs of s and t, applied in place.
     """
     n = c.n_qubits
     if n > DENSE_CAP:
         raise ValueError(f"dense backend capped at {DENSE_CAP} qubits, got {n}")
-    if edges is None:
-        edges = c.edges
     rho = extremum_matrix(c.inputs[0])
     for v in range(1, n):
-        rho = np.kron(rho, extremum_matrix(c.inputs[v]))
-    s = _cz_signs(n, edges).ravel()
-    return rho * np.outer(s, s)
-
-
-def _outcome_vector(kind: str, alpha: float, outcome: int) -> np.ndarray:
-    if kind == XY_PLANE:
-        sign = 1.0 if outcome == 0 else -1.0
-        return np.array([1.0, sign * np.exp(1j * alpha)]) / math.sqrt(2.0)
-    return np.array([1.0, 0.0]) if outcome == 0 else np.array([0.0, 1.0])
+        d = len(rho)
+        site = extremum_matrix(c.inputs[v]).reshape(1, 2, 1, 2)
+        rho = (rho.reshape(d, 1, d, 1) * site).reshape(2 * d, 2 * d)
+    s = _cz_signs(n, c.edges if edges is None else edges).ravel()
+    rho *= s[:, None]
+    rho *= s
+    return rho
 
 
 def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> dict[str, float]:
     """Signed measure over outcome bitstrings, exact for any dense-cap circuit.
 
-    Adaptive angles are resolved along each branch of the outcome tree.
-    Values may be negative when inputs leave the unit cylinder; they always
-    sum to 1 (trace preservation).
+    Measures breadth-first: t holds the operator of every surviving branch on
+    the m unmeasured qubits, kept in natural order, as one array (branches,
+    2^m, 2^m), and bits the branches' outcomes.  Adaptive angles are resolved
+    for all branches at once.  Values may be negative when inputs leave the
+    unit cylinder; they always sum to 1 (trace preservation).
     """
     n = c.n_qubits
-    rho = dense_output(c).reshape((2,) * (2 * n))
-    dist: dict[str, float] = {}
-    # entries: (depth k, remaining-qubit list, tensor, outcome history)
-    stack = [(0, list(range(n)), rho, {})]
-    while stack:
-        k, remaining, t, outcomes = stack.pop()
-        if k == n:
-            s = "".join(str(outcomes[v]) for v in range(n))
-            dist[s] = dist.get(s, 0.0) + float(np.real(t))
-            continue
-        v = c.order[k]
-        rule = c.plan[v]
-        alpha = resolve_alpha(rule, outcomes)
-        i = remaining.index(v)
-        m = len(remaining)
-        for outcome in (0, 1):
-            vec = _outcome_vector(rule.kind, alpha, outcome)
-            a = np.tensordot(t, vec.conj(), axes=([i], [0]))
-            b = np.tensordot(a, vec, axes=([m - 1 + i], [0]))
-            # branch weight = trace over the remaining qubits
-            wval = _full_trace(b, m - 1)
-            if abs(wval) < prune:
-                continue
-            nxt = dict(outcomes)
-            nxt[v] = outcome
-            rem = remaining[:i] + remaining[i + 1 :]
-            stack.append((k + 1, rem, b, nxt))
-    return dist
+    t = dense_output(c)[None]
+    bits = np.zeros((1, n), dtype=np.uint8)
+    for k, v in enumerate(c.order):
+        b, rule = len(t), c.plan[v]
+        lo = 2 ** sum(1 for u in c.order[k + 1 :] if u < v)
+        hi = t.shape[1] // (2 * lo)
+        t = t.reshape(b, lo, 2, hi, lo, 2, hi)
+        out = np.empty((2, b, lo, hi, lo, hi), dtype=complex)  # outcome 0, then 1
+        if rule.kind == XY_PLANE:
+            # (|0> +- e^{ia}|1>)/sqrt(2) gives A +- C with A = (T00 + T11)/2 and
+            # C = (e^{ia} T01 + e^{-ia} T10)/2; out[1] stages C's second term
+            ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1, 1, 1)
+            np.add(t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1], out=out[0])
+            out[0] *= 0.5
+            np.multiply(t[:, :, 1, :, :, 0], ph.conj(), out=out[1])
+            cross = t[:, :, 0, :, :, 1] * ph
+            cross += out[1]
+            np.subtract(out[0], cross, out=out[1])
+            out[0] += cross
+        else:
+            out[0], out[1] = t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1]
+        t = out.reshape(2 * b, lo * hi, lo * hi)
+        bits = np.concatenate([bits, bits])
+        bits[b:, v] = 1
+        keep = np.abs(np.real(np.trace(t, axis1=1, axis2=2))) >= prune
+        if not keep.all():
+            t, bits = t[keep], bits[keep]
+    text = (bits + ord("0")).tobytes().decode("ascii")
+    return {text[i * n : (i + 1) * n]: float(x) for i, x in enumerate(np.real(t[:, 0, 0]))}
 
 
-def _full_trace(t: np.ndarray, m: int) -> float:
-    """Trace of a (2,)*2m row/column tensor."""
-    if m == 0:
-        return float(np.real(t))
-    mat = t.reshape(2**m, 2**m)
-    return float(np.real(np.trace(mat)))
+def _branch_alpha(rule: MeasurementRule, bits: np.ndarray) -> np.ndarray:
+    """resolve_alpha, bit for bit, for every row of outcome bits (branches, n)."""
+    alpha = np.full(len(bits), rule.base_alpha)
+    alpha[np.bitwise_xor.reduce(bits[:, list(rule.sign_deps)], axis=1) == 1] *= -1
+    alpha[np.bitwise_xor.reduce(bits[:, list(rule.shift_deps)], axis=1) == 1] += math.pi
+    return alpha
 
 
 def tv_distance(p: dict[str, float], q: dict[str, float]) -> float:
     """Half the L1 distance over the union support."""
+    # fsum is exactly rounded, so the set's hash-seeded order cannot show
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def normalize_counts(counts: dict[str, int]) -> dict[str, float]:

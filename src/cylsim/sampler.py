@@ -69,6 +69,14 @@ RADIUS_TOL = 1e-9
 #: shots per counter-based stream; a block's arrays take a few MB
 BLOCK_SHOTS = 1 << 14
 
+#: most uniforms one call may draw (one per edge and one per vertex a shot):
+#: 20 to 32 minutes at the 0.9-1.4e7 uniforms/s one thread draws on 12 qubits
+MAX_UNIFORMS = 1 << 34
+
+
+class TooManyShots(ValueError):
+    """A shot count whose uniforms exceed MAX_UNIFORMS."""
+
 
 @dataclass(frozen=True)
 class VertexBound:
@@ -225,7 +233,8 @@ def sample_parallel(
     Position v holds vertex v's bit.  Block b draws from Philox(key=[seed, b]),
     so the table is the same for every thread count.  Raises ValueError for a
     negative shot count, a seed outside [0, 2^64), fewer than one thread, or a
-    circuit whose final radii leave the unit cylinder.
+    circuit whose final radii leave the unit cylinder, and TooManyShots, before
+    any work, when shots * (edges + vertices) uniforms exceed MAX_UNIFORMS.
     """
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
@@ -233,6 +242,11 @@ def sample_parallel(
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    need = shots * (len(c.edges) + c.n_qubits)
+    if need > MAX_UNIFORMS:
+        raise TooManyShots(
+            f"{shots} shots need {need} uniform draws, more than the cap of {MAX_UNIFORMS}"
+        )
     kernel = _ShotKernel(c, rep)
     blocks = range(-(-shots // BLOCK_SHOTS))
 

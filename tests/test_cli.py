@@ -3,7 +3,11 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_GRAPHS, build_fixture
 
-from cylsim import cli
+import cylsim
+from cylsim import cli, oracle
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.cli import (
     EXIT_ERROR,
@@ -22,6 +27,8 @@ from cylsim.cli import (
 )
 from cylsim.czdec import LAMBDA
 from cylsim.geometry import XY_PLANE, CylinderExtremum
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -160,20 +167,95 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is 2.5 * 16 * 4^2 = 640 bytes
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 640)
+    # chain2's estimated peak is 1.75 * 16 * 4^2 + 2^20 = 1049024 bytes
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1049024)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 639)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1049023)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
-    assert "about 640 bytes at 2 qubits" in err and "639 bytes of physical memory" in err
+    assert "about 1.05e+06 bytes at 2 qubits" in err and "1.05e+06 bytes of physical memory" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_dense_peak_bounds_the_oracle(n):
+    c = ClusterCircuit(
+        n,
+        tuple((v, v + 1) for v in range(n - 1)),
+        tuple(CylinderExtremum(0.3, 0.5 * v, 1 - 2 * (v % 2)) for v in range(n)),
+        tuple(MeasurementRule(XY_PLANE, 0.2 + 0.7 * v, sign_deps=frozenset({v - 1} if v else ()))
+              for v in range(n)),
+        tuple(range(n)),
+    )
+    tracemalloc.start()
+    try:
+        oracle.exact_distribution(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.75 * 16 * 4**n < peak <= cli._dense_peak(n)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_refuse_dense_follows_the_estimate(n, monkeypatch):
+    # memory monkeypatched: an oracle this wide is never run by the tests
+    c = ClusterCircuit(
+        n, (), (CylinderExtremum(0.1, 0, 1),) * n, (MeasurementRule(XY_PLANE),) * n,
+        tuple(range(n)),
+    )
+    need = cli._dense_peak(n)
+    assert need == 28 * 4**n + 2**20
+    monkeypatch.setattr(cli, "_physical_memory", lambda: int(need))
+    cli._refuse_dense(c)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: int(need) - 1)
+    with pytest.raises(cli._Refused) as refused:
+        cli._refuse_dense(c)
+    code, message = refused.value.args
+    assert code == EXIT_RESOURCE_CAP
+    assert message.startswith(f"dense oracle needs about {need:.3g} bytes at {n} qubits")
+
+
+@pytest.mark.parametrize("command", ["sample", "compare"])
+def test_shots_capped_by_uniform_draws(tmp_path, circuit_file, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    args = [command, "--circuit", str(circuit_file), "--seed", "1", "--threads", "1",
+            "--out", str(out)]
+    # chain2 draws 3 uniforms a shot (2 vertices, 1 edge)
+    shots = 10**30
+    assert main([*args, "--shots", str(shots)]) == EXIT_RESOURCE_CAP
+    assert capsys.readouterr().err == (
+        f"resource cap: {shots} shots need {3 * shots} uniform draws, "
+        f"more than the cap of {2**34}\n"
+    )
+    monkeypatch.setattr(cli.sampler, "MAX_UNIFORMS", 3 * 64)
+    assert main([*args, "--shots", "65"]) == EXIT_RESOURCE_CAP
+    assert "65 shots need 195 uniform draws, more than the cap of 192" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*args, "--shots", "64"]) == EXIT_OK
+    assert out.exists()
+
+
+def test_compare_output_independent_of_hash_seed(tmp_path):
+    """compare's stdout is byte-identical under two string-hash seeds."""
+    src = str(Path(cylsim.__file__).resolve().parents[1])
+    stdout = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "cylsim.cli", "compare", "--circuit",
+             str(DATA / "chain5.json"), "--shots", "1000", "--seed", "1", "--threads", "1",
+             "--out", str(tmp_path / f"tv{seed}.json")],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        stdout.append(run.stdout)
+    assert stdout[0] == stdout[1]
 
 
 def test_compare_small_circuit(tmp_path, circuit_file, capsys):
@@ -209,7 +291,11 @@ def test_coarse_1x2_bracket(tmp_path, capsys):
 
 
 def test_coarse_bad_block_and_cap(capsys):
-    assert main(["coarse", "--block", "nope"]) == EXIT_ERROR
+    for block in ("nope", "1x2x"):
+        assert main(["coarse", "--block", block]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: --block must look like HxW, e.g. 2x2, got {block!r}\n"
+        )
     assert main(["coarse", "--block", "9x9"]) == EXIT_RESOURCE_CAP
     # refused by cost: more than 12 sites put 4 angles per site over 2^24 points
     for block in ("4x4", "1x13", "100000x100000"):

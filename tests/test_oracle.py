@@ -1,16 +1,20 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture
 
-from cylsim.circuits import ClusterCircuit, MeasurementRule
+from cylsim import oracle
+from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
 from cylsim.czdec import LAMBDA, cz_pauli_output
 from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
 from cylsim.oracle import (
     DENSE_CAP,
+    _cz_signs,
     dense_output,
     exact_distribution,
     extremum_matrix,
@@ -171,3 +175,145 @@ def test_marginal_changes_for_interior_inputs():
     marg_with = partial_trace_keep(cz @ rho @ cz, 2, [0])
     marg_without = partial_trace_keep(rho, 2, [0])
     assert np.max(np.abs(marg_with - marg_without)) > 0.1
+
+
+def reference_dense_output(c, edges=None):
+    """The operator built by np.kron, its CZ signs applied through np.outer."""
+    rho = extremum_matrix(c.inputs[0])
+    for v in range(1, c.n_qubits):
+        rho = np.kron(rho, extremum_matrix(c.inputs[v]))
+    s = _cz_signs(c.n_qubits, c.edges if edges is None else edges).ravel()
+    return rho * np.outer(s, s)
+
+
+def _outcome_vector(kind, alpha, outcome):
+    if kind == XY_PLANE:
+        sign = 1.0 if outcome == 0 else -1.0
+        return np.array([1.0, sign * np.exp(1j * alpha)]) / math.sqrt(2.0)
+    return np.array([1.0, 0.0]) if outcome == 0 else np.array([0.0, 1.0])
+
+
+def _full_trace(t, m):
+    if m == 0:
+        return float(np.real(t))
+    return float(np.real(np.trace(t.reshape(2**m, 2**m))))
+
+
+def reference_distribution(c, prune=1e-14):
+    """Depth-first walk of the outcome tree, one branch and two tensordots a
+    node, azimuths from resolve_alpha: the reference for exact_distribution."""
+    n = c.n_qubits
+    dist = {}
+    stack = [(0, list(range(n)), reference_dense_output(c).reshape((2,) * (2 * n)), {})]
+    while stack:
+        k, remaining, t, outcomes = stack.pop()
+        if k == n:
+            s = "".join(str(outcomes[v]) for v in range(n))
+            dist[s] = dist.get(s, 0.0) + float(np.real(t))
+            continue
+        v = c.order[k]
+        rule = c.plan[v]
+        alpha = resolve_alpha(rule, outcomes)
+        i = remaining.index(v)
+        m = len(remaining)
+        for outcome in (0, 1):
+            vec = _outcome_vector(rule.kind, alpha, outcome)
+            a = np.tensordot(t, vec.conj(), axes=([i], [0]))
+            b = np.tensordot(a, vec, axes=([m - 1 + i], [0]))
+            if abs(_full_trace(b, m - 1)) < prune:
+                continue
+            nxt = dict(outcomes)
+            nxt[v] = outcome
+            stack.append((k + 1, remaining[:i] + remaining[i + 1 :], b, nxt))
+    return dist
+
+
+def _scrambled_grid():
+    """grid2x3 measured in the order 4 1 5 0 3 2: a Z-basis vertex mid-order,
+    sign and shift dependencies on either side of it."""
+    def xy(a, sign=(), shift=()):
+        return MeasurementRule(XY_PLANE, a, frozenset(sign), frozenset(shift))
+
+    plan = {4: xy(0.7), 1: xy(1.3, shift=[4]), 5: xy(2.1, [1], [4]), 0: MeasurementRule(Z_BASIS),
+            3: xy(-0.4, [4, 0], [1]), 2: xy(2.9, [5], [0, 3])}
+    base = build_fixture("grid2x3", LAMBDA, adaptive=False)
+    return dataclasses.replace(base, plan=tuple(plan[v] for v in range(6)), order=(4, 1, 5, 0, 3, 2))
+
+
+def _all_south(name):
+    """An adaptive fixture with every input on its pole -1 rim."""
+    c = build_fixture(name, LAMBDA, adaptive=True)
+    return dataclasses.replace(c, inputs=tuple(dataclasses.replace(e, pole=-1) for e in c.inputs))
+
+
+def _quasi():
+    """Inputs past the per-vertex bounds: a measure with negative values."""
+    c = build_fixture("cycle4", LAMBDA, adaptive=True)
+    return dataclasses.replace(c, inputs=tuple(dataclasses.replace(e, r=1.0) for e in c.inputs))
+
+
+def _pruned():
+    """Vertex 2 has r = 1 at its measured azimuth, so outcome 1 weighs (about)
+    nothing, and the Z-basis vertex 0 sits on its pole: both prune a branch."""
+    return ClusterCircuit(
+        3,
+        ((0, 1),),
+        (CylinderExtremum(0.4, 0.3, 1), CylinderExtremum(0.3, 1.1, -1),
+         CylinderExtremum(1.0, 0.8, 1)),
+        (MeasurementRule(Z_BASIS), MeasurementRule(XY_PLANE, 0.5, frozenset({0})),
+         MeasurementRule(XY_PLANE, 0.8)),
+        (0, 2, 1),
+    )
+
+
+ORACLE_CASES = {
+    **{f"{name}-{'adaptive' if a else 'plain'}": (lambda name=name, a=a: build_fixture(name, LAMBDA, a))
+       for name in sorted(FIXTURE_GRAPHS) for a in (False, True)},
+    "scrambled-grid2x3": _scrambled_grid,
+    "south-cycle4": lambda: _all_south("cycle4"),
+    "south-grid2x3": lambda: _all_south("grid2x3"),
+    "quasi-cycle4": _quasi,
+    "quasi-chain2": lambda: ClusterCircuit(
+        2, ((0, 1),), (CylinderExtremum(1.0, 0, 1), CylinderExtremum(1.0, 0.5, 1)),
+        (MeasurementRule(XY_PLANE, 0.4), MeasurementRule(XY_PLANE, 1.1)), (0, 1)),
+    "pruned": _pruned,
+    "one-xy": lambda: ClusterCircuit(
+        1, (), (CylinderExtremum(0.6, 1.0, -1),), (MeasurementRule(XY_PLANE, 0.3),), (0,)),
+    "one-z": lambda: ClusterCircuit(
+        1, (), (CylinderExtremum(0.6, 1.0, -1),), (MeasurementRule(Z_BASIS),), (0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_exact_distribution_matches_depth_first_reference(case):
+    c = ORACLE_CASES[case]()
+    for prune in (1e-14, 0.0):
+        got, ref = exact_distribution(c, prune), reference_distribution(c, prune)
+        assert sorted(got) == sorted(ref)
+        assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-12
+    assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reference_cases_cover_pruning_and_negative_values():
+    pruned = exact_distribution(_pruned())
+    assert sorted(pruned) == ["000", "010"]
+    assert len(exact_distribution(_pruned(), prune=0.0)) == 8
+    assert min(exact_distribution(_quasi()).values()) < 0
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_dense_output_equals_kron_reference(case):
+    c = ORACLE_CASES[case]()
+    assert np.array_equal(dense_output(c), reference_dense_output(c))
+    inside = c.edges[: len(c.edges) // 2]
+    assert np.array_equal(dense_output(c, edges=inside), reference_dense_output(c, inside))
+
+
+def test_branch_alpha_is_resolve_alpha_bit_for_bit():
+    bits = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+    for base in (0.0, 0.3, -2.7, 5.9, 1e-300, 123.456):
+        for sign, shift in [((), ()), ((0,), ()), ((), (4,)), ((1, 3), (0, 2, 4)), ((4,), (4,))]:
+            rule = MeasurementRule(XY_PLANE, base, frozenset(sign), frozenset(shift))
+            got = oracle._branch_alpha(rule, bits)
+            want = [resolve_alpha(rule, dict(enumerate(row.tolist()))) for row in bits]
+            assert got.tolist() == want

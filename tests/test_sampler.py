@@ -28,6 +28,8 @@ from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, Measurement, me
 from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
 from cylsim.sampler import (
     BLOCK_SHOTS,
+    MAX_UNIFORMS,
+    TooManyShots,
     check_simulable,
     default_rep,
     exact_branch_distribution,
@@ -270,6 +272,25 @@ def test_sample_parallel_rejects_bad_arguments(rep, shots, seed, threads):
     c = build_fixture("chain2", rep.growth, adaptive=False)
     with pytest.raises(ValueError):
         sample_parallel(c, shots, seed, rep, threads)
+
+
+def test_shot_cap_checked_before_any_work(rep, monkeypatch):
+    # one vertex, no edges: one uniform a shot, so 2^34 shots sit exactly at the cap
+    c = xy_circuit(1, (), [0.5])
+
+    class KernelBuilt(Exception):
+        pass
+
+    def kernel(*_):
+        raise KernelBuilt
+
+    monkeypatch.setattr(sampler, "_ShotKernel", kernel)
+    with pytest.raises(KernelBuilt):
+        sample_parallel(c, MAX_UNIFORMS, 0, rep)
+    for shots in (MAX_UNIFORMS + 1, 10**30):
+        with pytest.raises(TooManyShots, match=f"^{shots} shots need {shots} uniform draws, "
+                           f"more than the cap of {2**34}$"):
+            sample_parallel(c, shots, 0, rep)
 
 
 def test_stored_rep_passes_residual_check():
