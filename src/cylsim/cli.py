@@ -5,7 +5,7 @@ codes: 0 success, 2 non-simulable circuit, 3 resource cap exceeded, 1 any
 other error, usage errors included.  sample and compare share one path:
 read the circuit, get the representation, check simulability once, sample.
 compare first refuses with exit 3 a circuit whose dense oracle is over
-DENSE_CAP qubits or would not fit in physical memory; both refuse with exit 3
+DENSE_CAP qubits or would not fit in available memory; both refuse with exit 3
 a --shots whose uniform draws exceed sampler.MAX_UNIFORMS.  Stochastic
 commands require --seed and echo a provenance JSON sufficient to reproduce
 their output bit-exactly.
@@ -79,7 +79,21 @@ def _sample(args: argparse.Namespace, refuse=lambda c: None):
     return c, rep, report, counts
 
 
-def _physical_memory() -> int:
+#: the kernel's memory report; its MemAvailable line estimates, in kB, what
+#: new allocations can take without swapping
+_MEMINFO = "/proc/meminfo"
+
+
+def _available_memory() -> int:
+    """Bytes of MemAvailable in _MEMINFO, or of physical memory by sysconf
+    where that file is missing or unreadable or has no such line."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -94,12 +108,12 @@ def _dense_peak(n: int) -> float:
 def _refuse_dense(c: ClusterCircuit) -> None:
     if c.n_qubits > oracle.DENSE_CAP:
         raise _Refused(EXIT_RESOURCE_CAP, f"dense oracle capped at {oracle.DENSE_CAP} qubits")
-    need, have = _dense_peak(c.n_qubits), _physical_memory()
+    need, have = _dense_peak(c.n_qubits), _available_memory()
     if need > have:
         raise _Refused(
             EXIT_RESOURCE_CAP,
             f"dense oracle needs about {need:.3g} bytes at {c.n_qubits} qubits, "
-            f"more than the {have:.3g} bytes of physical memory",
+            f"more than the {have:.3g} bytes of available memory",
         )
 
 
@@ -172,6 +186,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "cert_inflation": est.cert_inflation,
         "witness_assignment": list(est.witness) if est.witness else None,
         "search_capped": est.capped,
+        "probes": [p._asdict() for p in est.probes],
     }
     print(json.dumps(result))
     if args.out:

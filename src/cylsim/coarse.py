@@ -40,6 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,9 @@ from .oracle import DENSE_CAP, _cz_signs
 PLAIN = "plain"
 LAMBDA_GROWN = "lambda"
 
-#: point budget of the angle grid that seeds coordinate descent
+#: point budget of the angle grid that seeds coordinate descent; halving to
+#: fit it goes down to 2 angles {0, pi} per site, since a seed needs no
+#: certificate (the certification grid keeps at least 4 angles per site)
 _GRID_BUDGET = 1 << 22
 
 #: values per chunk of an exact grid minimum, few enough to stay in cache
@@ -237,11 +240,6 @@ def block_value(b: BlockSpec, radii: np.ndarray, thetas) -> float:
     return _Frontier(b, _transverse(radii, thetas)).value()
 
 
-def block_prob_contraction(b: BlockSpec, r: float, thetas) -> float:
-    """Exact block value at radius r (grown per mode) for input angles thetas."""
-    return block_value(b, b.radii(r), thetas)
-
-
 def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
     """Dense-matrix evaluation of the block value (independent backend).
 
@@ -291,18 +289,23 @@ def coeff_tensor(b: BlockSpec) -> np.ndarray:
     return np.ascontiguousarray(t.real)
 
 
-def _grid_min(
-    D: np.ndarray, radii: np.ndarray, grid: int
-) -> tuple[float, tuple[float, ...]]:
-    """Exact minimum of the block value over a uniform per-qubit angle grid.
+def _grid_angles(grid: int) -> np.ndarray:
+    return np.arange(grid) * (TWO_PI / grid)
+
+
+def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
+    """Yield (minimum, flat grid index) of the block value per chunk of a
+    uniform per-qubit angle grid, in flat index order.
 
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
     contract the coefficient tensor D: the leading k sites first, at every
     grid point at once, then the rest in chunks of head rows, last site
-    first, each chunk small enough (_CHUNK values) to stay in cache.
+    first, each chunk small enough (_CHUNK values) to stay in cache.  The
+    chunk boundaries fix the order of the arithmetic, so they set the last
+    bits of each value.
     """
     n = D.ndim
-    angles = np.arange(grid) * (TWO_PI / grid)
+    angles = _grid_angles(grid)
     Y = [
         np.stack([np.ones(grid), (rho / 2.0) * np.cos(angles), -(rho / 2.0) * np.sin(angles)], axis=1)
         for rho in radii
@@ -315,17 +318,35 @@ def _grid_min(
         heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
     tail = grid ** (n - k)
     rows = max(1, _CHUNK // tail)
-    best, best_j = math.inf, 0
     for s in range(0, len(heads), rows):
         t = heads[s : s + rows]
         for i in range(n - 1, k - 1, -1):
             # grid indices so far lead each row; site i's code is the last axis
             t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
         j = int(np.argmin(t))
-        v = float(t.flat[j])
-        if v < best:
-            best, best_j = v, s * tail + j
-    return best, tuple(angles[g] for g in np.unravel_index(best_j, (grid,) * n))
+        yield float(t.flat[j]), s * tail + j
+
+
+def _grid_min(
+    D: np.ndarray, radii: np.ndarray, grid: int
+) -> tuple[float, tuple[float, ...]]:
+    """Exact minimum of the block value over a uniform per-qubit angle grid,
+    at its first lowest grid point."""
+    best, j = min(_grid_chunks(D, radii, grid), key=lambda chunk: chunk[0])
+    angles = _grid_angles(grid)
+    return best, tuple(angles[g] for g in np.unravel_index(j, (grid,) * D.ndim))
+
+
+def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int) -> float:
+    """A value with the sign of the grid minimum: the minimum itself when it
+    is nonnegative, else the minimum of the first chunk that goes negative,
+    where the scan stops."""
+    low = math.inf
+    for v, _ in _grid_chunks(D, radii, grid):
+        low = min(low, v)
+        if v < 0.0:
+            break
+    return low
 
 
 def _coordinate_descent(
@@ -354,6 +375,18 @@ def _coordinate_descent(
     return float(val), tuple(float(t % TWO_PI) for t in thetas)
 
 
+class Probe(NamedTuple):
+    """One bisection probe: the bound it served ("upper" or "lower"), its
+    radius, whether the block value stayed nonnegative, and the value that
+    decided it (the exact minimum when it held, else the first negative
+    value found)."""
+
+    bound: str
+    r: float
+    holds: bool
+    value: float
+
+
 @dataclass(frozen=True)
 class SEstimate:
     """Bracket [lower, upper] for a block threshold.
@@ -361,8 +394,8 @@ class SEstimate:
     lower is certified: the exact grid minimum at radii inflated by
     cert_inflation = 1/cos(pi/cert_grid) was nonnegative, which bounds the
     continuous minimum from below.  upper is witnessed: a concrete
-    assignment with a negative value exists just above it (or the search cap
-    was reached).
+    assignment with a negative value exists at it (or the search cap was
+    reached).  probes lists every probe of both bisections in order.
     """
 
     lower: float
@@ -372,23 +405,32 @@ class SEstimate:
     cert_inflation: float
     witness: tuple[float, ...] | None
     capped: bool = False
+    probes: tuple[Probe, ...] = ()
 
 
 def _refined_min(
-    b: BlockSpec, D: np.ndarray, radii: np.ndarray, grid: int
+    b: BlockSpec,
+    D: np.ndarray,
+    radii: np.ndarray,
+    grid: int,
+    zero: tuple[float, tuple[float, ...]] | None = None,
 ) -> tuple[float, tuple[float, ...]]:
-    """Grid seed plus exact coordinate descent; value is exact at the result."""
-    v0, th0 = _grid_min(D, radii, _grid_size(b.n, grid, _GRID_BUDGET))
-    v1, th1 = _coordinate_descent(b, radii, th0)
-    v2, th2 = _coordinate_descent(b, radii, (0.0,) * b.n)
-    return (v1, th1) if v1 <= v2 else (v2, th2)
+    """Grid seed plus exact coordinate descent, or the descent from all-zero
+    angles (zero, when the caller has it) if that is lower; value is exact at
+    the result."""
+    if zero is None:
+        zero = _coordinate_descent(b, radii, (0.0,) * b.n)
+    _, seed = _grid_min(D, radii, _grid_size(b.n, grid, _GRID_BUDGET, floor=2))
+    seeded = _coordinate_descent(b, radii, seed)
+    return seeded if seeded[0] <= zero[0] else zero
 
 
-def _grid_size(n: int, grid: int, budget: int) -> int:
-    """Halve grid until grid^n fits budget, but not below 4 angles per site."""
+def _grid_size(n: int, grid: int, budget: int, floor: int) -> int:
+    """Halve grid until grid^n fits budget: not below 4 angles per site while
+    there are more, then straight down to floor."""
     g = grid
-    while g > 4 and g**n > budget:
-        g = max(4, g // 2)
+    while g > floor and g**n > budget:
+        g = max(4, g // 2) if g > 4 else floor
     return g
 
 
@@ -413,10 +455,16 @@ def s_estimate(
 ) -> SEstimate:
     """Bracket the threshold radius of a block by bisection.
 
-    The upper bound bisects on the refined (grid + descent) minimum at the
-    exact radii: any negative value certifies that r exceeds the threshold.
-    The lower bound bisects on the exact grid minimum at radii inflated by
-    1/cos(pi/G): nonnegativity there certifies the continuous minimum.
+    Each probe decides a sign and nothing more.  The upper bound bisects on
+    the refined (grid + descent) minimum at the exact radii: any negative
+    value certifies that r exceeds the threshold.  A probe first descends
+    from all-zero angles and fails at once if that goes negative; only
+    otherwise does it seed a descent from the grid, whose grid is halved
+    down to {0, pi} per site to fit _GRID_BUDGET.  The witness is the refined
+    minimum recomputed at upper.  The lower bound bisects on the exact grid
+    minimum at radii inflated by 1/cos(pi/G), with G of at least 4 angles
+    per site: nonnegativity there certifies the continuous minimum, and a
+    probe stops at the first chunk of grid points that goes negative.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -435,19 +483,23 @@ def s_estimate(
             f"2^{_CERT_BUDGET.bit_length() - 1}"
         )
     D = coeff_tensor(b)
-    cert_grid = _grid_size(b.n, theta_grid, _CERT_BUDGET)
+    cert_grid = _grid_size(b.n, theta_grid, _CERT_BUDGET, floor=4)
     inflate = 1.0 / math.cos(math.pi / cert_grid)
-    witness = None
+    probes = []
 
     def nonnegative(r: float) -> bool:
-        nonlocal witness
-        v, th = _refined_min(b, D, b.radii(r), theta_grid)
-        if v < 0.0:
-            witness = th
+        radii = b.radii(r)
+        zero = _coordinate_descent(b, radii, (0.0,) * b.n)
+        v = zero[0]
+        if v >= 0.0:
+            v = _refined_min(b, D, radii, theta_grid, zero)[0]
+        probes.append(Probe("upper", r, v >= 0.0, v))
         return v >= 0.0
 
     def certified(r: float) -> bool:
-        return _grid_min(D, b.radii(r) * inflate, cert_grid)[0] >= 0.0
+        v = _grid_sign(D, b.radii(r) * inflate, cert_grid)
+        probes.append(Probe("lower", r, v >= 0.0, v))
+        return v >= 0.0
 
     # upper: smallest r with a concrete negative witness
     hi = 0.05
@@ -455,9 +507,10 @@ def s_estimate(
         hi *= 1.5
     capped = hi > R_SEARCH_CAP
     if capped:
-        upper = R_SEARCH_CAP
+        upper, witness = R_SEARCH_CAP, None
     else:
         _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
+        witness = _refined_min(b, D, b.radii(upper), theta_grid)[1]
 
     # lower: largest r whose inflated-grid minimum is certified nonnegative
     if certified(upper):
@@ -472,6 +525,7 @@ def s_estimate(
         cert_inflation=inflate,
         witness=witness,
         capped=capped,
+        probes=tuple(probes),
     )
 
 

@@ -22,23 +22,21 @@ non-default growth margin solves the LP.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import ClusterCircuit, resolve_alpha
+from .circuits import ClusterCircuit
 from .czdec import (
     LAMBDA,
     StochasticRep,
-    apply_branch,
     build_decomposition,
     grid_rep,
     mixture_residual,
 )
-from .geometry import Z_BASIS, Measurement, measure_prob, to_bloch
+from .geometry import Z_BASIS
 
 #: relative headroom between the sampler's growth factor and the critical one
 DEFAULT_GROWTH_MARGIN = 1e-3
@@ -262,49 +260,3 @@ def sample_parallel(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
     return _count_table(parts, c.n_qubits)
-
-
-def exact_branch_distribution(
-    c: ClusterCircuit, rep: StochasticRep, max_edges: int = 3
-) -> dict[str, float]:
-    """Exact output distribution of the stochastic sampler (no Monte Carlo).
-
-    Enumerates every combination of decomposition branches across edges and
-    every outcome history; exponential in the edge count, so capped small.
-    Used to check edge-order invariance and to validate the sampler itself.
-    """
-    if len(c.edges) > max_edges:
-        raise ValueError(f"exact enumeration capped at {max_edges} edges")
-    dist: dict[str, float] = {}
-    for combo in itertools.product(rep.branches, repeat=len(c.edges)):
-        w = math.prod(b[0] for b in combo)
-        state = list(c.inputs)
-        for (a, b), (_, da, db) in zip(c.edges, combo):
-            state[a], state[b] = apply_branch(state[a], state[b], rep.growth, da, db)
-        _accumulate_outcomes(c, state, w, dist)
-    return dist
-
-
-def _accumulate_outcomes(
-    c: ClusterCircuit,
-    state: list,
-    weight: float,
-    dist: dict[str, float],
-) -> None:
-    stack = [(0, weight, {})]
-    while stack:
-        k, w, outcomes = stack.pop()
-        if k == c.n_qubits:
-            s = "".join(str(outcomes[v]) for v in range(c.n_qubits))
-            dist[s] = dist.get(s, 0.0) + w
-            continue
-        v = c.order[k]
-        rule = c.plan[v]
-        m = Measurement(rule.kind, resolve_alpha(rule, outcomes))
-        p0 = measure_prob(to_bloch(state[v]), m, 0)
-        for outcome, pv in ((0, p0), (1, 1.0 - p0)):
-            if abs(pv) < 1e-15:
-                continue
-            nxt = dict(outcomes)
-            nxt[v] = outcome
-            stack.append((k + 1, w * pv, nxt))

@@ -168,18 +168,18 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
     # chain2's estimated peak is 1.75 * 16 * 4^2 + 2^20 = 1049024 bytes
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 1049024)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1049024)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 1049023)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1049023)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
-    assert "about 1.05e+06 bytes at 2 qubits" in err and "1.05e+06 bytes of physical memory" in err
+    assert "about 1.05e+06 bytes at 2 qubits" in err and "1.05e+06 bytes of available memory" in err
     assert not out.exists()
 
 
@@ -211,14 +211,44 @@ def test_refuse_dense_follows_the_estimate(n, monkeypatch):
     )
     need = cli._dense_peak(n)
     assert need == 28 * 4**n + 2**20
-    monkeypatch.setattr(cli, "_physical_memory", lambda: int(need))
+    monkeypatch.setattr(cli, "_available_memory", lambda: int(need))
     cli._refuse_dense(c)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: int(need) - 1)
+    monkeypatch.setattr(cli, "_available_memory", lambda: int(need) - 1)
     with pytest.raises(cli._Refused) as refused:
         cli._refuse_dense(c)
     code, message = refused.value.args
     assert code == EXIT_RESOURCE_CAP
     assert message.startswith(f"dense oracle needs about {need:.3g} bytes at {n} qubits")
+
+
+def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+    c = build_fixture("chain2", LAMBDA, adaptive=False)
+    need = cli._dense_peak(c.n_qubits)  # 1049024 bytes = 1024.4375 kB
+    meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
+                       "MemAvailable:       1025 kB\nBuffers:          100 kB\n")
+    assert cli._available_memory() == 1025 * 1024 > need
+    cli._refuse_dense(c)
+    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:       1024 kB\n")
+    with pytest.raises(cli._Refused) as refused:
+        cli._refuse_dense(c)
+    code, message = refused.value.args
+    assert code == EXIT_RESOURCE_CAP
+    assert message.endswith("more than the 1.05e+06 bytes of available memory")
+
+
+def test_available_memory_falls_back_to_sysconf(tmp_path, monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+    assert cli._available_memory() == physical  # missing
+    meminfo.mkdir()
+    assert cli._available_memory() == physical  # unreadable
+    meminfo.rmdir()
+    for text in ("MemTotal: 1024 kB\n", "MemAvailable: lots\n", "MemAvailable:\n", "\xff\n"):
+        meminfo.write_bytes(text.encode("latin-1"))
+        assert cli._available_memory() == physical, text
 
 
 @pytest.mark.parametrize("command", ["sample", "compare"])
@@ -288,6 +318,11 @@ def test_coarse_1x2_bracket(tmp_path, capsys):
     assert result["block"] == "1x2"
     assert not result["search_capped"]
     assert result["cert_inflation"] == 1.0 / math.cos(math.pi / result["certified_grid"])
+    probes = result["probes"]
+    assert all(set(p) == {"bound", "r", "holds", "value"} for p in probes)
+    assert all(p["holds"] == (p["value"] >= 0.0) for p in probes)
+    assert result["r_upper"] == min(p["r"] for p in probes if p["bound"] == "upper" and not p["holds"])
+    assert result["r_lower"] == max(p["r"] for p in probes if p["bound"] == "lower" and p["holds"])
 
 
 def test_coarse_bad_block_and_cap(capsys):

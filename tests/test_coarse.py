@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ from cylsim.coarse import (
     BlockTooLarge,
     _code_tensor,
     _Frontier,
+    _coordinate_descent,
+    _grid_chunks,
     _grid_min,
+    _grid_sign,
+    _refined_min,
     _transverse,
     block_min_prob_dense,
-    block_prob_contraction,
     block_value,
     coeff_tensor,
     conjecture_fast_path,
@@ -28,6 +33,11 @@ from cylsim.coarse import (
 from cylsim.czdec import LAMBDA
 
 angles = st.floats(0.0, 2 * math.pi)
+
+#: brackets recorded before the bisection probes decided signs only: lambda
+#: blocks at grid 32 and the CLI's tolerance 1e-4, plain 12-site blocks at
+#: grid 8 and tolerance 1e-3
+BRACKETS = json.loads((Path(__file__).parent / "data" / "coarse_brackets.json").read_text())
 
 
 def test_block_spec_validation():
@@ -80,10 +90,8 @@ def test_backends_agree(hw, mode):
     for r in (0.0, 0.03, 0.1):
         thetas = tuple(rng.uniform(0, 2 * math.pi, b.n))
         dense = block_min_prob_dense(b, r, thetas)
-        contracted = block_prob_contraction(b, r, thetas)
-        tensor = block_value(b, b.radii(r), thetas)
+        contracted = block_value(b, b.radii(r), thetas)
         assert dense == pytest.approx(contracted, abs=1e-13)
-        assert dense == pytest.approx(tensor, abs=1e-13)
 
 
 def test_contraction_transposed_block():
@@ -91,7 +99,7 @@ def test_contraction_transposed_block():
     rng = np.random.default_rng(7)
     thetas = rng.uniform(0, 2 * math.pi, 6)
     tall = BlockSpec(3, 2)
-    v_tall = block_prob_contraction(tall, 0.2, thetas)
+    v_tall = block_value(tall, tall.radii(0.2), thetas)
     assert v_tall == pytest.approx(block_min_prob_dense(tall, 0.2, thetas), abs=1e-13)
 
 
@@ -143,7 +151,7 @@ def test_find_negativity_witness_1x2():
     assert hit is not None
     r, thetas = hit
     assert r == pytest.approx(0.55)
-    assert block_prob_contraction(b, r, thetas) < 0
+    assert block_value(b, b.radii(r), thetas) < 0
 
     assert find_negativity_witness(b, [0.1, 0.2]) is None
 
@@ -233,7 +241,7 @@ def test_frontier_kernels_match_full_contraction(hw):
         k0, k1, k2 = chain.kernel(i)
         thetas[i] = rng.uniform(0, 2 * math.pi)
         a = _transverse(radii[i], thetas[i])
-        full = block_prob_contraction(b, r, thetas)
+        full = block_value(b, b.radii(r), thetas)
         assert scale * (k0 + k1 * a + k2 * np.conj(a)).real == pytest.approx(
             scale * full, abs=1e-12
         )
@@ -247,7 +255,7 @@ def test_fast_path_value_is_exact_3x4():
     assert set(thetas) <= {0.0, math.pi}
     scale = 2.0**b.n
     assert scale * v == pytest.approx(
-        scale * block_prob_contraction(b, 0.3, thetas), abs=1e-12
+        scale * block_value(b, b.radii(0.3), thetas), abs=1e-12
     )
 
 
@@ -268,3 +276,162 @@ def test_s_estimate_tolerance_below_float_resolution_terminates():
     est = s_estimate(BlockSpec(1, 2, PLAIN), theta_grid=8, bisect_tol=1e-300)
     assert est.lower <= 0.5 <= est.upper
     assert est.upper - est.lower < 0.1
+
+
+@pytest.mark.parametrize("case", BRACKETS, ids=lambda c: f"{c['block']}-{c['mode']}")
+def test_brackets_match_recorded(case):
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+    est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
+    got = (est.lower, est.upper, est.cert_grid, list(est.witness))
+    assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
+
+
+def reference_grid_min(D, radii, grid):
+    """The grid minimum as one loop, before it was split into a chunk
+    generator and its reduction: the same chunks and arithmetic, kept as
+    the reference that the split must reproduce bit for bit."""
+    n = D.ndim
+    angles = np.arange(grid) * (2 * math.pi / grid)
+    Y = [
+        np.stack([np.ones(grid), (rho / 2.0) * np.cos(angles), -(rho / 2.0) * np.sin(angles)], axis=1)
+        for rho in radii
+    ]
+    k = 0
+    while grid ** (n - k) > coarse._CHUNK:
+        k += 1
+    heads = D.reshape(1, -1)
+    for i in range(k):
+        heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
+    tail = grid ** (n - k)
+    rows = max(1, coarse._CHUNK // tail)
+    best, best_j = math.inf, 0
+    for s in range(0, len(heads), rows):
+        t = heads[s : s + rows]
+        for i in range(n - 1, k - 1, -1):
+            t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
+        j = int(np.argmin(t))
+        v = float(t.flat[j])
+        if v < best:
+            best, best_j = v, s * tail + j
+    return best, tuple(angles[g] for g in np.unravel_index(best_j, (grid,) * n))
+
+
+@pytest.mark.parametrize(
+    "hw,grid,chunk",
+    [((2, 2), 32, None), ((2, 3), 16, None), ((3, 3), 4, None), ((2, 4), 8, None),
+     ((3, 4), 4, None), ((1, 12), 2, None), ((2, 2), 8, 64), ((2, 3), 4, 64), ((3, 3), 4, 1024)],
+)
+def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(coarse, "_CHUNK", chunk)
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    # block tensors put their grid minimum at the all-zero point, flat index
+    # 0; a random tensor puts it elsewhere, and raising its constant term
+    # makes it positive
+    noise = np.random.default_rng(b.n).normal(size=(3,) * b.n)
+    shifted = noise.copy()
+    shifted.flat[0] += 0.01 - _grid_min(noise, b.radii(0.1), grid)[0]
+    assert _grid_min(shifted, b.radii(0.1), grid)[0] > 0.0
+    cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.08, 0.12)]
+    cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
+    for D, radii in cases:
+        ref = reference_grid_min(D, radii, grid)
+        assert _grid_min(D, radii, grid) == ref
+        chunks = list(_grid_chunks(D, radii, grid))
+        starts = [j for _, j in chunks]
+        assert starts == sorted(starts) and starts[-1] < grid**b.n
+        assert min(v for v, _ in chunks) == ref[0]
+        first_negative = next((v for v, _ in chunks if v < 0.0), None)
+        assert _grid_sign(D, radii, grid) == (ref[0] if first_negative is None else first_negative)
+
+
+@pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x3", "3x4")],
+                         ids=lambda c: f"{c['block']}-{c['mode']}")
+def test_certified_sign_equals_full_minimum_sign(case):
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+    D = coeff_tensor(b)
+    grid = case["cert_grid"]
+    inflate = 1.0 / math.cos(math.pi / grid)
+    lower, upper = case["r_lower"], case["r_upper"]
+    verdicts = []
+    for r in (0.5 * lower, lower, lower + case["bisect_tol"], upper):
+        radii = b.radii(r) * inflate
+        verdicts.append(_grid_sign(D, radii, grid) >= 0.0)
+        assert verdicts[-1] == (_grid_min(D, radii, grid)[0] >= 0.0)
+    assert verdicts == [True, True, False, False]
+
+
+@pytest.mark.parametrize("hw,seed_grid", [((1, 11), 4), ((3, 4), 2), ((2, 6), 2), ((1, 12), 2)])
+def test_seed_grid_fits_budget(hw, seed_grid, monkeypatch):
+    grids = []
+    chunks = coarse._grid_chunks
+
+    def spy(D, radii, grid):
+        grids.append(grid)
+        return chunks(D, radii, grid)
+
+    monkeypatch.setattr(coarse, "_grid_chunks", spy)
+    b = BlockSpec(*hw, PLAIN)
+    v, thetas = _refined_min(b, coeff_tensor(b), b.radii(0.1), 32)
+    assert grids == [seed_grid]
+    assert seed_grid**b.n <= coarse._GRID_BUDGET
+    assert v == block_value(b, b.radii(0.1), thetas)
+
+
+def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
+    # the bracket at grid 32 used to compute 25 full grids of 4^12 points;
+    # only certification probes that hold need all their chunks now
+    runs = []
+    chunks = coarse._grid_chunks
+
+    def spy(D, radii, grid):
+        runs.append([grid, 0])
+        for item in chunks(D, radii, grid):
+            runs[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(coarse, "_grid_chunks", spy)
+    s_estimate(BlockSpec(3, 4, LAMBDA_GROWN), theta_grid=32, bisect_tol=1e-4)
+    per_grid = 4**12 // coarse._CHUNK
+    assert sum(1 for grid, n in runs if grid == 4 and n == per_grid) <= 5
+    assert all(grid == 2 or n in (1, per_grid) for grid, n in runs)
+
+
+def test_probes_record_every_sign_decision(monkeypatch):
+    descents = []
+    descent = coarse._coordinate_descent
+
+    def spy(*args):
+        descents.append(args[2])
+        return descent(*args)
+
+    monkeypatch.setattr(coarse, "_coordinate_descent", spy)
+    b = BlockSpec(2, 3, LAMBDA_GROWN)
+    est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
+    monkeypatch.undo()
+    D = coeff_tensor(b)
+    bounds = [p.bound for p in est.probes]
+    assert bounds == sorted(bounds, reverse=True)  # the upper bisection runs first
+    upper = [p for p in est.probes if p.bound == "upper"]
+    lower = [p for p in est.probes if p.bound == "lower"]
+    assert {p.holds for p in upper} == {p.holds for p in lower} == {True, False}
+    for p in upper:
+        radii = b.radii(p.r)
+        zero = _coordinate_descent(b, radii, (0.0,) * b.n)[0]
+        full = _refined_min(b, D, radii, 32)[0]
+        assert p.holds == (p.value >= 0.0) == (full >= 0.0)
+        assert p.value == (zero if zero < 0.0 else full)
+    inflate = est.cert_inflation
+    for p in lower:
+        assert p.holds == (p.value >= 0.0)
+        assert p.value == _grid_sign(D, b.radii(p.r) * inflate, est.cert_grid)
+        if p.holds:
+            assert p.value == _grid_min(D, b.radii(p.r) * inflate, est.cert_grid)[0]
+    # the zero start runs at every upper probe, the grid-seeded descent only
+    # where the zero start stayed nonnegative, and both again for the witness
+    assert len(descents) == len(upper) + sum(
+        _coordinate_descent(b, b.radii(p.r), (0.0,) * b.n)[0] >= 0.0 for p in upper
+    ) + 2
+    assert est.upper == min(p.r for p in upper if not p.holds)
+    assert est.lower == max(p.r for p in lower if p.holds)
+    assert block_value(b, b.radii(est.upper), est.witness) < 0.0

@@ -19,6 +19,7 @@ from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
 from cylsim.czdec import (
     LAMBDA,
     DecompositionError,
+    StochasticRep,
     apply_branch,
     grid_rep,
     lp_feasibility,
@@ -32,7 +33,6 @@ from cylsim.sampler import (
     TooManyShots,
     check_simulable,
     default_rep,
-    exact_branch_distribution,
     rep_provenance,
     sample_parallel,
 )
@@ -360,6 +360,52 @@ def test_sample_rejects_nonsimulable(rep):
         sample_parallel(c, 10, seed=0, rep=rep)
     with pytest.raises(ValueError):
         sample_parallel(c, 10, 0, rep, 2)
+
+
+def exact_branch_distribution(
+    c: ClusterCircuit, rep: StochasticRep, max_edges: int = 3
+) -> dict[str, float]:
+    """Exact output distribution of the stochastic sampler (no Monte Carlo),
+    a reference for the sampler itself.
+
+    Enumerates every combination of decomposition branches across edges and
+    every outcome history; exponential in the edge count, so capped small.
+    """
+    if len(c.edges) > max_edges:
+        raise ValueError(f"exact enumeration capped at {max_edges} edges")
+    dist: dict[str, float] = {}
+    for combo in itertools.product(rep.branches, repeat=len(c.edges)):
+        w = math.prod(b[0] for b in combo)
+        state = list(c.inputs)
+        for (a, b), (_, da, db) in zip(c.edges, combo):
+            state[a], state[b] = apply_branch(state[a], state[b], rep.growth, da, db)
+        _accumulate_outcomes(c, state, w, dist)
+    return dist
+
+
+def _accumulate_outcomes(
+    c: ClusterCircuit,
+    state: list,
+    weight: float,
+    dist: dict[str, float],
+) -> None:
+    stack = [(0, weight, {})]
+    while stack:
+        k, w, outcomes = stack.pop()
+        if k == c.n_qubits:
+            s = "".join(str(outcomes[v]) for v in range(c.n_qubits))
+            dist[s] = dist.get(s, 0.0) + w
+            continue
+        v = c.order[k]
+        rule = c.plan[v]
+        m = Measurement(rule.kind, resolve_alpha(rule, outcomes))
+        p0 = measure_prob(to_bloch(state[v]), m, 0)
+        for outcome, pv in ((0, p0), (1, 1.0 - p0)):
+            if abs(pv) < 1e-15:
+                continue
+            nxt = dict(outcomes)
+            nxt[v] = outcome
+            stack.append((k + 1, w * pv, nxt))
 
 
 def test_edge_order_invariance(rep):
