@@ -195,7 +195,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
 
 
 def cmd_purify(args: argparse.Namespace) -> int:
-    if args.angles:
+    if args.angles is not None:
         angles = tuple(float(a) * math.pi for a in args.angles.split(","))
     else:
         angles = (0.18 * math.pi, 0.32 * math.pi, 0.31 * math.pi)

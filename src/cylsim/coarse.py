@@ -51,11 +51,6 @@ from .oracle import DENSE_CAP, _cz_signs
 PLAIN = "plain"
 LAMBDA_GROWN = "lambda"
 
-#: point budget of the angle grid that seeds coordinate descent; halving to
-#: fit it goes down to 2 angles {0, pi} per site, since a seed needs no
-#: certificate (the certification grid keeps at least 4 angles per site)
-_GRID_BUDGET = 1 << 22
-
 #: values per chunk of an exact grid minimum, few enough to stay in cache
 _CHUNK = 1 << 16
 
@@ -289,13 +284,9 @@ def coeff_tensor(b: BlockSpec) -> np.ndarray:
     return np.ascontiguousarray(t.real)
 
 
-def _grid_angles(grid: int) -> np.ndarray:
-    return np.arange(grid) * (TWO_PI / grid)
-
-
 def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
-    """Yield (minimum, flat grid index) of the block value per chunk of a
-    uniform per-qubit angle grid, in flat index order.
+    """Yield the minimum of the block value per chunk of a uniform per-qubit
+    angle grid, in flat index order.
 
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
     contract the coefficient tensor D: the leading k sites first, at every
@@ -305,7 +296,7 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
     bits of each value.
     """
     n = D.ndim
-    angles = _grid_angles(grid)
+    angles = np.arange(grid) * (TWO_PI / grid)
     Y = [
         np.stack([np.ones(grid), (rho / 2.0) * np.cos(angles), -(rho / 2.0) * np.sin(angles)], axis=1)
         for rho in radii
@@ -323,18 +314,7 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
         for i in range(n - 1, k - 1, -1):
             # grid indices so far lead each row; site i's code is the last axis
             t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
-        j = int(np.argmin(t))
-        yield float(t.flat[j]), s * tail + j
-
-
-def _grid_min(
-    D: np.ndarray, radii: np.ndarray, grid: int
-) -> tuple[float, tuple[float, ...]]:
-    """Exact minimum of the block value over a uniform per-qubit angle grid,
-    at its first lowest grid point."""
-    best, j = min(_grid_chunks(D, radii, grid), key=lambda chunk: chunk[0])
-    angles = _grid_angles(grid)
-    return best, tuple(angles[g] for g in np.unravel_index(j, (grid,) * D.ndim))
+        yield float(t.min())
 
 
 def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int) -> float:
@@ -342,11 +322,17 @@ def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int) -> float:
     is nonnegative, else the minimum of the first chunk that goes negative,
     where the scan stops."""
     low = math.inf
-    for v, _ in _grid_chunks(D, radii, grid):
+    for v in _grid_chunks(D, radii, grid):
         low = min(low, v)
         if v < 0.0:
             break
     return low
+
+
+def _min_gain(n: int) -> float:
+    """Least decrease for which a descent on n sites accepts a move: 1e-15,
+    halved per site past 12, since block values shrink roughly like 2^-n."""
+    return 1e-15 * 2.0 ** -max(0, n - 12)
 
 
 def _coordinate_descent(
@@ -357,6 +343,7 @@ def _coordinate_descent(
     thetas = np.array(thetas0, dtype=float)
     chain = _Frontier(b, _transverse(radii, thetas))
     val = chain.value()
+    gain = _min_gain(b.n)
     for _ in range(max_sweeps):
         improved = False
         for i in range(b.n):
@@ -365,7 +352,7 @@ def _coordinate_descent(
             if abs(k1) < 1e-18:
                 continue
             cand = k0.real - radii[i] * abs(k1)
-            if cand < val - 1e-15:
+            if cand < val - gain:
                 thetas[i] = math.atan2(k1.imag, k1.real) - math.pi
                 chain.set(i, _transverse(radii[i], thetas[i]))
                 val = cand
@@ -378,8 +365,8 @@ def _coordinate_descent(
 class Probe(NamedTuple):
     """One bisection probe: the bound it served ("upper" or "lower"), its
     radius, whether the block value stayed nonnegative, and the value that
-    decided it (the exact minimum when it held, else the first negative
-    value found)."""
+    decided it: where the zero-start descent ended for an upper probe; for a
+    lower one the certification-grid minimum, or the first negative chunk's."""
 
     bound: str
     r: float
@@ -393,9 +380,11 @@ class SEstimate:
 
     lower is certified: the exact grid minimum at radii inflated by
     cert_inflation = 1/cos(pi/cert_grid) was nonnegative, which bounds the
-    continuous minimum from below.  upper is witnessed: a concrete
-    assignment with a negative value exists at it (or the search cap was
-    reached).  probes lists every probe of both bisections in order.
+    continuous minimum from below.  upper is witnessed: witness, the
+    assignment where the descent of the failing probe at upper ended, has a
+    negative value there (unless capped: the search cap was reached).
+    theta_grid is the requested certification grid, cert_grid the one used.
+    probes lists every probe of both bisections in order.
     """
 
     lower: float
@@ -408,29 +397,11 @@ class SEstimate:
     probes: tuple[Probe, ...] = ()
 
 
-def _refined_min(
-    b: BlockSpec,
-    D: np.ndarray,
-    radii: np.ndarray,
-    grid: int,
-    zero: tuple[float, tuple[float, ...]] | None = None,
-) -> tuple[float, tuple[float, ...]]:
-    """Grid seed plus exact coordinate descent, or the descent from all-zero
-    angles (zero, when the caller has it) if that is lower; value is exact at
-    the result."""
-    if zero is None:
-        zero = _coordinate_descent(b, radii, (0.0,) * b.n)
-    _, seed = _grid_min(D, radii, _grid_size(b.n, grid, _GRID_BUDGET, floor=2))
-    seeded = _coordinate_descent(b, radii, seed)
-    return seeded if seeded[0] <= zero[0] else zero
-
-
-def _grid_size(n: int, grid: int, budget: int, floor: int) -> int:
-    """Halve grid until grid^n fits budget: not below 4 angles per site while
-    there are more, then straight down to floor."""
+def _grid_size(n: int, grid: int) -> int:
+    """Halve grid until grid^n fits _CERT_BUDGET, to no fewer than 4 angles."""
     g = grid
-    while g > floor and g**n > budget:
-        g = max(4, g // 2) if g > 4 else floor
+    while g > 4 and g**n > _CERT_BUDGET:
+        g = max(4, g // 2)
     return g
 
 
@@ -455,16 +426,13 @@ def s_estimate(
 ) -> SEstimate:
     """Bracket the threshold radius of a block by bisection.
 
-    Each probe decides a sign and nothing more.  The upper bound bisects on
-    the refined (grid + descent) minimum at the exact radii: any negative
-    value certifies that r exceeds the threshold.  A probe first descends
-    from all-zero angles and fails at once if that goes negative; only
-    otherwise does it seed a descent from the grid, whose grid is halved
-    down to {0, pi} per site to fit _GRID_BUDGET.  The witness is the refined
-    minimum recomputed at upper.  The lower bound bisects on the exact grid
-    minimum at radii inflated by 1/cos(pi/G), with G of at least 4 angles
-    per site: nonnegativity there certifies the continuous minimum, and a
-    probe stops at the first chunk of grid points that goes negative.
+    Each probe decides a sign by one search.  An upper probe descends from
+    all-zero angles at the exact radii and fails when it ends negative; upper
+    is always such a probe, and its assignment is the witness.  A lower probe
+    takes the exact minimum over G angles per site (theta_grid, halved to fit
+    _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G):
+    nonnegativity there certifies the continuous minimum, and the probe
+    stops at the first chunk of grid points that goes negative.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -483,17 +451,16 @@ def s_estimate(
             f"2^{_CERT_BUDGET.bit_length() - 1}"
         )
     D = coeff_tensor(b)
-    cert_grid = _grid_size(b.n, theta_grid, _CERT_BUDGET, floor=4)
+    cert_grid = _grid_size(b.n, theta_grid)
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
+    witnesses = {}  # assignment of each failing upper probe, by radius
 
     def nonnegative(r: float) -> bool:
-        radii = b.radii(r)
-        zero = _coordinate_descent(b, radii, (0.0,) * b.n)
-        v = zero[0]
-        if v >= 0.0:
-            v = _refined_min(b, D, radii, theta_grid, zero)[0]
+        v, thetas = _coordinate_descent(b, b.radii(r), (0.0,) * b.n)
         probes.append(Probe("upper", r, v >= 0.0, v))
+        if v < 0.0:
+            witnesses[r] = thetas
         return v >= 0.0
 
     def certified(r: float) -> bool:
@@ -510,7 +477,7 @@ def s_estimate(
         upper, witness = R_SEARCH_CAP, None
     else:
         _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
-        witness = _refined_min(b, D, b.radii(upper), theta_grid)[1]
+        witness = witnesses[upper]
 
     # lower: largest r whose inflated-grid minimum is certified nonnegative
     if certified(upper):
@@ -579,6 +546,7 @@ def conjecture_fast_path(
     n = b.n
     half = b.radii(r) / 2.0
     rng = np.random.default_rng(seed)
+    gain = _min_gain(n)
 
     def descend(pattern: np.ndarray) -> tuple[float, np.ndarray]:
         chain = _Frontier(b, pattern * half)
@@ -590,7 +558,7 @@ def conjecture_fast_path(
                 k0, k1, k2 = chain.kernel(i)
                 flipped = -pattern[i] * half[i]
                 v = k0 + (k1 + k2) * flipped  # a is real, so conj(a) = a
-                if v < best - 1e-15:
+                if v < best - gain:
                     pattern[i] *= -1
                     chain.set(i, flipped)
                     best = v

@@ -375,9 +375,15 @@ def test_purify_custom_angles(capsys):
     assert result["angles"][0] == pytest.approx(0.18 * math.pi)
 
 
-def test_purify_invalid_angles():
+def test_purify_invalid_angles(capsys):
     # violates the chain constraint -> ValueError -> exit 1
     assert main(["purify", "--angles", "0.18,0.5"]) == EXIT_ERROR
+    # an empty list is an error, not a request for the default angles
+    capsys.readouterr()
+    assert main(["purify", "--angles", ""]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_pbs_verify(tmp_path, capsys):

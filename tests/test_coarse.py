@@ -17,9 +17,7 @@ from cylsim.coarse import (
     _Frontier,
     _coordinate_descent,
     _grid_chunks,
-    _grid_min,
     _grid_sign,
-    _refined_min,
     _transverse,
     block_min_prob_dense,
     block_value,
@@ -221,10 +219,8 @@ def test_grid_min_matches_dense_brute_force(hw, mode, monkeypatch):
     # one chunk for the whole grid, then one grid point of the last site per chunk
     for chunk in (coarse._CHUNK, 4):
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
-        v, thetas = _grid_min(D, radii, 4)
-        assert v == pytest.approx(brute, abs=1e-12)
-        assert v == pytest.approx(block_value(b, radii, thetas), abs=1e-12)
-        assert set(thetas) <= set(angles)
+        assert min(_grid_chunks(D, radii, 4)) == pytest.approx(brute, abs=1e-12)
+        assert (_grid_sign(D, radii, 4) >= 0.0) == (brute >= 0.0)
 
 
 @pytest.mark.parametrize("hw", [(3, 4), (4, 3), (6, 7)])
@@ -330,18 +326,15 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
     # makes it positive
     noise = np.random.default_rng(b.n).normal(size=(3,) * b.n)
     shifted = noise.copy()
-    shifted.flat[0] += 0.01 - _grid_min(noise, b.radii(0.1), grid)[0]
-    assert _grid_min(shifted, b.radii(0.1), grid)[0] > 0.0
+    shifted.flat[0] += 0.01 - min(_grid_chunks(noise, b.radii(0.1), grid))
+    assert min(_grid_chunks(shifted, b.radii(0.1), grid)) > 0.0
     cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.08, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     for D, radii in cases:
         ref = reference_grid_min(D, radii, grid)
-        assert _grid_min(D, radii, grid) == ref
         chunks = list(_grid_chunks(D, radii, grid))
-        starts = [j for _, j in chunks]
-        assert starts == sorted(starts) and starts[-1] < grid**b.n
-        assert min(v for v, _ in chunks) == ref[0]
-        first_negative = next((v for v, _ in chunks if v < 0.0), None)
+        assert min(chunks) == ref[0]
+        first_negative = next((v for v in chunks if v < 0.0), None)
         assert _grid_sign(D, radii, grid) == (ref[0] if first_negative is None else first_negative)
 
 
@@ -357,30 +350,14 @@ def test_certified_sign_equals_full_minimum_sign(case):
     for r in (0.5 * lower, lower, lower + case["bisect_tol"], upper):
         radii = b.radii(r) * inflate
         verdicts.append(_grid_sign(D, radii, grid) >= 0.0)
-        assert verdicts[-1] == (_grid_min(D, radii, grid)[0] >= 0.0)
+        assert verdicts[-1] == (min(_grid_chunks(D, radii, grid)) >= 0.0)
     assert verdicts == [True, True, False, False]
-
-
-@pytest.mark.parametrize("hw,seed_grid", [((1, 11), 4), ((3, 4), 2), ((2, 6), 2), ((1, 12), 2)])
-def test_seed_grid_fits_budget(hw, seed_grid, monkeypatch):
-    grids = []
-    chunks = coarse._grid_chunks
-
-    def spy(D, radii, grid):
-        grids.append(grid)
-        return chunks(D, radii, grid)
-
-    monkeypatch.setattr(coarse, "_grid_chunks", spy)
-    b = BlockSpec(*hw, PLAIN)
-    v, thetas = _refined_min(b, coeff_tensor(b), b.radii(0.1), 32)
-    assert grids == [seed_grid]
-    assert seed_grid**b.n <= coarse._GRID_BUDGET
-    assert v == block_value(b, b.radii(0.1), thetas)
 
 
 def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
     # the bracket at grid 32 used to compute 25 full grids of 4^12 points;
-    # only certification probes that hold need all their chunks now
+    # only certification probes that hold need all their chunks now, and
+    # upper probes run no grid at all
     runs = []
     chunks = coarse._grid_chunks
 
@@ -394,7 +371,7 @@ def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
     s_estimate(BlockSpec(3, 4, LAMBDA_GROWN), theta_grid=32, bisect_tol=1e-4)
     per_grid = 4**12 // coarse._CHUNK
     assert sum(1 for grid, n in runs if grid == 4 and n == per_grid) <= 5
-    assert all(grid == 2 or n in (1, per_grid) for grid, n in runs)
+    assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
 
 
 def test_probes_record_every_sign_decision(monkeypatch):
@@ -416,22 +393,48 @@ def test_probes_record_every_sign_decision(monkeypatch):
     lower = [p for p in est.probes if p.bound == "lower"]
     assert {p.holds for p in upper} == {p.holds for p in lower} == {True, False}
     for p in upper:
-        radii = b.radii(p.r)
-        zero = _coordinate_descent(b, radii, (0.0,) * b.n)[0]
-        full = _refined_min(b, D, radii, 32)[0]
-        assert p.holds == (p.value >= 0.0) == (full >= 0.0)
-        assert p.value == (zero if zero < 0.0 else full)
+        assert p.holds == (p.value >= 0.0)
+        assert p.value == _coordinate_descent(b, b.radii(p.r), (0.0,) * b.n)[0]
     inflate = est.cert_inflation
     for p in lower:
-        assert p.holds == (p.value >= 0.0)
-        assert p.value == _grid_sign(D, b.radii(p.r) * inflate, est.cert_grid)
+        radii = b.radii(p.r) * inflate
+        assert p.holds == (p.value >= 0.0) == (min(_grid_chunks(D, radii, est.cert_grid)) >= 0.0)
+        assert p.value == _grid_sign(D, radii, est.cert_grid)
         if p.holds:
-            assert p.value == _grid_min(D, b.radii(p.r) * inflate, est.cert_grid)[0]
-    # the zero start runs at every upper probe, the grid-seeded descent only
-    # where the zero start stayed nonnegative, and both again for the witness
-    assert len(descents) == len(upper) + sum(
-        _coordinate_descent(b, b.radii(p.r), (0.0,) * b.n)[0] >= 0.0 for p in upper
-    ) + 2
+            assert p.value == min(_grid_chunks(D, radii, est.cert_grid))
+    # one zero-start descent per upper probe and none for the witness, which
+    # is the assignment of the failing probe at upper
+    assert descents == [(0.0,) * b.n] * len(upper)
     assert est.upper == min(p.r for p in upper if not p.holds)
     assert est.lower == max(p.r for p in lower if p.holds)
+    assert est.witness == _coordinate_descent(b, b.radii(est.upper), (0.0,) * b.n)[1]
     assert block_value(b, b.radii(est.upper), est.witness) < 0.0
+
+
+def test_descent_gain_scales_past_12_sites():
+    # block values on 6x7 are near 1e-17, so a fixed 1e-15 gain per move
+    # stalled a random-start descent at 2e-15, far above the all-zero value
+    # 3.5e-18; the all-zero point is the minimum here up to rounding, so the
+    # descent can only come within its stopping gain of it
+    b = BlockSpec(6, 7, PLAIN)
+    radii = b.radii(0.136)
+    zero = block_value(b, radii, (0.0,) * b.n)
+    start = np.random.default_rng(0).uniform(0, 2 * math.pi, b.n)
+    v, thetas = _coordinate_descent(b, radii, start)
+    scale = 2.0**b.n  # block values are sums of terms of order 2^-n
+    assert scale * (v - zero) < 1e-9
+    assert scale * v == pytest.approx(scale * block_value(b, radii, thetas), abs=1e-12)
+
+
+@pytest.mark.parametrize("hw", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_certificate_holds_on_dense_backend(hw, mode):
+    # re-check a returned bracket with the dense operator, which shares no
+    # code with the coefficient tensor or the frontier contraction
+    b = BlockSpec(*hw, mode)
+    est = s_estimate(b, theta_grid=8, bisect_tol=1e-3)
+    angles = np.arange(est.cert_grid) * (2 * math.pi / est.cert_grid)
+    r = est.lower * est.cert_inflation
+    for idx in itertools.product(range(est.cert_grid), repeat=b.n):
+        assert block_min_prob_dense(b, r, [angles[g] for g in idx]) >= 0.0
+    assert block_min_prob_dense(b, est.upper, est.witness) < 0.0
