@@ -72,11 +72,7 @@ def _sample(args: argparse.Namespace, refuse=lambda c: None):
             f"bound {v.bound:.6g} [{'ok' if v.ok else 'EXCEEDED'}]"
             for v in report.vertices
         ))
-    try:
-        counts = sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
-    except sampler.TooManyShots as exc:
-        raise _Refused(EXIT_RESOURCE_CAP, f"resource cap: {exc}") from None
-    return c, rep, report, counts
+    return c, rep, report, sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
 
 
 #: the kernel's memory report; its MemAvailable line estimates, in kB, what
@@ -171,11 +167,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         raise ValueError(f"--block must look like HxW, e.g. 2x2, got {args.block!r}") from None
     mode = coarse.PLAIN if args.mode == "plain" else coarse.LAMBDA_GROWN
     block = coarse.BlockSpec(h, w, mode)
-    try:
-        est = coarse.s_estimate(block, theta_grid=args.grid, bisect_tol=args.bisect_tol)
-    except coarse.BlockTooLarge as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
+    est = coarse.s_estimate(block, theta_grid=args.grid, bisect_tol=args.bisect_tol)
     result = {
         "block": f"{h}x{w}",
         "mode": args.mode,
@@ -195,10 +187,14 @@ def cmd_coarse(args: argparse.Namespace) -> int:
 
 
 def cmd_purify(args: argparse.Namespace) -> int:
-    if args.angles is not None:
+    try:
         angles = tuple(float(a) * math.pi for a in args.angles.split(","))
-    else:
-        angles = (0.18 * math.pi, 0.32 * math.pi, 0.31 * math.pi)
+        if not all(map(math.isfinite, angles)):
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"--angles must be finite numbers in units of pi, e.g. 0.18,0.32, got {args.angles!r}"
+        ) from None
     protocol = purify.ChainProtocol(angles)
     p_site = purify.site_success_prob(protocol)
     result = {
@@ -233,14 +229,15 @@ def cmd_pbs_verify(args: argparse.Namespace) -> int:
             dec = pbs.phase_decompose(d, (0,) * n, x, y, coeff, W=3.0)
             gap = float(np.max(np.abs(dec.reconstruct() - dec.target())))
             recon.append({"d": d, "N": n, "gap": gap, "pass": gap <= 1e-10})
-    result = {"identities": checks, "reconstructions": recon}
-    result["all_pass"] = all(c["pass"] for c in checks) and all(
-        r["pass"] for r in recon
-    )
+    failed = [f"identity d={c['d']}" for c in checks if not c["pass"]]
+    failed += [f"reconstruction d={r['d']} N={r['N']}" for r in recon if not r["pass"]]
+    result = {"identities": checks, "reconstructions": recon, "all_pass": not failed}
     print(json.dumps(result))
     if args.out:
         _write_json(args.out, result)
-    return EXIT_OK if result["all_pass"] else EXIT_ERROR
+    if failed:
+        raise _Refused(EXIT_ERROR, f"error: pbs-verify checks failed: {', '.join(failed)}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coarse)
 
     sp = sub.add_parser("purify", help="chain steering success probability")
-    sp.add_argument("--angles", type=str, default=None, help="comma list, units of pi")
+    sp.add_argument("--angles", type=str, default="0.18,0.32,0.31", help="comma list, units of pi")
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_purify)
 
@@ -296,6 +293,9 @@ def main(argv=None) -> int:
         code, message = exc.args
         print(message, file=sys.stderr)
         return code
+    except (coarse.BlockTooLarge, sampler.TooManyShots) as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_CAP
     except (ValueError, OSError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

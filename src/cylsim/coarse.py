@@ -44,9 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import oracle
+from .circuits import ClusterCircuit, MeasurementRule
 from .czdec import LAMBDA
-from .geometry import TWO_PI
-from .oracle import DENSE_CAP, _cz_signs
+from .geometry import TWO_PI, Z_BASIS, CylinderExtremum
 
 PLAIN = "plain"
 LAMBDA_GROWN = "lambda"
@@ -56,6 +57,9 @@ _CHUNK = 1 << 16
 
 #: point budget of the certification grid, which has at least 4 angles per site
 _CERT_BUDGET = 1 << 24
+
+#: sweeps after which a coordinate descent stops even if it still moves
+_MAX_SWEEPS = 60
 
 #: site factor per code (1, a, conj(a)): the projection (I - X)/2 weighs
 #: operator entry (s, t) by (-1)^(s+t) / 2, and a sits at (0, 1), conj(a) at (1, 0)
@@ -236,26 +240,19 @@ def block_value(b: BlockSpec, radii: np.ndarray, thetas) -> float:
 
 
 def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
-    """Dense-matrix evaluation of the block value (independent backend).
-
-    Builds the 2^n x 2^n product operator, applies the CZ signs, and
-    projects every qubit onto (I - X)/2.
-    """
+    """Dense-oracle evaluation of the block value (independent backend): the
+    block as a circuit with pole +1 inputs at b.radii(r), its operator from
+    oracle.dense_output, and every qubit projected onto (I - X)/2."""
     n = b.n
-    if n > DENSE_CAP:
-        raise ValueError(f"dense backend capped at {DENSE_CAP} qubits")
-    radii = b.radii(r)
-    rho = np.array([[1.0]], dtype=complex)
-    for i in range(n):
-        amp = (radii[i] / 2.0) * np.exp(-1j * thetas[i])
-        site = np.array([[1.0, amp], [np.conj(amp), 0.0]])
-        rho = np.kron(rho, site)
-    signs = _cz_signs(n, b.edges()).ravel()
-    rho = rho * np.outer(signs, signs)
-    minus = np.array([1.0])
-    for _ in range(n):
-        minus = np.kron(minus, np.array([1.0, -1.0]) / math.sqrt(2.0))
-    return float(np.real(minus @ rho @ minus))
+    c = ClusterCircuit(
+        n_qubits=n,
+        edges=tuple(b.edges()),
+        inputs=tuple(CylinderExtremum(rho, t, +1) for rho, t in zip(b.radii(r), thetas)),
+        plan=(MeasurementRule(Z_BASIS),) * n,
+        order=tuple(range(n)),
+    )
+    minus = reduce(np.kron, [np.array([1.0, -1.0]) / math.sqrt(2.0)] * n)
+    return float(np.real(minus @ oracle.dense_output(c) @ minus))
 
 
 def _code_tensor(b: BlockSpec) -> np.ndarray:
@@ -336,21 +333,21 @@ def _min_gain(n: int) -> float:
 
 
 def _coordinate_descent(
-    b: BlockSpec, radii: np.ndarray, thetas0, max_sweeps: int = 60
+    b: BlockSpec, radii: np.ndarray, thetas0
 ) -> tuple[float, tuple[float, ...]]:
     """Exact per-coordinate minimization: the value is affine in each a_i,
-    so the optimal angle given the others is available in closed form."""
+    so the optimal angle given the others is available in closed form.
+    _min_gain(n) is the only acceptance rule: a move gains at most 2 rho_i |k1|,
+    so it rejects negligible kernels; a fixed floor on |k1| would stall large blocks."""
     thetas = np.array(thetas0, dtype=float)
     chain = _Frontier(b, _transverse(radii, thetas))
     val = chain.value()
     gain = _min_gain(b.n)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         for i in range(b.n):
             # value = Re(k0 + k1 a_i + conj(k1) conj(a_i))
             k0, k1, _ = chain.kernel(i)
-            if abs(k1) < 1e-18:
-                continue
             cand = k0.real - radii[i] * abs(k1)
             if cand < val - gain:
                 thetas[i] = math.atan2(k1.imag, k1.real) - math.pi

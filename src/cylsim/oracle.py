@@ -9,6 +9,7 @@ no stabilizer shortcuts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ def _cz_signs(n: int, edges) -> np.ndarray:
     return signs
 
 
-def dense_output(c: ClusterCircuit, edges=None) -> np.ndarray:
+def dense_output(c: ClusterCircuit) -> np.ndarray:
     """Tensor product of the inputs conjugated by every CZ in the circuit.
 
     CZ is real diagonal, so conjugation multiplies entry (s, t) by the
@@ -56,7 +57,7 @@ def dense_output(c: ClusterCircuit, edges=None) -> np.ndarray:
         d = len(rho)
         site = extremum_matrix(c.inputs[v]).reshape(1, 2, 1, 2)
         rho = (rho.reshape(d, 1, d, 1) * site).reshape(2 * d, 2 * d)
-    s = _cz_signs(n, c.edges if edges is None else edges).ravel()
+    s = _cz_signs(n, c.edges).ravel()
     rho *= s[:, None]
     rho *= s
     return rho
@@ -153,7 +154,7 @@ def marginal_invariance_check(c: ClusterCircuit, region: set[int]) -> float:
         e for e in c.edges if not ((e[0] in region) ^ (e[1] in region))
     )
     rho_full = dense_output(c)
-    rho_cut = dense_output(c, edges=inside)
+    rho_cut = dense_output(dataclasses.replace(c, edges=inside))
     dev = 0.0
     for keep in (sorted(region), other):
         if not keep:

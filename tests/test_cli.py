@@ -376,14 +376,19 @@ def test_purify_custom_angles(capsys):
 
 
 def test_purify_invalid_angles(capsys):
-    # violates the chain constraint -> ValueError -> exit 1
+    # violates the chain constraint -> ValueError -> exit 1, with its own message
     assert main(["purify", "--angles", "0.18,0.5"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: chain constraint violated at step 1")
     # an empty list is an error, not a request for the default angles
-    capsys.readouterr()
-    assert main(["purify", "--angles", ""]) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+    # NaN passes the chain constraint's comparison, and inf fails later in sin()
+    for angles in ("", " ", "0.1,x", "0.18,,0.32", "nan", "0.1,nan", "0.1,inf", "1e308"):
+        assert main(["purify", "--angles", angles]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --angles must be finite numbers in units of pi, "
+            f"e.g. 0.18,0.32, got {angles!r}\n"
+        )
 
 
 def test_pbs_verify(tmp_path, capsys):
@@ -392,6 +397,19 @@ def test_pbs_verify(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["all_pass"] is True
     assert {c["d"] for c in result["identities"]} == {2, 3, 4}
+
+
+def test_pbs_verify_names_failing_checks(tmp_path, capsys, monkeypatch):
+    # a gap of 1e-9 on the d = 3 identity only, over the 1e-12 tolerance
+    monkeypatch.setattr(
+        cli.pbs, "offdiag_identity_check", lambda rho: (1e-9 if len(rho) == 3 else 0.0, 0.0)
+    )
+    out = tmp_path / "pbs.json"
+    assert main(["pbs-verify", "--seed", "0", "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_pass"] is False
+    assert json.loads(out.read_text())["all_pass"] is False
+    assert captured.err == "error: pbs-verify checks failed: identity d=3\n"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -411,12 +411,16 @@ def test_probes_record_every_sign_decision(monkeypatch):
     assert block_value(b, b.radii(est.upper), est.witness) < 0.0
 
 
-def test_descent_gain_scales_past_12_sites():
+@pytest.mark.parametrize("hw", [(6, 7), (8, 8)], ids=["6x7", "8x8"])
+def test_descent_gain_scales_past_12_sites(hw):
     # block values on 6x7 are near 1e-17, so a fixed 1e-15 gain per move
     # stalled a random-start descent at 2e-15, far above the all-zero value
-    # 3.5e-18; the all-zero point is the minimum here up to rounding, so the
-    # descent can only come within its stopping gain of it
-    b = BlockSpec(6, 7, PLAIN)
+    # 3.5e-18; the all-zero point is the minimum there up to rounding, so the
+    # descent can only come within its stopping gain of it.  On 8x8 every
+    # kernel |k1| is below 6e-20, so a floor of 1e-18 on |k1| would leave the
+    # descent at its start, 3.0e-20; it ends at -5.2e-26, below the all-zero
+    # value -3.6e-27
+    b = BlockSpec(*hw, PLAIN)
     radii = b.radii(0.136)
     zero = block_value(b, radii, (0.0,) * b.n)
     start = np.random.default_rng(0).uniform(0, 2 * math.pi, b.n)
