@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum
+from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum, is_real
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class MeasurementRule:
     def __post_init__(self):
         if self.kind not in (Z_BASIS, XY_PLANE):
             raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if not math.isfinite(self.base_alpha):
-            raise ValueError(f"non-finite angle base_alpha={self.base_alpha!r}")
+        if not (is_real(self.base_alpha) and math.isfinite(self.base_alpha)):
+            raise ValueError(f"invalid angle base_alpha={self.base_alpha!r}")
         for name in ("sign_deps", "shift_deps"):
             deps = frozenset(_index(d, name) for d in getattr(self, name))
             object.__setattr__(self, name, deps)

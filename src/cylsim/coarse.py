@@ -20,8 +20,7 @@ contraction orders:
   holding 3^H codes for the short side H.  It gives single values and, with
   left and right environments cached as in DMRG sweeps, the per-site kernel
   (the value as an affine function of one site's monomials) in
-  O(3^(H+1)) per site.  Coordinate descent and the {0, pi} flip search run
-  on these kernels.
+  O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
 - the coefficient tensor multiplies all factors out into 3^n real entries,
   by broadcasting, in the per-site basis (1, Re a_i, Im a_i).  Exact grid
   minima contract it with every grid point at once, one matrix product per
@@ -332,31 +331,40 @@ def _min_gain(n: int) -> float:
     return 1e-15 * 2.0 ** -max(0, n - 12)
 
 
-def _coordinate_descent(
-    b: BlockSpec, radii: np.ndarray, thetas0
-) -> tuple[float, tuple[float, ...]]:
-    """Exact per-coordinate minimization: the value is affine in each a_i,
-    so the optimal angle given the others is available in closed form.
-    _min_gain(n) is the only acceptance rule: a move gains at most 2 rho_i |k1|,
-    so it rejects negligible kernels; a fixed floor on |k1| would stall large blocks."""
-    thetas = np.array(thetas0, dtype=float)
-    chain = _Frontier(b, _transverse(radii, thetas))
+def _coordinate_descent(b: BlockSpec, radii: np.ndarray, a0) -> tuple[float, np.ndarray]:
+    """Greedy descent over the transverse components a_i, from a0.
+
+    The value is affine in each a_i, Re(k0 + 2 k1 a_i) given the others, so
+    the best a_i on its disc is -(rho_i / 2) conj(k1) / |k1|.  Codes 1 and 2
+    enter _SITE and _EDGE symmetrically, so real components give real
+    kernels, and the best a_i is then a sign flip: a real start stays real,
+    and the frontier keeps its dtype, float64 or complex.  _min_gain(n) is
+    the only acceptance rule: a move gains at most 2 rho_i |k1|, so it
+    rejects negligible kernels; a fixed floor on |k1| would stall large blocks.
+    """
+    a = np.array(a0)
+    chain = _Frontier(b, a)
     val = chain.value()
     gain = _min_gain(b.n)
     for _ in range(_MAX_SWEEPS):
         improved = False
         for i in range(b.n):
-            # value = Re(k0 + k1 a_i + conj(k1) conj(a_i))
             k0, k1, _ = chain.kernel(i)
             cand = k0.real - radii[i] * abs(k1)
             if cand < val - gain:
-                thetas[i] = math.atan2(k1.imag, k1.real) - math.pi
-                chain.set(i, _transverse(radii[i], thetas[i]))
+                a[i] = -(radii[i] / 2.0) * (np.conj(k1) / abs(k1))
+                chain.set(i, a[i])
                 val = cand
                 improved = True
         if not improved:
             break
-    return float(val), tuple(float(t % TWO_PI) for t in thetas)
+    return float(val), a
+
+
+def _angles(a) -> tuple[float, ...]:
+    """Input angles of transverse components a = (rho / 2) exp(-i theta),
+    in [0, 2 pi): exactly 0.0 or pi for real components."""
+    return tuple(float(-t % TWO_PI) for t in np.angle(a))
 
 
 class Probe(NamedTuple):
@@ -454,10 +462,11 @@ def s_estimate(
     witnesses = {}  # assignment of each failing upper probe, by radius
 
     def nonnegative(r: float) -> bool:
-        v, thetas = _coordinate_descent(b, b.radii(r), (0.0,) * b.n)
+        radii = b.radii(r)
+        v, a = _coordinate_descent(b, radii, radii / 2.0)
         probes.append(Probe("upper", r, v >= 0.0, v))
         if v < 0.0:
-            witnesses[r] = thetas
+            witnesses[r] = a
         return v >= 0.0
 
     def certified(r: float) -> bool:
@@ -474,7 +483,7 @@ def s_estimate(
         upper, witness = R_SEARCH_CAP, None
     else:
         _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
-        witness = witnesses[upper]
+        witness = _angles(witnesses[upper])
 
     # lower: largest r whose inflated-grid minimum is certified nonnegative
     if certified(upper):
@@ -535,40 +544,18 @@ def conjecture_fast_path(
 ) -> tuple[float, tuple[float, ...]]:
     """Heuristic minimum over inputs with no Y component (angles 0 or pi).
 
-    Greedy single-site sign flips from the all-zero pattern and from random
-    patterns; each flip is valued exactly from the site's frontier kernel.
+    The coordinate descent from the all-zero angles and from random {0, pi}
+    patterns.  Their components are real, so every kernel is real and every
+    move a sign flip, valued exactly: the descent never leaves {0, pi}.
     The restriction to real transverse components is a conjecture about
     where the optimum sits, so results are upper-bound material only.
     """
-    n = b.n
-    half = b.radii(r) / 2.0
+    radii = b.radii(r)
     rng = np.random.default_rng(seed)
-    gain = _min_gain(n)
-
-    def descend(pattern: np.ndarray) -> tuple[float, np.ndarray]:
-        chain = _Frontier(b, pattern * half)
-        best = chain.value()
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                k0, k1, k2 = chain.kernel(i)
-                flipped = -pattern[i] * half[i]
-                v = k0 + (k1 + k2) * flipped  # a is real, so conj(a) = a
-                if v < best - gain:
-                    pattern[i] *= -1
-                    chain.set(i, flipped)
-                    best = v
-                    improved = True
-        return best, pattern
-
-    best_v, best_p = descend(np.ones(n, dtype=int))
-    for _ in range(restarts):
-        v, p = descend(rng.choice([-1, 1], size=n))
-        if v < best_v:
-            best_v, best_p = v, p
-    thetas = tuple(0.0 if s > 0 else math.pi for s in best_p)
-    return float(best_v), thetas
+    starts = [np.ones(b.n)] + [rng.choice([-1, 1], size=b.n) for _ in range(restarts)]
+    descents = (_coordinate_descent(b, radii, s * (radii / 2.0)) for s in starts)
+    v, a = min(descents, key=lambda t: t[0])  # ties go to the earliest start
+    return v, _angles(a)
 
 
 def find_negativity_witness(

@@ -11,18 +11,21 @@ radius above zero are not quantum states; they are still valid inputs here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
 #: default tolerance for membership / positivity decisions
 MEMBERSHIP_TOL = 1e-9
 
-#: default tolerance for reconstruction identities
-RECONSTRUCTION_TOL = 1e-6
-
 Z_BASIS = "ZBasis"
 XY_PLANE = "XYPlane"
+
+
+def is_real(x) -> bool:
+    """A real number that is not a bool (True and False are Integral in Python)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def canonical_angle(theta: float) -> float:
@@ -64,12 +67,13 @@ class CylinderExtremum:
     pole: int
 
     def __post_init__(self):
-        if self.r < 0.0 or not math.isfinite(self.r):
+        if not (is_real(self.r) and self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"invalid radius {self.r!r}")
-        if self.pole not in (+1, -1):
-            raise ValueError(f"pole must be +1 or -1, got {self.pole!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"non-finite angle theta={self.theta!r}")
+        pole = self.pole
+        if not (is_real(pole) and isinstance(pole, numbers.Integral) and pole in (1, -1)):
+            raise ValueError(f"pole must be the integer +1 or -1, got {pole!r}")
+        if not (is_real(self.theta) and math.isfinite(self.theta)):
+            raise ValueError(f"invalid angle theta={self.theta!r}")
         object.__setattr__(self, "theta", canonical_angle(self.theta))
 
 

@@ -81,14 +81,12 @@ class ChainProtocol:
     def __post_init__(self):
         if len(self.angles) < 1:
             raise ValueError("at least one ancilla angle required")
-        psi = self.angles[0]
-        for k in range(1, len(self.angles)):
-            if abs(psi + self.angles[k] - HALF_PI) > CONSTRAINT_TOL:
+        # every pair but the derived last one must meet the constraint
+        for k, (psi, phi) in enumerate(self.measurement_pairs()[:-1], start=1):
+            if abs(psi + phi - HALF_PI) > CONSTRAINT_TOL:
                 raise ValueError(
-                    f"chain constraint violated at step {k}: "
-                    f"{psi:.4f} + {self.angles[k]:.4f} != pi/2"
+                    f"chain constraint violated at step {k}: {psi:.4f} + {phi:.4f} != pi/2"
                 )
-            psi = failure_angle(psi, self.angles[k])
 
     def measurement_pairs(self) -> list[tuple[float, float]]:
         """(carrier, partner) angle pairs for every round, last one derived."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -226,7 +227,8 @@ def sample_parallel(
     rep: StochasticRep,
     threads: int = 1,
 ) -> dict[str, int]:
-    """Bitstring -> count table of `shots` shots, blocks of BLOCK_SHOTS split across threads.
+    """Bitstring -> count table of `shots` shots, blocks of BLOCK_SHOTS split
+    across at most `threads` threads, and no more than there are blocks or CPUs.
 
     Position v holds vertex v's bit.  Block b draws from Philox(key=[seed, b]),
     so the table is the same for every thread count.  Raises ValueError for a
@@ -253,7 +255,8 @@ def sample_parallel(
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
         return _tally(kernel.outcomes(rng.random((size, kernel.width))))
 
-    workers = min(threads, len(blocks))
+    # each worker holds one block's arrays, so more workers than cores only add memory
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         parts = [run(b) for b in blocks]
     else:

@@ -105,6 +105,12 @@ def _malformed(tmp_path, case):
         data["inputs"][0]["theta"] = math.nan
     elif case == "nan-base-alpha":
         data["plan"][0]["base_alpha"] = math.nan
+    elif case == "bool-base-alpha":
+        data["plan"][0]["base_alpha"] = True
+    elif case in ("bool-r", "bool-theta", "bool-pole", "float-pole"):
+        key, value = {"bool-r": ("r", True), "bool-theta": ("theta", False),
+                      "bool-pole": ("pole", True), "float-pole": ("pole", 1.0)}[case]
+        data["inputs"][0][key] = value
     elif case == "not-json":
         path.write_text("{")
         return path, extra
@@ -128,7 +134,7 @@ def _malformed(tmp_path, case):
 @pytest.mark.parametrize(
     "case",
     ["missing-file", "missing-key", "float-edges", "nan-theta", "nan-base-alpha", "not-json",
-     "deep-nesting", "seed-negative", "seed-too-large", "shots-negative", "threads-zero",
+     "bool-base-alpha", "bool-r", "bool-theta", "bool-pole", "float-pole", "deep-nesting", "seed-negative", "seed-too-large", "shots-negative", "threads-zero",
      "margin-minus-one"],
 )
 def test_sample_compare_reject_malformed_input(tmp_path, capsys, command, case):

@@ -15,9 +15,11 @@ from cylsim.coarse import (
     BlockTooLarge,
     _code_tensor,
     _Frontier,
+    _angles,
     _coordinate_descent,
     _grid_chunks,
     _grid_sign,
+    _min_gain,
     _transverse,
     block_min_prob_dense,
     block_value,
@@ -255,6 +257,80 @@ def test_fast_path_value_is_exact_3x4():
     )
 
 
+def reference_flip_search(b: BlockSpec, r: float, restarts: int = 8, seed: int = 0):
+    """The {0, pi} fast path as its own greedy flip loop, before it became the
+    coordinate descent from real starts: kept as the reference that the fold
+    must reproduce up to rounding."""
+    n = b.n
+    half = b.radii(r) / 2.0
+    rng = np.random.default_rng(seed)
+    gain = _min_gain(n)
+
+    def descend(pattern):
+        chain = _Frontier(b, pattern * half)
+        best = chain.value()
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n):
+                k0, k1, k2 = chain.kernel(i)
+                flipped = -pattern[i] * half[i]
+                v = k0 + (k1 + k2) * flipped
+                if v < best - gain:
+                    pattern[i] *= -1
+                    chain.set(i, flipped)
+                    best = v
+                    improved = True
+        return best, pattern
+
+    best_v, best_p = descend(np.ones(n, dtype=int))
+    for _ in range(restarts):
+        v, p = descend(rng.choice([-1, 1], size=n))
+        if v < best_v:
+            best_v, best_p = v, p
+    return float(best_v), tuple(0.0 if s > 0 else math.pi for s in best_p)
+
+
+@pytest.mark.parametrize("hw", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (6, 7)])
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_fast_path_matches_reference_flip_search(hw, mode):
+    b = BlockSpec(*hw, mode)
+    scale = 2.0**b.n
+    radii = (0.136, 0.3, 0.6) if mode == PLAIN else (0.05, 0.08, 0.2)
+    for r in radii:
+        for seed in (0, 1):
+            v, thetas = conjecture_fast_path(b, r, restarts=2, seed=seed)
+            ref, _ = reference_flip_search(b, r, restarts=2, seed=seed)
+            assert set(thetas) <= {0.0, math.pi}
+            # scaled values reach 8e4 at r = 0.6 on 6x7, hence the relative term
+            assert scale * v == pytest.approx(scale * ref, rel=1e-12, abs=1e-12)
+            exact = block_value(b, b.radii(r), thetas)
+            assert scale * v == pytest.approx(scale * exact, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_witness_hunt_matches_reference_flip_search(seed):
+    # criterion 08's radii on 6x7
+    b = BlockSpec(6, 7, PLAIN)
+    r_values = (0.130, 0.136, 0.140, 0.145)
+    hit = find_negativity_witness(b, r_values, restarts=2, seed=seed)
+    ref = next(r for r in r_values if reference_flip_search(b, r, restarts=2, seed=seed)[0] < 0.0)
+    assert hit is not None and hit[0] == ref
+
+
+def test_descent_keeps_the_dtype_of_its_start():
+    b = BlockSpec(2, 3, LAMBDA_GROWN)
+    radii = b.radii(0.08)
+    v, a = _coordinate_descent(b, radii, radii / 2.0)
+    assert a.dtype == np.float64
+    assert set(_angles(a)) <= {0.0, math.pi}
+    assert v == pytest.approx(block_value(b, radii, _angles(a)), abs=1e-15)
+    start = _transverse(radii, np.random.default_rng(2).uniform(0, 2 * math.pi, b.n))
+    v, a = _coordinate_descent(b, radii, start)
+    assert a.dtype == np.complex128
+    assert v == pytest.approx(block_value(b, radii, _angles(a)), abs=1e-15)
+
+
 def test_s_estimate_validates_arguments():
     b = BlockSpec(1, 2)
     for grid in (0, 3, -8, 8.0, True):
@@ -379,7 +455,7 @@ def test_probes_record_every_sign_decision(monkeypatch):
     descent = coarse._coordinate_descent
 
     def spy(*args):
-        descents.append(args[2])
+        descents.append((args[1], args[2]))
         return descent(*args)
 
     monkeypatch.setattr(coarse, "_coordinate_descent", spy)
@@ -394,7 +470,8 @@ def test_probes_record_every_sign_decision(monkeypatch):
     assert {p.holds for p in upper} == {p.holds for p in lower} == {True, False}
     for p in upper:
         assert p.holds == (p.value >= 0.0)
-        assert p.value == _coordinate_descent(b, b.radii(p.r), (0.0,) * b.n)[0]
+        radii = b.radii(p.r)
+        assert p.value == _coordinate_descent(b, radii, radii / 2.0)[0]
     inflate = est.cert_inflation
     for p in lower:
         radii = b.radii(p.r) * inflate
@@ -402,12 +479,15 @@ def test_probes_record_every_sign_decision(monkeypatch):
         assert p.value == _grid_sign(D, radii, est.cert_grid)
         if p.holds:
             assert p.value == min(_grid_chunks(D, radii, est.cert_grid))
-    # one zero-start descent per upper probe and none for the witness, which
+    # one zero-angle descent per upper probe and none for the witness, which
     # is the assignment of the failing probe at upper
-    assert descents == [(0.0,) * b.n] * len(upper)
+    assert len(descents) == len(upper)
+    for (radii, start), p in zip(descents, upper):
+        assert np.array_equal(radii, b.radii(p.r)) and np.array_equal(start, radii / 2.0)
     assert est.upper == min(p.r for p in upper if not p.holds)
     assert est.lower == max(p.r for p in lower if p.holds)
-    assert est.witness == _coordinate_descent(b, b.radii(est.upper), (0.0,) * b.n)[1]
+    radii = b.radii(est.upper)
+    assert est.witness == _angles(_coordinate_descent(b, radii, radii / 2.0)[1])
     assert block_value(b, b.radii(est.upper), est.witness) < 0.0
 
 
@@ -424,10 +504,10 @@ def test_descent_gain_scales_past_12_sites(hw):
     radii = b.radii(0.136)
     zero = block_value(b, radii, (0.0,) * b.n)
     start = np.random.default_rng(0).uniform(0, 2 * math.pi, b.n)
-    v, thetas = _coordinate_descent(b, radii, start)
+    v, a = _coordinate_descent(b, radii, _transverse(radii, start))
     scale = 2.0**b.n  # block values are sums of terms of order 2^-n
     assert scale * (v - zero) < 1e-9
-    assert scale * v == pytest.approx(scale * block_value(b, radii, thetas), abs=1e-12)
+    assert scale * v == pytest.approx(scale * block_value(b, radii, _angles(a)), abs=1e-12)
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (1, 3), (2, 2)])

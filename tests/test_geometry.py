@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +47,12 @@ def test_extremum_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             CylinderExtremum(0.5, bad, 1)
+    # True and False are numbers to Python, and 1.0 == 1
+    for args in ((True, 0, 1), ("0.5", 0, 1), (0.5, False, 1), (0.5, "0", 1),
+                 (0.5, 0, True), (0.5, 0, 1.0), (0.5, 0, -1.0)):
+        with pytest.raises(ValueError):
+            CylinderExtremum(*args)
+    assert CylinderExtremum(np.float64(0.5), np.float64(1.0), np.int64(-1)).pole == -1
 
 
 @given(angles)

@@ -259,10 +259,18 @@ def test_pool_capped_by_blocks(rep, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(sampler, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 4)
     c = build_fixture("chain2", rep.growth, adaptive=False)
     sample_parallel(c, 3 * BLOCK_SHOTS - 5, 2, rep, 64)
     sample_parallel(c, BLOCK_SHOTS, 2, rep, 8)
     assert sizes == [3]
+    # the CPU count caps the pool too, and the table does not change
+    table = sample_parallel(c, 3 * BLOCK_SHOTS, 2, rep, 3)
+    for cpus, workers in ((2, 2), (1, None), (None, None)):
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert sample_parallel(c, 3 * BLOCK_SHOTS, 2, rep, 1000) == table
+        assert sizes == ([] if workers is None else [workers])
 
 
 @pytest.mark.parametrize(
