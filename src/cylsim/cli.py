@@ -94,11 +94,12 @@ def _available_memory() -> int:
 
 
 def _dense_peak(n: int) -> float:
-    """Estimated peak bytes of oracle.exact_distribution at n qubits: 1.75x
-    the 16 * 4^n-byte operator (the operator, both outcomes' halves and one
-    quarter-size term), plus 1 MiB for buffers that do not grow with n (133 kB
-    measured by tracemalloc at n = 8 to 11)."""
-    return 1.75 * 16 * 4**n + 2**20
+    """Estimated peak bytes of oracle.exact_distribution at n qubits: 0.75x
+    the 16 * 4^n bytes of a full operator, which it never forms (both outcomes
+    of the first measurement, then the next measurement's outcomes beside
+    them), plus 1 MiB for buffers that do not grow with n (134-137 kB measured
+    by tracemalloc at n = 8 to 11)."""
+    return 0.75 * 16 * 4**n + 2**20
 
 
 def _refuse_dense(c: ClusterCircuit) -> None:

@@ -285,11 +285,13 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
     angle grid, in flat index order.
 
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
-    contract the coefficient tensor D: the leading k sites first, at every
-    grid point at once, then the rest in chunks of head rows, last site
-    first, each chunk small enough (_CHUNK values) to stay in cache.  The
-    chunk boundaries fix the order of the arithmetic, so they set the last
-    bits of each value.
+    contract the coefficient tensor D: the leading k sites first, giving one
+    head row per grid point of those sites, then the rest in chunks of head
+    rows, last site first, each chunk small enough (_CHUNK values) to stay in
+    cache.  Head rows are formed only as the chunks reach them, from the one
+    parent row they share per level, so a scan that stops early skips the
+    rest.  The chunk boundaries fix the order of the arithmetic, so they set
+    the last bits of each value.
     """
     n = D.ndim
     angles = np.arange(grid) * (TWO_PI / grid)
@@ -300,13 +302,24 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
     k = 0
     while grid ** (n - k) > _CHUNK:
         k += 1
-    heads = D.reshape(1, -1)
-    for i in range(k):
-        heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
+    # per level i < k: the index of the last level-i row expanded, and its
+    # grid children, the level-(i + 1) rows that share it
+    children = [(None, None)] * k
+
+    def head(r: int) -> np.ndarray:
+        """Head row r: D with the leading k sites contracted at grid point r."""
+        row = D.reshape(-1)
+        for i in range(k):
+            a = r // grid ** (k - i)  # r's ancestor among the level-i rows
+            if children[i][0] != a:
+                children[i] = (a, np.matmul(Y[i], row.reshape(3, -1)))
+            row = children[i][1][r // grid ** (k - i - 1) % grid]
+        return row
+
     tail = grid ** (n - k)
     rows = max(1, _CHUNK // tail)
-    for s in range(0, len(heads), rows):
-        t = heads[s : s + rows]
+    for s in range(0, grid**k, rows):
+        t = np.stack([head(r) for r in range(s, min(s + rows, grid**k))])
         for i in range(n - 1, k - 1, -1):
             # grid indices so far lead each row; site i's code is the last axis
             t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))

@@ -173,15 +173,15 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is 1.75 * 16 * 4^2 + 2^20 = 1049024 bytes
-    monkeypatch.setattr(cli, "_available_memory", lambda: 1049024)
+    # chain2's estimated peak is 0.75 * 16 * 4^2 + 2^20 = 1048768 bytes
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1048768)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(cli, "_available_memory", lambda: 1049023)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1048767)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
@@ -205,7 +205,9 @@ def test_dense_peak_bounds_the_oracle(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 1.75 * 16 * 4**n < peak <= cli._dense_peak(n)
+    # the first measurement is folded into the product: no 16 * 4^n-byte operator
+    assert 0.75 * 16 * 4**n < peak < 16 * 4**n
+    assert peak <= cli._dense_peak(n)
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -216,7 +218,7 @@ def test_refuse_dense_follows_the_estimate(n, monkeypatch):
         tuple(range(n)),
     )
     need = cli._dense_peak(n)
-    assert need == 28 * 4**n + 2**20
+    assert need == 12 * 4**n + 2**20
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need))
     cli._refuse_dense(c)
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need) - 1)
@@ -231,7 +233,7 @@ def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
     c = build_fixture("chain2", LAMBDA, adaptive=False)
-    need = cli._dense_peak(c.n_qubits)  # 1049024 bytes = 1024.4375 kB
+    need = cli._dense_peak(c.n_qubits)  # 1048768 bytes = 1024.1875 kB
     meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
                        "MemAvailable:       1025 kB\nBuffers:          100 kB\n")
     assert cli._available_memory() == 1025 * 1024 > need

@@ -266,6 +266,34 @@ def _pruned():
     )
 
 
+def _middle_first():
+    """grid2x3 measured from its degree-3 middle vertex 1, every input a pole
+    -1 quasi-state (r = 1): the folded first measurement sees three CZ
+    neighbours, on both sides of it in index order."""
+    def xy(a, sign=(), shift=()):
+        return MeasurementRule(XY_PLANE, a, frozenset(sign), frozenset(shift))
+
+    plan = {1: xy(0.6), 4: xy(1.9, [1]), 0: xy(-0.8, [4], [1]), 5: MeasurementRule(Z_BASIS),
+            2: xy(2.4, [0], [1, 4]), 3: xy(0.2, [2, 5])}
+    base = build_fixture("grid2x3", LAMBDA, adaptive=False)
+    return dataclasses.replace(
+        base,
+        inputs=tuple(dataclasses.replace(e, r=1.0, pole=-1) for e in base.inputs),
+        plan=tuple(plan[v] for v in range(6)),
+        order=(1, 4, 0, 5, 2, 3),
+    )
+
+
+def _z_first():
+    """grid2x3 measured from vertex 4 in the Z basis; its neighbours 1, 3 and 5
+    lie on both sides of it in index order."""
+    base = build_fixture("grid2x3", LAMBDA, adaptive=False)
+    plan = list(base.plan)
+    plan[4] = MeasurementRule(Z_BASIS)
+    plan[3] = MeasurementRule(XY_PLANE, 1.2, frozenset({4}))
+    return dataclasses.replace(base, plan=tuple(plan), order=(4, 3, 0, 5, 1, 2))
+
+
 ORACLE_CASES = {
     **{f"{name}-{'adaptive' if a else 'plain'}": (lambda name=name, a=a: build_fixture(name, LAMBDA, a))
        for name in sorted(FIXTURE_GRAPHS) for a in (False, True)},
@@ -277,6 +305,8 @@ ORACLE_CASES = {
         2, ((0, 1),), (CylinderExtremum(1.0, 0, 1), CylinderExtremum(1.0, 0.5, 1)),
         (MeasurementRule(XY_PLANE, 0.4), MeasurementRule(XY_PLANE, 1.1)), (0, 1)),
     "pruned": _pruned,
+    "middle-first-quasi-grid2x3": _middle_first,
+    "z-first-grid2x3": _z_first,
     "one-xy": lambda: ClusterCircuit(
         1, (), (CylinderExtremum(0.6, 1.0, -1),), (MeasurementRule(XY_PLANE, 0.3),), (0,)),
     "one-z": lambda: ClusterCircuit(
