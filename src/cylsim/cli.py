@@ -5,10 +5,12 @@ codes: 0 success, 2 non-simulable circuit, 3 resource cap exceeded, 1 any
 other error, usage errors included.  sample and compare share one path:
 read the circuit, get the representation, check simulability once, sample.
 compare first refuses with exit 3 a circuit whose dense oracle is over
-DENSE_CAP qubits or would not fit in available memory; both refuse with exit 3
-a --shots whose uniform draws exceed sampler.MAX_UNIFORMS.  Stochastic
-commands require --seed and echo a provenance JSON sufficient to reproduce
-their output bit-exactly.
+DENSE_CAP qubits or whose estimated peak (_dense_peak, from the oracle's
+window walk) would not fit in available memory; both refuse with exit 3 a
+--shots whose uniform draws exceed sampler.MAX_UNIFORMS.  compare prints the
+TV distance to the exact distribution, its sampling bound oracle.tv_bound and
+whether it lies within it.  Stochastic commands require --seed and echo a
+provenance JSON sufficient to reproduce their output bit-exactly.
 """
 
 from __future__ import annotations
@@ -93,19 +95,32 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _dense_peak(n: int) -> float:
-    """Estimated peak bytes of oracle.exact_distribution at n qubits: 0.75x
-    the 16 * 4^n bytes of a full operator, which it never forms (both outcomes
-    of the first measurement, then the next measurement's outcomes beside
-    them), plus 1 MiB for buffers that do not grow with n (134-137 kB measured
-    by tracemalloc at n = 8 to 11)."""
-    return 0.75 * 16 * 4**n + 2**20
+def _dense_peak(c: ClusterCircuit) -> float:
+    """Estimated peak bytes of oracle.exact_distribution on c, from its window
+    walk.  Step k holds at most 2^k branches of complex operators on the
+    window; its peak is the largest of three phases: the last Kronecker
+    factor of the qubits joining the window beside its result and the step's
+    input, the grown input beside both outcomes and the per-branch vectors of
+    the measurement (40 bytes per branch and window basis state), and the
+    outcomes beside the branches that pruning keeps.  Each step adds 512
+    bytes a branch for outcome bits and angles, the result 256 bytes an
+    outcome for its 2^n-entry dict, and 512 kiB covers numpy's buffers (two
+    of 128 kiB at most at a time)."""
+    peak = 256.0 * 2**c.n_qubits
+    for k, (v, new, window, _) in enumerate(oracle.window_walk(c)):
+        b = 2.0**k
+        grown = 16 * b * 4 ** len(window)
+        m = 2 ** (len(window) - (v in window))
+        out = 32 * b * m * m
+        step = max(grown * 21 / 16 if new else 0, grown + out + 40 * b * m, out * (2 - 0.5 / b))
+        peak = max(peak, step + 512 * b)
+    return peak + 2**19
 
 
 def _refuse_dense(c: ClusterCircuit) -> None:
     if c.n_qubits > oracle.DENSE_CAP:
         raise _Refused(EXIT_RESOURCE_CAP, f"dense oracle capped at {oracle.DENSE_CAP} qubits")
-    need, have = _dense_peak(c.n_qubits), _available_memory()
+    need, have = _dense_peak(c), _available_memory()
     if need > have:
         raise _Refused(
             EXIT_RESOURCE_CAP,
@@ -139,8 +154,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError(f"compare needs --shots >= 1, got {args.shots}")
     c, _, _, counts = _sample(args, _refuse_dense)
-    tv = oracle.tv_distance(oracle.normalize_counts(counts), oracle.exact_distribution(c))
-    result = {"tv": tv, "shots": args.shots, "epsilon_pass": tv <= 0.02}
+    dist = oracle.exact_distribution(c)
+    tv = oracle.tv_distance(oracle.normalize_counts(counts), dist)
+    bound = oracle.tv_bound(args.shots, sum(1 for p in dist.values() if p > 0.0))
+    result = {"tv": tv, "shots": args.shots, "tv_bound": bound, "within_bound": tv <= bound}
     _write_json(args.out, _provenance(args, result))
     print(json.dumps(result))
     return EXIT_OK

@@ -1,12 +1,17 @@
 """Exact dense reference for small circuits.
 
-Forms the CZ-conjugated product of the inputs (which may be non-positive
-quasi-states) by elementwise sign masks, and measures the adaptive outcome
-tree exactly, breadth-first over one array of all branches.  dense_output
-returns the full 2^n x 2^n operator; exact_distribution folds the first
-measurement into the product, so its largest operator is on n - 1 qubits.
-Deliberately method-independent of the sampler: no separable decompositions,
-no stabilizer shortcuts.
+dense_output forms the CZ-conjugated product of the inputs (which may be
+non-positive quasi-states) by elementwise sign masks: the full 2^n x 2^n
+operator.  exact_distribution measures the adaptive outcome tree exactly,
+breadth-first over one array of all branches, holding operators only on a
+window: the qubits that a measured neighbour has entangled and that are not
+measured yet.  A qubit joins the window as a Kronecker factor when its first
+neighbour is measured, each CZ edge becomes a parity sign mask in the
+measurement of its first endpoint, and a vertex that no earlier measurement
+reached is folded in with its own measurement, so on a chain measured end to
+end the largest operator is on two qubits.  tv_bound is the sampling bound
+that compare judges the TV distance by.  Deliberately method-independent of
+the sampler: no separable decompositions, no stabilizer shortcuts.
 """
 
 from __future__ import annotations
@@ -45,13 +50,14 @@ def _cz_signs(n: int, edges) -> np.ndarray:
     return signs
 
 
-def _product(inputs) -> np.ndarray:
-    """Kronecker product of the inputs' 2x2 operators in order; [[1]] for none."""
-    rho = np.ones((1, 1), dtype=complex)
+def _product(inputs, rho=None) -> np.ndarray:
+    """rho (default [[1]]) times the inputs' 2x2 operators in order, each as a
+    Kronecker factor on the right of the last two axes."""
+    rho = np.ones((1, 1), dtype=complex) if rho is None else rho
     for e in inputs:
-        d = len(rho)
+        d = rho.shape[-1]
         site = extremum_matrix(e).reshape(1, 2, 1, 2)
-        rho = (rho.reshape(d, 1, d, 1) * site).reshape(2 * d, 2 * d)
+        rho = (rho.reshape(-1, d, 1, d, 1) * site).reshape(*rho.shape[:-2], 2 * d, 2 * d)
     return rho
 
 
@@ -74,54 +80,64 @@ def dense_output(c: ClusterCircuit) -> np.ndarray:
     return rho
 
 
-def _first_outcomes(c: ClusterCircuit) -> np.ndarray:
-    """Both outcomes of measuring v = c.order[0], shape (2, 2^(n-1), 2^(n-1)),
-    without forming the 2^n x 2^n operator.
+def window_walk(c: ClusterCircuit):
+    """The steps of exact_distribution: for each v of c.order, yield v, the
+    qubits that join the window when v is measured (its unmeasured neighbours
+    not yet in it, in index order), the window after they join (a tuple in
+    basis order, v in it only if it joined at an earlier step) and v's
+    unmeasured neighbours."""
+    linked = [set() for _ in range(c.n_qubits)]
+    for u, w in c.edges:
+        linked[u].add(w)
+        linked[w].add(u)
+    window = []
+    for v in c.order:
+        for u in linked[v]:
+            linked[u].discard(v)
+        new = sorted(u for u in linked[v] if u not in window)
+        window += new
+        yield v, tuple(new), tuple(window), frozenset(linked[v])
+        if v in window:
+            window.remove(v)
 
-    With R the product of the other inputs in natural order, S_a the CZ sign
-    vector of the others' basis states given s_v = a, and U = [S_0, S_1], the
-    outcome o operator is R * (U M^o U^T) elementwise, where M^o[a, b] =
-    P^o[b, a] rho_v[a, b] for the projector P^o = |e_o><e_o|.
-    """
-    n, v = c.n_qubits, c.order[0]
-    rule = c.plan[v]
-    signs = _cz_signs(n, c.edges)
-    u = np.stack([signs.take(a, axis=v).ravel() for a in (0, 1)], axis=1)
-    if rule.kind == XY_PLANE:
-        # the first vertex has no dependencies, so its azimuth is base_alpha
-        ph = np.exp(1j * rule.base_alpha)
-        e = np.array([[1.0, ph], [1.0, -ph]]) / math.sqrt(2.0)
-    else:
-        e = np.eye(2)
-    m = e.conj()[:, :, None] * e[:, None, :] * extremum_matrix(c.inputs[v])
-    r = _product(c.inputs[:v] + c.inputs[v + 1 :])
-    out = u @ m @ u.T
-    out *= r
-    return out
+
+def _parity(qubits, marked) -> np.ndarray:
+    """(-1)^(number of marked qubits in state 1) for each basis state of
+    qubits, the first qubit most significant."""
+    s = np.ones(1)
+    for u in qubits:
+        s = np.outer(s, (1.0, -1.0) if u in marked else (1.0, 1.0)).ravel()
+    return s
 
 
 def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> dict[str, float]:
     """Signed measure over outcome bitstrings, exact for any dense-cap circuit.
 
-    Measures breadth-first: t holds the operator of every surviving branch on
-    the m unmeasured qubits, kept in natural order, as one array (branches,
-    2^m, 2^m), and bits the branches' outcomes.  The first measurement is
-    folded into the product of the inputs (_first_outcomes), so the largest
-    operator formed is on n - 1 qubits.  Adaptive angles are resolved for all
-    branches at once.  Values may be negative when inputs leave the unit
-    cylinder; they always sum to 1 (trace preservation).
+    Measures breadth-first over one array t (branches, 2^w, 2^w): the
+    operators of every surviving branch on the window, the w qubits that are
+    entangled with a measured one and not measured themselves (window_walk);
+    bits holds the branches' outcomes.  A qubit joins the window as a
+    Kronecker factor when a neighbour is measured, and the CZ edges of the
+    measured vertex become parity sign masks in its measurement step
+    (_outcomes if it is in the window, _folded_outcomes if not).  Adaptive
+    angles are resolved for all branches at once.  Values may be negative when
+    inputs leave the unit cylinder; they always sum to 1 (trace preservation).
     """
     n = c.n_qubits
     _check_cap(n)
     bits = np.zeros((1, n), dtype=np.uint8)
-    for k, v in enumerate(c.order):
-        m = 2 ** (n - 1 - k)
-        if k == 0:
-            t = _first_outcomes(c)
+    t = np.ones((1, 1, 1), dtype=complex)
+    for v, new, window, linked in window_walk(c):
+        t = _product([c.inputs[u] for u in new], t)
+        rest = [u for u in window if u != v]
+        chi = _parity(rest, linked)
+        b, m = len(t), len(chi)
+        if v in window:
+            lo = 2 ** window.index(v)
+            t = t.reshape(b, lo, 2, m // lo, lo, 2, m // lo)
+            t = _outcomes(t, c.plan[v], bits, chi.reshape(lo, m // lo))
         else:
-            lo = 2 ** sum(1 for u in c.order[k + 1 :] if u < v)
-            t = _outcomes(t.reshape(len(t), lo, 2, m // lo, lo, 2, m // lo), c.plan[v], bits)
-        b = len(bits)
+            t = _folded_outcomes(t, c.inputs[v], c.plan[v], bits, chi)
         t = t.reshape(2 * b, m, m)
         bits = np.concatenate([bits, bits])
         bits[b:, v] = 1
@@ -132,14 +148,20 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> dict[str, flo
     return {text[i * n : (i + 1) * n]: float(x) for i, x in enumerate(np.real(t[:, 0, 0]))}
 
 
-def _outcomes(t: np.ndarray, rule: MeasurementRule, bits: np.ndarray) -> np.ndarray:
+def _outcomes(
+    t: np.ndarray, rule: MeasurementRule, bits: np.ndarray, chi: np.ndarray
+) -> np.ndarray:
     """Both outcomes of measuring the middle qubit of t, shape (branches, lo,
     2, hi, lo, 2, hi), on every branch: shape (2, branches, lo, hi, lo, hi),
-    outcome 0 first.  Overwrites t, so that no temporary of its size is made.
+    outcome 0 first.  chi (lo, hi) is the parity of the middle qubit's CZ
+    edges to the others: the T01, T10 and T11 blocks take it on their
+    columns, rows and both.  Overwrites t, so that no temporary of its size
+    is made.
     """
     b, lo, _, hi = t.shape[:4]
     out = np.empty((2, b, lo, hi, lo, hi), dtype=complex)
     t00, t01, t10, t11 = (t[:, :, i, :, :, j] for i in (0, 1) for j in (0, 1))
+    rows = chi[..., None, None]
     if rule.kind == XY_PLANE:
         # (|0> +- e^{ia}|1>)/sqrt(2) gives A +- C with A = (T00 + T11)/2 and
         # C = (e^{ia} T01 + e^{-ia} T10)/2.  Each operation writes a contiguous
@@ -147,17 +169,55 @@ def _outcomes(t: np.ndarray, rule: MeasurementRule, bits: np.ndarray) -> np.ndar
         # C is parked in T01 while out[0] takes A.
         ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1, 1, 1)
         out[0], out[1] = t10, t01
-        out[0] *= ph.conj()
-        out[1] *= ph
+        out[0] *= ph.conj() * rows
+        out[1] *= ph * chi
         out[1] += out[0]
         t01[...] = out[1]
-        out[0] = t00
-        out[0] += t11
+        out[0] = t11
+        out[0] *= chi
+        out[0] *= rows
+        out[0] += t00
         out[0] *= 0.5
         np.subtract(out[0], t01, out=out[1])
         out[0] += t01
     else:
         out[0], out[1] = t00, t11
+        out[1] *= chi
+        out[1] *= rows
+    return out
+
+
+def _folded_outcomes(
+    t: np.ndarray, e: CylinderExtremum, rule: MeasurementRule, bits: np.ndarray, chi: np.ndarray
+) -> np.ndarray:
+    """Both outcomes of measuring a vertex v outside the window, whose input
+    e never joins it: shape (2, branches, m, m) for t (branches, m, m) and chi
+    (m,) the parity of v's CZ edges to the window.
+
+    With S_0 = 1 and S_1 = chi the CZ signs given s_v = 0, 1, outcome o is
+    t * sum_ab M^o[a, b] S_a(x) S_b(y) = t * (g(y) + chi(x) h(y)), where
+    M^o[a, b] = <e_o|a> rho_v[a, b] <b|e_o> for the outcome vector e_o,
+    g = M^o_00 + M^o_01 chi and h = M^o_10 + M^o_11 chi.  Each factor is
+    formed in place in out, so no temporary of its size is made.
+    """
+    b = len(t)
+    vec = np.zeros((b, 2, 2), dtype=complex)
+    if rule.kind == XY_PLANE:
+        ph = np.exp(1j * _branch_alpha(rule, bits)) / math.sqrt(2.0)
+        vec[:, :, 0] = 1.0 / math.sqrt(2.0)
+        vec[:, 0, 1], vec[:, 1, 1] = ph, -ph
+    else:
+        vec[:, 0, 0] = vec[:, 1, 1] = 1.0
+    m = vec.conj()[..., :, None] * vec[..., None, :] * extremum_matrix(e)
+    out = np.empty((2,) + t.shape, dtype=complex)
+    for o in (0, 1):
+        g = m[:, o, 0, 1, None] * chi
+        g += m[:, o, 0, 0, None]
+        h = m[:, o, 1, 1, None] * chi
+        h += m[:, o, 1, 0, None]
+        np.multiply(h[:, None, :], chi[:, None], out=out[o])
+        out[o] += g[:, None, :]
+        out[o] *= t
     return out
 
 
@@ -174,6 +234,17 @@ def tv_distance(p: dict[str, float], q: dict[str, float]) -> float:
     # fsum is exactly rounded, so the set's hash-seeded order cannot show
     keys = set(p) | set(q)
     return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def tv_bound(shots: int, support: int, delta: float = 1e-6) -> float:
+    """TV distance that an empirical table of `shots` draws from a
+    distribution with `support` outcomes exceeds with probability <= delta.
+
+    E[TV] <= 1/2 sum_i sqrt(p_i / N) <= 1/2 sqrt(K / N) by Cauchy-Schwarz, and
+    moving one draw changes TV by at most 1/N, so McDiarmid adds
+    sqrt(ln(1/delta) / (2N)).
+    """
+    return 0.5 * math.sqrt(support / shots) + math.sqrt(math.log(1.0 / delta) / (2.0 * shots))
 
 
 def normalize_counts(counts: dict[str, int]) -> dict[str, float]:
@@ -220,17 +291,3 @@ def marginal_invariance_check(c: ClusterCircuit, region: set[int]) -> float:
         dev = max(dev, float(np.max(np.abs(d))))
     return dev
 
-
-def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
-    """Real coefficient tensor c with rho = (1/2^n) sum c[i...] sigma_i x ...
-
-    Shape (4,)*n; for a unit-trace operator c[0,...,0] = 1.
-    """
-    out = np.empty((4,) * n)
-    for idx in np.ndindex(*(4,) * n):
-        op = PAULI[idx[0]]
-        for i in idx[1:]:
-            op = np.kron(op, PAULI[i])
-        val = np.trace(rho @ op)
-        out[idx] = float(np.real(val))
-    return out

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
+from cylsim.oracle import PAULI
 from cylsim.sampler import default_rep
 
 GRID_2X3_EDGES = (
@@ -56,3 +58,18 @@ def build_fixture(name: str, growth: float, adaptive: bool) -> ClusterCircuit:
         else:
             plan.append(MeasurementRule(XY_PLANE, base_alpha=0.3 + 0.5 * v))
     return ClusterCircuit(n, edges, inputs, tuple(plan), tuple(range(n)))
+
+
+def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
+    """Real coefficient tensor c with rho = (1/2^n) sum c[i...] sigma_i x ...
+
+    Shape (4,)*n; for a unit-trace operator c[0,...,0] = 1.  One trace per
+    Pauli string: a reference for small n only.
+    """
+    out = np.empty((4,) * n)
+    for idx in np.ndindex(*(4,) * n):
+        op = PAULI[idx[0]]
+        for i in idx[1:]:
+            op = np.kron(op, PAULI[i])
+        out[idx] = float(np.real(np.trace(rho @ op)))
+    return out

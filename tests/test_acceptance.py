@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_GRAPHS, build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture, pauli_coefficients
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.coarse import (
@@ -32,7 +32,6 @@ from cylsim.oracle import (
     exact_distribution,
     marginal_invariance_check,
     normalize_counts,
-    pauli_coefficients,
     tv_distance,
 )
 from cylsim.pbs import offdiag_identity_check, phase_decompose

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -173,25 +174,24 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is 0.75 * 16 * 4^2 + 2^20 = 1048768 bytes
-    monkeypatch.setattr(cli, "_available_memory", lambda: 1048768)
+    # chain2's estimated peak is its last step, 1296 bytes, plus 2^19 = 525584 bytes
+    monkeypatch.setattr(cli, "_available_memory", lambda: 525584)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(cli, "_available_memory", lambda: 1048767)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 525583)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
-    assert "about 1.05e+06 bytes at 2 qubits" in err and "1.05e+06 bytes of available memory" in err
+    assert "about 5.26e+05 bytes at 2 qubits" in err and "5.26e+05 bytes of available memory" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", [8, 9, 10])
-def test_dense_peak_bounds_the_oracle(n):
-    c = ClusterCircuit(
+def _chain(n):
+    return ClusterCircuit(
         n,
         tuple((v, v + 1) for v in range(n - 1)),
         tuple(CylinderExtremum(0.3, 0.5 * v, 1 - 2 * (v % 2)) for v in range(n)),
@@ -199,26 +199,70 @@ def test_dense_peak_bounds_the_oracle(n):
               for v in range(n)),
         tuple(range(n)),
     )
+
+
+def _star(n):
+    """A star measured from its centre 0: all n - 1 leaves join the window at
+    the first step, the widest window any n-qubit circuit can have."""
+    return ClusterCircuit(
+        n,
+        tuple((0, v) for v in range(1, n)),
+        tuple(CylinderExtremum(0.2, 0.3 * v, 1 - 2 * (v % 2)) for v in range(n)),
+        tuple(MeasurementRule(XY_PLANE, 0.1 + 0.4 * v, sign_deps=frozenset({0} if v else ()))
+              for v in range(n)),
+        tuple(range(n)),
+    )
+
+
+def _grid3x4():
+    """The 3x4 grid measured row-major: a window of at most 5 qubits."""
+    edges = [(4 * r + q, 4 * r + q + 1) for r in range(3) for q in range(3)]
+    edges += [(4 * r + q, 4 * r + q + 4) for r in range(2) for q in range(4)]
+    return dataclasses.replace(_chain(12), edges=tuple(edges))
+
+
+@pytest.mark.parametrize("c, low, high", [
+    # windows of 2 and 5 qubits: far below the 3.2 GB and 201 MB a full operator rule allowed
+    (_chain(14), 0, 2**23),
+    (_grid3x4(), 0, 2**23),
+    # both outcomes of the centre beside the leaves' product: 0.75 x 16 * 4^n
+    (_star(10), 12 * 4**10, 16 * 4**10),
+], ids=["chain14", "grid3x4", "star10-centre-first"])
+def test_dense_peak_bounds_the_window(c, low, high):
     tracemalloc.start()
     try:
         oracle.exact_distribution(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the first measurement is folded into the product: no 16 * 4^n-byte operator
-    assert 0.75 * 16 * 4**n < peak < 16 * 4**n
-    assert peak <= cli._dense_peak(n)
+    assert peak <= cli._dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
+    assert low < peak < high
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, oracle.DENSE_CAP))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return ClusterCircuit(
+        n, tuple(edges), (CylinderExtremum(0.1, 0, 1),) * n, (MeasurementRule(XY_PLANE),) * n,
+        tuple(draw(st.permutations(range(n)))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_dense_peak_refuses_nothing_the_full_operator_rule_took(c):
+    # 12 * 4^n + 2^20 was the rule while the oracle held every unmeasured qubit
+    assert cli._dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
 
 
 @pytest.mark.parametrize("n", [13, 14])
 def test_refuse_dense_follows_the_estimate(n, monkeypatch):
     # memory monkeypatched: an oracle this wide is never run by the tests
-    c = ClusterCircuit(
-        n, (), (CylinderExtremum(0.1, 0, 1),) * n, (MeasurementRule(XY_PLANE),) * n,
-        tuple(range(n)),
-    )
-    need = cli._dense_peak(n)
-    assert need == 12 * 4**n + 2**20
+    c = _star(n)
+    need = cli._dense_peak(c)
+    assert 12 * 4**n < need <= 12 * 4**n + 2**20
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need))
     cli._refuse_dense(c)
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need) - 1)
@@ -233,17 +277,17 @@ def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
     c = build_fixture("chain2", LAMBDA, adaptive=False)
-    need = cli._dense_peak(c.n_qubits)  # 1048768 bytes = 1024.1875 kB
+    need = cli._dense_peak(c)  # 525584 bytes = 513.265625 kB
     meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
-                       "MemAvailable:       1025 kB\nBuffers:          100 kB\n")
-    assert cli._available_memory() == 1025 * 1024 > need
+                       "MemAvailable:        514 kB\nBuffers:          100 kB\n")
+    assert cli._available_memory() == 514 * 1024 > need
     cli._refuse_dense(c)
-    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:       1024 kB\n")
+    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:        513 kB\n")
     with pytest.raises(cli._Refused) as refused:
         cli._refuse_dense(c)
     code, message = refused.value.args
     assert code == EXIT_RESOURCE_CAP
-    assert message.endswith("more than the 1.05e+06 bytes of available memory")
+    assert message.endswith("more than the 5.25e+05 bytes of available memory")
 
 
 def test_available_memory_falls_back_to_sysconf(tmp_path, monkeypatch):

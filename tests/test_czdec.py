@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pauli_coefficients
+
 from cylsim import czdec
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import (
@@ -19,7 +21,7 @@ from cylsim.czdec import (
     symmetric_growth,
 )
 from cylsim.geometry import XY_PLANE, CylinderExtremum
-from cylsim.oracle import dense_output, pauli_coefficients
+from cylsim.oracle import dense_output
 
 
 def test_symmetric_growth_value():

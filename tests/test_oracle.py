@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_GRAPHS, build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture, pauli_coefficients
 
 from cylsim import oracle
 from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
@@ -20,7 +20,6 @@ from cylsim.oracle import (
     extremum_matrix,
     marginal_invariance_check,
     normalize_counts,
-    pauli_coefficients,
     partial_trace_keep,
     tv_distance,
 )
@@ -294,6 +293,24 @@ def _z_first():
     return dataclasses.replace(base, plan=tuple(plan), order=(4, 3, 0, 5, 1, 2))
 
 
+def _star_centre_first():
+    """A 6-vertex star measured from its centre 0: every leaf joins the window
+    at the first step, whose folded measurement masks all of them; the leaves
+    then read the centre's outcome, and the last one is Z-basis."""
+    def xy(a, sign=(), shift=()):
+        return MeasurementRule(XY_PLANE, a, frozenset(sign), frozenset(shift))
+
+    return ClusterCircuit(
+        6,
+        tuple((0, v) for v in range(1, 6)),
+        tuple(CylinderExtremum(0.9 * LAMBDA ** -(5 if v == 0 else 1), 0.4 + 0.9 * v,
+                               1 if v % 3 else -1) for v in range(6)),
+        (xy(0.7), xy(1.1, [0]), xy(-0.6, [0], [1]), xy(2.3, [2], [0]), xy(0.2, shift=[0, 3]),
+         MeasurementRule(Z_BASIS)),
+        (0, 1, 2, 3, 4, 5),
+    )
+
+
 ORACLE_CASES = {
     **{f"{name}-{'adaptive' if a else 'plain'}": (lambda name=name, a=a: build_fixture(name, LAMBDA, a))
        for name in sorted(FIXTURE_GRAPHS) for a in (False, True)},
@@ -307,6 +324,7 @@ ORACLE_CASES = {
     "pruned": _pruned,
     "middle-first-quasi-grid2x3": _middle_first,
     "z-first-grid2x3": _z_first,
+    "star-centre-first": _star_centre_first,
     "one-xy": lambda: ClusterCircuit(
         1, (), (CylinderExtremum(0.6, 1.0, -1),), (MeasurementRule(XY_PLANE, 0.3),), (0,)),
     "one-z": lambda: ClusterCircuit(
@@ -322,6 +340,40 @@ def test_exact_distribution_matches_depth_first_reference(case):
         assert sorted(got) == sorted(ref)
         assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-12
     assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def small_circuits(draw):
+    """Circuits of at most 6 qubits: random graphs (isolated vertices
+    included), random orders, Z and adaptive XY rules, pole -1 inputs and
+    radii past the unit cylinder."""
+    n = draw(st.integers(1, 6))
+    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans()))
+    order = tuple(draw(st.permutations(range(n))))
+    angles = st.floats(-math.pi, math.pi)
+    plan = []
+    for v in range(n):
+        earlier = order[: order.index(v)]
+        deps = st.sets(st.sampled_from(earlier)) if earlier else st.just(set())
+        if draw(st.booleans()):
+            plan.append(MeasurementRule(Z_BASIS))
+        else:
+            plan.append(MeasurementRule(XY_PLANE, draw(angles), frozenset(draw(deps)),
+                                        frozenset(draw(deps))))
+    inputs = tuple(
+        CylinderExtremum(draw(st.floats(0.0, 1.5)), draw(angles), draw(st.sampled_from((1, -1))))
+        for _ in range(n)
+    )
+    return ClusterCircuit(n, edges, inputs, tuple(plan), order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_circuits())
+def test_window_matches_depth_first_reference(c):
+    for prune in (1e-14, 0.0):
+        got, ref = exact_distribution(c, prune), reference_distribution(c, prune)
+        assert sorted(got) == sorted(ref)
+        assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-12
 
 
 def test_reference_cases_cover_pruning_and_negative_values():
