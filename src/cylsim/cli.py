@@ -26,6 +26,7 @@ import numpy as np
 from . import coarse, oracle, pbs, purify, sampler
 from .circuits import ClusterCircuit
 from .czdec import LAMBDA, DecompositionError, ppt_determinants, separability_condition
+from .geometry import XY_PLANE
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,7 +98,10 @@ def _available_memory() -> int:
 
 def _dense_peak(c: ClusterCircuit) -> float:
     """Estimated peak bytes of oracle.exact_distribution on c, from its window
-    walk.  Step k holds at most 2^k branches of complex operators on the
+    walk.  The branches double only at XY-plane steps: every input has z
+    exactly +-1, so a Z-basis measurement has one outcome, and the oracle's
+    default prune drops the other's zero-trace branch.  A step after j
+    XY-plane steps holds at most b = 2^j branches of complex operators on the
     window; its peak is the largest of three phases: the last Kronecker
     factor of the qubits joining the window beside its result and the step's
     input, the grown input beside both outcomes and the per-branch vectors of
@@ -107,13 +111,14 @@ def _dense_peak(c: ClusterCircuit) -> float:
     outcome for its 2^n-entry dict, and 512 kiB covers numpy's buffers (two
     of 128 kiB at most at a time)."""
     peak = 256.0 * 2**c.n_qubits
-    for k, (v, new, window, _) in enumerate(oracle.window_walk(c)):
-        b = 2.0**k
+    b = 1.0
+    for v, new, window, _ in oracle.window_walk(c):
         grown = 16 * b * 4 ** len(window)
         m = 2 ** (len(window) - (v in window))
         out = 32 * b * m * m
         step = max(grown * 21 / 16 if new else 0, grown + out + 40 * b * m, out * (2 - 0.5 / b))
         peak = max(peak, step + 512 * b)
+        b *= 2 if c.plan[v].kind == XY_PLANE else 1
     return peak + 2**19
 
 

@@ -31,6 +31,12 @@ Multilinearity also yields certified lower bounds: each disc
 rho_i / (2 cos(pi/G)), and a multilinear function on a product of polytopes
 attains its minimum at a vertex product, so an exact minimum over the
 inflated angle grid bounds the continuous minimum from below.
+
+Symmetry halves that grid: codes 1 and 2 enter _SITE and _EDGE
+symmetrically, so the value is unchanged when every a_i is conjugated, on
+any graph.  Every coefficient-tensor entry with an odd number of Im codes is
+therefore zero, the value at angles -theta equals the value at theta, and a
+grid scan skips the points whose mirror image it visits.
 """
 
 from __future__ import annotations
@@ -271,7 +277,8 @@ def coeff_tensor(b: BlockSpec) -> np.ndarray:
 
     The block value is sum_u D_u prod_i y_i(u_i) with y_i = (1, Re a_i,
     Im a_i).  D is real because the value is real for all real (Re a_i,
-    Im a_i); the basis change is exact in floating point.
+    Im a_i); the basis change is exact in floating point.  D is even under
+    conjugation: its entries with an odd number of Im codes are exactly zero.
     """
     t = _code_tensor(b).astype(complex)
     for _ in range(b.n):
@@ -280,9 +287,23 @@ def coeff_tensor(b: BlockSpec) -> np.ndarray:
     return np.ascontiguousarray(t.real)
 
 
+def _grid_rows(radii: np.ndarray, grid: int) -> list[np.ndarray]:
+    """Per site, the rows (1, Re a, Im a) of a = (rho / 2) exp(-i theta) at
+    the grid angles theta = 2 pi j / grid.  Rows j <= grid / 2 come from their
+    angles, with sin(pi) taken as 0; row -j mod grid is row j with Im a
+    negated, so mirror images are exact."""
+    angles = np.arange(grid // 2 + 1) * (TWO_PI / grid)
+    cos, sin = np.cos(angles), np.sin(angles)
+    if grid % 2 == 0:
+        sin[-1] = 0.0  # the angle pi is its own mirror image
+    mirrored = slice((grid - 1) // 2, 0, -1)  # the rows j with 0 < j < grid - j
+    cos, sin = np.concatenate([cos, cos[mirrored]]), np.concatenate([sin, -sin[mirrored]])
+    return [np.stack([np.ones(grid), (rho / 2.0) * cos, -(rho / 2.0) * sin], axis=1) for rho in radii]
+
+
 def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
     """Yield the minimum of the block value per chunk of a uniform per-qubit
-    angle grid, in flat index order.
+    angle grid, skipping the grid points whose mirror image it visits.
 
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
     contract the coefficient tensor D: the leading k sites first, giving one
@@ -292,16 +313,29 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
     parent row they share per level, so a scan that stops early skips the
     rest.  The chunk boundaries fix the order of the arithmetic, so they set
     the last bits of each value.
+
+    The scan needs D even under conjugation, as every coeff_tensor is: its
+    entries with an odd number of Im codes are zero.  Then the value at grid
+    point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n),
+    bitwise, since _grid_rows builds row -j as row j with Im a negated and
+    rounding is sign-symmetric.  So a head row is scanned only when its digit
+    string is lexicographically no larger than its mirror's: (grid^k + 2^k)/2
+    of the grid^k head rows for even grid, (grid^k + 1)/2 for odd, in flat
+    index order, with the all-zero point still in chunk 0.  The minimum is
+    that of the full grid, bit for bit.
     """
     n = D.ndim
-    angles = np.arange(grid) * (TWO_PI / grid)
-    Y = [
-        np.stack([np.ones(grid), (rho / 2.0) * np.cos(angles), -(rho / 2.0) * np.sin(angles)], axis=1)
-        for rho in radii
-    ]
+    Y = _grid_rows(radii, grid)
     k = 0
     while grid ** (n - k) > _CHUNK:
         k += 1
+    # a head row's digit string orders like its index, so it is a leader when
+    # its index is no larger than its mirror's
+    index = np.arange(grid**k)
+    mirror = np.zeros_like(index)
+    for i in range(k):
+        mirror = mirror * grid + -(index // grid ** (k - 1 - i)) % grid
+    leaders = index[index <= mirror]
     # per level i < k: the index of the last level-i row expanded, and its
     # grid children, the level-(i + 1) rows that share it
     children = [(None, None)] * k
@@ -316,10 +350,9 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
             row = children[i][1][r // grid ** (k - i - 1) % grid]
         return row
 
-    tail = grid ** (n - k)
-    rows = max(1, _CHUNK // tail)
-    for s in range(0, grid**k, rows):
-        t = np.stack([head(r) for r in range(s, min(s + rows, grid**k))])
+    rows = max(1, _CHUNK // grid ** (n - k))
+    for s in range(0, len(leaders), rows):
+        t = np.stack([head(r) for r in leaders[s : s + rows]])
         for i in range(n - 1, k - 1, -1):
             # grid indices so far lead each row; site i's code is the last axis
             t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))

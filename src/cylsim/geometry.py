@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-#: default tolerance for membership / positivity decisions
-MEMBERSHIP_TOL = 1e-9
-
 Z_BASIS = "ZBasis"
 XY_PLANE = "XYPlane"
 
@@ -109,24 +106,3 @@ def phase_map(op: CylinderOperator, r: float) -> CylinderOperator:
     if r < 0.0:
         raise ValueError(f"phase_map requires r >= 0, got {r!r}")
     return CylinderOperator(r * op.x, r * op.y, op.z)
-
-
-def in_cylinder(op: CylinderOperator, r: float, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership of op in the cylinder of radius r, up to tolerance tol."""
-    if r < 0.0 or tol < 0.0:
-        raise ValueError("r and tol must be nonnegative")
-    return op.radius <= r + tol and abs(op.z) <= 1.0 + tol
-
-
-def measure_prob(op: CylinderOperator, m: Measurement, outcome: int) -> float:
-    """Born-rule value for the given outcome (0 or 1).
-
-    For operators outside the unit cylinder the value can be negative; it is
-    returned as a signed quasi-probability, not an error.
-    """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    sign = 1.0 if outcome == 0 else -1.0
-    if m.kind == Z_BASIS:
-        return 0.5 * (1.0 + sign * op.z)
-    return 0.5 * (1.0 + sign * (op.x * math.cos(m.alpha) + op.y * math.sin(m.alpha)))

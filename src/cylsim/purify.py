@@ -6,17 +6,15 @@ Outcome 1 succeeds: under the constraint psi + phi = pi/2 the next qubit
 collapses to |+>.  Outcome 0 rotates the next qubit toward |0>; its new
 angle feeds the next round.  The site succeeds if any round succeeds.
 
-The closed forms below are checked against a dense two-qubit computation;
-the angle-to-radius map r = |sin(phi)| connects the protocol to cylinder
-radii.
+The tests check the closed forms below against a dense two-qubit
+computation; the angle-to-radius map r = |sin(phi)| connects the protocol to
+cylinder radii.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 #: square-lattice site percolation threshold (literature constant)
 P_C = 0.5927
@@ -39,32 +37,6 @@ def failure_angle(phi1: float, phi2: float) -> float:
     c1, s1 = math.cos(phi1 / 2.0), math.sin(phi1 / 2.0)
     c2, s2 = math.cos(phi2 / 2.0), math.sin(phi2 / 2.0)
     return 2.0 * math.atan2((c1 - s1) * s2, (c1 + s1) * c2)
-
-
-def success_angle(phi1: float, phi2: float) -> float:
-    """Post-measurement angle on outcome 1; pi/2 when phi1 + phi2 = pi/2."""
-    c1, s1 = math.cos(phi1 / 2.0), math.sin(phi1 / 2.0)
-    c2, s2 = math.cos(phi2 / 2.0), math.sin(phi2 / 2.0)
-    return 2.0 * math.atan2((c1 + s1) * s2, (c1 - s1) * c2)
-
-
-def dense_measurement(phi1: float, phi2: float, outcome: int) -> tuple[float, np.ndarray]:
-    """Two-qubit reference: CZ then X measurement of qubit 1.
-
-    Returns (probability, normalized post state of qubit 2); independent of
-    the closed forms above, used as their oracle.
-    """
-    v1 = np.array([math.cos(phi1 / 2.0), math.sin(phi1 / 2.0)])
-    v2 = np.array([math.cos(phi2 / 2.0), math.sin(phi2 / 2.0)])
-    psi = np.kron(v1, v2)
-    psi[3] = -psi[3]  # CZ phase on |11>
-    sign = -1.0 if outcome == 1 else 1.0
-    xvec = np.array([1.0, sign]) / math.sqrt(2.0)
-    post = xvec[0] * psi[:2] + xvec[1] * psi[2:]
-    p = float(post @ post)
-    if p <= 0.0:
-        return 0.0, np.array([1.0, 0.0])
-    return p, post / math.sqrt(p)
 
 
 @dataclass(frozen=True)
@@ -111,21 +83,6 @@ def site_success_prob(protocol: ChainProtocol) -> float:
         total += alive * p1
         alive *= p0
     return total
-
-
-def simulate_chain(protocol: ChainProtocol, trials: int, seed: int) -> float:
-    """Monte-Carlo estimate of the site success probability."""
-    pairs = protocol.measurement_pairs()
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    u = rng.random((trials, len(pairs)))
-    alive = np.ones(trials, dtype=bool)
-    success = np.zeros(trials, dtype=bool)
-    for k, (psi, phi) in enumerate(pairs):
-        p1, _ = branch_probs(psi, phi)
-        hit = alive & (u[:, k] < p1)
-        success |= hit
-        alive &= ~hit
-    return float(np.mean(success))
 
 
 def derive_chain(phi1: float, n_ancilla: int) -> tuple[float, ...]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
-from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
+from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
 from cylsim.oracle import PAULI
 from cylsim.sampler import default_rep
 
@@ -73,3 +73,37 @@ def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
             op = np.kron(op, PAULI[i])
         out[idx] = float(np.real(np.trace(rho @ op)))
     return out
+
+
+def measure_prob(op: CylinderOperator, m: Measurement, outcome: int) -> float:
+    """Born-rule value for the given outcome (0 or 1).
+
+    For operators outside the unit cylinder the value can be negative; it is
+    returned as a signed quasi-probability, not an error.
+    """
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+    sign = 1.0 if outcome == 0 else -1.0
+    if m.kind == Z_BASIS:
+        return 0.5 * (1.0 + sign * op.z)
+    return 0.5 * (1.0 + sign * (op.x * math.cos(m.alpha) + op.y * math.sin(m.alpha)))
+
+
+def dense_measurement(phi1: float, phi2: float, outcome: int) -> tuple[float, np.ndarray]:
+    """Two-qubit reference for the chain-steering closed forms of
+    cylsim.purify: CZ, then an X measurement of qubit 1.
+
+    Returns (probability, normalized post state of qubit 2), computed from
+    state vectors independently of the closed forms.
+    """
+    v1 = np.array([math.cos(phi1 / 2.0), math.sin(phi1 / 2.0)])
+    v2 = np.array([math.cos(phi2 / 2.0), math.sin(phi2 / 2.0)])
+    psi = np.kron(v1, v2)
+    psi[3] = -psi[3]  # CZ phase on |11>
+    sign = -1.0 if outcome == 1 else 1.0
+    xvec = np.array([1.0, sign]) / math.sqrt(2.0)
+    post = xvec[0] * psi[:2] + xvec[1] * psi[2:]
+    p = float(post @ post)
+    if p <= 0.0:
+        return 0.0, np.array([1.0, 0.0])
+    return p, post / math.sqrt(p)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_GRAPHS, build_fixture, pauli_coefficients
+from conftest import FIXTURE_GRAPHS, build_fixture, dense_measurement, pauli_coefficients
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.coarse import (
@@ -38,7 +38,6 @@ from cylsim.pbs import offdiag_identity_check, phase_decompose
 from cylsim.purify import (
     ChainProtocol,
     branch_probs,
-    dense_measurement,
     failure_angle,
     site_success_prob,
 )

@@ -221,14 +221,17 @@ def _grid3x4():
     return dataclasses.replace(_chain(12), edges=tuple(edges))
 
 
-@pytest.mark.parametrize("c, low, high", [
+@pytest.mark.parametrize("c, low, high, model", [
     # windows of 2 and 5 qubits: far below the 3.2 GB and 201 MB a full operator rule allowed
-    (_chain(14), 0, 2**23),
-    (_grid3x4(), 0, 2**23),
+    (_chain(14), 0, 2**23, None),
+    (_grid3x4(), 0, 2**23, None),
     # both outcomes of the centre beside the leaves' product: 0.75 x 16 * 4^n
-    (_star(10), 12 * 4**10, 16 * 4**10),
-], ids=["chain14", "grid3x4", "star10-centre-first"])
-def test_dense_peak_bounds_the_window(c, low, high):
+    (_star(10), 12 * 4**10, 16 * 4**10, None),
+    # every other vertex Z-measured, with one outcome: 2^7 branches at most,
+    # not 2^14, so the estimate is 4.7 MB, not 67.4 MB
+    (ClusterCircuit.from_json((DATA / "chain14.json").read_text()), 0, 2**21, 8 * 10**6),
+], ids=["chain14", "grid3x4", "star10-centre-first", "chain14-data-z-steps"])
+def test_dense_peak_bounds_the_window(c, low, high, model):
     tracemalloc.start()
     try:
         oracle.exact_distribution(c)
@@ -237,6 +240,8 @@ def test_dense_peak_bounds_the_window(c, low, high):
         tracemalloc.stop()
     assert peak <= cli._dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
     assert low < peak < high
+    if model is not None:
+        assert cli._dense_peak(c) < model
 
 
 @st.composite

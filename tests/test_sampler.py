@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_GRAPHS, build_fixture, degree
+from conftest import FIXTURE_GRAPHS, build_fixture, degree, measure_prob
 
 import cylsim
 from cylsim import sampler
@@ -25,7 +25,7 @@ from cylsim.czdec import (
     lp_feasibility,
     mixture_residual,
 )
-from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, Measurement, measure_prob, to_bloch
+from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, Measurement, to_bloch
 from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
 from cylsim.sampler import (
     BLOCK_SHOTS,
