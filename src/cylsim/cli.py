@@ -199,6 +199,8 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "grid": est.theta_grid,
         "certified_grid": est.cert_grid,
         "cert_inflation": est.cert_inflation,
+        "scan_group_order": est.scan_group_order,
+        "scan_points": est.scan_points,
         "witness_assignment": list(est.witness) if est.witness else None,
         "search_capped": est.capped,
         "probes": [p._asdict() for p in est.probes],

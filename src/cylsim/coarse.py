@@ -21,10 +21,10 @@ contraction orders:
   left and right environments cached as in DMRG sweeps, the per-site kernel
   (the value as an affine function of one site's monomials) in
   O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
-- the coefficient tensor multiplies all factors out into 3^n real entries,
-  by broadcasting, in the per-site basis (1, Re a_i, Im a_i).  Exact grid
-  minima contract it with every grid point at once, one matrix product per
-  site.
+- the coefficient tensor multiplies all factors out into 3^n code signs,
+  one site at a time, and takes them in integers to the per-site basis
+  (1, Re a_i, Im a_i).  Exact grid minima contract it with every grid point
+  at once, one matrix product per site.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
@@ -32,15 +32,25 @@ rho_i / (2 cos(pi/G)), and a multilinear function on a product of polytopes
 attains its minimum at a vertex product, so an exact minimum over the
 inflated angle grid bounds the continuous minimum from below.
 
-Symmetry halves that grid: codes 1 and 2 enter _SITE and _EDGE
+Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
-any graph.  Every coefficient-tensor entry with an odd number of Im codes is
-therefore zero, the value at angles -theta equals the value at theta, and a
-grid scan skips the points whose mirror image it visits.
+any graph: every coefficient-tensor entry with an odd number of Im codes is
+zero, and the value at angles -theta equals the value at theta.  A block
+automorphism (a reflection of the rectangle, or a symmetry of the square)
+maps edges to edges and keeps the radii, so it fixes the coefficient tensor,
+and the value is unchanged when it permutes the angles.  A certification
+scan therefore visits one grid point per orbit of the automorphisms and the
+mirror: a group of order 4 for a line, 8 for a rectangle and 16 for a
+square (_orbit_head).  The mirror alone gives the full grid's minimum bit
+for bit, since mirror images are exact in floating point; the automorphisms
+change the contraction order, so that minimum equals the full grid's up to
+the rounding bound in _grid_chunks.  The frontier contraction, and so every
+upper probe, does not depend on the scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,9 +82,6 @@ _SITE = np.array([1.0, -1.0, -1.0]) / 2.0
 
 #: CZ sign (-1)^(s_u s_v + t_u t_v) between the codes of neighboring sites
 _EDGE = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-
-#: monomials (1, a, conj(a)) in the real basis (1, Re a, Im a)
-_TO_REAL = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0j], [0.0, 1.0, -1.0j]])
 
 
 class BlockTooLarge(ValueError):
@@ -126,6 +133,22 @@ class BlockSpec:
         if self.mode == PLAIN:
             return np.full(self.n, float(r))
         return r * LAMBDA ** self.ext_counts().astype(float)
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """Site permutations p that map the block onto itself, site s to p[s]:
+        the reflections of the rectangle, and for a square also its rotations
+        and diagonal reflections.  Each keeps the edges, the ext counts and so
+        the radii in both modes."""
+        H, W = self.height, self.width
+        perms = set()
+        for flip_i, flip_j, swap in itertools.product((0, 1), (0, 1), (0, 1) if H == W else (0,)):
+            image = []
+            for i in range(H):
+                for j in range(W):
+                    i2, j2 = (H - 1 - i if flip_i else i), (W - 1 - j if flip_j else j)
+                    image.append(self.index(j2, i2) if swap else self.index(i2, j2))
+            perms.add(tuple(image))
+        return sorted(perms)
 
 
 def two_block_formula(rp: float, thetaA: float, thetaB: float) -> float:
@@ -183,44 +206,59 @@ class _Frontier:
         self.order = order
         self.pos = {site: p for p, site in enumerate(order)}
         self.w = np.array([_weight(x) for x in np.asarray(a)[order]])
-        start = np.zeros((3,) * self.axes)
-        start[(0,) * self.axes] = 1.0
+        start = np.zeros(3**self.axes)
+        start[0] = 1.0
         n = len(order)
         self.open_ = [self._open(start, 0)] + [None] * (n - 1)
-        self.right = [None] * n + [np.ones((3,) * self.axes)]
+        self.right = [None] * n + [np.ones(3**self.axes)]
         self.open_ok = 0  # open_[p] is valid for p <= open_ok
         self.right_ok = n  # right[p] is valid for p >= right_ok
 
+    def _view(self, F: np.ndarray, p: int) -> np.ndarray:
+        """Flat frontier F as (L, 3, R), the code of the p-th site's short-side
+        position in the middle."""
+        return F.reshape(3 ** (p % self.axes), 3, -1)
+
+    @staticmethod
+    def _edges(t: np.ndarray) -> np.ndarray:
+        """_EDGE applied to the middle axis of t, of shape (L, 3, R).  For
+        R = 1 one product of L rows replaces L products of one column; both
+        sum each entry's three terms in order, so the bits agree."""
+        if t.shape[2] == 1:
+            return (t.reshape(-1, 3) @ _EDGE).reshape(t.shape)  # _EDGE is symmetric
+        return np.matmul(_EDGE, t)
+
     def _open(self, F: np.ndarray, p: int) -> np.ndarray:
         """Absorb the edges of the p-th site into frontier F, leaving its code open."""
-        r = p % self.axes
-        t = np.tensordot(F, _EDGE, axes=([r], [0]))  # the open code is the last axis
-        if r > 0:
-            t = t * _along(_EDGE, self.axes, r - 1, self.axes - 1)
-        return np.moveaxis(t, -1, r)
+        # _EDGE is symmetric: this sums out the code of the previous line's site
+        t = self._edges(self._view(F, p))
+        if p % self.axes:  # the edge to the site before, whose code leads the middle
+            t = t.reshape(-1, 3, 3, t.shape[-1]) * _EDGE[:, :, None]
+        return t.reshape(-1)
 
     def _close(self, R: np.ndarray, p: int) -> np.ndarray:
         """Contract the p-th site, its weight and its edges into right environment R."""
-        r = p % self.axes
-        t = R * _along(self.w[p], self.axes, r)
-        if r > 0:
-            t = t * _along(_EDGE, self.axes, r - 1, r)
-        return np.moveaxis(np.tensordot(_EDGE, t, axes=([1], [r])), 0, r)
+        t = self._view(R, p) * self.w[p][:, None]
+        if p % self.axes:
+            t = t.reshape(-1, 3, 3, t.shape[-1]) * _EDGE[:, :, None]
+        return self._edges(self._view(t.reshape(-1), p)).reshape(-1)
 
     def _raw(self, p: int) -> np.ndarray:
         """Unweighted kernel of the p-th site: value = _raw(p) @ w[p]."""
         while self.open_ok < p:
             q = self.open_ok
-            F = self.open_[q] * _along(self.w[q], self.axes, q % self.axes)
-            self.open_[q + 1] = self._open(F, q + 1)
+            F = self._view(self.open_[q], q) * self.w[q][:, None]
+            self.open_[q + 1] = self._open(F.reshape(-1), q + 1)
             self.open_ok += 1
         while self.right_ok > p + 1:
             self.right_ok -= 1
             q = self.right_ok
             self.right[q] = self._close(self.right[q + 1], q)
-        r = p % self.axes
-        others = tuple(ax for ax in range(self.axes) if ax != r)
-        return (self.open_[p] * self.right[p + 1]).sum(axis=others)
+        # sum the codes after the next one first, then the rest in order: the
+        # recorded probe values depend on this order in their last bits
+        rest = min(3, 3 ** (self.axes - 1 - p % self.axes))
+        t = (self.open_[p] * self.right[p + 1]).reshape(3 ** (p % self.axes), 3, rest, -1)
+        return t.sum(axis=3).transpose(0, 2, 1).reshape(-1, 3).sum(axis=0)
 
     def kernel(self, site: int) -> np.ndarray:
         """(k0, k1, k2) with value = k0 + k1 a + k2 conj(a) in the site's component a."""
@@ -260,31 +298,50 @@ def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
     return float(np.real(minus @ oracle.dense_output(c) @ minus))
 
 
-def _code_tensor(b: BlockSpec) -> np.ndarray:
-    """Block factors multiplied out over the codes (1, a, conj(a)) per site.
+def _code_tensor(b: BlockSpec, order=None) -> np.ndarray:
+    """Block factors multiplied out over the codes (1, a, conj(a)) per site,
+    in units of 2^-n.
 
-    Shape (3,)*n; the block value is sum_v C_v prod_i x_i(v_i) with
-    x_i = (1, a_i, conj(a_i)).  Every entry is +-2^-n, computed exactly.
+    Shape (3,)*n, axis p for site order[p] (default: site order); the block
+    value is 2^-n sum_v C_v prod_i x_i(v_i) with x_i = (1, a_i, conj(a_i)).
+    Every entry is +-1, as int8.
     """
-    C = reduce(np.multiply, [_along(_SITE, b.n, i) for i in range(b.n)])
+    pos = np.argsort(order) if order is not None else np.arange(b.n)
+    site, edge = (2 * _SITE).astype(np.int8), _EDGE.astype(np.int8)
+    # per axis, its site factor times the edges to earlier axes; the tensor
+    # then grows by one axis at a time
+    factors = [_along(site, p + 1, p) for p in range(b.n)]
     for u, v in b.edges():
-        C = C * _along(_EDGE, b.n, u, v)
-    return C
+        pu, pv = sorted((pos[u], pos[v]))
+        factors[pv] = factors[pv] * _along(edge, pv + 1, pu, pv)  # _EDGE is symmetric
+    return reduce(lambda C, f: C[..., None] * f, factors, np.ones((), np.int8))
 
 
-def coeff_tensor(b: BlockSpec) -> np.ndarray:
-    """Real coefficient tensor D of shape (3,)*n.
+def coeff_tensor(b: BlockSpec, order=None) -> np.ndarray:
+    """Real coefficient tensor D of shape (3,)*n, axis p for site order[p]
+    (default: site order).
 
     The block value is sum_u D_u prod_i y_i(u_i) with y_i = (1, Re a_i,
-    Im a_i).  D is real because the value is real for all real (Re a_i,
-    Im a_i); the basis change is exact in floating point.  D is even under
-    conjugation: its entries with an odd number of Im codes are exactly zero.
+    Im a_i).  Each site's monomials are 1, a = Re a + i Im a and conj(a) =
+    Re a - i Im a, so per axis the codes (c0, c1, c2) map to (c0, c1 + c2,
+    i (c1 - c2)): integer sums of the +-1 code entries, times i^m for m Im
+    codes.  D is real because the value is real for all real (Re a_i,
+    Im a_i): the integer sums of odd m vanish, so D is even under
+    conjugation, and i^m is (-1)^(m/2) for even m.  Every entry is an
+    integer times 2^-n, computed exactly.
     """
-    t = _code_tensor(b).astype(complex)
-    for _ in range(b.n):
-        # contract the leading axis; the new axis goes last, so n steps restore the order
-        t = np.tensordot(t, _TO_REAL, axes=([0], [0]))
-    return np.ascontiguousarray(t.real)
+    n = b.n
+    T = _code_tensor(b, order).astype(np.min_scalar_type(-(2 ** (n + 1))))  # holds +-2^n
+    for i in range(n):
+        x = T.reshape(3**i, 3, -1)
+        im = x[:, 1] - x[:, 2]
+        x[:, 1] += x[:, 2]
+        x[:, 2] = im
+    ims = reduce(np.add, [_along(np.array([0, 0, 1], np.int8), n, i) for i in reversed(range(n))])
+    T[ims % 4 == 2] *= -1
+    D = T.astype(np.float64)
+    D *= 2.0**-n
+    return D
 
 
 def _grid_rows(radii: np.ndarray, grid: int) -> list[np.ndarray]:
@@ -301,70 +358,148 @@ def _grid_rows(radii: np.ndarray, grid: int) -> list[np.ndarray]:
     return [np.stack([np.ones(grid), (rho / 2.0) * cos, -(rho / 2.0) * sin], axis=1) for rho in radii]
 
 
-def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int):
+def _leaders(grid: int, perms) -> np.ndarray:
+    """Flat indices, ascending, of the digit strings in range(grid)^k that are
+    the least in their orbit under the mirror j -> -j mod grid and the
+    permutations perms of the k positions, a group holding the identity."""
+    k = len(perms[0])
+    index = np.arange(grid**k).reshape((grid,) * k)
+    least = np.minimum(index, index[np.ix_(*[-np.arange(grid) % grid] * k)])
+    least = reduce(np.minimum, [least.transpose(p) for p in perms])
+    return np.flatnonzero(least == index)
+
+
+def _mirror_head(n: int, grid: int) -> tuple[int, np.ndarray]:
+    """Head of a scan with the mirror alone: the fewest leading sites whose
+    tail of grid points fits a chunk, and the head rows no larger than
+    their mirror images."""
+    k = 0
+    while grid ** (n - k) > _CHUNK:
+        k += 1
+    return k, _leaders(grid, [tuple(range(k))])
+
+
+def _orbit_head(b: BlockSpec, grid: int) -> tuple[list[int], tuple[int, np.ndarray], int]:
+    """Scan order, head and symmetry-group order of the orbit scan of b's
+    grid.
+
+    The head is the first few orbits of sites under b.automorphisms(), by
+    least site, until the grid points of the other sites fit a chunk: the
+    four corners for 2x3, 2x4, 3x3 and 3x4 at their certification grids.
+    The scan order puts the head first, then the other sites in order.  A
+    head of more than _CHUNK digit strings (2x2 at grid 32) would cost more
+    to sort into orbits than its scan saves, and keeps the mirror alone.
+    """
+    n = b.n
+    perms = b.automorphisms()
+    orbits = sorted({tuple(sorted({p[s] for p in perms})) for s in range(n)})
+    head = []
+    for orbit in orbits:
+        if head and grid ** (n - len(head)) <= _CHUNK:
+            break
+        head += orbit
+    if grid ** len(head) > _CHUNK:
+        return list(range(n)), _mirror_head(n, grid), 2
+    order = head + [s for s in range(n) if s not in head]
+    pos = np.argsort(order)
+    on_head = [tuple(pos[p[s]] for s in head) for p in perms]
+    return order, (len(head), _leaders(grid, on_head)), 2 * len(perms)
+
+
+def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     """Yield the minimum of the block value per chunk of a uniform per-qubit
-    angle grid, skipping the grid points whose mirror image it visits.
+    angle grid, visiting one grid point per orbit of a symmetry group.
 
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
     contract the coefficient tensor D: the leading k sites first, giving one
     head row per grid point of those sites, then the rest in chunks of head
     rows, last site first, each chunk small enough (_CHUNK values) to stay in
-    cache.  Head rows are formed only as the chunks reach them, from the one
-    parent row they share per level, so a scan that stops early skips the
-    rest.  The chunk boundaries fix the order of the arithmetic, so they set
-    the last bits of each value.
+    cache.  head = (k, leaders) names the head rows scanned, ascending; the
+    default is _mirror_head.  Head rows are formed only as the chunks reach
+    them: those under one level-j prefix together, from the parent rows
+    above them, which are kept while the scan is under them.  So a scan
+    that stops early skips the rest.  The chunk boundaries fix the order of
+    the arithmetic, so they set the last bits of each value.
 
     The scan needs D even under conjugation, as every coeff_tensor is: its
     entries with an odd number of Im codes are zero.  Then the value at grid
     point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n),
     bitwise, since _grid_rows builds row -j as row j with Im a negated and
-    rounding is sign-symmetric.  So a head row is scanned only when its digit
-    string is lexicographically no larger than its mirror's: (grid^k + 2^k)/2
-    of the grid^k head rows for even grid, (grid^k + 1)/2 for odd, in flat
-    index order, with the all-zero point still in chunk 0.  The minimum is
-    that of the full grid, bit for bit.
+    rounding is sign-symmetric.  With the mirror alone a head row is scanned
+    only when its digit string is lexicographically no larger than its
+    mirror's: (grid^k + 2^k)/2 of the grid^k head rows for even grid,
+    (grid^k + 1)/2 for odd, in flat index order, with the all-zero point
+    still in chunk 0.  That minimum is the full grid's, bit for bit.
+
+    A block automorphism sigma (_orbit_head) fixes D, with its axes in any
+    scan order, and the radii; so the value at grid point j equals the value
+    at j with its digits permuted by sigma, in exact arithmetic.  When the
+    head sites are a union of site orbits, every grid point has an image
+    whose head string is the least of its orbit under the automorphisms and
+    the mirror, and scanning those leaders with every tail reaches every
+    value.  Contracting the head first changes the order of the arithmetic,
+    so that minimum is the full grid's up to rounding: both are within
+    gamma_{3n} sum_u |D_u| prod_i w_i(u_i), with w_i = (1, rho_i/2, rho_i/2),
+    of the exact minimum.
     """
     n = D.ndim
     Y = _grid_rows(radii, grid)
-    k = 0
-    while grid ** (n - k) > _CHUNK:
-        k += 1
-    # a head row's digit string orders like its index, so it is a leader when
-    # its index is no larger than its mirror's
-    index = np.arange(grid**k)
-    mirror = np.zeros_like(index)
-    for i in range(k):
-        mirror = mirror * grid + -(index // grid ** (k - 1 - i)) % grid
-    leaders = index[index <= mirror]
-    # per level i < k: the index of the last level-i row expanded, and its
-    # grid children, the level-(i + 1) rows that share it
-    children = [(None, None)] * k
+    k, leaders = head if head is not None else _mirror_head(n, grid)
+    j = 0  # the head rows under one level-j prefix fit a chunk
+    while j < k and grid ** (k - j) * 3 ** (n - k) > _CHUNK:
+        j += 1
+    # per level i < j: the last level-i prefix expanded, and its grid children
+    parents = [(-1, None)] * j
 
-    def head(r: int) -> np.ndarray:
-        """Head row r: D with the leading k sites contracted at grid point r."""
-        row = D.reshape(-1)
-        for i in range(k):
-            a = r // grid ** (k - i)  # r's ancestor among the level-i rows
-            if children[i][0] != a:
-                children[i] = (a, np.matmul(Y[i], row.reshape(3, -1)))
-            row = children[i][1][r // grid ** (k - i - 1) % grid]
-        return row
+    def head_rows():
+        """The head rows of the leaders, D with the leading k sites contracted
+        at their grid points, in order: one block per level-j prefix."""
+        tops = leaders // grid ** (k - j)
+        for under in np.split(leaders, np.flatnonzero(np.diff(tops)) + 1):
+            top = under[0] // grid ** (k - j)
+            row = D.reshape(-1)
+            for i in range(j):
+                a = top // grid ** (j - i)  # top's prefix of length i
+                if parents[i][0] != a:
+                    parents[i] = (a, np.matmul(Y[i], row.reshape(3, -1)))
+                row = parents[i][1][top // grid ** (j - i - 1) % grid]
+            t, ids = row.reshape(1, -1), np.array([top])
+            for i in range(j, k):
+                kids = np.matmul(Y[i], t.reshape(len(t), 3, -1))
+                up, ids = ids, under // grid ** (k - i - 1)
+                ids = ids[np.diff(ids, prepend=-1) > 0]  # distinct, as under is sorted
+                t = kids[np.searchsorted(up, ids // grid), ids % grid]
+            yield t
 
-    rows = max(1, _CHUNK // grid ** (n - k))
-    for s in range(0, len(leaders), rows):
-        t = np.stack([head(r) for r in leaders[s : s + rows]])
+    for t in _rechunk(head_rows(), max(1, _CHUNK // grid ** (n - k))):
         for i in range(n - 1, k - 1, -1):
             # grid indices so far lead each row; site i's code is the last axis
             t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
         yield float(t.min())
 
 
-def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int) -> float:
+def _rechunk(blocks, rows: int):
+    """Regroup a stream of arrays into arrays of `rows` rows, the last one
+    possibly shorter."""
+    held, size = [], 0
+    for block in blocks:
+        while len(block):
+            held.append(block[: rows - size])
+            size += len(held[-1])
+            block = block[len(held[-1]) :]
+            if size == rows:
+                yield np.concatenate(held)
+                held, size = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
+def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int, head=None) -> float:
     """A value with the sign of the grid minimum: the minimum itself when it
     is nonnegative, else the minimum of the first chunk that goes negative,
     where the scan stops."""
     low = math.inf
-    for v in _grid_chunks(D, radii, grid):
+    for v in _grid_chunks(D, radii, grid, head):
         low = min(low, v)
         if v < 0.0:
             break
@@ -435,6 +570,8 @@ class SEstimate:
     assignment where the descent of the failing probe at upper ended, has a
     negative value there (unless capped: the search cap was reached).
     theta_grid is the requested certification grid, cert_grid the one used.
+    A full certification scan visits scan_points of its cert_grid^n points,
+    one per orbit of a symmetry group of order scan_group_order (_orbit_head).
     probes lists every probe of both bisections in order.
     """
 
@@ -443,6 +580,8 @@ class SEstimate:
     theta_grid: int
     cert_grid: int
     cert_inflation: float
+    scan_group_order: int
+    scan_points: int
     witness: tuple[float, ...] | None
     capped: bool = False
     probes: tuple[Probe, ...] = ()
@@ -483,7 +622,9 @@ def s_estimate(
     takes the exact minimum over G angles per site (theta_grid, halved to fit
     _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G):
     nonnegativity there certifies the continuous minimum, and the probe
-    stops at the first chunk of grid points that goes negative.
+    stops at the first chunk of grid points that goes negative.  The scan
+    visits one grid point per orbit of the block's symmetry group; its head
+    and leader list are set up once, for every lower probe.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -501,8 +642,9 @@ def s_estimate(
             f"of 4 angles per site needs 4^{b.n} points, over the budget of "
             f"2^{_CERT_BUDGET.bit_length() - 1}"
         )
-    D = coeff_tensor(b)
     cert_grid = _grid_size(b.n, theta_grid)
+    order, head, group_order = _orbit_head(b, cert_grid)
+    D = coeff_tensor(b, order)
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
     witnesses = {}  # assignment of each failing upper probe, by radius
@@ -516,7 +658,7 @@ def s_estimate(
         return v >= 0.0
 
     def certified(r: float) -> bool:
-        v = _grid_sign(D, b.radii(r) * inflate, cert_grid)
+        v = _grid_sign(D, b.radii(r)[order] * inflate, cert_grid, head)
         probes.append(Probe("lower", r, v >= 0.0, v))
         return v >= 0.0
 
@@ -542,6 +684,8 @@ def s_estimate(
         theta_grid=theta_grid,
         cert_grid=cert_grid,
         cert_inflation=inflate,
+        scan_group_order=group_order,
+        scan_points=len(head[1]) * cert_grid ** (b.n - head[0]),
         witness=witness,
         capped=capped,
         probes=tuple(probes),

@@ -375,6 +375,9 @@ def test_coarse_1x2_bracket(tmp_path, capsys):
     assert result["block"] == "1x2"
     assert not result["search_capped"]
     assert result["cert_inflation"] == 1.0 / math.cos(math.pi / result["certified_grid"])
+    # the swap of the two sites and the mirror: Burnside's lemma gives
+    # (32^2 + 32 + 2^2 + 32) / 4 orbits of the 32^2 grid points
+    assert (result["scan_group_order"], result["scan_points"]) == (4, 273)
     probes = result["probes"]
     assert all(set(p) == {"bound", "r", "holds", "value"} for p in probes)
     assert all(p["holds"] == (p["value"] >= 0.0) for p in probes)
@@ -405,6 +408,9 @@ def test_coarse_accepts_3x4(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["certified_grid"] == 4
     assert result["cert_inflation"] == pytest.approx(math.sqrt(2.0))
+    # 46 leaders among the 4^4 corner strings (test_coarse), each with the
+    # 4^8 points of the other sites
+    assert (result["scan_group_order"], result["scan_points"]) == (8, 46 * 4**8)
     assert 0.0 < result["r_lower"] <= result["r_upper"]
 
 

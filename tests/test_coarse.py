@@ -21,6 +21,7 @@ from cylsim.coarse import (
     _grid_rows,
     _grid_sign,
     _min_gain,
+    _orbit_head,
     _transverse,
     block_min_prob_dense,
     block_value,
@@ -189,7 +190,7 @@ def _reference_code_tensor(b: BlockSpec) -> np.ndarray:
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (1, 5), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8)])
 def test_code_tensor_matches_enumeration(hw):
     b = BlockSpec(*hw)
-    assert np.array_equal(_code_tensor(b), _reference_code_tensor(b))
+    assert np.array_equal(_code_tensor(b) * 2.0**-b.n, _reference_code_tensor(b))
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -224,6 +225,11 @@ def test_grid_min_matches_dense_brute_force(hw, mode, monkeypatch):
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
         assert min(_grid_chunks(D, radii, 4)) == pytest.approx(brute, abs=1e-12)
         assert (_grid_sign(D, radii, 4) >= 0.0) == (brute >= 0.0)
+        # the scan that s_estimate runs: one grid point per orbit
+        order, head, _ = _orbit_head(b, 4)
+        scan = (coeff_tensor(b, order), radii[order], 4, head)
+        assert min(_grid_chunks(*scan)) == pytest.approx(brute, abs=1e-12)
+        assert (_grid_sign(*scan) >= 0.0) == (brute >= 0.0)
 
 
 @pytest.mark.parametrize("hw", [(3, 4), (4, 3), (6, 7)])
@@ -357,6 +363,8 @@ def test_brackets_match_recorded(case):
     est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
     got = (est.lower, est.upper, est.cert_grid, list(est.witness))
     assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
+    # every decision, not only the bracket; the probe values may move in the last bits
+    assert [[p.bound, p.r, p.holds] for p in est.probes] == case["probes"]
 
 
 def conjugation_even(T: np.ndarray) -> np.ndarray:
@@ -476,6 +484,143 @@ def test_full_scan_skips_mirror_images(hw, grid, count):
     assert len(list(_grid_chunks(coeff_tensor(b), b.radii(0.01), grid))) == count
 
 
+#: every H x W block that s_estimate accepts
+BLOCKS = [(h, w) for h in range(1, 13) for w in range(1, 13) if 2 <= h * w <= 12]
+
+
+@pytest.mark.parametrize("hw", BLOCKS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_automorphisms_fix_coeff_tensor_and_radii(hw, mode):
+    b = BlockSpec(*hw, mode)
+    perms = b.automorphisms()
+    # a line has its reversal, a rectangle its 4 reflections, a square 8 symmetries
+    assert len(perms) == (2 if 1 in hw else 8 if hw[0] == hw[1] else 4)
+    assert tuple(range(b.n)) in perms
+    edges = {frozenset(e) for e in b.edges()}
+    D = coeff_tensor(b)
+    radii = b.radii(0.07)
+    for p in perms:
+        assert {frozenset((p[u], p[v])) for u, v in b.edges()} == edges
+        assert all(tuple(p[s] for s in q) in perms for q in perms)  # a group
+        assert np.array_equal(D.transpose(p), D)
+        assert np.array_equal(radii[list(p)], radii)
+    # the scan order's tensor is built directly, equal to the transposed one
+    order, _, _ = _orbit_head(b, coarse._grid_size(b.n, 32))
+    assert np.array_equal(coeff_tensor(b, order), D.transpose(order))
+
+
+def reference_coeff_tensor(b: BlockSpec) -> np.ndarray:
+    """The real coefficient tensor by a complex basis change of the code
+    tensor, one axis at a time: the monomials (1, a, conj(a)) in the basis
+    (1, Re a, Im a)."""
+    to_real = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0j], [0.0, 1.0, -1.0j]])
+    t = (_code_tensor(b) * 2.0**-b.n).astype(complex)
+    for _ in range(b.n):
+        # contract the leading axis; the new axis goes last, so n steps restore the order
+        t = np.tensordot(t, to_real, axes=([0], [0]))
+    return np.ascontiguousarray(t.real)
+
+
+@pytest.mark.parametrize("hw", BLOCKS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_coeff_tensor_matches_complex_basis_change(hw):
+    b = BlockSpec(*hw)
+    D = coeff_tensor(b)
+    assert D.dtype == np.float64 and D.flags.c_contiguous
+    assert np.array_equal(D, reference_coeff_tensor(b))
+
+
+def brute_force_automorphisms(b: BlockSpec) -> list[tuple[int, ...]]:
+    """Every site permutation that maps the edges onto the edges and keeps the
+    lambda-grown radii."""
+    edges = {frozenset(e) for e in b.edges()}
+    radii = BlockSpec(b.height, b.width, LAMBDA_GROWN).radii(0.07)
+    return [
+        p for p in itertools.permutations(range(b.n))
+        if {frozenset((p[u], p[v])) for u, v in b.edges()} == edges
+        and np.array_equal(radii[list(p)], radii)
+    ]
+
+
+@pytest.mark.parametrize(
+    "hw,grid,chunk",
+    [((2, 2), 3, 81), ((2, 2), 4, 256), ((2, 3), 3, 81), ((2, 3), 4, 256), ((3, 2), 5, 625),
+     ((1, 4), 4, 16), ((1, 5), 3, 27), ((1, 6), 2, 16)],
+)
+def test_orbit_scan_covers_the_grid(hw, grid, chunk, monkeypatch):
+    # _CHUNK is small, so that the head is a proper part of the block and
+    # the scan runs several chunks
+    monkeypatch.setattr(coarse, "_CHUNK", chunk)
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    n = b.n
+    order, (k, leaders), group_order = _orbit_head(b, grid)
+    group = brute_force_automorphisms(b)
+    assert sorted(group) == b.automorphisms() and group_order == 2 * len(group)
+    assert 0 < k and grid ** (n - k) <= chunk
+    # the grid points scanned: a leader on the head sites, anything elsewhere
+    points = np.indices((grid,) * n).reshape(n, -1).T  # digits per site, in flat order
+    heads = points[:, order[:k]] @ grid ** np.arange(k - 1, -1, -1)
+    scanned = points[np.isin(heads, leaders)]
+    assert len(scanned) == len(leaders) * grid ** (n - k)
+    covered = np.zeros(grid**n, dtype=bool)
+    for p in group:
+        moved = np.empty_like(scanned)
+        moved[:, list(p)] = scanned  # the digit of site s moves to site p[s]
+        for image in (moved, -moved % grid):
+            covered[image @ grid ** np.arange(n - 1, -1, -1)] = True
+    assert covered.all()
+    # and no two leaders share an orbit: each is the least of its own
+    pos = np.argsort(order)
+    digits = np.array(np.unravel_index(leaders, (grid,) * k)).T
+    for p in group:
+        moved = np.empty_like(digits)
+        moved[:, [pos[p[s]] for s in order[:k]]] = digits
+        for image in (moved, -moved % grid):
+            assert (image @ grid ** np.arange(k - 1, -1, -1) >= leaders).all()
+
+
+def rounding_bound(D: np.ndarray, radii) -> float:
+    """How far two contraction orders of one grid value can part: twice
+    gamma_{3n} sum_u |D_u| prod_i w_i(u_i), w_i = (1, rho_i/2, rho_i/2), since
+    a grid row's entries are at most w_i and each site adds one product and
+    two sums to every term."""
+    t = np.abs(D)
+    for rho in radii:
+        t = np.array([1.0, rho / 2.0, rho / 2.0]) @ t.reshape(3, -1)
+    nu = 3 * D.ndim * 2.0**-53
+    return 2.0 * nu / (1.0 - nu) * t.item()
+
+
+@pytest.mark.parametrize(
+    "hw,grid,chunk",
+    [((2, 2), 16, None), ((2, 3), 16, None), ((2, 3), 7, None), ((2, 4), 8, None),
+     ((3, 3), 4, None), ((3, 4), 4, None), ((1, 6), 8, None), ((2, 3), 5, 625), ((3, 2), 4, 256)],
+)
+def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(coarse, "_CHUNK", chunk)
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    order, head, group_order = _orbit_head(b, grid)
+    assert group_order > 2
+    # integer entries make the sum over the group exact, so the random
+    # tensor is invariant bit for bit; raising its constant term, which
+    # every permutation fixes, makes its minimum positive
+    T = np.random.default_rng(b.n * grid).integers(-64, 65, size=(3,) * b.n).astype(float)
+    noise = conjugation_even(sum(T.transpose(p) for p in b.automorphisms()))
+    shifted = noise.copy()
+    shifted.flat[0] += 1.0 - min(_grid_chunks(noise, b.radii(0.1), grid))
+    cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.07, 0.09, 0.12)]
+    cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
+    signs = set()
+    for D, radii in cases:
+        mirror = min(_grid_chunks(D, radii, grid))
+        scan = (D.transpose(order), radii[order], grid, head)
+        orbit = min(_grid_chunks(*scan))
+        assert abs(orbit - mirror) <= rounding_bound(D, radii)
+        assert (orbit >= 0.0) == (mirror >= 0.0) == (_grid_sign(*scan) >= 0.0)
+        signs.add(orbit >= 0.0)
+    assert signs == {True, False}
+
+
 @pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x3", "3x4")],
                          ids=lambda c: f"{c['block']}-{c['mode']}")
 def test_certified_sign_equals_full_minimum_sign(case):
@@ -499,17 +644,18 @@ def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
     runs = []
     chunks = coarse._grid_chunks
 
-    def spy(D, radii, grid):
+    def spy(D, radii, grid, head):
         runs.append([grid, 0])
-        for item in chunks(D, radii, grid):
+        for item in chunks(D, radii, grid, head):
             runs[-1][1] += 1
             yield item
 
     monkeypatch.setattr(coarse, "_grid_chunks", spy)
     s_estimate(BlockSpec(3, 4, LAMBDA_GROWN), theta_grid=32, bisect_tol=1e-4)
-    # one head row of 4 sites per chunk, and (4^4 + 2^4) / 2 of the 256 head
-    # rows are no larger than their mirror images
-    per_grid = 136
+    # one head row of the 4 corners per chunk, one per orbit of the 4^4
+    # corner strings under the 4 reflections of the rectangle and the
+    # mirror: (256 + 3 * 16 + 2^4 + 3 * 16) / 8 = 46 by Burnside's lemma
+    per_grid = 46
     assert sum(1 for grid, n in runs if grid == 4 and n == per_grid) <= 5
     assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
 
@@ -526,7 +672,8 @@ def test_probes_record_every_sign_decision(monkeypatch):
     b = BlockSpec(2, 3, LAMBDA_GROWN)
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     monkeypatch.undo()
-    D = coeff_tensor(b)
+    order, head, _ = _orbit_head(b, est.cert_grid)
+    D = coeff_tensor(b, order)
     bounds = [p.bound for p in est.probes]
     assert bounds == sorted(bounds, reverse=True)  # the upper bisection runs first
     upper = [p for p in est.probes if p.bound == "upper"]
@@ -538,11 +685,12 @@ def test_probes_record_every_sign_decision(monkeypatch):
         assert p.value == _coordinate_descent(b, radii, radii / 2.0)[0]
     inflate = est.cert_inflation
     for p in lower:
-        radii = b.radii(p.r) * inflate
-        assert p.holds == (p.value >= 0.0) == (min(_grid_chunks(D, radii, est.cert_grid)) >= 0.0)
-        assert p.value == _grid_sign(D, radii, est.cert_grid)
+        radii = b.radii(p.r)[order] * inflate
+        full = min(_grid_chunks(D, radii, est.cert_grid, head))
+        assert p.holds == (p.value >= 0.0) == (full >= 0.0)
+        assert p.value == _grid_sign(D, radii, est.cert_grid, head)
         if p.holds:
-            assert p.value == min(_grid_chunks(D, radii, est.cert_grid))
+            assert p.value == full
     # one zero-angle descent per upper probe and none for the witness, which
     # is the assignment of the failing probe at upper
     assert len(descents) == len(upper)
