@@ -201,6 +201,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "cert_inflation": est.cert_inflation,
         "scan_group_order": est.scan_group_order,
         "scan_points": est.scan_points,
+        "cert_rounding_bound": est.cert_rounding_bound,
         "witness_assignment": list(est.witness) if est.witness else None,
         "search_capped": est.capped,
         "probes": [p._asdict() for p in est.probes],

@@ -23,8 +23,9 @@ contraction orders:
   O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
 - the coefficient tensor multiplies all factors out into 3^n code signs,
   one site at a time, and takes them in integers to the per-site basis
-  (1, Re a_i, Im a_i).  Exact grid minima contract it with every grid point
-  at once, one matrix product per site.
+  (1, Re a_i, Im a_i).  Grid minima contract it with every grid point of a
+  chunk at once: one matrix product per head site, then one per pair of
+  tail sites over the whole chunk.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
@@ -41,11 +42,11 @@ maps edges to edges and keeps the radii, so it fixes the coefficient tensor,
 and the value is unchanged when it permutes the angles.  A certification
 scan therefore visits one grid point per orbit of the automorphisms and the
 mirror: a group of order 4 for a line, 8 for a rectangle and 16 for a
-square (_orbit_head).  The mirror alone gives the full grid's minimum bit
-for bit, since mirror images are exact in floating point; the automorphisms
-change the contraction order, so that minimum equals the full grid's up to
-the rounding bound in _grid_chunks.  The frontier contraction, and so every
-upper probe, does not depend on the scan.
+square (_orbit_head).  Every value of the scan lies within rounding_bound
+of the exact value at its grid point, whichever group it uses, so its
+minimum equals the full grid's up to that bound, not bit for bit.  Bit for
+bit holds for the frontier contraction, and so for every upper probe, which
+does not depend on the scan.
 """
 
 from __future__ import annotations
@@ -413,23 +414,30 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
     contract the coefficient tensor D: the leading k sites first, giving one
     head row per grid point of those sites, then the rest in chunks of head
-    rows, last site first, each chunk small enough (_CHUNK values) to stay in
-    cache.  head = (k, leaders) names the head rows scanned, ascending; the
-    default is _mirror_head.  Head rows are formed only as the chunks reach
-    them: those under one level-j prefix together, from the parent rows
-    above them, which are kept while the scan is under them.  So a scan
-    that stops early skips the rest.  The chunk boundaries fix the order of
-    the arithmetic, so they set the last bits of each value.
+    rows, each chunk small enough (_CHUNK values) to stay in cache.  head =
+    (k, leaders) names the head rows scanned, ascending; the default is
+    _mirror_head.
+
+    Head: the head rows under one level-j prefix are formed together, from
+    the row of that prefix; each level above j keeps the one row of the
+    current prefix, Y[i][d] @ row, while the scan is under it.  So a scan
+    that stops at chunk 0 forms one row per level and skips the rest.
+
+    Tail: the rows of two tail sites, np.kron(Y[i-1], Y[i]) of shape
+    (grid^2, 9), are built once per scan, the last pair first; a lone first
+    tail site keeps its (grid, 3) rows.  Each is one 2-D product over every
+    head row of the chunk, P @ t.reshape(-1, 9).T, which moves the pair's
+    grid indices to the front.  The values of a chunk come out in another
+    order than their grid points, but only the chunk minimum is used.
 
     The scan needs D even under conjugation, as every coeff_tensor is: its
     entries with an odd number of Im codes are zero.  Then the value at grid
-    point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n),
-    bitwise, since _grid_rows builds row -j as row j with Im a negated and
-    rounding is sign-symmetric.  With the mirror alone a head row is scanned
-    only when its digit string is lexicographically no larger than its
-    mirror's: (grid^k + 2^k)/2 of the grid^k head rows for even grid,
-    (grid^k + 1)/2 for odd, in flat index order, with the all-zero point
-    still in chunk 0.  That minimum is the full grid's, bit for bit.
+    point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n) in
+    exact arithmetic, since _grid_rows builds row -j as row j with Im a
+    negated.  With the mirror alone a head row is scanned only when its
+    digit string is lexicographically no larger than its mirror's:
+    (grid^k + 2^k)/2 of the grid^k head rows for even grid, (grid^k + 1)/2
+    for odd, in flat index order, with the all-zero point still in chunk 0.
 
     A block automorphism sigma (_orbit_head) fixes D, with its axes in any
     scan order, and the radii; so the value at grid point j equals the value
@@ -437,10 +445,13 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     head sites are a union of site orbits, every grid point has an image
     whose head string is the least of its orbit under the automorphisms and
     the mirror, and scanning those leaders with every tail reaches every
-    value.  Contracting the head first changes the order of the arithmetic,
-    so that minimum is the full grid's up to rounding: both are within
-    gamma_{3n} sum_u |D_u| prod_i w_i(u_i), with w_i = (1, rho_i/2, rho_i/2),
-    of the exact minimum.
+    value.
+
+    Every value, and so every chunk minimum and the scan's minimum, lies
+    within rounding_bound(D, radii) of the exact one at the same grid rows.
+    The chunk boundaries and the BLAS kernels fix the order of the
+    arithmetic, so they set the last bits; a mirror image need not match
+    its grid point bit for bit.
     """
     n = D.ndim
     Y = _grid_rows(radii, grid)
@@ -448,8 +459,11 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     j = 0  # the head rows under one level-j prefix fit a chunk
     while j < k and grid ** (k - j) * 3 ** (n - k) > _CHUNK:
         j += 1
-    # per level i < j: the last level-i prefix expanded, and its grid children
+    # per level i < j: the last prefix of length i + 1 reached, and its row
     parents = [(-1, None)] * j
+    tail = [np.kron(Y[i - 1], Y[i]) for i in range(n - 1, k, -2)]
+    if (n - k) % 2:
+        tail.append(Y[k])
 
     def head_rows():
         """The head rows of the leaders, D with the leading k sites contracted
@@ -459,10 +473,10 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
             top = under[0] // grid ** (k - j)
             row = D.reshape(-1)
             for i in range(j):
-                a = top // grid ** (j - i)  # top's prefix of length i
+                a = top // grid ** (j - i - 1)  # top's prefix of length i + 1
                 if parents[i][0] != a:
-                    parents[i] = (a, np.matmul(Y[i], row.reshape(3, -1)))
-                row = parents[i][1][top // grid ** (j - i - 1) % grid]
+                    parents[i] = (a, Y[i][a % grid] @ row.reshape(3, -1))
+                row = parents[i][1]
             t, ids = row.reshape(1, -1), np.array([top])
             for i in range(j, k):
                 kids = np.matmul(Y[i], t.reshape(len(t), 3, -1))
@@ -472,9 +486,9 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
             yield t
 
     for t in _rechunk(head_rows(), max(1, _CHUNK // grid ** (n - k))):
-        for i in range(n - 1, k - 1, -1):
-            # grid indices so far lead each row; site i's code is the last axis
-            t = np.matmul(Y[i], t.reshape(len(t), -1, 3).transpose(0, 2, 1))
+        for P in tail:
+            # the codes of P's sites trail every row; their grid indices lead
+            t = P @ t.reshape(-1, P.shape[1]).T
         yield float(t.min())
 
 
@@ -504,6 +518,29 @@ def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int, head=None) -> float:
         if v < 0.0:
             break
     return low
+
+
+def rounding_bound(D: np.ndarray, radii) -> float:
+    """How far a value of _grid_chunks, and so a chunk or grid minimum, can
+    lie from the exact value at the same grid rows: gamma_{5n} sum_u |D_u|
+    prod_i w_i(u_i), with w_i = (1, rho_i/2, rho_i/2) bounding site i's grid
+    rows and gamma_m = m u / (1 - m u), u = 2^-53.
+
+    Each term D_u prod_i y_i(u_i) of a value meets at most 5 roundings per
+    site: 3 at a head site (one product and two sums in its row of 3), 10 at
+    a tail pair (its np.kron entry, then one product and eight sums in its
+    row of 9) and 3 at a lone tail site.  Any summation order keeps these
+    counts.
+    """
+    t = D.reshape(-1)
+    for rho in radii:  # contract |D| a leading axis at a time, without a full copy
+        x = t.reshape(3, -1)
+        t = np.abs(x[1])
+        t += np.abs(x[2])
+        t *= rho / 2.0
+        t += np.abs(x[0])
+    nu = 5 * D.ndim * 2.0**-53
+    return nu / (1.0 - nu) * float(t[0])
 
 
 def _min_gain(n: int) -> float:
@@ -572,6 +609,8 @@ class SEstimate:
     theta_grid is the requested certification grid, cert_grid the one used.
     A full certification scan visits scan_points of its cert_grid^n points,
     one per orbit of a symmetry group of order scan_group_order (_orbit_head).
+    cert_rounding_bound is rounding_bound at the inflated radii of lower: how
+    far the scan's grid minimum there can lie from the exact one.
     probes lists every probe of both bisections in order.
     """
 
@@ -582,6 +621,7 @@ class SEstimate:
     cert_inflation: float
     scan_group_order: int
     scan_points: int
+    cert_rounding_bound: float
     witness: tuple[float, ...] | None
     capped: bool = False
     probes: tuple[Probe, ...] = ()
@@ -678,14 +718,16 @@ def s_estimate(
         lower = upper
     else:
         lower, _ = _bisect(0.0, upper, bisect_tol, certified)
+    lower = min(lower, upper)
     return SEstimate(
-        lower=min(lower, upper),
+        lower=lower,
         upper=upper,
         theta_grid=theta_grid,
         cert_grid=cert_grid,
         cert_inflation=inflate,
         scan_group_order=group_order,
         scan_points=len(head[1]) * cert_grid ** (b.n - head[0]),
+        cert_rounding_bound=rounding_bound(D, b.radii(lower)[order] * inflate),
         witness=witness,
         capped=capped,
         probes=tuple(probes),

@@ -411,6 +411,8 @@ def test_coarse_accepts_3x4(tmp_path, capsys):
     # 46 leaders among the 4^4 corner strings (test_coarse), each with the
     # 4^8 points of the other sites
     assert (result["scan_group_order"], result["scan_points"]) == (8, 46 * 4**8)
+    # rounding bound of the grid minimum at r_lower, whose values are near 2^-12
+    assert 0.0 < result["cert_rounding_bound"] < 1e-15
     assert 0.0 < result["r_lower"] <= result["r_upper"]
 
 

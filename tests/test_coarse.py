@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from cylsim.coarse import (
     conjecture_fast_path,
     find_negativity_witness,
     lemma4_checks,
+    rounding_bound,
     s_estimate,
     two_block_formula,
 )
@@ -374,10 +376,12 @@ def conjugation_even(T: np.ndarray) -> np.ndarray:
     return np.where(ims % 2 == 1, 0.0, T)
 
 
-def reference_grid_chunks(D, radii, grid):
-    """Values of every grid point, one flat array per chunk, in flat index
-    order: the grid scan as one loop over all head rows, before it skipped
-    mirror images, with the same rows, chunks and arithmetic."""
+def reference_grid_chunks(D, radii, grid, leaders=None):
+    """Values of the grid points, one flat array per chunk, in flat index
+    order: the grid scan as one loop over the head rows (all of them, or
+    those in leaders), before it skipped mirror images, with the same rows
+    and chunks.  Its kernel takes one site at a time, one small product per
+    head row: a contraction order independent of the scan's paired tail."""
     n = D.ndim
     Y = _grid_rows(radii, grid)
     k = 0
@@ -386,6 +390,8 @@ def reference_grid_chunks(D, radii, grid):
     heads = D.reshape(1, -1)
     for i in range(k):
         heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
+    if leaders is not None:
+        heads = heads[leaders]
     rows = max(1, coarse._CHUNK // grid ** (n - k))
     for s in range(0, len(heads), rows):
         t = heads[s : s + rows]
@@ -403,6 +409,14 @@ def reference_grid_min(D, radii, grid):
             best, best_j = float(values[j]), start + j
         start += len(values)
     return best, best_j
+
+
+def assert_near_reference(scan: float, ref: float, D, radii) -> None:
+    """The scan's and the reference's minima each lie within rounding_bound
+    of the exact one (the reference meets fewer roundings per site), so
+    within twice of each other, and they have the same sign."""
+    assert abs(scan - ref) <= 2.0 * rounding_bound(D, radii)
+    assert (scan >= 0.0) == (ref >= 0.0)
 
 
 @pytest.mark.parametrize(
@@ -425,11 +439,10 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
     cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.08, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     for D, radii in cases:
-        ref = reference_grid_min(D, radii, grid)
         chunks = list(_grid_chunks(D, radii, grid))
-        assert min(chunks) == ref[0]
+        assert_near_reference(min(chunks), reference_grid_min(D, radii, grid)[0], D, radii)
         first_negative = next((v for v in chunks if v < 0.0), None)
-        assert _grid_sign(D, radii, grid) == (ref[0] if first_negative is None else first_negative)
+        assert _grid_sign(D, radii, grid) == (min(chunks) if first_negative is None else first_negative)
 
 
 @pytest.mark.parametrize("hw", [(h, w) for h in (1, 2, 3) for w in (1, 2, 3, 4) if h * w >= 2])
@@ -469,10 +482,56 @@ def test_half_grid_scan_equals_full_mirrored_grid(hw, grid, chunk, monkeypatch):
         [-d % grid for d in np.unravel_index(np.arange(grid**b.n), (grid,) * b.n)], (grid,) * b.n
     )
     for D, radii in cases:
-        # every grid point has the value of its mirror image, bit for bit
+        # with the per-row kernel every grid point has the value of its
+        # mirror image, bit for bit
         values = np.concatenate(list(reference_grid_chunks(D, radii, grid)))
         assert np.array_equal(values, values[mirror])
-        assert min(_grid_chunks(D, radii, grid)) == reference_grid_min(D, radii, grid)[0]
+        assert_near_reference(min(_grid_chunks(D, radii, grid)), values.min(), D, radii)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
+    # _CHUNK = grid^tail sets the tail length: a lone site, one pair, one
+    # pair and a lone site, two pairs; a random tensor, neither even under
+    # conjugation nor small, puts distinct values in every chunk
+    n = 4 if grid == 16 else 5
+    rng = np.random.default_rng(grid)
+    D = rng.normal(size=(3,) * n)
+    radii = rng.uniform(0.05, 0.5, n)
+    bound = 2.0 * rounding_bound(D, radii)
+    for tail in range(1, n):
+        monkeypatch.setattr(coarse, "_CHUNK", grid**tail)
+        k, leaders = coarse._mirror_head(n, grid)
+        assert n - k == tail
+        ref = list(reference_grid_chunks(D, radii, grid, leaders))
+        assert len(ref) > 1
+        # the chunk minima of D and of -D: every chunk's least and greatest value
+        for sign in (1.0, -1.0):
+            got = list(_grid_chunks(sign * D, radii, grid))
+            assert len(got) == len(ref)
+            for v, values in zip(got, ref):
+                assert abs(v - (sign * values).min()) <= bound
+
+
+def test_certification_scan_memory():
+    # a lower probe that fails stops after chunk 0; its head forms one row
+    # per prefix level, not every grid child of D (4.25 MB here)
+    b = BlockSpec(3, 4, LAMBDA_GROWN)
+    order, head, _ = _orbit_head(b, 4)
+    D = coeff_tensor(b, order)
+    radii = b.radii(0.06)[order] * math.sqrt(2.0)
+    tracemalloc.start()
+    try:
+        assert next(_grid_chunks(D, radii, 4, head)) < 0.0
+        first_chunk = tracemalloc.get_traced_memory()[1]
+        del D
+        tracemalloc.reset_peak()
+        s_estimate(b, theta_grid=32, bisect_tol=1e-4)
+        bracket = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first_chunk < 4e6
+    assert bracket < 10e6
 
 
 @pytest.mark.parametrize("hw,grid,count", [((2, 2), 32, 9), ((2, 3), 16, 130), ((2, 4), 8, 130)])
@@ -578,18 +637,6 @@ def test_orbit_scan_covers_the_grid(hw, grid, chunk, monkeypatch):
             assert (image @ grid ** np.arange(k - 1, -1, -1) >= leaders).all()
 
 
-def rounding_bound(D: np.ndarray, radii) -> float:
-    """How far two contraction orders of one grid value can part: twice
-    gamma_{3n} sum_u |D_u| prod_i w_i(u_i), w_i = (1, rho_i/2, rho_i/2), since
-    a grid row's entries are at most w_i and each site adds one product and
-    two sums to every term."""
-    t = np.abs(D)
-    for rho in radii:
-        t = np.array([1.0, rho / 2.0, rho / 2.0]) @ t.reshape(3, -1)
-    nu = 3 * D.ndim * 2.0**-53
-    return 2.0 * nu / (1.0 - nu) * t.item()
-
-
 @pytest.mark.parametrize(
     "hw,grid,chunk",
     [((2, 2), 16, None), ((2, 3), 16, None), ((2, 3), 7, None), ((2, 4), 8, None),
@@ -615,7 +662,8 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
         mirror = min(_grid_chunks(D, radii, grid))
         scan = (D.transpose(order), radii[order], grid, head)
         orbit = min(_grid_chunks(*scan))
-        assert abs(orbit - mirror) <= rounding_bound(D, radii)
+        # each within rounding_bound of the exact minimum
+        assert abs(orbit - mirror) <= 2.0 * rounding_bound(D, radii)
         assert (orbit >= 0.0) == (mirror >= 0.0) == (_grid_sign(*scan) >= 0.0)
         signs.add(orbit >= 0.0)
     assert signs == {True, False}
@@ -635,6 +683,10 @@ def test_certified_sign_equals_full_minimum_sign(case):
         verdicts.append(_grid_sign(D, radii, grid) >= 0.0)
         assert verdicts[-1] == (min(_grid_chunks(D, radii, grid)) >= 0.0)
     assert verdicts == [True, True, False, False]
+    # the certified minimum clears its rounding bound by far: 1.5e-9 against
+    # 1.6e-17 on 3x4
+    radii = b.radii(lower) * inflate
+    assert min(_grid_chunks(D, radii, grid)) > 1e6 * rounding_bound(D, radii)
 
 
 def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
@@ -684,6 +736,7 @@ def test_probes_record_every_sign_decision(monkeypatch):
         radii = b.radii(p.r)
         assert p.value == _coordinate_descent(b, radii, radii / 2.0)[0]
     inflate = est.cert_inflation
+    assert est.cert_rounding_bound == rounding_bound(D, b.radii(est.lower)[order] * inflate)
     for p in lower:
         radii = b.radii(p.r)[order] * inflate
         full = min(_grid_chunks(D, radii, est.cert_grid, head))
