@@ -107,10 +107,10 @@ def _dense_peak(c: ClusterCircuit) -> float:
     input, the grown input beside both outcomes and the per-branch vectors of
     the measurement (40 bytes per branch and window basis state), and the
     outcomes beside the branches that pruning keeps.  Each step adds 512
-    bytes a branch for outcome bits and angles, the result 256 bytes an
-    outcome for its 2^n-entry dict, and 512 kiB covers numpy's buffers (two
-    of 128 kiB at most at a time)."""
-    peak = 256.0 * 2**c.n_qubits
+    bytes a branch for outcome bits and angles, the result 256 bytes for
+    each dict entry, one per surviving branch, and 512 kiB covers numpy's
+    buffers (two of 128 kiB at most at a time)."""
+    peak = 0.0
     b = 1.0
     for v, new, window, _ in oracle.window_walk(c):
         grown = 16 * b * 4 ** len(window)
@@ -119,7 +119,7 @@ def _dense_peak(c: ClusterCircuit) -> float:
         step = max(grown * 21 / 16 if new else 0, grown + out + 40 * b * m, out * (2 - 0.5 / b))
         peak = max(peak, step + 512 * b)
         b *= 2 if c.plan[v].kind == XY_PLANE else 1
-    return peak + 2**19
+    return max(peak, 256 * b) + 2**19
 
 
 def _refuse_dense(c: ClusterCircuit) -> None:

@@ -23,15 +23,17 @@ contraction orders:
   O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
 - the coefficient tensor multiplies all factors out into 3^n code signs,
   one site at a time, and takes them in integers to the per-site basis
-  (1, Re a_i, Im a_i).  Grid minima contract it with every grid point of a
-  chunk at once: one matrix product per head site, then one per pair of
-  tail sites over the whole chunk.
+  (1, Re a_i, Im a_i).  Grid minima contract it along a walk over the
+  prefixes of the scanned head strings, then with every grid point of a
+  chunk at once: one matrix product per pair of tail sites.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
 rho_i / (2 cos(pi/G)), and a multilinear function on a product of polytopes
 attains its minimum at a vertex product, so an exact minimum over the
-inflated angle grid bounds the continuous minimum from below.
+inflated angle grid bounds the continuous minimum from below.  The scan
+computes that minimum in floating point, so a certificate asks it to be at
+least rounding_bound, the scan's forward error, not merely nonnegative.
 
 Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
@@ -418,10 +420,12 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     (k, leaders) names the head rows scanned, ascending; the default is
     _mirror_head.
 
-    Head: the head rows under one level-j prefix are formed together, from
-    the row of that prefix; each level above j keeps the one row of the
-    current prefix, Y[i][d] @ row, while the scan is under it.  So a scan
-    that stops at chunk 0 forms one row per level and skips the rest.
+    Head: one recursive walk over the prefixes of the leader strings.  Once
+    the head rows under a prefix fit a chunk, one stacked product per
+    remaining head site forms them all, and one fancy index picks the
+    leaders'.  Above that level the walk forms only the child row
+    Y[i][d] @ row of each digit d that leads to leaders, so it holds one row
+    per level, and a scan that stops at chunk 0 skips the rest.
 
     Tail: the rows of two tail sites, np.kron(Y[i-1], Y[i]) of shape
     (grid^2, 9), are built once per scan, the last pair first; a lone first
@@ -456,36 +460,23 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     n = D.ndim
     Y = _grid_rows(radii, grid)
     k, leaders = head if head is not None else _mirror_head(n, grid)
-    j = 0  # the head rows under one level-j prefix fit a chunk
-    while j < k and grid ** (k - j) * 3 ** (n - k) > _CHUNK:
-        j += 1
-    # per level i < j: the last prefix of length i + 1 reached, and its row
-    parents = [(-1, None)] * j
     tail = [np.kron(Y[i - 1], Y[i]) for i in range(n - 1, k, -2)]
     if (n - k) % 2:
         tail.append(Y[k])
 
-    def head_rows():
-        """The head rows of the leaders, D with the leading k sites contracted
-        at their grid points, in order: one block per level-j prefix."""
-        tops = leaders // grid ** (k - j)
-        for under in np.split(leaders, np.flatnonzero(np.diff(tops)) + 1):
-            top = under[0] // grid ** (k - j)
-            row = D.reshape(-1)
-            for i in range(j):
-                a = top // grid ** (j - i - 1)  # top's prefix of length i + 1
-                if parents[i][0] != a:
-                    parents[i] = (a, Y[i][a % grid] @ row.reshape(3, -1))
-                row = parents[i][1]
-            t, ids = row.reshape(1, -1), np.array([top])
-            for i in range(j, k):
-                kids = np.matmul(Y[i], t.reshape(len(t), 3, -1))
-                up, ids = ids, under // grid ** (k - i - 1)
-                ids = ids[np.diff(ids, prepend=-1) > 0]  # distinct, as under is sorted
-                t = kids[np.searchsorted(up, ids // grid), ids % grid]
-            yield t
+    def head_rows(row, i, ids):
+        """Head rows of the leaders under one prefix of length i, whose row is
+        row; ids are their flat indices past the prefix, ascending."""
+        if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK:  # its rows fit a chunk
+            for y in Y[i:k]:
+                row = np.matmul(y, row.reshape(-1, 3, row.shape[-1] // 3))
+            yield row.reshape(grid ** (k - i), -1)[ids]
+            return
+        digit, ids = np.divmod(ids, grid ** (k - i - 1))
+        for d in np.flatnonzero(np.bincount(digit)):
+            yield from head_rows(Y[i][d] @ row.reshape(3, -1), i + 1, ids[digit == d])
 
-    for t in _rechunk(head_rows(), max(1, _CHUNK // grid ** (n - k))):
+    for t in _rechunk(head_rows(D.reshape(1, -1), 0, leaders), max(1, _CHUNK // grid ** (n - k))):
         for P in tail:
             # the codes of P's sites trail every row; their grid indices lead
             t = P @ t.reshape(-1, P.shape[1]).T
@@ -587,9 +578,11 @@ def _angles(a) -> tuple[float, ...]:
 
 class Probe(NamedTuple):
     """One bisection probe: the bound it served ("upper" or "lower"), its
-    radius, whether the block value stayed nonnegative, and the value that
-    decided it: where the zero-start descent ended for an upper probe; for a
-    lower one the certification-grid minimum, or the first negative chunk's."""
+    radius, whether it held, and the value that decided it.  An upper probe's
+    value is where the zero-start descent ended, and it holds when that is
+    nonnegative.  A lower probe's value is the certification-grid minimum, or
+    the first negative chunk's, and it holds when that is at least
+    rounding_bound at the probe's inflated radii."""
 
     bound: str
     r: float
@@ -601,8 +594,9 @@ class Probe(NamedTuple):
 class SEstimate:
     """Bracket [lower, upper] for a block threshold.
 
-    lower is certified: the exact grid minimum at radii inflated by
-    cert_inflation = 1/cos(pi/cert_grid) was nonnegative, which bounds the
+    lower is certified: at radii inflated by cert_inflation =
+    1/cos(pi/cert_grid), the scan's grid minimum was at least its rounding
+    bound, so the exact grid minimum was nonnegative, which bounds the
     continuous minimum from below.  upper is witnessed: witness, the
     assignment where the descent of the failing probe at upper ended, has a
     negative value there (unless capped: the search cap was reached).
@@ -610,7 +604,8 @@ class SEstimate:
     A full certification scan visits scan_points of its cert_grid^n points,
     one per orbit of a symmetry group of order scan_group_order (_orbit_head).
     cert_rounding_bound is rounding_bound at the inflated radii of lower: how
-    far the scan's grid minimum there can lie from the exact one.
+    far the scan's grid minimum there can lie from the exact one, and so the
+    slack a lower probe there must clear.
     probes lists every probe of both bisections in order.
     """
 
@@ -659,12 +654,13 @@ def s_estimate(
     Each probe decides a sign by one search.  An upper probe descends from
     all-zero angles at the exact radii and fails when it ends negative; upper
     is always such a probe, and its assignment is the witness.  A lower probe
-    takes the exact minimum over G angles per site (theta_grid, halved to fit
-    _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G):
-    nonnegativity there certifies the continuous minimum, and the probe
-    stops at the first chunk of grid points that goes negative.  The scan
-    visits one grid point per orbit of the block's symmetry group; its head
-    and leader list are set up once, for every lower probe.
+    scans the minimum over G angles per site (theta_grid, halved to fit
+    _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G): a
+    minimum of at least rounding_bound, the scan's forward error, certifies
+    the continuous minimum.  The probe stops at the first chunk of grid
+    points that goes negative, and computes the bound only when none does.
+    The scan visits one grid point per orbit of the block's symmetry group;
+    its head and leader list are set up once, for every lower probe.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -698,9 +694,11 @@ def s_estimate(
         return v >= 0.0
 
     def certified(r: float) -> bool:
-        v = _grid_sign(D, b.radii(r)[order] * inflate, cert_grid, head)
-        probes.append(Probe("lower", r, v >= 0.0, v))
-        return v >= 0.0
+        radii = b.radii(r)[order] * inflate
+        v = _grid_sign(D, radii, cert_grid, head)
+        holds = v >= 0.0 and v >= rounding_bound(D, radii)
+        probes.append(Probe("lower", r, holds, v))
+        return holds
 
     # upper: smallest r with a concrete negative witness
     hi = 0.05

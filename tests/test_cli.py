@@ -228,8 +228,9 @@ def _grid3x4():
     # both outcomes of the centre beside the leaves' product: 0.75 x 16 * 4^n
     (_star(10), 12 * 4**10, 16 * 4**10, None),
     # every other vertex Z-measured, with one outcome: 2^7 branches at most,
-    # not 2^14, so the estimate is 4.7 MB, not 67.4 MB
-    (ClusterCircuit.from_json((DATA / "chain14.json").read_text()), 0, 2**21, 8 * 10**6),
+    # not 2^14, and a result dict of 2^7 entries, so the estimate is 1.3 MB,
+    # not 67.4 MB
+    (ClusterCircuit.from_json((DATA / "chain14.json").read_text()), 0, 2**21, 2 * 10**6),
 ], ids=["chain14", "grid3x4", "star10-centre-first", "chain14-data-z-steps"])
 def test_dense_peak_bounds_the_window(c, low, high, model):
     tracemalloc.start()

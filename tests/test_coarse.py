@@ -376,17 +376,22 @@ def conjugation_even(T: np.ndarray) -> np.ndarray:
     return np.where(ims % 2 == 1, 0.0, T)
 
 
-def reference_grid_chunks(D, radii, grid, leaders=None):
+def reference_grid_chunks(D, radii, grid, head=None):
     """Values of the grid points, one flat array per chunk, in flat index
-    order: the grid scan as one loop over the head rows (all of them, or
-    those in leaders), before it skipped mirror images, with the same rows
-    and chunks.  Its kernel takes one site at a time, one small product per
-    head row: a contraction order independent of the scan's paired tail."""
+    order: the grid scan as one loop over the head rows, before it skipped
+    mirror images, with the same rows and chunks.  head = (k, leaders) scans
+    the leaders' rows of the first k sites; the default scans every row of
+    the fewest sites whose tail fits a chunk.  Its kernel forms every head
+    row and takes one site at a time, one small product per head row: a
+    contraction order independent of the scan's head walk and paired tail."""
     n = D.ndim
     Y = _grid_rows(radii, grid)
-    k = 0
-    while grid ** (n - k) > coarse._CHUNK:
-        k += 1
+    if head is None:
+        k, leaders = 0, None
+        while grid ** (n - k) > coarse._CHUNK:
+            k += 1
+    else:
+        k, leaders = head
     heads = D.reshape(1, -1)
     for i in range(k):
         heads = np.matmul(Y[i], heads.reshape(len(heads), 3, -1)).reshape(len(heads) * grid, -1)
@@ -503,7 +508,7 @@ def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
         monkeypatch.setattr(coarse, "_CHUNK", grid**tail)
         k, leaders = coarse._mirror_head(n, grid)
         assert n - k == tail
-        ref = list(reference_grid_chunks(D, radii, grid, leaders))
+        ref = list(reference_grid_chunks(D, radii, grid, (k, leaders)))
         assert len(ref) > 1
         # the chunk minima of D and of -D: every chunk's least and greatest value
         for sign in (1.0, -1.0):
@@ -640,9 +645,13 @@ def test_orbit_scan_covers_the_grid(hw, grid, chunk, monkeypatch):
 @pytest.mark.parametrize(
     "hw,grid,chunk",
     [((2, 2), 16, None), ((2, 3), 16, None), ((2, 3), 7, None), ((2, 4), 8, None),
-     ((3, 3), 4, None), ((3, 4), 4, None), ((1, 6), 8, None), ((2, 3), 5, 625), ((3, 2), 4, 256)],
+     ((3, 3), 4, None), ((3, 4), 4, None), ((1, 6), 8, None), ((2, 3), 5, 625), ((3, 2), 4, 256),
+     ((2, 3), 3, 81), ((2, 3), 4, 256), ((3, 3), 4, 1024)],
 )
 def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
+    # under a small _CHUNK the head walk recurses above the level where a
+    # prefix's head rows fit a chunk and stacks products below it: levels 2
+    # of 4 on 2x3 at grid 3 and 4, 3 of 4 on 3x3
     if chunk is not None:
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
     b = BlockSpec(*hw, LAMBDA_GROWN)
@@ -666,6 +675,13 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
         assert abs(orbit - mirror) <= 2.0 * rounding_bound(D, radii)
         assert (orbit >= 0.0) == (mirror >= 0.0) == (_grid_sign(*scan) >= 0.0)
         signs.add(orbit >= 0.0)
+        # chunk by chunk, the minima of D and -D against the per-row reference
+        ref = list(reference_grid_chunks(*scan))
+        for sign in (1.0, -1.0):
+            got = list(_grid_chunks(sign * scan[0], *scan[1:]))
+            assert len(got) == len(ref)
+            for v, values in zip(got, ref):
+                assert abs(v - (sign * values).min()) <= 2.0 * rounding_bound(D, radii)
     assert signs == {True, False}
 
 
@@ -712,6 +728,17 @@ def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
     assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
 
 
+def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):
+    # a grid minimum that is nonnegative but below the scan's forward error
+    # certifies nothing, since the exact minimum may be negative
+    monkeypatch.setattr(coarse, "_grid_sign", lambda D, radii, *_: 0.5 * rounding_bound(D, radii))
+    est = s_estimate(BlockSpec(2, 2, LAMBDA_GROWN), theta_grid=8, bisect_tol=1e-3)
+    lower = [p for p in est.probes if p.bound == "lower"]
+    assert lower and not any(p.holds for p in lower)
+    assert all(p.value > 0.0 for p in lower)
+    assert est.lower == 0.0
+
+
 def test_probes_record_every_sign_decision(monkeypatch):
     descents = []
     descent = coarse._coordinate_descent
@@ -740,7 +767,7 @@ def test_probes_record_every_sign_decision(monkeypatch):
     for p in lower:
         radii = b.radii(p.r)[order] * inflate
         full = min(_grid_chunks(D, radii, est.cert_grid, head))
-        assert p.holds == (p.value >= 0.0) == (full >= 0.0)
+        assert p.holds == (p.value >= rounding_bound(D, radii)) == (full >= 0.0)
         assert p.value == _grid_sign(D, radii, est.cert_grid, head)
         if p.holds:
             assert p.value == full
