@@ -8,8 +8,11 @@ compare first refuses with exit 3 a circuit whose dense oracle is over
 DENSE_CAP qubits or whose estimated peak (_dense_peak, from the oracle's
 window walk) would not fit in available memory; both refuse with exit 3 a
 --shots whose uniform draws exceed sampler.MAX_UNIFORMS.  compare prints the
-TV distance to the exact distribution, its sampling bound oracle.tv_bound and
-whether it lies within it.  Stochastic commands require --seed and echo a
+TV distance to the exact distribution, the support K (outcomes of positive
+exact mass), the sampling bound oracle.tv_bound over K and whether the TV
+distance lies within it; it compares the sampler's and the oracle's outcome
+tables on their arrays and formats no outcome string.  sample writes its CSV
+from the table's bitstrings.  Stochastic commands require --seed and echo a
 provenance JSON sufficient to reproduce their output bit-exactly.
 """
 
@@ -108,7 +111,7 @@ def _dense_peak(c: ClusterCircuit) -> float:
     the measurement (40 bytes per branch and window basis state), and the
     outcomes beside the branches that pruning keeps.  Each step adds 512
     bytes a branch for outcome bits and angles, the result 256 bytes for
-    each dict entry, one per surviving branch, and 512 kiB covers numpy's
+    each table entry, one per surviving branch, and 512 kiB covers numpy's
     buffers (two of 128 kiB at most at a time)."""
     peak = 0.0
     b = 1.0
@@ -136,7 +139,7 @@ def _refuse_dense(c: ClusterCircuit) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     _, rep, report, counts = _sample(args)
-    _write_counts_csv(args.out, counts)
+    _write_counts_csv(args.out, counts.as_dict())
     _write_json(
         args.out + ".provenance.json",
         _provenance(
@@ -161,8 +164,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     c, _, _, counts = _sample(args, _refuse_dense)
     dist = oracle.exact_distribution(c)
     tv = oracle.tv_distance(oracle.normalize_counts(counts), dist)
-    bound = oracle.tv_bound(args.shots, sum(1 for p in dist.values() if p > 0.0))
-    result = {"tv": tv, "shots": args.shots, "tv_bound": bound, "within_bound": tv <= bound}
+    support = int(np.count_nonzero(dist.mass > 0.0))
+    bound = oracle.tv_bound(args.shots, support)
+    result = {"tv": tv, "shots": args.shots, "support": support, "tv_bound": bound,
+              "within_bound": tv <= bound}
     _write_json(args.out, _provenance(args, result))
     print(json.dumps(result))
     return EXIT_OK

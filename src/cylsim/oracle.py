@@ -9,20 +9,27 @@ measured yet.  A qubit joins the window as a Kronecker factor when its first
 neighbour is measured, each CZ edge becomes a parity sign mask in the
 measurement of its first endpoint, and a vertex that no earlier measurement
 reached is folded in with its own measurement, so on a chain measured end to
-end the largest operator is on two qubits.  tv_bound is the sampling bound
-that compare judges the TV distance by.  Deliberately method-independent of
-the sampler: no separable decompositions, no stabilizer shortcuts.
+end the largest operator is on two qubits.  The branches come out in
+breadth-first order and are sorted once into an outcomes.OutcomeTable.
+normalize_counts and tv_distance work on the tables' arrays, converting a
+plain bitstring dict to a table once, so no outcome string is formatted
+between the sampler's counts and the TV distance.  tv_bound is the sampling
+bound that compare judges the TV distance by.  Deliberately
+method-independent of the sampler: no separable decompositions, no
+stabilizer shortcuts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
 from .circuits import ClusterCircuit, MeasurementRule
 from .geometry import XY_PLANE, CylinderExtremum, to_bloch
+from .outcomes import OutcomeTable, as_table, byte_order
 
 DENSE_CAP = 14
 
@@ -110,8 +117,9 @@ def _parity(qubits, marked) -> np.ndarray:
     return s
 
 
-def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> dict[str, float]:
-    """Signed measure over outcome bitstrings, exact for any dense-cap circuit.
+def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
+    """Signed measure over outcome bitstrings, exact for any dense-cap circuit,
+    as an OutcomeTable with one entry per surviving branch.
 
     Measures breadth-first over one array t (branches, 2^w, 2^w): the
     operators of every surviving branch on the window, the w qubits that are
@@ -144,8 +152,7 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> dict[str, flo
         keep = np.abs(np.real(np.trace(t, axis1=1, axis2=2))) >= prune
         if not keep.all():
             t, bits = t[keep], bits[keep]
-    text = (bits + ord("0")).tobytes().decode("ascii")
-    return {text[i * n : (i + 1) * n]: float(x) for i, x in enumerate(np.real(t[:, 0, 0]))}
+    return OutcomeTable.from_bits(bits, np.real(t[:, 0, 0]))
 
 
 def _outcomes(
@@ -229,11 +236,23 @@ def _branch_alpha(rule: MeasurementRule, bits: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def tv_distance(p: dict[str, float], q: dict[str, float]) -> float:
-    """Half the L1 distance over the union support."""
-    # fsum is exactly rounded, so the set's hash-seeded order cannot show
-    keys = set(p) | set(q)
-    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+def tv_distance(p: Mapping, q: Mapping) -> float:
+    """Half the L1 distance over the union support of two outcome tables, or
+    plain bitstring mappings, which as_table converts once."""
+    p, q = as_table(p), as_table(q)
+    mass = np.concatenate([p.mass, -q.mass])
+    if len(p) and len(q):
+        if p.n != q.n:
+            raise ValueError(f"outcomes of {p.n} and {q.n} bits cannot be compared")
+        # sorted, an outcome of both tables fills two neighbouring places
+        rows = np.concatenate([p.rows, q.rows])
+        order = byte_order(rows)
+        rows, mass = rows[order], mass[order]
+        twin = np.flatnonzero(rows[1:] == rows[:-1])
+        mass[twin] += mass[twin + 1]
+        mass[twin + 1] = 0.0
+    # fsum is exactly rounded, so the order of the terms cannot show
+    return 0.5 * math.fsum(np.abs(mass).tolist())
 
 
 def tv_bound(shots: int, support: int, delta: float = 1e-6) -> float:
@@ -247,11 +266,14 @@ def tv_bound(shots: int, support: int, delta: float = 1e-6) -> float:
     return 0.5 * math.sqrt(support / shots) + math.sqrt(math.log(1.0 / delta) / (2.0 * shots))
 
 
-def normalize_counts(counts: dict[str, int]) -> dict[str, float]:
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {k: v / total for k, v in counts.items()}
+def normalize_counts(counts: Mapping) -> OutcomeTable:
+    """Table of each count over the total, of a count table or a plain
+    bitstring mapping; empty when the total is 0."""
+    t = as_table(counts)
+    total = t.mass.sum()
+    if not total:
+        return OutcomeTable(t.n, t.rows[:0], np.zeros(0))
+    return OutcomeTable(t.n, t.rows, t.mass / total)
 
 
 def partial_trace_keep(rho: np.ndarray, n: int, keep: list[int]) -> np.ndarray:

@@ -14,9 +14,11 @@ draws its uniforms from its own counter-based stream Philox(key=[seed,
 block]), so the count table for a seed does not depend on how many threads
 share the blocks.
 
-sample_parallel is the one sampling entry point.  The default representation
-is stored below as angle-grid indices and checked on load; only a
-non-default growth margin solves the LP.
+sample_parallel is the one sampling entry point.  It returns an
+outcomes.OutcomeTable: the blocks' distinct outcomes as sorted packed-bit rows
+with their counts, whose bitstrings are built only when asked for.  The
+default representation is stored below as angle-grid indices and checked on
+load; only a non-default growth margin solves the LP.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .czdec import (
     mixture_residual,
 )
 from .geometry import Z_BASIS
+from .outcomes import OutcomeTable, pack_rows
 
 #: relative headroom between the sampler's growth factor and the critical one
 DEFAULT_GROWTH_MARGIN = 1e-3
@@ -202,22 +205,17 @@ class _ShotKernel:
 
 
 def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct outcome rows, as packed-bit byte strings, and their counts."""
-    packed = np.packbits(bits, axis=1)
-    rows = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))
-    return np.unique(rows.ravel(), return_counts=True)
+    """Distinct outcome rows, as sorted packed-bit rows, and their counts."""
+    return np.unique(pack_rows(bits), return_counts=True)
 
 
-def _count_table(parts: list, n: int) -> dict[str, int]:
+def _count_table(parts: list, n: int) -> OutcomeTable:
     if not parts:
-        return {}
+        parts = [_tally(np.zeros((0, n), dtype=np.uint8))]
     keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in parts]))
-    nbytes = keys.dtype.itemsize
-    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, nbytes), axis=1)[:, :n]
-    text = (bits + ord("0")).tobytes().decode("ascii")
-    return {text[i * n:(i + 1) * n]: int(k) for i, k in enumerate(counts)}
+    return OutcomeTable(n, keys, counts)
 
 
 def sample_parallel(
@@ -226,12 +224,14 @@ def sample_parallel(
     seed: int,
     rep: StochasticRep,
     threads: int = 1,
-) -> dict[str, int]:
+) -> OutcomeTable:
     """Bitstring -> count table of `shots` shots, blocks of BLOCK_SHOTS split
     across at most `threads` threads, and no more than there are blocks or CPUs.
 
-    Position v holds vertex v's bit.  Block b draws from Philox(key=[seed, b]),
-    so the table is the same for every thread count.  Raises ValueError for a
+    Position v holds vertex v's bit; the table holds the distinct outcomes as
+    sorted packed-bit rows and their counts, and builds strings only when
+    asked for them.  Block b draws from Philox(key=[seed, b]), so the table
+    is the same for every thread count.  Raises ValueError for a
     negative shot count, a seed outside [0, 2^64), fewer than one thread, or a
     circuit whose final radii leave the unit cylinder, and TooManyShots, before
     any work, when shots * (edges + vertices) uniforms exceed MAX_UNIFORMS.

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURE_GRAPHS, build_fixture
 
 import cylsim
-from cylsim import cli, oracle
+from cylsim import cli, oracle, sampler
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.cli import (
     EXIT_ERROR,
@@ -27,7 +28,7 @@ from cylsim.cli import (
     main,
 )
 from cylsim.czdec import LAMBDA
-from cylsim.geometry import XY_PLANE, CylinderExtremum
+from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
 
 DATA = Path(__file__).parent / "data"
 
@@ -356,6 +357,81 @@ def test_compare_small_circuit(tmp_path, circuit_file, capsys):
     result = json.loads(out.read_text())
     assert result["tv"] < 0.03
     assert json.loads(capsys.readouterr().out)["shots"] == 20000
+
+
+def _adaptive(n, edges, seed):
+    """A circuit drawn as the benchmark draws them: angles, poles and
+    azimuths from random.Random(seed), radii at 90 % of each vertex's bound at
+    the default growth, XY-plane steps that take the previous outcome's sign
+    and the first outcome's shift, and a last Z-basis step."""
+    rng = random.Random(seed)
+    g = sampler.default_rep().growth
+    inputs = tuple(
+        CylinderExtremum(0.9 * g ** -sum(v in e for e in edges), rng.uniform(0.0, 2.0 * math.pi),
+                         rng.choice((1, -1)))
+        for v in range(n)
+    )
+    plan = tuple(
+        MeasurementRule(XY_PLANE, rng.uniform(0.0, 2.0 * math.pi), frozenset({v - 1} if v else ()),
+                        frozenset({0} if v > 1 else ()))
+        for v in range(n - 1)
+    )
+    return ClusterCircuit(n, tuple(edges), inputs, plan + (MeasurementRule(Z_BASIS),),
+                          tuple(range(n)))
+
+
+def _z_pruned():
+    """A 6-chain with pole -1 inputs whose even vertices are Z-measured first:
+    each Z step has one outcome, and the oracle prunes the other's branch."""
+    g = sampler.default_rep().growth
+    edges = tuple((v, v + 1) for v in range(5))
+    return ClusterCircuit(
+        6,
+        edges,
+        tuple(CylinderExtremum(0.9 * g ** -sum(v in e for e in edges), 0.2 + 0.7 * v,
+                               -1 if v % 3 == 0 else 1) for v in range(6)),
+        tuple(MeasurementRule(Z_BASIS) if v % 2 == 0 else
+              MeasurementRule(XY_PLANE, 0.3 + 0.5 * v, frozenset({v - 1}), frozenset({0}))
+              for v in range(6)),
+        (0, 2, 4, 1, 3, 5),
+    )
+
+
+COMPARE_CIRCUITS = {
+    **{name: (lambda n=n, e=e: _adaptive(n, e, 17)) for name, (n, e) in FIXTURE_GRAPHS.items()},
+    "chain10": lambda: _adaptive(10, _chain(10).edges, 18),
+    "grid3x4": lambda: _adaptive(12, _grid3x4().edges, 19),
+    "pole-z-pruned": _z_pruned,
+}
+
+
+@pytest.mark.parametrize("name", list(COMPARE_CIRCUITS))
+def test_compare_keeps_its_bits(tmp_path, capsys, name):
+    """compare's tv, support, tv_bound and within_bound are those of the
+    dict formula over plain-dict copies of the count table and the exact
+    distribution, bit for bit, for 1 to 2^14 + 5 shots (two blocks)."""
+    c = COMPARE_CIRCUITS[name]()
+    path = tmp_path / "c.json"
+    path.write_text(c.to_json())
+    rep = sampler.default_rep()
+    dist = dict(oracle.exact_distribution(c))
+    support = sum(1 for p in dist.values() if p > 0.0)
+    if name == "pole-z-pruned":
+        assert len(dist) == 8
+    for seed in range(3):
+        for shots in (1, 7, 2000, 2**14 + 5):
+            counts = dict(sampler.sample_parallel(c, shots, seed, rep))
+            total = sum(counts.values())
+            p = {k: v / total for k, v in counts.items()}
+            tv = 0.5 * math.fsum(abs(p.get(k, 0.0) - dist.get(k, 0.0)) for k in set(p) | set(dist))
+            bound = oracle.tv_bound(shots, support)
+            for threads in (1, 2):
+                assert main(["compare", "--circuit", str(path), "--shots", str(shots),
+                             "--seed", str(seed), "--threads", str(threads),
+                             "--out", str(tmp_path / "tv.json")]) == EXIT_OK
+                out = json.loads(capsys.readouterr().out)
+                assert out == {"tv": tv, "shots": shots, "support": support, "tv_bound": bound,
+                               "within_bound": tv <= bound}
 
 
 def test_lemma1_output(capsys):

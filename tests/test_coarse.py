@@ -525,6 +525,9 @@ def test_certification_scan_memory():
     order, head, _ = _orbit_head(b, 4)
     D = coeff_tensor(b, order)
     radii = b.radii(0.06)[order] * math.sqrt(2.0)
+    # a first scan in the process also pays one-time work, such as numpy's
+    # lazy imports, that depends on what ran before; warm it up untraced
+    next(_grid_chunks(D, radii, 4, head))
     tracemalloc.start()
     try:
         assert next(_grid_chunks(D, radii, 4, head)) < 0.0
