@@ -5,15 +5,16 @@ codes: 0 success, 2 non-simulable circuit, 3 resource cap exceeded, 1 any
 other error, usage errors included.  sample and compare share one path:
 read the circuit, get the representation, check simulability once, sample.
 compare first refuses with exit 3 a circuit whose dense oracle is over
-DENSE_CAP qubits or whose estimated peak (_dense_peak, from the oracle's
-window walk) would not fit in available memory; both refuse with exit 3 a
---shots whose uniform draws exceed sampler.MAX_UNIFORMS.  compare prints the
-TV distance to the exact distribution, the support K (outcomes of positive
-exact mass), the sampling bound oracle.tv_bound over K and whether the TV
-distance lies within it; it compares the sampler's and the oracle's outcome
-tables on their arrays and formats no outcome string.  sample writes its CSV
-from the table's bitstrings.  Stochastic commands require --seed and echo a
-provenance JSON sufficient to reproduce their output bit-exactly.
+DENSE_CAP qubits or whose estimated peak (oracle.dense_peak) would not fit
+in available memory; both refuse with exit 3 a --shots whose uniform draws
+exceed sampler.MAX_UNIFORMS.  compare prints the TV distance to the exact
+distribution, the support K (outcomes of positive exact mass), the sampling
+bound oracle.tv_bound over K and whether the TV distance lies within it; it
+compares the sampler's and the oracle's outcome tables on their arrays and
+formats no outcome string.  sample writes its CSV from the table's
+bitstrings.  Stochastic commands require --seed and echo a provenance JSON
+sufficient to reproduce their output bit-exactly; coarse, purify and
+pbs-verify print their result JSON and write it to --out, if given.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from . import coarse, oracle, pbs, purify, sampler
 from .circuits import ClusterCircuit
 from .czdec import LAMBDA, DecompositionError, ppt_determinants, separability_condition
-from .geometry import XY_PLANE
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,6 +48,13 @@ def _write_json(path: str, data) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(data, f, indent=2)
         f.write("\n")
+
+
+def _report(args: argparse.Namespace, result: dict) -> None:
+    """Print result as JSON and write it to --out, if given."""
+    print(json.dumps(result))
+    if args.out:
+        _write_json(args.out, result)
 
 
 def _provenance(args: argparse.Namespace, extra: dict) -> dict:
@@ -99,36 +106,10 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _dense_peak(c: ClusterCircuit) -> float:
-    """Estimated peak bytes of oracle.exact_distribution on c, from its window
-    walk.  The branches double only at XY-plane steps: every input has z
-    exactly +-1, so a Z-basis measurement has one outcome, and the oracle's
-    default prune drops the other's zero-trace branch.  A step after j
-    XY-plane steps holds at most b = 2^j branches of complex operators on the
-    window; its peak is the largest of three phases: the last Kronecker
-    factor of the qubits joining the window beside its result and the step's
-    input, the grown input beside both outcomes and the per-branch vectors of
-    the measurement (40 bytes per branch and window basis state), and the
-    outcomes beside the branches that pruning keeps.  Each step adds 512
-    bytes a branch for outcome bits and angles, the result 256 bytes for
-    each table entry, one per surviving branch, and 512 kiB covers numpy's
-    buffers (two of 128 kiB at most at a time)."""
-    peak = 0.0
-    b = 1.0
-    for v, new, window, _ in oracle.window_walk(c):
-        grown = 16 * b * 4 ** len(window)
-        m = 2 ** (len(window) - (v in window))
-        out = 32 * b * m * m
-        step = max(grown * 21 / 16 if new else 0, grown + out + 40 * b * m, out * (2 - 0.5 / b))
-        peak = max(peak, step + 512 * b)
-        b *= 2 if c.plan[v].kind == XY_PLANE else 1
-    return max(peak, 256 * b) + 2**19
-
-
 def _refuse_dense(c: ClusterCircuit) -> None:
     if c.n_qubits > oracle.DENSE_CAP:
         raise _Refused(EXIT_RESOURCE_CAP, f"dense oracle capped at {oracle.DENSE_CAP} qubits")
-    need, have = _dense_peak(c), _available_memory()
+    need, have = oracle.dense_peak(c), _available_memory()
     if need > have:
         raise _Refused(
             EXIT_RESOURCE_CAP,
@@ -193,8 +174,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         h, w = (int(x) for x in args.block.lower().split("x"))
     except ValueError:
         raise ValueError(f"--block must look like HxW, e.g. 2x2, got {args.block!r}") from None
-    mode = coarse.PLAIN if args.mode == "plain" else coarse.LAMBDA_GROWN
-    block = coarse.BlockSpec(h, w, mode)
+    block = coarse.BlockSpec(h, w, args.mode)
     est = coarse.s_estimate(block, theta_grid=args.grid, bisect_tol=args.bisect_tol)
     result = {
         "block": f"{h}x{w}",
@@ -211,9 +191,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "search_capped": est.capped,
         "probes": [p._asdict() for p in est.probes],
     }
-    print(json.dumps(result))
-    if args.out:
-        _write_json(args.out, result)
+    _report(args, result)
     return EXIT_OK
 
 
@@ -234,9 +212,7 @@ def cmd_purify(args: argparse.Namespace) -> int:
         "r_max": protocol.r_max(),
         "verdict": purify.percolation_verdict(p_site),
     }
-    print(json.dumps(result))
-    if args.out:
-        _write_json(args.out, result)
+    _report(args, result)
     return EXIT_OK
 
 
@@ -263,9 +239,7 @@ def cmd_pbs_verify(args: argparse.Namespace) -> int:
     failed = [f"identity d={c['d']}" for c in checks if not c["pass"]]
     failed += [f"reconstruction d={r['d']} N={r['N']}" for r in recon if not r["pass"]]
     result = {"identities": checks, "reconstructions": recon, "all_pass": not failed}
-    print(json.dumps(result))
-    if args.out:
-        _write_json(args.out, result)
+    _report(args, result)
     if failed:
         raise _Refused(EXIT_ERROR, f"error: pbs-verify checks failed: {', '.join(failed)}")
     return EXIT_OK
@@ -294,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coarse", help="bracket a block threshold radius")
     sp.add_argument("--block", required=True, help="HxW, e.g. 2x2")
-    sp.add_argument("--mode", choices=["plain", "lambda"], default="plain")
+    sp.add_argument("--mode", choices=[coarse.PLAIN, coarse.LAMBDA_GROWN], default=coarse.PLAIN)
     sp.add_argument("--grid", type=int, default=32)
     sp.add_argument("--bisect-tol", type=float, default=1e-4)
     sp.add_argument("--out", type=str, default=None)

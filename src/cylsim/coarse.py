@@ -44,7 +44,8 @@ maps edges to edges and keeps the radii, so it fixes the coefficient tensor,
 and the value is unchanged when it permutes the angles.  A certification
 scan therefore visits one grid point per orbit of the automorphisms and the
 mirror: a group of order 4 for a line, 8 for a rectangle and 16 for a
-square (_orbit_head).  Every value of the scan lies within rounding_bound
+square, or the mirror's alone where that group's head would hold too many
+grid points (_orbit_head).  Every value of the scan lies within rounding_bound
 of the exact value at its grid point, whichever group it uses, so its
 minimum equals the full grid's up to that bound, not bit for bit.  Bit for
 bit holds for the frontier contraction, and so for every upper probe, which
@@ -372,44 +373,35 @@ def _leaders(grid: int, perms) -> np.ndarray:
     return np.flatnonzero(least == index)
 
 
-def _mirror_head(n: int, grid: int) -> tuple[int, np.ndarray]:
-    """Head of a scan with the mirror alone: the fewest leading sites whose
-    tail of grid points fits a chunk, and the head rows no larger than
-    their mirror images."""
-    k = 0
-    while grid ** (n - k) > _CHUNK:
-        k += 1
-    return k, _leaders(grid, [tuple(range(k))])
+def _orbit_head(n: int, perms, grid: int) -> tuple[list[int], tuple[int, np.ndarray], int]:
+    """Scan order, head and symmetry-group order of the orbit scan of the
+    grid^n points of n sites under the site permutations perms, a group
+    holding the identity, and the mirror.
 
-
-def _orbit_head(b: BlockSpec, grid: int) -> tuple[list[int], tuple[int, np.ndarray], int]:
-    """Scan order, head and symmetry-group order of the orbit scan of b's
-    grid.
-
-    The head is the first few orbits of sites under b.automorphisms(), by
-    least site, until the grid points of the other sites fit a chunk: the
-    four corners for 2x3, 2x4, 3x3 and 3x4 at their certification grids.
-    The scan order puts the head first, then the other sites in order.  A
-    head of more than _CHUNK digit strings (2x2 at grid 32) would cost more
-    to sort into orbits than its scan saves, and keeps the mirror alone.
+    The head is the first few orbits of sites under perms, by least site,
+    until the grid points of the other sites fit a chunk: the four corners
+    of 2x3, 2x4, 3x3 and 3x4 at their certification grids.  The scan order
+    puts the head first, then the other sites in order.  A head of more
+    than _CHUNK digit strings (2x2 at grid 32) would cost more to sort into
+    orbits than its scan saves, so the scan then takes the identity alone:
+    single-site orbits in site order and the mirror's group of order 2.
     """
-    n = b.n
-    perms = b.automorphisms()
-    orbits = sorted({tuple(sorted({p[s] for p in perms})) for s in range(n)})
-    head = []
-    for orbit in orbits:
-        if head and grid ** (n - len(head)) <= _CHUNK:
+    for group in (perms, [tuple(range(n))]):
+        orbits = sorted({tuple(sorted({p[s] for p in group})) for s in range(n)})
+        head = []
+        for orbit in orbits:
+            if head and grid ** (n - len(head)) <= _CHUNK:
+                break
+            head += orbit
+        if grid ** len(head) <= _CHUNK:
             break
-        head += orbit
-    if grid ** len(head) > _CHUNK:
-        return list(range(n)), _mirror_head(n, grid), 2
     order = head + [s for s in range(n) if s not in head]
     pos = np.argsort(order)
-    on_head = [tuple(pos[p[s]] for s in head) for p in perms]
-    return order, (len(head), _leaders(grid, on_head)), 2 * len(perms)
+    on_head = [tuple(pos[p[s]] for s in head) for p in group]
+    return order, (len(head), _leaders(grid, on_head)), 2 * len(group)
 
 
-def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
+def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head):
     """Yield the minimum of the block value per chunk of a uniform per-qubit
     angle grid, visiting one grid point per orbit of a symmetry group.
 
@@ -417,8 +409,7 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     contract the coefficient tensor D: the leading k sites first, giving one
     head row per grid point of those sites, then the rest in chunks of head
     rows, each chunk small enough (_CHUNK values) to stay in cache.  head =
-    (k, leaders) names the head rows scanned, ascending; the default is
-    _mirror_head.
+    (k, leaders), from _orbit_head, names the head rows scanned, ascending.
 
     Head: one recursive walk over the prefixes of the leader strings.  Once
     the head rows under a prefix fit a chunk, one stacked product per
@@ -438,10 +429,11 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     entries with an odd number of Im codes are zero.  Then the value at grid
     point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n) in
     exact arithmetic, since _grid_rows builds row -j as row j with Im a
-    negated.  With the mirror alone a head row is scanned only when its
-    digit string is lexicographically no larger than its mirror's:
-    (grid^k + 2^k)/2 of the grid^k head rows for even grid, (grid^k + 1)/2
-    for odd, in flat index order, with the all-zero point still in chunk 0.
+    negated.  With the mirror alone (_orbit_head's identity group) a head
+    row is scanned only when its digit string is lexicographically no larger
+    than its mirror's: (grid^k + 2^k)/2 of the grid^k head rows for even
+    grid, (grid^k + 1)/2 for odd, in flat index order, with the all-zero
+    point still in chunk 0.
 
     A block automorphism sigma (_orbit_head) fixes D, with its axes in any
     scan order, and the radii; so the value at grid point j equals the value
@@ -459,7 +451,7 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head=None):
     """
     n = D.ndim
     Y = _grid_rows(radii, grid)
-    k, leaders = head if head is not None else _mirror_head(n, grid)
+    k, leaders = head
     tail = [np.kron(Y[i - 1], Y[i]) for i in range(n - 1, k, -2)]
     if (n - k) % 2:
         tail.append(Y[k])
@@ -499,7 +491,7 @@ def _rechunk(blocks, rows: int):
         yield np.concatenate(held)
 
 
-def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int, head=None) -> float:
+def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int, head) -> float:
     """A value with the sign of the grid minimum: the minimum itself when it
     is nonnegative, else the minimum of the first chunk that goes negative,
     where the scan stops."""
@@ -679,7 +671,7 @@ def s_estimate(
             f"2^{_CERT_BUDGET.bit_length() - 1}"
         )
     cert_grid = _grid_size(b.n, theta_grid)
-    order, head, group_order = _orbit_head(b, cert_grid)
+    order, head, group_order = _orbit_head(b.n, b.automorphisms(), cert_grid)
     D = coeff_tensor(b, order)
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
@@ -716,7 +708,6 @@ def s_estimate(
         lower = upper
     else:
         lower, _ = _bisect(0.0, upper, bisect_tol, certified)
-    lower = min(lower, upper)
     return SEstimate(
         lower=lower,
         upper=upper,

@@ -10,11 +10,12 @@ neighbour is measured, each CZ edge becomes a parity sign mask in the
 measurement of its first endpoint, and a vertex that no earlier measurement
 reached is folded in with its own measurement, so on a chain measured end to
 end the largest operator is on two qubits.  The branches come out in
-breadth-first order and are sorted once into an outcomes.OutcomeTable.
-normalize_counts and tv_distance work on the tables' arrays, converting a
-plain bitstring dict to a table once, so no outcome string is formatted
-between the sampler's counts and the TV distance.  tv_bound is the sampling
-bound that compare judges the TV distance by.  Deliberately
+breadth-first order and are sorted once into an outcomes.OutcomeTable;
+dense_peak estimates the peak memory of that walk.  normalize_counts and
+tv_distance work on the tables' arrays, converting a plain bitstring dict to
+a table once, so no outcome string is formatted between the sampler's
+counts and the TV distance, which sums p and -q by outcomes.total.  tv_bound
+is the sampling bound that compare judges the TV distance by.  Deliberately
 method-independent of the sampler: no separable decompositions, no
 stabilizer shortcuts.
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from .circuits import ClusterCircuit, MeasurementRule
 from .geometry import XY_PLANE, CylinderExtremum, to_bloch
-from .outcomes import OutcomeTable, as_table, byte_order
+from .outcomes import OutcomeTable, as_table, total
 
 DENSE_CAP = 14
 
@@ -87,12 +88,12 @@ def dense_output(c: ClusterCircuit) -> np.ndarray:
     return rho
 
 
-def window_walk(c: ClusterCircuit):
-    """The steps of exact_distribution: for each v of c.order, yield v, the
-    qubits that join the window when v is measured (its unmeasured neighbours
-    not yet in it, in index order), the window after they join (a tuple in
-    basis order, v in it only if it joined at an earlier step) and v's
-    unmeasured neighbours."""
+def _window_walk(c: ClusterCircuit):
+    """The steps of exact_distribution and dense_peak: for each v of c.order,
+    yield v, the qubits that join the window when v is measured (its
+    unmeasured neighbours not yet in it, in index order), the window after
+    they join (a tuple in basis order, v in it only if it joined at an
+    earlier step) and v's unmeasured neighbours."""
     linked = [set() for _ in range(c.n_qubits)]
     for u, w in c.edges:
         linked[u].add(w)
@@ -106,6 +107,32 @@ def window_walk(c: ClusterCircuit):
         yield v, tuple(new), tuple(window), frozenset(linked[v])
         if v in window:
             window.remove(v)
+
+
+def dense_peak(c: ClusterCircuit) -> float:
+    """Estimated peak bytes of exact_distribution on c, from its window
+    walk.  The branches double only at XY-plane steps: every input has z
+    exactly +-1, so a Z-basis measurement has one outcome, and the oracle's
+    default prune drops the other's zero-trace branch.  A step after j
+    XY-plane steps holds at most b = 2^j branches of complex operators on the
+    window; its peak is the largest of three phases: the last Kronecker
+    factor of the qubits joining the window beside its result and the step's
+    input, the grown input beside both outcomes and the per-branch vectors of
+    the measurement (40 bytes per branch and window basis state), and the
+    outcomes beside the branches that pruning keeps.  Each step adds 512
+    bytes a branch for outcome bits and angles, the result 256 bytes for
+    each table entry, one per surviving branch, and 512 kiB covers numpy's
+    buffers (two of 128 kiB at most at a time)."""
+    peak = 0.0
+    b = 1.0
+    for v, new, window, _ in _window_walk(c):
+        grown = 16 * b * 4 ** len(window)
+        m = 2 ** (len(window) - (v in window))
+        out = 32 * b * m * m
+        step = max(grown * 21 / 16 if new else 0, grown + out + 40 * b * m, out * (2 - 0.5 / b))
+        peak = max(peak, step + 512 * b)
+        b *= 2 if c.plan[v].kind == XY_PLANE else 1
+    return max(peak, 256 * b) + 2**19
 
 
 def _parity(qubits, marked) -> np.ndarray:
@@ -123,7 +150,7 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
 
     Measures breadth-first over one array t (branches, 2^w, 2^w): the
     operators of every surviving branch on the window, the w qubits that are
-    entangled with a measured one and not measured themselves (window_walk);
+    entangled with a measured one and not measured themselves (_window_walk);
     bits holds the branches' outcomes.  A qubit joins the window as a
     Kronecker factor when a neighbour is measured, and the CZ edges of the
     measured vertex become parity sign masks in its measurement step
@@ -135,7 +162,7 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
     _check_cap(n)
     bits = np.zeros((1, n), dtype=np.uint8)
     t = np.ones((1, 1, 1), dtype=complex)
-    for v, new, window, linked in window_walk(c):
+    for v, new, window, linked in _window_walk(c):
         t = _product([c.inputs[u] for u in new], t)
         rest = [u for u in window if u != v]
         chi = _parity(rest, linked)
@@ -240,19 +267,11 @@ def tv_distance(p: Mapping, q: Mapping) -> float:
     """Half the L1 distance over the union support of two outcome tables, or
     plain bitstring mappings, which as_table converts once."""
     p, q = as_table(p), as_table(q)
-    mass = np.concatenate([p.mass, -q.mass])
-    if len(p) and len(q):
-        if p.n != q.n:
-            raise ValueError(f"outcomes of {p.n} and {q.n} bits cannot be compared")
-        # sorted, an outcome of both tables fills two neighbouring places
-        rows = np.concatenate([p.rows, q.rows])
-        order = byte_order(rows)
-        rows, mass = rows[order], mass[order]
-        twin = np.flatnonzero(rows[1:] == rows[:-1])
-        mass[twin] += mass[twin + 1]
-        mass[twin + 1] = 0.0
+    if len(p) and len(q) and p.n != q.n:
+        raise ValueError(f"outcomes of {p.n} and {q.n} bits cannot be compared")
+    diff = total(p.n if len(p) else q.n, [p, -q])
     # fsum is exactly rounded, so the order of the terms cannot show
-    return 0.5 * math.fsum(np.abs(mass).tolist())
+    return 0.5 * math.fsum(np.abs(diff.mass).tolist())
 
 
 def tv_bound(shots: int, support: int, delta: float = 1e-6) -> float:

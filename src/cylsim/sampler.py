@@ -15,8 +15,8 @@ block]), so the count table for a seed does not depend on how many threads
 share the blocks.
 
 sample_parallel is the one sampling entry point.  It returns an
-outcomes.OutcomeTable: the blocks' distinct outcomes as sorted packed-bit rows
-with their counts, whose bitstrings are built only when asked for.  The
+outcomes.OutcomeTable, the sum (outcomes.total) of each block's count table
+(OutcomeTable.counted), whose bitstrings are built only when asked for.  The
 default representation is stored below as angle-grid indices and checked on
 load; only a non-default growth margin solves the LP.
 """
@@ -40,7 +40,7 @@ from .czdec import (
     mixture_residual,
 )
 from .geometry import Z_BASIS
-from .outcomes import OutcomeTable, pack_rows
+from .outcomes import OutcomeTable, total
 
 #: relative headroom between the sampler's growth factor and the critical one
 DEFAULT_GROWTH_MARGIN = 1e-3
@@ -204,20 +204,6 @@ class _ShotKernel:
         return bits
 
 
-def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct outcome rows, as sorted packed-bit rows, and their counts."""
-    return np.unique(pack_rows(bits), return_counts=True)
-
-
-def _count_table(parts: list, n: int) -> OutcomeTable:
-    if not parts:
-        parts = [_tally(np.zeros((0, n), dtype=np.uint8))]
-    keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse.ravel(), np.concatenate([c for _, c in parts]))
-    return OutcomeTable(n, keys, counts)
-
-
 def sample_parallel(
     c: ClusterCircuit,
     shots: int,
@@ -253,7 +239,7 @@ def sample_parallel(
     def run(block: int):
         size = min(BLOCK_SHOTS, shots - block * BLOCK_SHOTS)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-        return _tally(kernel.outcomes(rng.random((size, kernel.width))))
+        return OutcomeTable.counted(kernel.outcomes(rng.random((size, kernel.width))))
 
     # each worker holds one block's arrays, so more workers than cores only add memory
     workers = min(threads, len(blocks), os.cpu_count() or 1)
@@ -262,4 +248,4 @@ def sample_parallel(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
-    return _count_table(parts, c.n_qubits)
+    return total(c.n_qubits, parts)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -58,6 +59,20 @@ def test_sample_deterministic_csv(tmp_path, circuit_file):
     rep = prov["representation"]
     assert rep["source"] == "stored" and rep["branches"] == 9
     assert rep["growth"] == prov["growth"] and rep["residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("grid3x4", "d9c31056db616de988fd55bb9fc70e8e45207d98ce07f4b2a777238cf1444a20"),
+    ("chain14", "445e2de7b0f7fcebebc9d397f0a62e203d7ce01f6439676872132ba313dd023c"),
+], ids=["grid3x4", "chain14"])
+def test_sample_csv_is_pinned_across_threads(name, digest, tmp_path):
+    # 16389 shots are two blocks of sampler.BLOCK_SHOTS, so the CSV goes
+    # through the merge of the blocks' count tables, serial or threaded
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["sample", "--circuit", str(DATA / f"{name}.json"), "--shots", "16389",
+                     "--seed", "1", "--threads", threads, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sample_zero_shots(tmp_path, circuit_file):
@@ -240,10 +255,10 @@ def test_dense_peak_bounds_the_window(c, low, high, model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli._dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
+    assert peak <= oracle.dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
     assert low < peak < high
     if model is not None:
-        assert cli._dense_peak(c) < model
+        assert oracle.dense_peak(c) < model
 
 
 @st.composite
@@ -261,14 +276,14 @@ def _graphs(draw):
 @given(_graphs())
 def test_dense_peak_refuses_nothing_the_full_operator_rule_took(c):
     # 12 * 4^n + 2^20 was the rule while the oracle held every unmeasured qubit
-    assert cli._dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
+    assert oracle.dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
 
 
 @pytest.mark.parametrize("n", [13, 14])
 def test_refuse_dense_follows_the_estimate(n, monkeypatch):
     # memory monkeypatched: an oracle this wide is never run by the tests
     c = _star(n)
-    need = cli._dense_peak(c)
+    need = oracle.dense_peak(c)
     assert 12 * 4**n < need <= 12 * 4**n + 2**20
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need))
     cli._refuse_dense(c)
@@ -284,7 +299,7 @@ def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
     c = build_fixture("chain2", LAMBDA, adaptive=False)
-    need = cli._dense_peak(c)  # 525584 bytes = 513.265625 kB
+    need = oracle.dense_peak(c)  # 525584 bytes = 513.265625 kB
     meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
                        "MemAvailable:        514 kB\nBuffers:          100 kB\n")
     assert cli._available_memory() == 514 * 1024 > need

@@ -225,10 +225,11 @@ def test_grid_min_matches_dense_brute_force(hw, mode, monkeypatch):
     # one chunk for the whole grid, then one grid point of the last site per chunk
     for chunk in (coarse._CHUNK, 4):
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
-        assert min(_grid_chunks(D, radii, 4)) == pytest.approx(brute, abs=1e-12)
-        assert (_grid_sign(D, radii, 4) >= 0.0) == (brute >= 0.0)
+        plain = (D, radii, 4, mirror_head(b.n, 4))
+        assert min(_grid_chunks(*plain)) == pytest.approx(brute, abs=1e-12)
+        assert (_grid_sign(*plain) >= 0.0) == (brute >= 0.0)
         # the scan that s_estimate runs: one grid point per orbit
-        order, head, _ = _orbit_head(b, 4)
+        order, head, _ = _orbit_head(b.n, b.automorphisms(), 4)
         scan = (coeff_tensor(b, order), radii[order], 4, head)
         assert min(_grid_chunks(*scan)) == pytest.approx(brute, abs=1e-12)
         assert (_grid_sign(*scan) >= 0.0) == (brute >= 0.0)
@@ -376,6 +377,12 @@ def conjugation_even(T: np.ndarray) -> np.ndarray:
     return np.where(ims % 2 == 1, 0.0, T)
 
 
+def mirror_head(n: int, grid: int):
+    """Head of a scan of n sites under the mirror alone: _orbit_head's
+    identity group, in site order."""
+    return _orbit_head(n, [tuple(range(n))], grid)[1]
+
+
 def reference_grid_chunks(D, radii, grid, head=None):
     """Values of the grid points, one flat array per chunk, in flat index
     order: the grid scan as one loop over the head rows, before it skipped
@@ -437,17 +444,18 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
     # 0; a random tensor puts it elsewhere, and raising its constant term
     # makes it positive.  Both are even under conjugation, as _grid_chunks
     # requires
+    head = mirror_head(b.n, grid)
     noise = conjugation_even(np.random.default_rng(b.n).normal(size=(3,) * b.n))
     shifted = noise.copy()
-    shifted.flat[0] += 0.01 - min(_grid_chunks(noise, b.radii(0.1), grid))
-    assert min(_grid_chunks(shifted, b.radii(0.1), grid)) > 0.0
+    shifted.flat[0] += 0.01 - min(_grid_chunks(noise, b.radii(0.1), grid, head))
+    assert min(_grid_chunks(shifted, b.radii(0.1), grid, head)) > 0.0
     cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.08, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     for D, radii in cases:
-        chunks = list(_grid_chunks(D, radii, grid))
+        chunks = list(_grid_chunks(D, radii, grid, head))
         assert_near_reference(min(chunks), reference_grid_min(D, radii, grid)[0], D, radii)
         first_negative = next((v for v in chunks if v < 0.0), None)
-        assert _grid_sign(D, radii, grid) == (min(chunks) if first_negative is None else first_negative)
+        assert _grid_sign(D, radii, grid, head) == (min(chunks) if first_negative is None else first_negative)
 
 
 @pytest.mark.parametrize("hw", [(h, w) for h in (1, 2, 3) for w in (1, 2, 3, 4) if h * w >= 2])
@@ -491,7 +499,8 @@ def test_half_grid_scan_equals_full_mirrored_grid(hw, grid, chunk, monkeypatch):
         # mirror image, bit for bit
         values = np.concatenate(list(reference_grid_chunks(D, radii, grid)))
         assert np.array_equal(values, values[mirror])
-        assert_near_reference(min(_grid_chunks(D, radii, grid)), values.min(), D, radii)
+        scanned = min(_grid_chunks(D, radii, grid, mirror_head(b.n, grid)))
+        assert_near_reference(scanned, values.min(), D, radii)
 
 
 @pytest.mark.parametrize("grid", [2, 3, 4, 5, 6, 7, 8, 16])
@@ -506,13 +515,13 @@ def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
     bound = 2.0 * rounding_bound(D, radii)
     for tail in range(1, n):
         monkeypatch.setattr(coarse, "_CHUNK", grid**tail)
-        k, leaders = coarse._mirror_head(n, grid)
+        k, leaders = mirror_head(n, grid)
         assert n - k == tail
         ref = list(reference_grid_chunks(D, radii, grid, (k, leaders)))
         assert len(ref) > 1
         # the chunk minima of D and of -D: every chunk's least and greatest value
         for sign in (1.0, -1.0):
-            got = list(_grid_chunks(sign * D, radii, grid))
+            got = list(_grid_chunks(sign * D, radii, grid, (k, leaders)))
             assert len(got) == len(ref)
             for v, values in zip(got, ref):
                 assert abs(v - (sign * values).min()) <= bound
@@ -522,7 +531,7 @@ def test_certification_scan_memory():
     # a lower probe that fails stops after chunk 0; its head forms one row
     # per prefix level, not every grid child of D (4.25 MB here)
     b = BlockSpec(3, 4, LAMBDA_GROWN)
-    order, head, _ = _orbit_head(b, 4)
+    order, head, _ = _orbit_head(b.n, b.automorphisms(), 4)
     D = coeff_tensor(b, order)
     radii = b.radii(0.06)[order] * math.sqrt(2.0)
     # a first scan in the process also pays one-time work, such as numpy's
@@ -548,7 +557,8 @@ def test_full_scan_skips_mirror_images(hw, grid, count):
     # 2x3: one of 16^2 head rows per chunk, (256 + 4) / 2 scanned; 2x4: two of
     # 8^3 head rows per chunk, (512 + 8) / 2 scanned
     b = BlockSpec(*hw, LAMBDA_GROWN)
-    assert len(list(_grid_chunks(coeff_tensor(b), b.radii(0.01), grid))) == count
+    chunks = _grid_chunks(coeff_tensor(b), b.radii(0.01), grid, mirror_head(b.n, grid))
+    assert len(list(chunks)) == count
 
 
 #: every H x W block that s_estimate accepts
@@ -572,8 +582,44 @@ def test_automorphisms_fix_coeff_tensor_and_radii(hw, mode):
         assert np.array_equal(D.transpose(p), D)
         assert np.array_equal(radii[list(p)], radii)
     # the scan order's tensor is built directly, equal to the transposed one
-    order, _, _ = _orbit_head(b, coarse._grid_size(b.n, 32))
+    order, _, _ = _orbit_head(b.n, perms, coarse._grid_size(b.n, 32))
     assert np.array_equal(coeff_tensor(b, order), D.transpose(order))
+
+
+def reference_mirror_head(n: int, grid: int):
+    """The head of a scan under the mirror alone, by its own rule: the fewest
+    leading sites, from none, whose tail of grid points fits a chunk, and
+    the head rows no larger than their mirror images."""
+    k = 0
+    while grid ** (n - k) > coarse._CHUNK:
+        k += 1
+    return k, coarse._leaders(grid, [tuple(range(k))])
+
+
+def test_one_head_rule_falls_back_to_the_mirror_alone():
+    overflowed = []
+    for hw in BLOCKS:
+        b = BlockSpec(*hw, LAMBDA_GROWN)
+        perms = b.automorphisms()
+        orbits = sorted({tuple(sorted({p[s] for p in perms})) for s in range(b.n)})
+        for grid in sorted({coarse._grid_size(b.n, g) for g in (4, 8, 16, 32)}):
+            order, (k, leaders), group_order = _orbit_head(b.n, perms, grid)
+            # the sites of whole orbits, until the other sites' grid points fit a chunk
+            size = 0
+            for orbit in orbits:
+                if size and grid ** (b.n - size) <= coarse._CHUNK:
+                    break
+                size += len(orbit)
+            if grid**size <= coarse._CHUNK:
+                assert (k, group_order) == (size, 2 * len(perms))
+                continue
+            overflowed.append((hw, grid))
+            ref_k, ref_leaders = reference_mirror_head(b.n, grid)
+            assert order == list(range(b.n)) and group_order == 2
+            assert k == ref_k and np.array_equal(leaders, ref_leaders)
+    assert overflowed == [((2, 2), 32)]
+    est = s_estimate(BlockSpec(2, 2, LAMBDA_GROWN), theta_grid=32, bisect_tol=1e-2)
+    assert (est.cert_grid, est.scan_group_order, est.scan_points) == (32, 2, 557056)
 
 
 def reference_coeff_tensor(b: BlockSpec) -> np.ndarray:
@@ -619,7 +665,7 @@ def test_orbit_scan_covers_the_grid(hw, grid, chunk, monkeypatch):
     monkeypatch.setattr(coarse, "_CHUNK", chunk)
     b = BlockSpec(*hw, LAMBDA_GROWN)
     n = b.n
-    order, (k, leaders), group_order = _orbit_head(b, grid)
+    order, (k, leaders), group_order = _orbit_head(n, b.automorphisms(), grid)
     group = brute_force_automorphisms(b)
     assert sorted(group) == b.automorphisms() and group_order == 2 * len(group)
     assert 0 < k and grid ** (n - k) <= chunk
@@ -658,7 +704,7 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
     b = BlockSpec(*hw, LAMBDA_GROWN)
-    order, head, group_order = _orbit_head(b, grid)
+    order, head, group_order = _orbit_head(b.n, b.automorphisms(), grid)
     assert group_order > 2
     # integer entries make the sum over the group exact, so the random
     # tensor is invariant bit for bit; raising its constant term, which
@@ -666,12 +712,13 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
     T = np.random.default_rng(b.n * grid).integers(-64, 65, size=(3,) * b.n).astype(float)
     noise = conjugation_even(sum(T.transpose(p) for p in b.automorphisms()))
     shifted = noise.copy()
-    shifted.flat[0] += 1.0 - min(_grid_chunks(noise, b.radii(0.1), grid))
+    plain = mirror_head(b.n, grid)
+    shifted.flat[0] += 1.0 - min(_grid_chunks(noise, b.radii(0.1), grid, plain))
     cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.07, 0.09, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     signs = set()
     for D, radii in cases:
-        mirror = min(_grid_chunks(D, radii, grid))
+        mirror = min(_grid_chunks(D, radii, grid, plain))
         scan = (D.transpose(order), radii[order], grid, head)
         orbit = min(_grid_chunks(*scan))
         # each within rounding_bound of the exact minimum
@@ -694,18 +741,19 @@ def test_certified_sign_equals_full_minimum_sign(case):
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
     D = coeff_tensor(b)
     grid = case["cert_grid"]
+    head = mirror_head(b.n, grid)
     inflate = 1.0 / math.cos(math.pi / grid)
     lower, upper = case["r_lower"], case["r_upper"]
     verdicts = []
     for r in (0.5 * lower, lower, lower + case["bisect_tol"], upper):
         radii = b.radii(r) * inflate
-        verdicts.append(_grid_sign(D, radii, grid) >= 0.0)
-        assert verdicts[-1] == (min(_grid_chunks(D, radii, grid)) >= 0.0)
+        verdicts.append(_grid_sign(D, radii, grid, head) >= 0.0)
+        assert verdicts[-1] == (min(_grid_chunks(D, radii, grid, head)) >= 0.0)
     assert verdicts == [True, True, False, False]
     # the certified minimum clears its rounding bound by far: 1.5e-9 against
     # 1.6e-17 on 3x4
     radii = b.radii(lower) * inflate
-    assert min(_grid_chunks(D, radii, grid)) > 1e6 * rounding_bound(D, radii)
+    assert min(_grid_chunks(D, radii, grid, head)) > 1e6 * rounding_bound(D, radii)
 
 
 def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
@@ -754,7 +802,7 @@ def test_probes_record_every_sign_decision(monkeypatch):
     b = BlockSpec(2, 3, LAMBDA_GROWN)
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     monkeypatch.undo()
-    order, head, _ = _orbit_head(b, est.cert_grid)
+    order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
     D = coeff_tensor(b, order)
     bounds = [p.bound for p in est.probes]
     assert bounds == sorted(bounds, reverse=True)  # the upper bisection runs first

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_fixture
 
@@ -7,7 +10,7 @@ from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import LAMBDA
 from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
 from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
-from cylsim.outcomes import OutcomeTable, as_table
+from cylsim.outcomes import OutcomeTable, as_table, total
 from cylsim.sampler import BLOCK_SHOTS, sample_parallel
 
 
@@ -79,3 +82,66 @@ def test_plain_dicts_convert_once_to_one_tv():
             as_table(bad)
     with pytest.raises(ValueError):
         tv_distance({"0": 1.0}, {"00": 1.0})
+
+
+def twin_tv_distance(p, q) -> float:
+    """The TV distance by the twin formula: both tables' rows sorted by a
+    byte lexsort, each outcome of both tables added to its twin in place."""
+    p, q = as_table(p), as_table(q)
+    mass = np.concatenate([p.mass, -q.mass])
+    if len(p) and len(q):
+        if p.n != q.n:
+            raise ValueError(f"outcomes of {p.n} and {q.n} bits cannot be compared")
+        rows = np.concatenate([p.rows, q.rows])
+        order = np.lexsort(rows.view(np.uint8).reshape(len(rows), -1).T[::-1])
+        rows, mass = rows[order], mass[order]
+        twin = np.flatnonzero(rows[1:] == rows[:-1])
+        mass[twin] += mass[twin + 1]
+        mass[twin + 1] = 0.0
+    return 0.5 * math.fsum(np.abs(mass).tolist())
+
+
+@st.composite
+def _bitstring_tables(draw, n, values):
+    """A bitstring dict of n-bit keys; keys below 2^4 make overlaps likely."""
+    keys = draw(st.lists(st.integers(0, min(2**n, 16) - 1), unique=True, max_size=12))
+    return {format(k, f"0{n}b"): draw(values) for k in keys}
+
+
+@st.composite
+def _table_pairs(draw):
+    n = draw(st.integers(1, 17))
+    m = draw(st.one_of(st.just(n), st.integers(1, 17)))
+    values = draw(st.sampled_from([st.integers(0, 2**40), st.floats(-1.0, 1.0)]))
+    return draw(_bitstring_tables(n, values)), draw(_bitstring_tables(m, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_pairs())
+def test_one_merge_sums_tables_as_the_twin_formula(pair):
+    p, q = pair
+    tables = as_table(p), as_table(q)
+    n = max(t.n for t in tables)
+    if p and q and tables[0].n != tables[1].n:
+        for args in (pair, tables):
+            with pytest.raises(ValueError):
+                twin_tv_distance(*args)
+            with pytest.raises(ValueError):
+                tv_distance(*args)
+        return
+    want = twin_tv_distance(p, q)
+    assert tv_distance(p, q) == tv_distance(*tables) == want
+    summed = total(n, tables)
+    expected = {k: p.get(k, 0) + q.get(k, 0) for k in sorted(set(p) | set(q))}
+    assert dict(summed) == expected and list(summed) == sorted(expected)
+    if all(isinstance(v, int) for v in [*p.values(), *q.values()]):
+        assert summed.mass.dtype == np.int64
+    difference = total(n, [tables[0], -tables[1]])
+    assert 0.5 * math.fsum(np.abs(difference.mass).tolist()) == want
+
+
+def test_total_of_no_tables_is_an_empty_count_table():
+    empty = total(5, [])
+    assert len(empty) == 0 and empty.n == 5 and empty.mass.dtype == np.int64
+    mixed = total(3, [as_table({}), as_table({"101": 2})])
+    assert mixed == {"101": 2} and mixed.mass.dtype == np.int64
