@@ -23,9 +23,13 @@ contraction orders:
   O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
 - the coefficient tensor multiplies all factors out into 3^n code signs,
   one site at a time, and takes them in integers to the per-site basis
-  (1, Re a_i, Im a_i).  Grid minima contract it along a walk over the
-  prefixes of the scanned head strings, then with every grid point of a
-  chunk at once: one matrix product per pair of tail sites.
+  (1, Re a_i, Im a_i).  It stays in those integers, in units of 2^-n, from
+  the build to the certificate: the grid minima and the rounding bound
+  read it as floats one block of at most _CHUNK values at a time, and fold
+  the unit, a power of two, into exact products.  Grid minima contract it
+  along a walk over the prefixes of the scanned head strings, then with
+  every grid point of a chunk at once: one matrix product per pair of tail
+  sites.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
@@ -322,17 +326,19 @@ def _code_tensor(b: BlockSpec, order=None) -> np.ndarray:
 
 
 def coeff_tensor(b: BlockSpec, order=None) -> np.ndarray:
-    """Real coefficient tensor D of shape (3,)*n, axis p for site order[p]
-    (default: site order).
+    """Real coefficient tensor T of shape (3,)*n in units of 2^-n, axis p for
+    site order[p] (default: site order).
 
-    The block value is sum_u D_u prod_i y_i(u_i) with y_i = (1, Re a_i,
+    The block value is 2^-n sum_u T_u prod_i y_i(u_i) with y_i = (1, Re a_i,
     Im a_i).  Each site's monomials are 1, a = Re a + i Im a and conj(a) =
     Re a - i Im a, so per axis the codes (c0, c1, c2) map to (c0, c1 + c2,
     i (c1 - c2)): integer sums of the +-1 code entries, times i^m for m Im
-    codes.  D is real because the value is real for all real (Re a_i,
-    Im a_i): the integer sums of odd m vanish, so D is even under
+    codes.  T is real because the value is real for all real (Re a_i,
+    Im a_i): the integer sums of odd m vanish, so T is even under
     conjugation, and i^m is (-1)^(m/2) for even m.  Every entry is an
-    integer times 2^-n, computed exactly.
+    integer of magnitude at most 2^n, computed exactly and kept in the
+    narrowest signed integer type that holds -2^(n+1): int16 up to 14 sites,
+    a quarter of float64's bytes, and int32 for 15 and 16.
     """
     n = b.n
     T = _code_tensor(b, order).astype(np.min_scalar_type(-(2 ** (n + 1))))  # holds +-2^n
@@ -343,9 +349,27 @@ def coeff_tensor(b: BlockSpec, order=None) -> np.ndarray:
         x[:, 2] = im
     ims = reduce(np.add, [_along(np.array([0, 0, 1], np.int8), n, i) for i in reversed(range(n))])
     T[ims % 4 == 2] *= -1
-    D = T.astype(np.float64)
-    D *= 2.0**-n
-    return D
+    return T
+
+
+def _unit(T: np.ndarray) -> float:
+    """Value of one unit of a coefficient tensor: 2^-n for coeff_tensor's
+    integers, 1 for a tensor of float values."""
+    return 2.0**-T.ndim if T.dtype.kind == "i" else 1.0
+
+
+def _float_columns(T: np.ndarray):
+    """T.reshape(3, -1) as float64, one block of columns of at most _CHUNK
+    values (but one column at least) at a time, so that no float copy of T
+    is held: yields (first column, block), every block a view of one reused
+    buffer."""
+    x = T.reshape(3, -1)
+    cols = min(x.shape[1], max(1, _CHUNK // 3))
+    buf = np.empty(3 * cols)
+    for s in range(0, x.shape[1], cols):
+        block = buf[: 3 * min(cols, x.shape[1] - s)].reshape(3, -1)
+        np.copyto(block, x[:, s : s + block.shape[1]])
+        yield s, block
 
 
 def _grid_rows(radii: np.ndarray, grid: int) -> list[np.ndarray]:
@@ -401,22 +425,29 @@ def _orbit_head(n: int, perms, grid: int) -> tuple[list[int], tuple[int, np.ndar
     return order, (len(head), _leaders(grid, on_head)), 2 * len(group)
 
 
-def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head):
+def _grid_chunks(T: np.ndarray, radii: np.ndarray, grid: int, head):
     """Yield the minimum of the block value per chunk of a uniform per-qubit
     angle grid, visiting one grid point per orbit of a symmetry group.
 
     Matrix products with the rows (1, Re a, Im a) of each site's grid points
-    contract the coefficient tensor D: the leading k sites first, giving one
-    head row per grid point of those sites, then the rest in chunks of head
-    rows, each chunk small enough (_CHUNK values) to stay in cache.  head =
-    (k, leaders), from _orbit_head, names the head rows scanned, ascending.
+    contract the coefficient tensor D = T times its unit (_unit: 2^-n for
+    coeff_tensor's integers, 1 for floats): the leading k >= 1 sites first,
+    giving one head row per grid point of those sites, then the rest in
+    chunks of head rows, each chunk small enough (_CHUNK values) to stay in
+    cache.  head = (k, leaders), from _orbit_head, names the head rows
+    scanned, ascending.
 
     Head: one recursive walk over the prefixes of the leader strings.  Once
     the head rows under a prefix fit a chunk, one stacked product per
     remaining head site forms them all, and one fancy index picks the
     leaders'.  Above that level the walk forms only the child row
     Y[i][d] @ row of each digit d that leads to leaders, so it holds one row
-    per level, and a scan that stops at chunk 0 skips the rest.
+    per level, and a scan that stops at chunk 0 skips the rest.  The first
+    product, at the empty prefix, reads T one block of at most _CHUNK values
+    at a time into a reused float64 buffer, and multiplies it by the first
+    site's rows times T's unit.  The unit is a power of two, so every value
+    is the one from the float tensor D bit for bit, and the scan holds no
+    float copy of T.
 
     Tail: the rows of two tail sites, np.kron(Y[i-1], Y[i]) of shape
     (grid^2, 9), are built once per scan, the last pair first; a lone first
@@ -425,7 +456,7 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head):
     grid indices to the front.  The values of a chunk come out in another
     order than their grid points, but only the chunk minimum is used.
 
-    The scan needs D even under conjugation, as every coeff_tensor is: its
+    The scan needs T even under conjugation, as every coeff_tensor is: its
     entries with an odd number of Im codes are zero.  Then the value at grid
     point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n) in
     exact arithmetic, since _grid_rows builds row -j as row j with Im a
@@ -435,7 +466,7 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head):
     grid, (grid^k + 1)/2 for odd, in flat index order, with the all-zero
     point still in chunk 0.
 
-    A block automorphism sigma (_orbit_head) fixes D, with its axes in any
+    A block automorphism sigma (_orbit_head) fixes T, with its axes in any
     scan order, and the radii; so the value at grid point j equals the value
     at j with its digits permuted by sigma, in exact arithmetic.  When the
     head sites are a union of site orbits, every grid point has an image
@@ -444,31 +475,44 @@ def _grid_chunks(D: np.ndarray, radii: np.ndarray, grid: int, head):
     value.
 
     Every value, and so every chunk minimum and the scan's minimum, lies
-    within rounding_bound(D, radii) of the exact one at the same grid rows.
+    within rounding_bound(T, radii) of the exact one at the same grid rows.
     The chunk boundaries and the BLAS kernels fix the order of the
     arithmetic, so they set the last bits; a mirror image need not match
     its grid point bit for bit.
     """
-    n = D.ndim
+    n = T.ndim
     Y = _grid_rows(radii, grid)
     k, leaders = head
     tail = [np.kron(Y[i - 1], Y[i]) for i in range(n - 1, k, -2)]
     if (n - k) % 2:
         tail.append(Y[k])
+    Y[0] = Y[0] * _unit(T)  # a power of two: every product with T keeps its bits
+
+    def from_T(y):
+        """y @ T.reshape(3, -1) for a row y, or the rows, of the first head
+        site, one block of T's columns at a time."""
+        row = np.empty(y.shape[:-1] + (T.size // 3,))
+        for s, block in _float_columns(T):
+            row[..., s : s + block.shape[1]] = y @ block
+        return row
 
     def head_rows(row, i, ids):
         """Head rows of the leaders under one prefix of length i, whose row is
-        row; ids are their flat indices past the prefix, ascending."""
+        row (None for the empty prefix, whose row is T); ids are their flat
+        indices past the prefix, ascending."""
         if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK:  # its rows fit a chunk
             for y in Y[i:k]:
-                row = np.matmul(y, row.reshape(-1, 3, row.shape[-1] // 3))
+                row = from_T(y) if row is None else np.matmul(y, row.reshape(-1, 3, row.shape[-1] // 3))
             yield row.reshape(grid ** (k - i), -1)[ids]
             return
         digit, ids = np.divmod(ids, grid ** (k - i - 1))
         for d in np.flatnonzero(np.bincount(digit)):
-            yield from head_rows(Y[i][d] @ row.reshape(3, -1), i + 1, ids[digit == d])
+            # the child row is passed on unnamed, so it is freed before its sibling is formed
+            yield from head_rows(
+                from_T(Y[0][d]) if row is None else Y[i][d] @ row.reshape(3, -1), i + 1, ids[digit == d]
+            )
 
-    for t in _rechunk(head_rows(D.reshape(1, -1), 0, leaders), max(1, _CHUNK // grid ** (n - k))):
+    for t in _rechunk(head_rows(None, 0, leaders), max(1, _CHUNK // grid ** (n - k))):
         for P in tail:
             # the codes of P's sites trail every row; their grid indices lead
             t = P @ t.reshape(-1, P.shape[1]).T
@@ -491,38 +535,52 @@ def _rechunk(blocks, rows: int):
         yield np.concatenate(held)
 
 
-def _grid_sign(D: np.ndarray, radii: np.ndarray, grid: int, head) -> float:
+def _grid_sign(T: np.ndarray, radii: np.ndarray, grid: int, head) -> float:
     """A value with the sign of the grid minimum: the minimum itself when it
     is nonnegative, else the minimum of the first chunk that goes negative,
     where the scan stops."""
     low = math.inf
-    for v in _grid_chunks(D, radii, grid, head):
+    for v in _grid_chunks(T, radii, grid, head):
         low = min(low, v)
         if v < 0.0:
             break
     return low
 
 
-def rounding_bound(D: np.ndarray, radii) -> float:
-    """How far a value of _grid_chunks, and so a chunk or grid minimum, can
-    lie from the exact value at the same grid rows: gamma_{5n} sum_u |D_u|
-    prod_i w_i(u_i), with w_i = (1, rho_i/2, rho_i/2) bounding site i's grid
-    rows and gamma_m = m u / (1 - m u), u = 2^-53.
+def rounding_bound(T: np.ndarray, radii) -> float:
+    """How far a value of _grid_chunks(T, radii, ...), and so a chunk or grid
+    minimum, can lie from the exact value at the same grid rows:
+    gamma_{5n} sum_u |D_u| prod_i w_i(u_i), with D = T times its unit
+    (_unit), w_i = (1, rho_i/2, rho_i/2) bounding site i's grid rows and
+    gamma_m = m u / (1 - m u), u = 2^-53.
 
     Each term D_u prod_i y_i(u_i) of a value meets at most 5 roundings per
     site: 3 at a head site (one product and two sums in its row of 3), 10 at
     a tail pair (its np.kron entry, then one product and eight sums in its
     row of 9) and 3 at a lone tail site.  Any summation order keeps these
     counts.
+
+    The first axis is read from T one block of at most _CHUNK values at a
+    time.  A block's integers times the unit, a power of two, are exact,
+    and so is the sum of two of them, so every bit is as from D.
     """
-    t = D.reshape(-1)
-    for rho in radii:  # contract |D| a leading axis at a time, without a full copy
-        x = t.reshape(3, -1)
-        t = np.abs(x[1])
-        t += np.abs(x[2])
-        t *= rho / 2.0
-        t += np.abs(x[0])
-    nu = 5 * D.ndim * 2.0**-53
+    def absorb(x, rho, out=None):
+        """|x[1]| + |x[2]| times rho / 2, plus |x[0]|: one leading axis of
+        |D|, taking the absolute values in place in x."""
+        np.abs(x, out=x)
+        out = np.add(x[1], x[2], out=out)
+        out *= rho / 2.0
+        out += x[0]
+        return out
+
+    t = np.empty(T.size // 3)
+    for s, x in _float_columns(T):
+        x *= _unit(T)  # exact: integers times a power of two
+        absorb(x, radii[0], t[s : s + x.shape[1]])
+    del x  # the last block holds the buffer
+    for rho in radii[1:]:  # then the other axes, one leading axis at a time
+        t = absorb(t.reshape(3, -1), rho)
+    nu = 5 * T.ndim * 2.0**-53
     return nu / (1.0 - nu) * float(t[0])
 
 
@@ -672,7 +730,7 @@ def s_estimate(
         )
     cert_grid = _grid_size(b.n, theta_grid)
     order, head, group_order = _orbit_head(b.n, b.automorphisms(), cert_grid)
-    D = coeff_tensor(b, order)
+    T = coeff_tensor(b, order)
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
     witnesses = {}  # assignment of each failing upper probe, by radius
@@ -687,8 +745,8 @@ def s_estimate(
 
     def certified(r: float) -> bool:
         radii = b.radii(r)[order] * inflate
-        v = _grid_sign(D, radii, cert_grid, head)
-        holds = v >= 0.0 and v >= rounding_bound(D, radii)
+        v = _grid_sign(T, radii, cert_grid, head)
+        holds = v >= 0.0 and v >= rounding_bound(T, radii)
         probes.append(Probe("lower", r, holds, v))
         return holds
 
@@ -716,7 +774,7 @@ def s_estimate(
         cert_inflation=inflate,
         scan_group_order=group_order,
         scan_points=len(head[1]) * cert_grid ** (b.n - head[0]),
-        cert_rounding_bound=rounding_bound(D, b.radii(lower)[order] * inflate),
+        cert_rounding_bound=rounding_bound(T, b.radii(lower)[order] * inflate),
         witness=witness,
         capped=capped,
         probes=tuple(probes),

@@ -109,7 +109,7 @@ def test_contraction_transposed_block():
 
 def test_coeff_tensor_zero_radius_value():
     b = BlockSpec(2, 2)
-    assert coeff_tensor(b)[(0,) * 4] == pytest.approx(2.0**-4)
+    assert coeff_tensor(b)[(0,) * 4] * 2.0**-4 == pytest.approx(2.0**-4)
     assert block_value(b, np.zeros(4), (0.0,) * 4) == pytest.approx(2.0**-4)
 
 
@@ -198,8 +198,9 @@ def test_code_tensor_matches_enumeration(hw):
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3), (3, 3)])
 def test_coeff_tensor_real_basis_matches_dense(hw):
     b = BlockSpec(*hw, LAMBDA_GROWN)
-    D = coeff_tensor(b)
-    assert D.dtype == np.float64
+    T = coeff_tensor(b)
+    assert np.issubdtype(T.dtype, np.signedinteger)
+    D = T * 2.0**-b.n
     rng = np.random.default_rng(3)
     for r in (0.02, 0.07):
         thetas = rng.uniform(0, 2 * math.pi, b.n)
@@ -449,7 +450,18 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
     shifted = noise.copy()
     shifted.flat[0] += 0.01 - min(_grid_chunks(noise, b.radii(0.1), grid, head))
     assert min(_grid_chunks(shifted, b.radii(0.1), grid, head)) > 0.0
-    cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.08, 0.12)]
+    T = coeff_tensor(b)
+    # the scan and the bound read T's integers in units of 2^-n, bit for bit
+    # as they read the float tensor D = T 2^-n; r = 0.05 holds, 0.12 fails
+    D = T * 2.0**-b.n
+    signs = set()
+    for r in (0.05, 0.08, 0.12):
+        chunks = list(_grid_chunks(D, b.radii(r), grid, head))
+        assert list(_grid_chunks(T, b.radii(r), grid, head)) == chunks
+        assert rounding_bound(T, b.radii(r)) == rounding_bound(D, b.radii(r))
+        signs.add(min(chunks) >= 0.0)
+    assert signs == {True, False}
+    cases = [(D, b.radii(r)) for r in (0.05, 0.08, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     for D, radii in cases:
         chunks = list(_grid_chunks(D, radii, grid, head))
@@ -463,10 +475,12 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
 def test_coeff_tensor_is_even_under_conjugation(hw, mode):
     # codes 1 and 2 enter _SITE and _EDGE symmetrically, so conjugating every
     # a_i, which negates every Im a_i, leaves the block value unchanged
-    D = coeff_tensor(BlockSpec(*hw, mode))
-    even = conjugation_even(D)
-    assert np.array_equal(D, even)
-    assert np.count_nonzero(D) > 0
+    b = BlockSpec(*hw, mode)
+    T = coeff_tensor(b)
+    assert_exact_coeff_tensor(b, T)
+    even = conjugation_even(T)
+    assert np.array_equal(T, even)
+    assert np.count_nonzero(T) > 0
 
 
 @pytest.mark.parametrize("grid", range(2, 10))
@@ -489,7 +503,7 @@ def test_half_grid_scan_equals_full_mirrored_grid(hw, grid, chunk, monkeypatch):
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
     b = BlockSpec(*hw, LAMBDA_GROWN)
     rng = np.random.default_rng(grid * b.n)
-    cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.12)]
+    cases = [(coeff_tensor(b) * 2.0**-b.n, b.radii(r)) for r in (0.05, 0.12)]
     cases += [(conjugation_even(rng.normal(size=(3,) * b.n)), b.radii(0.1)) for _ in range(4)]
     mirror = np.ravel_multi_index(
         [-d % grid for d in np.unravel_index(np.arange(grid**b.n), (grid,) * b.n)], (grid,) * b.n
@@ -529,26 +543,32 @@ def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
 
 def test_certification_scan_memory():
     # a lower probe that fails stops after chunk 0; its head forms one row
-    # per prefix level, not every grid child of D (4.25 MB here)
+    # per prefix level, not every grid child of T (3^12 entries here).  The
+    # bracket keeps T as int16 (1.06 MB) and reads it as floats one block
+    # at a time, never as the 4.25 MB float64 tensor T 2^-n
     b = BlockSpec(3, 4, LAMBDA_GROWN)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), 4)
-    D = coeff_tensor(b, order)
+    T = coeff_tensor(b, order)
     radii = b.radii(0.06)[order] * math.sqrt(2.0)
     # a first scan in the process also pays one-time work, such as numpy's
     # lazy imports, that depends on what ran before; warm it up untraced
-    next(_grid_chunks(D, radii, 4, head))
+    next(_grid_chunks(T, radii, 4, head))
     tracemalloc.start()
     try:
-        assert next(_grid_chunks(D, radii, 4, head)) < 0.0
+        assert next(_grid_chunks(T, radii, 4, head)) < 0.0
         first_chunk = tracemalloc.get_traced_memory()[1]
-        del D
+        del T
+        tracemalloc.reset_peak()
+        coeff_tensor(b, order)
+        build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         s_estimate(b, theta_grid=32, bisect_tol=1e-4)
         bracket = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert first_chunk < 4e6
-    assert bracket < 10e6
+    assert build < 4e6
+    assert bracket < 5.5e6
 
 
 @pytest.mark.parametrize("hw,grid,count", [((2, 2), 32, 9), ((2, 3), 16, 130), ((2, 4), 8, 130)])
@@ -634,12 +654,23 @@ def reference_coeff_tensor(b: BlockSpec) -> np.ndarray:
     return np.ascontiguousarray(t.real)
 
 
+def assert_exact_coeff_tensor(b: BlockSpec, T: np.ndarray) -> None:
+    """T is the exact coefficient tensor in units of 2^-n: integers of the
+    narrowest signed type that holds -2^(n+1), at most 2^n in magnitude,
+    and T 2^-n is the complex basis change of the code tensor exactly."""
+    n = b.n
+    narrowest = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).min <= -(2 ** (n + 1)))
+    assert T.dtype == narrowest
+    assert np.abs(T.astype(np.int64)).max() <= 2**n
+    assert np.array_equal(T * 2.0**-n, reference_coeff_tensor(b))
+
+
 @pytest.mark.parametrize("hw", BLOCKS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
 def test_coeff_tensor_matches_complex_basis_change(hw):
     b = BlockSpec(*hw)
-    D = coeff_tensor(b)
-    assert D.dtype == np.float64 and D.flags.c_contiguous
-    assert np.array_equal(D, reference_coeff_tensor(b))
+    T = coeff_tensor(b)
+    assert T.flags.c_contiguous
+    assert_exact_coeff_tensor(b, T)
 
 
 def brute_force_automorphisms(b: BlockSpec) -> list[tuple[int, ...]]:
@@ -714,7 +745,7 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
     shifted = noise.copy()
     plain = mirror_head(b.n, grid)
     shifted.flat[0] += 1.0 - min(_grid_chunks(noise, b.radii(0.1), grid, plain))
-    cases = [(coeff_tensor(b), b.radii(r)) for r in (0.05, 0.07, 0.09, 0.12)]
+    cases = [(coeff_tensor(b) * 2.0**-b.n, b.radii(r)) for r in (0.05, 0.07, 0.09, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     signs = set()
     for D, radii in cases:
