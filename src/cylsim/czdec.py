@@ -9,7 +9,9 @@ in the radius ratios holds.  The symmetric critical growth is
 This module evaluates the criterion, produces the explicit 4x4 Pauli
 coefficient matrix of the CZ output, and constructs an explicit
 decomposition by linear programming over discretized rim angles, or loads
-one stored as angle-grid indices; both meet one residual check.  The
+one stored as angle-grid indices; both meet one residual check over all 16
+coefficients.  The LP solves 4 coefficient rows over mirror pairs {(a, b),
+(-a, -b)}, with the 16-row LP's optimum (see lp_feasibility).  The
 resulting StochasticRep drives the sampler: one CZ application becomes a
 radius growth plus a sampled pair of Z-rotation offsets.  scipy's LP solver
 is imported only when an LP is solved.
@@ -101,13 +103,18 @@ def _rim_vectors(angles) -> np.ndarray:
     return np.stack([one, np.cos(angles), np.sin(angles), one])
 
 
-def _product_columns(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 16-coefficient vectors of rim-extrema products on a uniform angle grid."""
-    angles = np.arange(grid_size) * (TWO_PI / grid_size)
-    vecs = _rim_vectors(angles)  # (4, G)
-    # products over all angle pairs: (4, 4, G, G) -> (16, G*G)
-    prods = np.einsum("ij,kl->ikjl", vecs, vecs).reshape(16, -1)
-    return prods, angles
+def _product_columns(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (I,X), (X,I), (X,X), (Y,Y) of rim-extrema products on a uniform grid.
+
+    These (cos b, cos a, cos a cos b, sin a sin b) are even under (a, b) ->
+    (-a, -b), so one column, the smaller flat index j*G + k, stands for each
+    mirror pair {(j, k), (-j, -k) mod G}.  Returns the rows and the columns' j, k.
+    """
+    j, k = np.divmod(np.arange(grid_size * grid_size), grid_size)
+    keep = j * grid_size + k <= (-j % grid_size) * grid_size + (-k % grid_size)
+    _, cos_a, sin_a, _ = _rim_vectors(j[keep] * (TWO_PI / grid_size))
+    _, cos_b, sin_b, _ = _rim_vectors(k[keep] * (TWO_PI / grid_size))
+    return np.stack([cos_b, cos_a, cos_a * cos_b, sin_a * sin_b]), j[keep], k[keep]
 
 
 def lp_feasibility(
@@ -117,20 +124,26 @@ def lp_feasibility(
 
     Minimizes the max-norm deviation between a convex combination of
     rim-extrema products (angles on a uniform grid, poles +1) and the target
-    Pauli matrix.  Returns (residual <= tol, residual, branches).
+    Pauli matrix.  Of the 16 coefficients, (I,I), (I,Z), (Z,I) and (Z,Z) are
+    1 under sum(p) = 1, (Z,X) and (X,Z) repeat (I,X) and (X,I), and the six
+    with one sine are odd under (a, b) -> (-a, -b) with target 0.  Averaging a
+    mixture with its mirror image zeroes those and keeps the rest, so the LP
+    over the 4 rows of _product_columns has the same optimum, and a pair
+    weight p gives branches (p/2, a, b) and (p/2, -a, -b), or one branch for a
+    self-mirror pair.  Returns (residual <= tol, residual, branches).
     """
     from scipy.optimize import linprog
 
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    target = cz_pauli_output(fA, fB).ravel()
-    prods, angles = _product_columns(grid_size)
-    n = prods.shape[1]
+    rows, j, k = _product_columns(grid_size)
+    target = cz_pauli_output(fA, fB)[[0, 1, 1, 2], [1, 0, 1, 2]]
+    n = rows.shape[1]
     # variables: p_0 .. p_{n-1}, t; minimize t
     c = np.zeros(n + 1)
     c[-1] = 1.0
     # |A p - target| <= t componentwise
-    a_ub = np.block([[prods, -np.ones((16, 1))], [-prods, -np.ones((16, 1))]])
+    a_ub = np.block([[rows, -np.ones((4, 1))], [-rows, -np.ones((4, 1))]])
     b_ub = np.concatenate([target, -target])
     a_eq = np.zeros((1, n + 1))
     a_eq[0, :n] = 1.0
@@ -138,13 +151,13 @@ def lp_feasibility(
     if not res.success:
         return False, math.inf, []
     residual = float(res.x[-1])
-    p = res.x[:n]
+    step = TWO_PI / grid_size
     branches = []
-    for idx in np.nonzero(p > 1e-12)[0]:
-        j, k = divmod(int(idx), grid_size)
-        branches.append((float(p[idx]), float(angles[j]), float(angles[k])))
+    for idx in np.nonzero(res.x[:n] > 1e-12)[0]:
+        pair = sorted({(j[idx], k[idx]), (-j[idx] % grid_size, -k[idx] % grid_size)})
+        branches += [(res.x[idx] / len(pair), a * step, b * step) for a, b in pair]
     total = sum(b[0] for b in branches)
-    branches = [(w / total, a, b) for w, a, b in branches]
+    branches = [(float(w / total), float(a), float(b)) for w, a, b in branches]
     return residual <= tol, residual, branches
 
 

@@ -11,6 +11,7 @@ on the disentangling constant of the gate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,13 +25,16 @@ OMEGA8 = np.exp(2j * np.pi / 8.0)
 
 
 def _sign_vectors(d: int) -> np.ndarray:
-    """All (|0> + |1> +- |2> +- ... +- |d-1>)/sqrt(d), shape (2^(d-2), d)."""
-    out = []
-    for signs in itertools.product((1.0, -1.0), repeat=max(d - 2, 0)):
-        v = np.ones(d)
-        v[2:] = signs
-        out.append(v / math.sqrt(d))
-    return np.array(out)
+    """All (|0> + |1> +- |2> +- ... +- |d-1>)/sqrt(d), shape (2^(d-2), d).
+
+    Rows run in itertools.product((1, -1), repeat=d - 2) order: the row
+    index's bits, most significant first, mark minus signs on entries 2..d-1.
+    """
+    m = max(d - 2, 0)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    v = np.ones((2**m, d))
+    v[:, 2:] = 1.0 - 2.0 * bits
+    return v / math.sqrt(d)
 
 
 def offdiag_identity_check(rho: np.ndarray) -> tuple[float, float]:
@@ -67,13 +71,10 @@ def offdiag_identity_check(rho: np.ndarray) -> tuple[float, float]:
 def equatorial_vectors(d: int, grid: int) -> np.ndarray:
     """Product phase grid of unbiased vectors (1, e^{i p1}, ...)/sqrt(d)."""
     phases = 2.0 * np.pi * np.arange(grid) / grid
-    out = []
-    for combo in itertools.product(range(grid), repeat=d - 1):
-        v = np.ones(d, dtype=complex)
-        for k, g in enumerate(combo):
-            v[k + 1] = np.exp(1j * phases[g])
-        out.append(v / math.sqrt(d))
-    return np.array(out)
+    combos = np.indices((grid,) * (d - 1)).reshape(d - 1, grid ** (d - 1))
+    v = np.ones((grid ** (d - 1), d), dtype=complex)
+    v[:, 1:] = np.exp(1j * phases[combos.T])
+    return v / math.sqrt(d)
 
 
 def dual_membership(rho: np.ndarray, grid: int = 16) -> float:
@@ -85,7 +86,7 @@ def dual_membership(rho: np.ndarray, grid: int = 16) -> float:
     d = rho.shape[0]
     best = min(float(np.real(rho[j, j])) for j in range(d))
     vs = equatorial_vectors(d, grid)
-    vals = np.real(np.einsum("vi,ij,vj->v", np.conj(vs), rho, vs)) / 1.0
+    vals = np.real(np.einsum("vi,ij,vj->v", np.conj(vs), rho, vs))
     return min(best, float(np.min(vals)))
 
 
@@ -114,26 +115,17 @@ class PhaseDecomposition:
         n = len(self.a)
         total = np.zeros((self.d**n, self.d**n), dtype=complex)
         for weight, vtuple in self.terms:
-            prod = np.array([[1.0]], dtype=complex)
-            for j in range(n):
-                prod = np.kron(prod, self.site_factor(j, vtuple[j]))
-            total += weight * prod
+            total += weight * functools.reduce(np.kron, map(self.site_factor, range(n), vtuple))
         return total
 
     def target(self) -> np.ndarray:
         n = len(self.a)
+        a, x, y = np.ravel_multi_index(tuple(zip(self.a, self.x, self.y)), (self.d,) * n)
         t = np.zeros((self.d**n, self.d**n), dtype=complex)
-
-        def basis_index(labels):
-            idx = 0
-            for l in labels:
-                idx = idx * self.d + l
-            return idx
-
-        t[basis_index(self.a), basis_index(self.a)] = 1.0
-        e = self.W * self.site_coeff ** len(self.a)
-        t[basis_index(self.x), basis_index(self.y)] += e
-        t[basis_index(self.y), basis_index(self.x)] += np.conj(e)
+        t[a, a] = 1.0
+        e = self.W * self.site_coeff**n
+        t[x, y] += e
+        t[y, x] += np.conj(e)
         return t
 
 
@@ -236,18 +228,11 @@ def estimate_c(
     site = np.zeros((d, d), dtype=complex)
     site[0, 0] = 1.0
     site[0, 1] = site[1, 0] = t_max
-    rho = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        rho = np.kron(rho, site)
-    rho = rho * np.outer(phases, np.conj(phases))
+    rho = functools.reduce(np.kron, [site] * n) * np.outer(phases, np.conj(phases))
 
     labels = list(itertools.product(range(d), repeat=n))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    pairs = []
-    for i, mx in enumerate(labels):
-        for j, my in enumerate(labels):
-            if i < j and abs(rho[i, j]) > 1e-14:
-                pairs.append((mx, my, rho[i, j]))
+    rows, cols = np.nonzero(np.triu(np.abs(rho) > 1e-14, 1))
+    pairs = [(labels[i], labels[j], rho[i, j]) for i, j in zip(rows, cols)]
     W = len(pairs)
     if W == 0:
         return 1.0

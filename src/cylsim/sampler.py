@@ -45,15 +45,16 @@ from .outcomes import OutcomeTable, total
 #: relative headroom between the sampler's growth factor and the critical one
 DEFAULT_GROWTH_MARGIN = 1e-3
 
-#: angle grid used for the cached decomposition; 128 leaves provable
-#: feasibility slack at f = 1/(LAMBDA*(1+margin)) where 64 does not
+#: angle grid of every representation; grids 16 to 128 all meet REP_TOL at the
+#: default margin, and 128 stays because the stored indices are steps of 2*pi/128
 REP_GRID_SIZE = 128
 
 #: max-norm residual a representation must meet, stored or solved
 REP_TOL = 1e-6
 
-#: the LP solution at DEFAULT_GROWTH_MARGIN on REP_GRID_SIZE as (weight, j, k):
-#: branch angles are j and k steps of 2*pi/REP_GRID_SIZE
+#: the 16-row LP's solution (tests' reference_lp_feasibility) at the default
+#: margin as (weight, j, k), angles j and k steps of 2*pi/REP_GRID_SIZE; it is
+#: not mirror-closed, and the residual check on load is its judge
 _DEFAULT_TABLE = (
     (0.08316908131323694, 3, 33),
     (0.18266411299837287, 6, 30),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
-from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
+from cylsim.czdec import _rim_vectors, cz_pauli_output
+from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
 from cylsim.oracle import PAULI
 from cylsim.sampler import default_rep
 
@@ -73,6 +74,40 @@ def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
             op = np.kron(op, PAULI[i])
         out[idx] = float(np.real(np.trace(rho @ op)))
     return out
+
+
+def reference_lp_feasibility(fA: float, fB: float, grid_size: int = 64, tol: float = 1e-6):
+    """The CZ decomposition LP over all 16 Pauli coefficients and every grid pair.
+
+    A reference for czdec.lp_feasibility, which solves the same LP on four
+    coefficient rows over mirror pairs.  Returns (residual <= tol, residual,
+    branches) alike.
+    """
+    from scipy.optimize import linprog
+
+    angles = np.arange(grid_size) * (TWO_PI / grid_size)
+    vecs = _rim_vectors(angles)
+    prods = np.einsum("ij,kl->ikjl", vecs, vecs).reshape(16, -1)
+    target = cz_pauli_output(fA, fB).ravel()
+    n = prods.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.block([[prods, -np.ones((16, 1))], [-prods, -np.ones((16, 1))]])
+    b_ub = np.concatenate([target, -target])
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
+    if not res.success:
+        return False, math.inf, []
+    residual = float(res.x[-1])
+    p = res.x[:n]
+    branches = []
+    for idx in np.nonzero(p > 1e-12)[0]:
+        j, k = divmod(int(idx), grid_size)
+        branches.append((float(p[idx]), float(angles[j]), float(angles[k])))
+    total = sum(b[0] for b in branches)
+    branches = [(w / total, a, b) for w, a, b in branches]
+    return residual <= tol, residual, branches
 
 
 def measure_prob(op: CylinderOperator, m: Measurement, outcome: int) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pauli_coefficients
+from conftest import pauli_coefficients, reference_lp_feasibility
 
 from cylsim import czdec
 from cylsim.circuits import ClusterCircuit, MeasurementRule
@@ -20,7 +20,7 @@ from cylsim.czdec import (
     separability_condition,
     symmetric_growth,
 )
-from cylsim.geometry import XY_PLANE, CylinderExtremum
+from cylsim.geometry import TWO_PI, XY_PLANE, CylinderExtremum
 from cylsim.oracle import dense_output
 
 
@@ -125,6 +125,38 @@ def test_lp_feasibility_asymmetric():
     assert ok and residual < 1e-6
     ok, residual, _ = lp_feasibility(0.8, 0.4, grid_size=48)
     assert not ok and residual > 1e-3
+
+
+# (fA, fB) on both sides of the PPT boundary, fA != fB included
+LP_CASES = ((0.2, 0.2), (0.3, 0.1), (0.0, 0.8), (0.35, 0.6), (0.45, 0.45),
+            (1 / LAMBDA - 0.02, 1 / LAMBDA - 0.02), (0.5, 0.5), (0.8, 0.4), (0.7, 0.3))
+
+
+@pytest.mark.parametrize("grid_size", [8, 9, 16, 32])
+def test_lp_feasibility_matches_reference_lp(grid_size):
+    assert {ppt_determinants(fA, fB)[1] > 0 for fA, fB in LP_CASES} == {True, False}
+    step = TWO_PI / grid_size
+    for fA, fB in LP_CASES:
+        ok, residual, branches = lp_feasibility(fA, fB, grid_size=grid_size)
+        ref_ok, ref_residual, _ = reference_lp_feasibility(fA, fB, grid_size=grid_size)
+        assert ok == ref_ok
+        assert residual == pytest.approx(ref_residual, abs=1e-10)
+        # mirror-closed, with equal weights at a pair and its mirror
+        weights = {(round(a / step), round(b / step)): w for w, a, b in branches}
+        assert len(weights) == len(branches)
+        for (j, k), w in weights.items():
+            assert weights.get((-j % grid_size, -k % grid_size)) == w
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+        if fA == fB:
+            assert czdec.mixture_residual(fA, branches) == pytest.approx(residual, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid_size,fixed_points", [(8, 4), (9, 1), (16, 4), (96, 4)])
+def test_product_columns_one_per_mirror_pair(grid_size, fixed_points):
+    rows, j, k = czdec._product_columns(grid_size)
+    assert rows.shape == (4, (grid_size**2 + fixed_points) // 2)
+    mirrors = set(zip(-j % grid_size, -k % grid_size))
+    assert len(mirrors | set(zip(j, k))) == grid_size**2
 
 
 @pytest.fixture(scope="module")
