@@ -132,6 +132,8 @@ class ClusterCircuit:
 
 
 def _index(x, what: str) -> int:
+    if type(x) is int:  # the common case, without the abstract-class check
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)

@@ -293,7 +293,9 @@ def block_value(b: BlockSpec, radii: np.ndarray, thetas) -> float:
 def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
     """Dense-oracle evaluation of the block value (independent backend): the
     block as a circuit with pole +1 inputs at b.radii(r), its operator from
-    oracle.dense_output, and every qubit projected onto (I - X)/2."""
+    oracle.dense_output, and every qubit projected onto (I - X)/2.  The
+    product state <-|^n is 2^(-n/2) times the parity sign (-1)^|s| of each
+    basis state s."""
     n = b.n
     c = ClusterCircuit(
         n_qubits=n,
@@ -302,8 +304,10 @@ def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
         plan=(MeasurementRule(Z_BASIS),) * n,
         order=tuple(range(n)),
     )
-    minus = reduce(np.kron, [np.array([1.0, -1.0]) / math.sqrt(2.0)] * n)
-    return float(np.real(minus @ oracle.dense_output(c) @ minus))
+    parity = np.ones(1)
+    for _ in range(n):
+        parity = np.concatenate((parity, -parity))
+    return float(np.real(parity @ oracle.dense_output(c) @ parity)) / 2**n
 
 
 def _code_tensor(b: BlockSpec, order=None) -> np.ndarray:

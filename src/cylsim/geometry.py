@@ -22,6 +22,8 @@ XY_PLANE = "XYPlane"
 
 def is_real(x) -> bool:
     """A real number that is not a bool (True and False are Integral in Python)."""
+    if isinstance(x, float):  # the common case, without the abstract-class check
+        return True
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 

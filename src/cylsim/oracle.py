@@ -5,19 +5,23 @@ non-positive quasi-states) by elementwise sign masks: the full 2^n x 2^n
 operator.  exact_distribution measures the adaptive outcome tree exactly,
 breadth-first over one array of all branches, holding operators only on a
 window: the qubits that a measured neighbour has entangled and that are not
-measured yet.  A qubit joins the window as a Kronecker factor when its first
-neighbour is measured, each CZ edge becomes a parity sign mask in the
-measurement of its first endpoint, and a vertex that no earlier measurement
-reached is folded in with its own measurement, so on a chain measured end to
-end the largest operator is on two qubits.  The branches come out in
-breadth-first order and are sorted once into an outcomes.OutcomeTable;
-dense_peak estimates the peak memory of that walk.  normalize_counts and
-tv_distance work on the tables' arrays, converting a plain bitstring dict to
-a table once, so no outcome string is formatted between the sampler's
-counts and the TV distance, which sums p and -q by outcomes.total.  tv_bound
-is the sampling bound that compare judges the TV distance by.  Deliberately
-method-independent of the sampler: no separable decompositions, no
-stabilizer shortcuts.
+measured yet.  Every input has z = +-1 exactly, so one diagonal entry of each
+input's operator is exactly 0, and it stays 0 through every CZ sign and
+every other qubit's measurement: a window qubit is held on three codes, its
+nonzero diagonal entry, (0, 1) and (1, 0), so a branch on w qubits has 3^w
+entries, not 4^w.  A qubit joins the window with its code vector when its
+first neighbour is measured, and measuring a vertex sums its code slices,
+each times an outcome weight and the signs of its CZ edges to the rest of
+the window; a vertex that no earlier measurement reached is the same sum
+over its own three entries, so on a chain measured end to end the largest
+operator is on two qubits.  The branches come out in breadth-first order and
+are sorted once into an outcomes.OutcomeTable; dense_peak estimates the peak
+memory of that walk.  normalize_counts and tv_distance work on the tables'
+arrays, converting a plain bitstring dict to a table once, so no outcome
+string is formatted between the sampler's counts and the TV distance, which
+sums p and -q by outcomes.total.  tv_bound is the sampling bound that compare
+judges the TV distance by.  Deliberately method-independent of the sampler:
+no separable decompositions, no stabilizer shortcuts.
 """
 
 from __future__ import annotations
@@ -25,48 +29,30 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Mapping
+from functools import reduce
 
 import numpy as np
 
 from .circuits import ClusterCircuit, MeasurementRule
-from .geometry import XY_PLANE, CylinderExtremum, to_bloch
+from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
 from .outcomes import OutcomeTable, as_table, total
 
 DENSE_CAP = 14
-
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def extremum_matrix(e: CylinderExtremum) -> np.ndarray:
     """2x2 operator (I + x X + y Y + z Z)/2 of a cylinder extremum."""
     op = to_bloch(e)
-    return 0.5 * (PAULI[0] + op.x * PAULI[1] + op.y * PAULI[2] + op.z * PAULI[3])
+    return 0.5 * np.array([[1.0 + op.z, op.x - 1j * op.y], [op.x + 1j * op.y, 1.0 - op.z]])
 
 
 def _cz_signs(n: int, edges) -> np.ndarray:
-    """(-1)^(sum over edges of s_u s_v) for every basis state, shape (2,)*n."""
-    signs = np.ones((2,) * n)
-    for u, v in edges:
-        bits_u = np.arange(2).reshape([2 if q == u else 1 for q in range(n)])
-        bits_v = np.arange(2).reshape([2 if q == v else 1 for q in range(n)])
-        signs = signs * np.where(bits_u * bits_v == 1, -1.0, 1.0)
-    return signs
-
-
-def _product(inputs, rho=None) -> np.ndarray:
-    """rho (default [[1]]) times the inputs' 2x2 operators in order, each as a
-    Kronecker factor on the right of the last two axes."""
-    rho = np.ones((1, 1), dtype=complex) if rho is None else rho
-    for e in inputs:
-        d = rho.shape[-1]
-        site = extremum_matrix(e).reshape(1, 2, 1, 2)
-        rho = (rho.reshape(-1, d, 1, d, 1) * site).reshape(*rho.shape[:-2], 2 * d, 2 * d)
-    return rho
+    """(-1)^(sum over edges of s_u s_v) for every basis state, shape (2,)*n,
+    qubit 0 most significant: one bit table, every edge at once."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    u, v = np.array(edges, dtype=int).reshape(-1, 2).T
+    count = (bits[:, u] & bits[:, v]).sum(axis=1)
+    return (1.0 - 2.0 * (count & 1)).reshape((2,) * n)
 
 
 def _check_cap(n: int) -> None:
@@ -77,11 +63,15 @@ def _check_cap(n: int) -> None:
 def dense_output(c: ClusterCircuit) -> np.ndarray:
     """Tensor product of the inputs conjugated by every CZ in the circuit.
 
-    CZ is real diagonal, so conjugation multiplies entry (s, t) by the
+    Each input's 2x2 operator joins as a Kronecker factor on the right.  CZ
+    is real diagonal, so conjugation multiplies entry (s, t) by the
     product of the basis-state signs of s and t, applied in place.
     """
     _check_cap(c.n_qubits)
-    rho = _product(c.inputs)
+    rho = np.ones((1, 1), dtype=complex)
+    for e in c.inputs:
+        d = len(rho)
+        rho = (rho.reshape(d, 1, d, 1) * extremum_matrix(e).reshape(1, 2, 1, 2)).reshape(2 * d, 2 * d)
     s = _cz_signs(c.n_qubits, c.edges).ravel()
     rho *= s[:, None]
     rho *= s
@@ -115,32 +105,59 @@ def dense_peak(c: ClusterCircuit) -> float:
     exactly +-1, so a Z-basis measurement has one outcome, and the oracle's
     default prune drops the other's zero-trace branch.  A step after j
     XY-plane steps holds at most b = 2^j branches of complex operators on the
-    window; its peak is the largest of three phases: the last Kronecker
-    factor of the qubits joining the window beside its result and the step's
-    input, the grown input beside both outcomes and the per-branch vectors of
-    the measurement (40 bytes per branch and window basis state), and the
-    outcomes beside the branches that pruning keeps.  Each step adds 512
-    bytes a branch for outcome bits and angles, the result 256 bytes for
-    each table entry, one per surviving branch, and 512 kiB covers numpy's
-    buffers (two of 128 kiB at most at a time)."""
+    window of w qubits, 16 b 3^w bytes; the measured qubit's sign rows, 48
+    bytes for each code of the r other window qubits, take 64 while they are
+    built.  The step's peak is the largest of four phases: the grown input
+    beside the old one and the joining qubits' code vector, the input beside
+    the sign rows being built, the input beside the sign rows and both
+    outcomes (32 b 3^r bytes), and the outcomes beside the branches that
+    pruning keeps.  Each step adds 512 bytes a branch for outcome bits and
+    angles, the result 256 bytes for each table entry, one per surviving
+    branch, and 512 kiB covers numpy's buffers (two of 128 kiB at most at a
+    time)."""
     peak = 0.0
     b = 1.0
     for v, new, window, _ in _window_walk(c):
-        grown = 16 * b * 4 ** len(window)
-        m = 2 ** (len(window) - (v in window))
-        out = 32 * b * m * m
-        step = max(grown * 21 / 16 if new else 0, grown + out + 40 * b * m, out * (2 - 0.5 / b))
+        grown = 16 * b * 3 ** len(window)
+        r = len(window) - (v in window)
+        out = 32 * b * 3**r
+        join = grown + grown / 3 ** len(new) + 24 * 3 ** len(new) if new else 0
+        step = max(join, grown + 64 * 3**r, grown + out + 48 * 3**r, out * (2 - 0.5 / b))
         peak = max(peak, step + 512 * b)
         b *= 2 if c.plan[v].kind == XY_PLANE else 1
     return max(peak, 256 * b) + 2**19
 
 
-def _parity(qubits, marked) -> np.ndarray:
-    """(-1)^(number of marked qubits in state 1) for each basis state of
-    qubits, the first qubit most significant."""
-    s = np.ones(1)
-    for u in qubits:
-        s = np.outer(s, (1.0, -1.0) if u in marked else (1.0, 1.0)).ravel()
+#: (row, column) bits of the codes (d, d), (0, 1) and (1, 0) of a qubit whose
+#: input has its nonzero diagonal entry at d
+_CODE_BITS = [np.array([[d, d], [0, 1], [1, 0]]) for d in (0, 1)]
+
+#: CZ signs (-1)^(a r + b k) between the codes (a, b) of a measured qubit
+#: (rows) and (r, k) of a neighbour (columns), by their inputs' d, and the
+#: signs of a qubit without the edge; complex like the operators, so that no
+#: product casts through a buffer
+_EDGE_SIGNS = [[(1 - 2 * ((p @ q.T) & 1)).astype(complex) for q in _CODE_BITS] for p in _CODE_BITS]
+_NO_EDGE = np.ones((3, 3), dtype=complex)
+
+
+def _codes(e: CylinderExtremum) -> tuple[int, np.ndarray]:
+    """(d, x): the index d of the nonzero diagonal entry of extremum_matrix(e),
+    and its entries at the three codes.  A pole input has z = +-1 exactly, so
+    its other diagonal entry is exactly 0."""
+    m = extremum_matrix(e)
+    d = int(m[0, 0] == 0)
+    return d, m[tuple(_CODE_BITS[d].T)]
+
+
+def _weights(top: np.ndarray, d: int, rest, linked, diag) -> np.ndarray:
+    """top (3,), a weight for each code of a measured qubit whose nonzero
+    diagonal entry is at d, times the CZ signs of its edges to its linked
+    qubits in rest: shape (3, 3^len(rest)), one column per code of rest (the
+    first qubit most significant)."""
+    s = top[:, None]
+    for u in rest:
+        e = _EDGE_SIGNS[d][diag[u]] if u in linked else _NO_EDGE
+        s = (s[:, :, None] * e[:, None, :]).reshape(3, -1)
     return s
 
 
@@ -148,110 +165,74 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
     """Signed measure over outcome bitstrings, exact for any dense-cap circuit,
     as an OutcomeTable with one entry per surviving branch.
 
-    Measures breadth-first over one array t (branches, 2^w, 2^w): the
-    operators of every surviving branch on the window, the w qubits that are
-    entangled with a measured one and not measured themselves (_window_walk);
-    bits holds the branches' outcomes.  A qubit joins the window as a
-    Kronecker factor when a neighbour is measured, and the CZ edges of the
-    measured vertex become parity sign masks in its measurement step
-    (_outcomes if it is in the window, _folded_outcomes if not).  Adaptive
-    angles are resolved for all branches at once.  Values may be negative when
-    inputs leave the unit cylinder; they always sum to 1 (trace preservation).
+    Measures breadth-first over one array t (branches, 3^w): every surviving
+    branch's operator on the window (_window_walk), each qubit on its three
+    codes (_codes); bits holds the branches' outcomes.  Measuring v is
+    _outcomes over v's code axis of t, or over t itself with v's own three
+    entries in the weights when v is outside the window.  Adaptive angles are
+    resolved for all branches at once; a branch's trace is its
+    all-diagonal-code entry.  Values may be negative when inputs leave the
+    unit cylinder; they always sum to 1 (trace preservation).
     """
     n = c.n_qubits
     _check_cap(n)
+    diag, code = zip(*map(_codes, c.inputs))
     bits = np.zeros((1, n), dtype=np.uint8)
-    t = np.ones((1, 1, 1), dtype=complex)
+    t = np.ones((1, 1), dtype=complex)
     for v, new, window, linked in _window_walk(c):
-        t = _product([c.inputs[u] for u in new], t)
-        rest = [u for u in window if u != v]
-        chi = _parity(rest, linked)
-        b, m = len(t), len(chi)
+        b = len(t)
+        if new:
+            t = (t[:, :, None] * reduce(np.outer, [code[u] for u in new]).ravel()).reshape(b, -1)
+        rule = c.plan[v]
+        top = np.array([0.5 if rule.kind == XY_PLANE else 1.0, 1.0, 1.0], dtype=complex)
         if v in window:
-            lo = 2 ** window.index(v)
-            t = t.reshape(b, lo, 2, m // lo, lo, 2, m // lo)
-            t = _outcomes(t, c.plan[v], bits, chi.reshape(lo, m // lo))
+            t = t.reshape(b, 3 ** window.index(v), 3, -1)
         else:
-            t = _folded_outcomes(t, c.inputs[v], c.plan[v], bits, chi)
-        t = t.reshape(2 * b, m, m)
+            t, top = t.reshape(b, 1, 1, -1), top * code[v]
+        rest = [u for u in window if u != v]
+        t = _outcomes(t, _weights(top, diag[v], rest, linked, diag), rule, diag[v], bits)
+        t = t.reshape(2 * b, -1)
         bits = np.concatenate([bits, bits])
         bits[b:, v] = 1
-        keep = np.abs(np.real(np.trace(t, axis1=1, axis2=2))) >= prune
+        keep = np.abs(np.real(t[:, 0])) >= prune
         if not keep.all():
             t, bits = t[keep], bits[keep]
-    return OutcomeTable.from_bits(bits, np.real(t[:, 0, 0]))
+    return OutcomeTable.from_bits(bits, np.real(t[:, 0]))
 
 
 def _outcomes(
-    t: np.ndarray, rule: MeasurementRule, bits: np.ndarray, chi: np.ndarray
+    t: np.ndarray, w: np.ndarray, rule: MeasurementRule, d: int, bits: np.ndarray
 ) -> np.ndarray:
-    """Both outcomes of measuring the middle qubit of t, shape (branches, lo,
-    2, hi, lo, 2, hi), on every branch: shape (2, branches, lo, hi, lo, hi),
-    outcome 0 first.  chi (lo, hi) is the parity of the middle qubit's CZ
-    edges to the others: the T01, T10 and T11 blocks take it on their
-    columns, rows and both.  Overwrites t, so that no temporary of its size
-    is made.
+    """Both outcomes of measuring the middle axis of t (branches, lo, k, hi)
+    on every branch: shape (2, branches, lo, hi), outcome 0 first.  The axis
+    holds the k = 3 codes of a window qubit whose nonzero diagonal entry is at
+    d, or k = 1 for a qubit outside the window, whose three entries are in w.
+    w (3, lo * hi) is each code's weight times the CZ signs of its edges to
+    the other qubits.  An XY-plane measurement overwrites t, so that no
+    temporary of its size is made.
     """
-    b, lo, _, hi = t.shape[:4]
-    out = np.empty((2, b, lo, hi, lo, hi), dtype=complex)
-    t00, t01, t10, t11 = (t[:, :, i, :, :, j] for i in (0, 1) for j in (0, 1))
-    rows = chi[..., None, None]
-    if rule.kind == XY_PLANE:
-        # (|0> +- e^{ia}|1>)/sqrt(2) gives A +- C with A = (T00 + T11)/2 and
-        # C = (e^{ia} T01 + e^{-ia} T10)/2.  Each operation writes a contiguous
-        # half of out or copies, so numpy buffers at most one strided operand;
-        # C is parked in T01 while out[0] takes A.
-        ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1, 1, 1)
-        out[0], out[1] = t10, t01
-        out[0] *= ph.conj() * rows
-        out[1] *= ph * chi
-        out[1] += out[0]
-        t01[...] = out[1]
-        out[0] = t11
-        out[0] *= chi
-        out[0] *= rows
-        out[0] += t00
-        out[0] *= 0.5
-        np.subtract(out[0], t01, out=out[1])
-        out[0] += t01
-    else:
-        out[0], out[1] = t00, t11
-        out[1] *= chi
-        out[1] *= rows
-    return out
-
-
-def _folded_outcomes(
-    t: np.ndarray, e: CylinderExtremum, rule: MeasurementRule, bits: np.ndarray, chi: np.ndarray
-) -> np.ndarray:
-    """Both outcomes of measuring a vertex v outside the window, whose input
-    e never joins it: shape (2, branches, m, m) for t (branches, m, m) and chi
-    (m,) the parity of v's CZ edges to the window.
-
-    With S_0 = 1 and S_1 = chi the CZ signs given s_v = 0, 1, outcome o is
-    t * sum_ab M^o[a, b] S_a(x) S_b(y) = t * (g(y) + chi(x) h(y)), where
-    M^o[a, b] = <e_o|a> rho_v[a, b] <b|e_o> for the outcome vector e_o,
-    g = M^o_00 + M^o_01 chi and h = M^o_10 + M^o_11 chi.  Each factor is
-    formed in place in out, so no temporary of its size is made.
-    """
-    b = len(t)
-    vec = np.zeros((b, 2, 2), dtype=complex)
-    if rule.kind == XY_PLANE:
-        ph = np.exp(1j * _branch_alpha(rule, bits)) / math.sqrt(2.0)
-        vec[:, :, 0] = 1.0 / math.sqrt(2.0)
-        vec[:, 0, 1], vec[:, 1, 1] = ph, -ph
-    else:
-        vec[:, 0, 0] = vec[:, 1, 1] = 1.0
-    m = vec.conj()[..., :, None] * vec[..., None, :] * extremum_matrix(e)
-    out = np.empty((2,) + t.shape, dtype=complex)
-    for o in (0, 1):
-        g = m[:, o, 0, 1, None] * chi
-        g += m[:, o, 0, 0, None]
-        h = m[:, o, 1, 1, None] * chi
-        h += m[:, o, 1, 0, None]
-        np.multiply(h[:, None, :], chi[:, None], out=out[o])
-        out[o] += g[:, None, :]
-        out[o] *= t
+    b, lo, k, hi = t.shape
+    part = [t[:, :, min(i, k - 1)] for i in range(3)]
+    w = w.reshape(3, 1, lo, hi)
+    out = np.empty((2, b, lo, hi), dtype=complex)
+    if rule.kind == Z_BASIS:
+        # outcome o weighs code (o, o) by 1: only o = d remains
+        np.multiply(part[0], w[0], out=out[d])
+        out[1 - d] = 0.0
+        return out
+    # outcome o weighs code (d, d) by 1/2 (in w), (0, 1) by +-e^{ia}/2 and
+    # (1, 0) by +-e^{-ia}/2: out = A +- C, with A formed in out[0] and C in
+    # the code (1, 0) slice, which is read last
+    ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1)
+    np.multiply(part[0], w[0], out=out[0])
+    np.multiply(part[1], w[1], out=out[1])
+    out[1] *= ph
+    tail = part[2]
+    tail *= w[2]
+    tail *= ph.conj()
+    tail += out[1]
+    np.subtract(out[0], tail, out=out[1])
+    out[0] += tail
     return out
 
 

@@ -6,8 +6,16 @@ import pytest
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import _rim_vectors, cz_pauli_output
 from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
-from cylsim.oracle import PAULI
+from cylsim.oracle import _branch_alpha, _check_cap, _window_walk, extremum_matrix
+from cylsim.outcomes import OutcomeTable
 from cylsim.sampler import default_rep
+
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 GRID_2X3_EDGES = (
     (0, 1), (1, 2),
@@ -108,6 +116,124 @@ def reference_lp_feasibility(fA: float, fB: float, grid_size: int = 64, tol: flo
     total = sum(b[0] for b in branches)
     branches = [(w / total, a, b) for w, a, b in branches]
     return residual <= tol, residual, branches
+
+
+def _product(inputs, rho) -> np.ndarray:
+    """rho times the inputs' 2x2 operators in order, each as a Kronecker
+    factor on the right of the last two axes."""
+    for e in inputs:
+        d = rho.shape[-1]
+        site = extremum_matrix(e).reshape(1, 2, 1, 2)
+        rho = (rho.reshape(-1, d, 1, d, 1) * site).reshape(*rho.shape[:-2], 2 * d, 2 * d)
+    return rho
+
+
+def _parity(qubits, marked) -> np.ndarray:
+    """(-1)^(number of marked qubits in state 1) for each basis state of
+    qubits, the first qubit most significant."""
+    s = np.ones(1)
+    for u in qubits:
+        s = np.outer(s, (1.0, -1.0) if u in marked else (1.0, 1.0)).ravel()
+    return s
+
+
+def reference_window_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
+    """Breadth-first window oracle on full (branches, 2^w, 2^w) operators: a
+    reference for oracle.exact_distribution, which holds each window qubit on
+    three codes.
+
+    A qubit joins the window as a Kronecker factor when a neighbour is
+    measured, and the CZ edges of the measured vertex become parity sign
+    masks in its measurement step (_window_outcomes if it is in the window,
+    _folded_outcomes if not).  The prune rule is the oracle's: a branch stays
+    while |Re trace| >= prune.
+    """
+    n = c.n_qubits
+    _check_cap(n)
+    bits = np.zeros((1, n), dtype=np.uint8)
+    t = np.ones((1, 1, 1), dtype=complex)
+    for v, new, window, linked in _window_walk(c):
+        t = _product([c.inputs[u] for u in new], t)
+        rest = [u for u in window if u != v]
+        chi = _parity(rest, linked)
+        b, m = len(t), len(chi)
+        if v in window:
+            lo = 2 ** window.index(v)
+            t = t.reshape(b, lo, 2, m // lo, lo, 2, m // lo)
+            t = _window_outcomes(t, c.plan[v], bits, chi.reshape(lo, m // lo))
+        else:
+            t = _folded_outcomes(t, c.inputs[v], c.plan[v], bits, chi)
+        t = t.reshape(2 * b, m, m)
+        bits = np.concatenate([bits, bits])
+        bits[b:, v] = 1
+        keep = np.abs(np.real(np.trace(t, axis1=1, axis2=2))) >= prune
+        if not keep.all():
+            t, bits = t[keep], bits[keep]
+    return OutcomeTable.from_bits(bits, np.real(t[:, 0, 0]))
+
+
+def _window_outcomes(t, rule, bits, chi):
+    """Both outcomes of measuring the middle qubit of t, shape (branches, lo,
+    2, hi, lo, 2, hi), on every branch: shape (2, branches, lo, hi, lo, hi),
+    outcome 0 first.  chi (lo, hi) is the parity of the middle qubit's CZ
+    edges to the others: the T01, T10 and T11 blocks take it on their
+    columns, rows and both.  Overwrites t."""
+    b, lo, _, hi = t.shape[:4]
+    out = np.empty((2, b, lo, hi, lo, hi), dtype=complex)
+    t00, t01, t10, t11 = (t[:, :, i, :, :, j] for i in (0, 1) for j in (0, 1))
+    rows = chi[..., None, None]
+    if rule.kind == XY_PLANE:
+        # (|0> +- e^{ia}|1>)/sqrt(2) gives A +- C with A = (T00 + T11)/2 and
+        # C = (e^{ia} T01 + e^{-ia} T10)/2; C is parked in T01
+        ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1, 1, 1)
+        out[0], out[1] = t10, t01
+        out[0] *= ph.conj() * rows
+        out[1] *= ph * chi
+        out[1] += out[0]
+        t01[...] = out[1]
+        out[0] = t11
+        out[0] *= chi
+        out[0] *= rows
+        out[0] += t00
+        out[0] *= 0.5
+        np.subtract(out[0], t01, out=out[1])
+        out[0] += t01
+    else:
+        out[0], out[1] = t00, t11
+        out[1] *= chi
+        out[1] *= rows
+    return out
+
+
+def _folded_outcomes(t, e, rule, bits, chi):
+    """Both outcomes of measuring a vertex v outside the window, whose input
+    e never joins it: shape (2, branches, m, m) for t (branches, m, m) and chi
+    (m,) the parity of v's CZ edges to the window.
+
+    With S_0 = 1 and S_1 = chi the CZ signs given s_v = 0, 1, outcome o is
+    t * sum_ab M^o[a, b] S_a(x) S_b(y) = t * (g(y) + chi(x) h(y)), where
+    M^o[a, b] = <e_o|a> rho_v[a, b] <b|e_o> for the outcome vector e_o,
+    g = M^o_00 + M^o_01 chi and h = M^o_10 + M^o_11 chi.
+    """
+    b = len(t)
+    vec = np.zeros((b, 2, 2), dtype=complex)
+    if rule.kind == XY_PLANE:
+        ph = np.exp(1j * _branch_alpha(rule, bits)) / math.sqrt(2.0)
+        vec[:, :, 0] = 1.0 / math.sqrt(2.0)
+        vec[:, 0, 1], vec[:, 1, 1] = ph, -ph
+    else:
+        vec[:, 0, 0] = vec[:, 1, 1] = 1.0
+    m = vec.conj()[..., :, None] * vec[..., None, :] * extremum_matrix(e)
+    out = np.empty((2,) + t.shape, dtype=complex)
+    for o in (0, 1):
+        g = m[:, o, 0, 1, None] * chi
+        g += m[:, o, 0, 0, None]
+        h = m[:, o, 1, 1, None] * chi
+        h += m[:, o, 1, 0, None]
+        np.multiply(h[:, None, :], chi[:, None], out=out[o])
+        out[o] += g[:, None, :]
+        out[o] *= t
+    return out
 
 
 def measure_prob(op: CylinderOperator, m: Measurement, outcome: int) -> float:

@@ -190,15 +190,15 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is its last step, 1296 bytes, plus 2^19 = 525584 bytes
-    monkeypatch.setattr(cli, "_available_memory", lambda: 525584)
+    # chain2's estimated peak is its last step, 1232 bytes, plus 2^19 = 525520 bytes
+    monkeypatch.setattr(cli, "_available_memory", lambda: 525520)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(cli, "_available_memory", lambda: 525583)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 525519)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
@@ -241,10 +241,11 @@ def _grid3x4():
     # windows of 2 and 5 qubits: far below the 3.2 GB and 201 MB a full operator rule allowed
     (_chain(14), 0, 2**23, None),
     (_grid3x4(), 0, 2**23, None),
-    # both outcomes of the centre beside the leaves' product: 0.75 x 16 * 4^n
-    (_star(10), 12 * 4**10, 16 * 4**10, None),
+    # the leaves' codes beside the centre's three sign rows and both
+    # outcomes: 16 + 48 + 32 bytes per code of the nine leaves, 32 * 3^n
+    (_star(10), 32 * 3**10, 40 * 3**10, None),
     # every other vertex Z-measured, with one outcome: 2^7 branches at most,
-    # not 2^14, and a result dict of 2^7 entries, so the estimate is 1.3 MB,
+    # not 2^14, and a result dict of 2^7 entries, so the estimate is 0.73 MB,
     # not 67.4 MB
     (ClusterCircuit.from_json((DATA / "chain14.json").read_text()), 0, 2**21, 2 * 10**6),
 ], ids=["chain14", "grid3x4", "star10-centre-first", "chain14-data-z-steps"])
@@ -284,7 +285,7 @@ def test_refuse_dense_follows_the_estimate(n, monkeypatch):
     # memory monkeypatched: an oracle this wide is never run by the tests
     c = _star(n)
     need = oracle.dense_peak(c)
-    assert 12 * 4**n < need <= 12 * 4**n + 2**20
+    assert 32 * 3**n < need <= 32 * 3**n + 2**20
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need))
     cli._refuse_dense(c)
     monkeypatch.setattr(cli, "_available_memory", lambda: int(need) - 1)
@@ -299,7 +300,7 @@ def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
     c = build_fixture("chain2", LAMBDA, adaptive=False)
-    need = oracle.dense_peak(c)  # 525584 bytes = 513.265625 kB
+    need = oracle.dense_peak(c)  # 525520 bytes = 513.203125 kB
     meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
                        "MemAvailable:        514 kB\nBuffers:          100 kB\n")
     assert cli._available_memory() == 514 * 1024 > need

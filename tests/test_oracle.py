@@ -1,20 +1,24 @@
 import dataclasses
 import itertools
 import math
+import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_GRAPHS, build_fixture, pauli_coefficients
+from conftest import (
+    PAULI, FIXTURE_GRAPHS, build_fixture, pauli_coefficients, reference_window_distribution,
+)
 
 from cylsim import oracle
 from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
 from cylsim.czdec import LAMBDA, cz_pauli_output
-from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum
+from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
 from cylsim.oracle import (
     DENSE_CAP,
-    _cz_signs,
     dense_output,
     exact_distribution,
     extremum_matrix,
@@ -33,6 +37,16 @@ def plus_state_circuit():
         (MeasurementRule(XY_PLANE),) * 2,
         (0, 1),
     )
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 1.7])
+@pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, 2.1, -0.4])
+@pytest.mark.parametrize("pole", [1, -1])
+def test_extremum_matrix_is_the_pauli_sum(r, theta, pole):
+    e = CylinderExtremum(r, theta, pole)
+    op = to_bloch(e)
+    expect = 0.5 * (PAULI[0] + op.x * PAULI[1] + op.y * PAULI[2] + op.z * PAULI[3])
+    assert np.array_equal(extremum_matrix(e), expect)
 
 
 def test_dense_output_no_edges_is_product():
@@ -176,12 +190,23 @@ def test_marginal_changes_for_interior_inputs():
     assert np.max(np.abs(marg_with - marg_without)) > 0.1
 
 
+def reference_cz_signs(n, edges):
+    """(-1)^(s_u s_v) multiplied in one edge at a time over (2,)*n."""
+    signs = np.ones((2,) * n)
+    for u, v in edges:
+        bits_u = np.arange(2).reshape([2 if q == u else 1 for q in range(n)])
+        bits_v = np.arange(2).reshape([2 if q == v else 1 for q in range(n)])
+        signs = signs * np.where(bits_u * bits_v == 1, -1.0, 1.0)
+    return signs
+
+
 def reference_dense_output(c):
-    """The operator built by np.kron, its CZ signs applied through np.outer."""
+    """The operator built by np.kron, its CZ signs multiplied in one edge at a
+    time and applied through np.outer."""
     rho = extremum_matrix(c.inputs[0])
     for v in range(1, c.n_qubits):
         rho = np.kron(rho, extremum_matrix(c.inputs[v]))
-    s = _cz_signs(c.n_qubits, c.edges).ravel()
+    s = reference_cz_signs(c.n_qubits, c.edges).ravel()
     return rho * np.outer(s, s)
 
 
@@ -343,11 +368,11 @@ def test_exact_distribution_matches_depth_first_reference(case):
 
 
 @st.composite
-def small_circuits(draw):
-    """Circuits of at most 6 qubits: random graphs (isolated vertices
+def small_circuits(draw, max_n=6):
+    """Circuits of at most max_n qubits: random graphs (isolated vertices
     included), random orders, Z and adaptive XY rules, pole -1 inputs and
     radii past the unit cylinder."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans()))
     order = tuple(draw(st.permutations(range(n))))
     angles = st.floats(-math.pi, math.pi)
@@ -376,6 +401,18 @@ def test_window_matches_depth_first_reference(c):
         assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_circuits(max_n=9))
+def test_dense_peak_bounds_the_traced_peak(c):
+    tracemalloc.start()
+    try:
+        exact_distribution(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= oracle.dense_peak(c)
+
+
 def test_reference_cases_cover_pruning_and_negative_values():
     pruned = exact_distribution(_pruned())
     assert sorted(pruned) == ["000", "010"]
@@ -399,3 +436,69 @@ def test_branch_alpha_is_resolve_alpha_bit_for_bit():
             got = oracle._branch_alpha(rule, bits)
             want = [resolve_alpha(rule, dict(enumerate(row.tolist()))) for row in bits]
             assert got.tolist() == want
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _benchmark_circuit(name: str, seed: int) -> ClusterCircuit:
+    """The compare-dense benchmark's circuit on chain10, chain11, chain12 or
+    grid3x4 for a seed: angles, poles and azimuths drawn from
+    random.Random(seed) in the benchmark's order, radii at 90 % of each
+    vertex's bound at the sampler's default growth."""
+    rng = random.Random(seed)
+    if name.startswith("chain"):
+        n = int(name[5:])
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        h, w = map(int, name[4:].split("x"))
+        n, edges = h * w, []
+        for i in range(h):
+            for j in range(w):
+                if j + 1 < w:
+                    edges.append((i * w + j, i * w + j + 1))
+                if i + 1 < h:
+                    edges.append((i * w + j, i * w + j + w))
+    growth = LAMBDA * (1.0 + 1e-3)
+    deg = [sum(v in e for e in edges) for v in range(n)]
+    inputs = tuple(
+        CylinderExtremum(0.9 * growth ** -deg[v], rng.uniform(0.0, 2.0 * math.pi), rng.choice((1, -1)))
+        for v in range(n)
+    )
+    plan = tuple(
+        MeasurementRule(Z_BASIS) if v == n - 1 else
+        MeasurementRule(XY_PLANE, rng.uniform(0.0, 2.0 * math.pi),
+                        frozenset({v - 1} if v > 0 else ()), frozenset({0} if v > 1 else ()))
+        for v in range(n)
+    )
+    return ClusterCircuit(n, tuple(edges), inputs, plan, tuple(range(n)))
+
+
+WIDE_CASES = {
+    **{f"data-{name}": (lambda name=name: ClusterCircuit.from_json((DATA / f"{name}.json").read_text()))
+       for name in ("grid3x4", "chain14")},
+    **{f"{name}-seed{seed}": (lambda name=name, seed=seed: _benchmark_circuit(name, seed))
+       for name in ("chain10", "chain11", "chain12", "grid3x4") for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_CASES))
+def test_three_codes_match_the_full_window_operators(case):
+    # the depth-first reference is too large at 12 to 14 qubits
+    c = WIDE_CASES[case]()
+    got, ref = exact_distribution(c), reference_window_distribution(c)
+    assert np.array_equal(got.rows, ref.rows)
+    assert np.count_nonzero(got.mass > 0) == np.count_nonzero(ref.mass > 0)
+    assert np.max(np.abs(got.mass - ref.mass)) <= 1e-15
+
+
+def test_grid3x4_oracle_peak():
+    # 3,320,977 bytes while the window operators were (branches, 2^w, 2^w)
+    c = ClusterCircuit.from_json((DATA / "grid3x4.json").read_text())
+    tracemalloc.start()
+    try:
+        exact_distribution(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
