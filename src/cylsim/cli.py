@@ -2,19 +2,18 @@
 
 Subcommands: sample, compare, lemma1, coarse, purify, pbs-verify.  Exit
 codes: 0 success, 2 non-simulable circuit, 3 resource cap exceeded, 1 any
-other error, usage errors included.  sample and compare share one path:
-read the circuit, get the representation, check simulability once, sample.
-compare first refuses with exit 3 a circuit whose dense oracle is over
-DENSE_CAP qubits or whose estimated peak (oracle.dense_peak) would not fit
-in available memory; both refuse with exit 3 a --shots whose uniform draws
-exceed sampler.MAX_UNIFORMS.  compare prints the TV distance to the exact
-distribution, the support K (outcomes of positive exact mass), the sampling
-bound oracle.tv_bound over K and whether the TV distance lies within it; it
-compares the sampler's and the oracle's outcome tables on their arrays and
-formats no outcome string.  sample writes its CSV from the table's
-bitstrings.  Stochastic commands require --seed and echo a provenance JSON
-sufficient to reproduce their output bit-exactly; coarse, purify and
-pbs-verify print their result JSON and write it to --out, if given.
+other error, usage errors included.  Each refusal is an exception raised
+before any work by the module that owns its rule, and main alone maps
+exceptions to exit codes: sampler.NotSimulable to 2, and
+oracle.DenseTooLarge, sampler.TooManyShots and coarse.BlockTooLarge to 3.
+compare has oracle.admit check its circuit before it samples, and prints the
+TV distance to the exact distribution, the support K (outcomes of positive
+exact mass), the sampling bound oracle.tv_bound over K and whether the TV
+distance lies within it, from the tables' arrays, formatting no outcome
+string.  sample writes its CSV from the table's bitstrings.  Stochastic
+commands require --seed and echo a provenance JSON sufficient to reproduce
+their output bit-exactly; coarse, purify and pbs-verify print their result
+JSON and write it to --out, if given.
 """
 
 from __future__ import annotations
@@ -67,59 +66,10 @@ def _read_circuit(path: str) -> ClusterCircuit:
         return ClusterCircuit.from_json(f.read())
 
 
-class _Refused(Exception):
-    """Ends a subcommand: args are the exit code and the message for stderr."""
-
-
-def _sample(args: argparse.Namespace, refuse=lambda c: None):
-    """The path of sample and compare: read --circuit, let refuse(c) raise
-    _Refused, get the representation, check simulability once and sample.
-    Returns the circuit, representation, simulability report and counts."""
-    c = _read_circuit(args.circuit)
-    refuse(c)
-    rep = sampler.default_rep(args.growth_margin)
-    report = sampler.check_simulable(c, rep.growth)
-    if not report.simulable:
-        raise _Refused(EXIT_NOT_SIMULABLE, "\n".join(
-            f"vertex {v.vertex}: degree {v.degree}, radius {v.radius:.6g}, "
-            f"bound {v.bound:.6g} [{'ok' if v.ok else 'EXCEEDED'}]"
-            for v in report.vertices
-        ))
-    return c, rep, report, sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
-
-
-#: the kernel's memory report; its MemAvailable line estimates, in kB, what
-#: new allocations can take without swapping
-_MEMINFO = "/proc/meminfo"
-
-
-def _available_memory() -> int:
-    """Bytes of MemAvailable in _MEMINFO, or of physical memory by sysconf
-    where that file is missing or unreadable or has no such line."""
-    try:
-        with open(_MEMINFO, encoding="ascii") as f:
-            for line in f:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _refuse_dense(c: ClusterCircuit) -> None:
-    if c.n_qubits > oracle.DENSE_CAP:
-        raise _Refused(EXIT_RESOURCE_CAP, f"dense oracle capped at {oracle.DENSE_CAP} qubits")
-    need, have = oracle.dense_peak(c), _available_memory()
-    if need > have:
-        raise _Refused(
-            EXIT_RESOURCE_CAP,
-            f"dense oracle needs about {need:.3g} bytes at {c.n_qubits} qubits, "
-            f"more than the {have:.3g} bytes of available memory",
-        )
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
-    _, rep, report, counts = _sample(args)
+    c = _read_circuit(args.circuit)
+    rep = sampler.default_rep(args.growth_margin)
+    counts = sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
     _write_counts_csv(args.out, counts.as_dict())
     _write_json(
         args.out + ".provenance.json",
@@ -131,7 +81,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 "simulable": True,
                 "vertex_bounds": [
                     {"vertex": v.vertex, "degree": v.degree, "bound": v.bound}
-                    for v in report.vertices
+                    for v in sampler.check_simulable(c, rep.growth).vertices
                 ],
             },
         ),
@@ -142,7 +92,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError(f"compare needs --shots >= 1, got {args.shots}")
-    c, _, _, counts = _sample(args, _refuse_dense)
+    c = _read_circuit(args.circuit)
+    oracle.admit(c)
+    rep = sampler.default_rep(args.growth_margin)
+    counts = sampler.sample_parallel(c, args.shots, args.seed, rep, args.threads)
     dist = oracle.exact_distribution(c)
     tv = oracle.tv_distance(oracle.normalize_counts(counts), dist)
     support = int(np.count_nonzero(dist.mass > 0.0))
@@ -241,7 +194,7 @@ def cmd_pbs_verify(args: argparse.Namespace) -> int:
     result = {"identities": checks, "reconstructions": recon, "all_pass": not failed}
     _report(args, result)
     if failed:
-        raise _Refused(EXIT_ERROR, f"error: pbs-verify checks failed: {', '.join(failed)}")
+        raise ValueError(f"pbs-verify checks failed: {', '.join(failed)}")
     return EXIT_OK
 
 
@@ -294,11 +247,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except _Refused as exc:
-        code, message = exc.args
-        print(message, file=sys.stderr)
-        return code
-    except (coarse.BlockTooLarge, sampler.TooManyShots) as exc:
+    except sampler.NotSimulable as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NOT_SIMULABLE
+    except (coarse.BlockTooLarge, sampler.TooManyShots, oracle.DenseTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except (ValueError, OSError, DecompositionError) as exc:

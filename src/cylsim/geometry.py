@@ -93,18 +93,3 @@ def to_bloch(e: CylinderExtremum) -> CylinderOperator:
     """Bloch coordinates of a cylinder extremum."""
     return CylinderOperator(e.r * math.cos(e.theta), e.r * math.sin(e.theta), float(e.pole))
 
-
-def dephase(op: CylinderOperator) -> CylinderOperator:
-    """Remove the off-diagonal (transverse) part, keeping z."""
-    return CylinderOperator(0.0, 0.0, op.z)
-
-
-def phase_map(op: CylinderOperator, r: float) -> CylinderOperator:
-    """Phasing map r*I + (1-r)*dephase: scales the transverse part by r.
-
-    Physical dephasing noise for r in [0, 1]; an invertible radius rescaling
-    for r > 0, with phase_map(., r) o phase_map(., s) = phase_map(., r*s).
-    """
-    if r < 0.0:
-        raise ValueError(f"phase_map requires r >= 0, got {r!r}")
-    return CylinderOperator(r * op.x, r * op.y, op.z)

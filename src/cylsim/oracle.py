@@ -16,7 +16,9 @@ the window; a vertex that no earlier measurement reached is the same sum
 over its own three entries, so on a chain measured end to end the largest
 operator is on two qubits.  The branches come out in breadth-first order and
 are sorted once into an outcomes.OutcomeTable; dense_peak estimates the peak
-memory of that walk.  normalize_counts and tv_distance work on the tables'
+memory of that walk.  admit, the one admission rule of both dense oracles
+and of compare, raises DenseTooLarge over DENSE_CAP qubits or an estimated
+peak over the available memory.  normalize_counts and tv_distance work on the tables'
 arrays, converting a plain bitstring dict to a table once, so no outcome
 string is formatted between the sampler's counts and the TV distance, which
 sums p and -q by outcomes.total.  tv_bound is the sampling bound that compare
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from collections.abc import Mapping
 from functools import reduce
 
@@ -38,6 +41,15 @@ from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
 from .outcomes import OutcomeTable, as_table, total
 
 DENSE_CAP = 14
+
+#: the kernel's memory report; its MemAvailable line estimates, in kB, what
+#: new allocations can take without swapping
+_MEMINFO = "/proc/meminfo"
+
+
+class DenseTooLarge(ValueError):
+    """A circuit over DENSE_CAP qubits, or whose dense cost exceeds the
+    available memory."""
 
 
 def extremum_matrix(e: CylinderExtremum) -> np.ndarray:
@@ -55,19 +67,17 @@ def _cz_signs(n: int, edges) -> np.ndarray:
     return (1.0 - 2.0 * (count & 1)).reshape((2,) * n)
 
 
-def _check_cap(n: int) -> None:
-    if n > DENSE_CAP:
-        raise ValueError(f"dense backend capped at {DENSE_CAP} qubits, got {n}")
-
-
 def dense_output(c: ClusterCircuit) -> np.ndarray:
     """Tensor product of the inputs conjugated by every CZ in the circuit.
 
     Each input's 2x2 operator joins as a Kronecker factor on the right.  CZ
     is real diagonal, so conjugation multiplies entry (s, t) by the
-    product of the basis-state signs of s and t, applied in place.
+    product of the basis-state signs of s and t, applied in place.  Admitted
+    at its own peak: the operator and the one before the last Kronecker
+    step, 16 4^n + 4 4^n bytes (the sign table beside the operator is smaller
+    up to DENSE_CAP), and 512 kiB for numpy's buffers.
     """
-    _check_cap(c.n_qubits)
+    admit(c, lambda c: 20 * 4**c.n_qubits + 2**19)
     rho = np.ones((1, 1), dtype=complex)
     for e in c.inputs:
         d = len(rho)
@@ -111,10 +121,12 @@ def dense_peak(c: ClusterCircuit) -> float:
     beside the old one and the joining qubits' code vector, the input beside
     the sign rows being built, the input beside the sign rows and both
     outcomes (32 b 3^r bytes), and the outcomes beside the branches that
-    pruning keeps.  Each step adds 512 bytes a branch for outcome bits and
-    angles, the result 256 bytes for each table entry, one per surviving
-    branch, and 512 kiB covers numpy's buffers (two of 128 kiB at most at a
-    time)."""
+    pruning keeps.  Each step adds 3n + 58 bytes a branch: thrice the n
+    outcome bits while concatenate doubles them, the angle and two complex
+    phase rows (8 + 32) and the prune mask over the doubled branches
+    (16 + 2).  The result takes 256 bytes for each table entry, one per
+    surviving branch, and 512 kiB covers numpy's buffers (two of 128 kiB at
+    most at a time)."""
     peak = 0.0
     b = 1.0
     for v, new, window, _ in _window_walk(c):
@@ -123,9 +135,36 @@ def dense_peak(c: ClusterCircuit) -> float:
         out = 32 * b * 3**r
         join = grown + grown / 3 ** len(new) + 24 * 3 ** len(new) if new else 0
         step = max(join, grown + 64 * 3**r, grown + out + 48 * 3**r, out * (2 - 0.5 / b))
-        peak = max(peak, step + 512 * b)
+        peak = max(peak, step + (3 * c.n_qubits + 58) * b)
         b *= 2 if c.plan[v].kind == XY_PLANE else 1
     return max(peak, 256 * b) + 2**19
+
+
+def _available_memory() -> int:
+    """Bytes of MemAvailable in _MEMINFO, or of physical memory by sysconf
+    where that file is missing or unreadable or has no such line."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def admit(c: ClusterCircuit, cost=dense_peak) -> None:
+    """Raise DenseTooLarge, before any work, for a circuit over DENSE_CAP
+    qubits or one whose cost(c) bytes exceed the available memory."""
+    n = c.n_qubits
+    if n > DENSE_CAP:
+        raise DenseTooLarge(f"dense oracle capped at {DENSE_CAP} qubits")
+    need, have = cost(c), _available_memory()
+    if need > have:
+        raise DenseTooLarge(
+            f"dense oracle needs about {need:.3g} bytes at {n} qubits, "
+            f"more than the {have:.3g} bytes of available memory"
+        )
 
 
 #: (row, column) bits of the codes (d, d), (0, 1) and (1, 0) of a qubit whose
@@ -175,7 +214,7 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
     unit cylinder; they always sum to 1 (trace preservation).
     """
     n = c.n_qubits
-    _check_cap(n)
+    admit(c)
     diag, code = zip(*map(_codes, c.inputs))
     bits = np.zeros((1, n), dtype=np.uint8)
     t = np.ones((1, 1), dtype=complex)

@@ -14,11 +14,14 @@ draws its uniforms from its own counter-based stream Philox(key=[seed,
 block]), so the count table for a seed does not depend on how many threads
 share the blocks.
 
-sample_parallel is the one sampling entry point.  It returns an
-outcomes.OutcomeTable, the sum (outcomes.total) of each block's count table
-(OutcomeTable.counted), whose bitstrings are built only when asked for.  The
-default representation is stored below as angle-grid indices and checked on
-load; only a non-default growth margin solves the LP.
+sample_parallel is the one sampling entry point, and every call runs
+through one thread pool whose first worker is the calling thread.  Before
+its other checks it applies check_simulable, the one radius rule.  It
+returns an outcomes.OutcomeTable, the sum (outcomes.total) of each block's
+count table (OutcomeTable.counted), whose bitstrings are built only when
+asked for.  The default representation is stored below as angle-grid
+indices and checked on load; only a non-default growth margin solves the
+LP.
 """
 
 from __future__ import annotations
@@ -100,6 +103,17 @@ class SimulabilityReport:
         return all(v.ok for v in self.vertices)
 
 
+class NotSimulable(ValueError):
+    """A circuit whose final radii leave the unit cylinder, with its
+    check_simulable report, one message line a vertex."""
+
+    def __init__(self, report: SimulabilityReport):
+        super().__init__("\n".join(
+            f"vertex {v.vertex}: degree {v.degree}, radius {v.radius:.6g}, "
+            f"bound {v.bound:.6g} [{'ok' if v.ok else 'EXCEEDED'}]" for v in report.vertices))
+        self.report = report
+
+
 def check_simulable(c: ClusterCircuit, growth: float) -> SimulabilityReport:
     """Per-vertex radius bounds growth^(-D_v) and whether the inputs meet them."""
     if growth <= 1.0:
@@ -152,14 +166,7 @@ class _ShotKernel:
 
     def __init__(self, c: ClusterCircuit, rep: StochasticRep):
         g = rep.growth
-        radius = [_final_radius(e.r, g, c.degree(v)) for v, e in enumerate(c.inputs)]
-        bad = [v for v, r in enumerate(radius) if r > 1.0 + RADIUS_TOL]
-        if bad:
-            raise ValueError(
-                f"circuit not simulable at growth {g:.6f}: vertices {bad} would leave "
-                "the unit cylinder"
-            )
-        self.radius = radius
+        self.radius = [_final_radius(e.r, g, c.degree(v)) for v, e in enumerate(c.inputs)]
         self.pole = [e.pole for e in c.inputs]
         # a partner of pole -1 adds pi to the angle (see apply_branch)
         theta = [e.theta for e in c.inputs]
@@ -218,11 +225,14 @@ def sample_parallel(
     Position v holds vertex v's bit; the table holds the distinct outcomes as
     sorted packed-bit rows and their counts, and builds strings only when
     asked for them.  Block b draws from Philox(key=[seed, b]), so the table
-    is the same for every thread count.  Raises ValueError for a
-    negative shot count, a seed outside [0, 2^64), fewer than one thread, or a
-    circuit whose final radii leave the unit cylinder, and TooManyShots, before
-    any work, when shots * (edges + vertices) uniforms exceed MAX_UNIFORMS.
-    """
+    is the same for every thread count.  Raises, before any work and in this
+    order, NotSimulable for a circuit whose final radii leave the unit
+    cylinder, ValueError for a negative shot count, a seed outside [0, 2^64)
+    or fewer than one thread, and TooManyShots when shots * (edges +
+    vertices) uniforms exceed MAX_UNIFORMS."""
+    report = check_simulable(c, rep.growth)
+    if not report.simulable:
+        raise NotSimulable(report)
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     if not 0 <= seed < 2**64:
@@ -242,11 +252,18 @@ def sample_parallel(
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
         return OutcomeTable.counted(kernel.outcomes(rng.random((size, kernel.width))))
 
-    # each worker holds one block's arrays, so more workers than cores only add memory
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
+    # each worker holds one block's arrays, so more workers than cores only add
+    # memory.  The calling thread is the first worker, as a fresh thread made
+    # one-block calls 0.3-0.9 ms slower on 2 cores; each worker takes the next
+    # block until none is left (a range iterator advances under the GIL), and
+    # integer counts sum the same in any order.
+    workers = max(1, min(threads, len(blocks), os.cpu_count() or 1))
+    pending = iter(blocks)
+
+    def drain() -> list:
+        return [run(b) for b in pending]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        parts = drain() + [part for h in helpers for part in h.result()]
     return total(c.n_qubits, parts)

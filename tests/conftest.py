@@ -6,7 +6,7 @@ import pytest
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import _rim_vectors, cz_pauli_output
 from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
-from cylsim.oracle import _branch_alpha, _check_cap, _window_walk, extremum_matrix
+from cylsim.oracle import _branch_alpha, _window_walk, admit, extremum_matrix
 from cylsim.outcomes import OutcomeTable
 from cylsim.sampler import default_rep
 
@@ -149,7 +149,7 @@ def reference_window_distribution(c: ClusterCircuit, prune: float = 1e-14) -> Ou
     while |Re trace| >= prune.
     """
     n = c.n_qubits
-    _check_cap(n)
+    admit(c)
     bits = np.zeros((1, n), dtype=np.uint8)
     t = np.ones((1, 1, 1), dtype=complex)
     for v, new, window, linked in _window_walk(c):

@@ -107,6 +107,35 @@ def test_sample_rejects_nonsimulable(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
+def _nonsimulable_chain(n):
+    """A chain of radius-0.9 inputs: every vertex is over its bound."""
+    return ClusterCircuit(
+        n, tuple((v, v + 1) for v in range(n - 1)), (CylinderExtremum(0.9, 0, 1),) * n,
+        (MeasurementRule(XY_PLANE),) * n, tuple(range(n)),
+    )
+
+
+@pytest.mark.parametrize("command, n, extra, code", [
+    ("sample", 2, ["--shots", "10", "--threads", "0"], EXIT_NOT_SIMULABLE),
+    ("sample", 2, ["--shots", "10", "--threads", "0", "--seed=-1"], EXIT_NOT_SIMULABLE),
+    ("sample", 2, ["--shots", str(10**30), "--threads", "0", "--seed=-1"], EXIT_NOT_SIMULABLE),
+    ("compare", 15, ["--shots", "10"], EXIT_RESOURCE_CAP),
+    ("compare", 15, ["--shots", "0"], EXIT_ERROR),
+], ids=["sample-threads", "sample-threads-seed", "sample-threads-seed-shots",
+        "compare-wide-nonsimulable", "compare-wide-zero-shots"])
+def test_refusal_precedence(tmp_path, capsys, command, n, extra, code):
+    """The refusal that wins when a call has two or more faults: not
+    simulable over bad sampling arguments, and for compare, zero shots over
+    the dense cap over not simulable."""
+    path = tmp_path / "c.json"
+    path.write_text(_nonsimulable_chain(n).to_json())
+    out = tmp_path / "out"
+    assert main([command, "--circuit", str(path), "--seed", "1", *extra,
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err
+    assert not out.exists()
+
+
 def _malformed(tmp_path, case):
     """Circuit path and extra arguments for one malformed-input case."""
     path = tmp_path / "c.json"
@@ -189,20 +218,22 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path = tmp_path / "wide.json"
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
-    assert capsys.readouterr().err == "dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is its last step, 1232 bytes, plus 2^19 = 525520 bytes
-    monkeypatch.setattr(cli, "_available_memory", lambda: 525520)
+    assert capsys.readouterr().err == "resource cap: dense oracle capped at 14 qubits\n"
+    # chain2's estimated peak is its result, 256 bytes for each of 2 entries,
+    # plus 2^19 = 524800 bytes
+    monkeypatch.setattr(oracle, "_available_memory", lambda: 524800)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(cli, "_available_memory", lambda: 525519)
+    monkeypatch.setattr(oracle, "_available_memory", lambda: 524799)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
-    assert "about 5.26e+05 bytes at 2 qubits" in err and "5.26e+05 bytes of available memory" in err
+    assert err.startswith("resource cap: dense oracle needs about ")
+    assert "about 5.25e+05 bytes at 2 qubits" in err and "5.25e+05 bytes of available memory" in err
     assert not out.exists()
 
 
@@ -280,50 +311,63 @@ def test_dense_peak_refuses_nothing_the_full_operator_rule_took(c):
     assert oracle.dense_peak(c) <= 12 * 4**c.n_qubits + 2**20
 
 
+def _compare_before_work(tmp_path, monkeypatch, c) -> int:
+    """Exit code of compare on c with the sampler and the exact oracle
+    replaced by failures, which escape main: only a refusal made before any
+    work returns."""
+    def work(*_):
+        raise AssertionError("worked after the admission")
+
+    monkeypatch.setattr(cli.sampler, "sample_parallel", work)
+    monkeypatch.setattr(cli.oracle, "exact_distribution", work)
+    path = tmp_path / "admit.json"
+    path.write_text(c.to_json())
+    return main(["compare", "--circuit", str(path), "--shots", "10", "--seed", "1",
+                 "--out", str(tmp_path / "admit.out")])
+
+
 @pytest.mark.parametrize("n", [13, 14])
-def test_refuse_dense_follows_the_estimate(n, monkeypatch):
+def test_refuse_dense_follows_the_estimate(n, tmp_path, monkeypatch):
     # memory monkeypatched: an oracle this wide is never run by the tests
     c = _star(n)
     need = oracle.dense_peak(c)
     assert 32 * 3**n < need <= 32 * 3**n + 2**20
-    monkeypatch.setattr(cli, "_available_memory", lambda: int(need))
-    cli._refuse_dense(c)
-    monkeypatch.setattr(cli, "_available_memory", lambda: int(need) - 1)
-    with pytest.raises(cli._Refused) as refused:
-        cli._refuse_dense(c)
-    code, message = refused.value.args
-    assert code == EXIT_RESOURCE_CAP
-    assert message.startswith(f"dense oracle needs about {need:.3g} bytes at {n} qubits")
+    monkeypatch.setattr(oracle, "_available_memory", lambda: int(need))
+    oracle.admit(c)
+    monkeypatch.setattr(oracle, "_available_memory", lambda: int(need) - 1)
+    with pytest.raises(oracle.DenseTooLarge) as refused:
+        oracle.admit(c)
+    assert _compare_before_work(tmp_path, monkeypatch, c) == EXIT_RESOURCE_CAP
+    assert str(refused.value).startswith(f"dense oracle needs about {need:.3g} bytes at {n} qubits")
 
 
 def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
-    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+    monkeypatch.setattr(oracle, "_MEMINFO", str(meminfo))
     c = build_fixture("chain2", LAMBDA, adaptive=False)
-    need = oracle.dense_peak(c)  # 525520 bytes = 513.203125 kB
+    need = oracle.dense_peak(c)  # 524800 bytes = 512.5 kB
     meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
-                       "MemAvailable:        514 kB\nBuffers:          100 kB\n")
-    assert cli._available_memory() == 514 * 1024 > need
-    cli._refuse_dense(c)
-    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:        513 kB\n")
-    with pytest.raises(cli._Refused) as refused:
-        cli._refuse_dense(c)
-    code, message = refused.value.args
-    assert code == EXIT_RESOURCE_CAP
-    assert message.endswith("more than the 5.25e+05 bytes of available memory")
+                       "MemAvailable:        513 kB\nBuffers:          100 kB\n")
+    assert oracle._available_memory() == 513 * 1024 > need
+    oracle.admit(c)
+    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:        512 kB\n")
+    with pytest.raises(oracle.DenseTooLarge) as refused:
+        oracle.admit(c)
+    assert _compare_before_work(tmp_path, monkeypatch, c) == EXIT_RESOURCE_CAP
+    assert str(refused.value).endswith("more than the 5.24e+05 bytes of available memory")
 
 
 def test_available_memory_falls_back_to_sysconf(tmp_path, monkeypatch):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     meminfo = tmp_path / "meminfo"
-    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
-    assert cli._available_memory() == physical  # missing
+    monkeypatch.setattr(oracle, "_MEMINFO", str(meminfo))
+    assert oracle._available_memory() == physical  # missing
     meminfo.mkdir()
-    assert cli._available_memory() == physical  # unreadable
+    assert oracle._available_memory() == physical  # unreadable
     meminfo.rmdir()
     for text in ("MemTotal: 1024 kB\n", "MemAvailable: lots\n", "MemAvailable:\n", "\xff\n"):
         meminfo.write_bytes(text.encode("latin-1"))
-        assert cli._available_memory() == physical, text
+        assert oracle._available_memory() == physical, text
 
 
 @pytest.mark.parametrize("command", ["sample", "compare"])

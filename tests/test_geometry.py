@@ -13,8 +13,6 @@ from cylsim.geometry import (
     CylinderOperator,
     Measurement,
     canonical_angle,
-    dephase,
-    phase_map,
     to_bloch,
 )
 
@@ -68,34 +66,6 @@ def test_canonical_angle_range(t):
     assert 0.0 <= c < 2 * math.pi
     assert math.isclose(math.cos(c), math.cos(t), abs_tol=1e-9)
     assert math.isclose(math.sin(c), math.sin(t), abs_tol=1e-9)
-
-
-def test_dephase():
-    assert dephase(CylinderOperator(1, 0, 1)) == CylinderOperator(0, 0, 1)
-    assert dephase(CylinderOperator(0, 0, -0.3)) == CylinderOperator(0, 0, -0.3)
-    assert dephase(CylinderOperator(0.2, -0.4, 0.5)) == CylinderOperator(0, 0, 0.5)
-
-
-def test_phase_map_examples():
-    op = CylinderOperator(1, 0, 1)
-    assert phase_map(op, 0) == dephase(op)
-    assert phase_map(op, 0.5) == CylinderOperator(0.5, 0, 1)
-    assert phase_map(CylinderOperator(0.5, 0, 1), 2) == CylinderOperator(1, 0, 1)
-    with pytest.raises(ValueError):
-        phase_map(op, -0.1)
-
-
-@given(
-    st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1),
-    st.floats(0, 3), st.floats(0, 3),
-)
-def test_phase_map_composition(x, y, z, r, s):
-    op = CylinderOperator(x, y, z)
-    lhs = phase_map(phase_map(op, r), s)
-    rhs = phase_map(op, r * s)
-    assert math.isclose(lhs.x, rhs.x, abs_tol=1e-12)
-    assert math.isclose(lhs.y, rhs.y, abs_tol=1e-12)
-    assert lhs.z == rhs.z
 
 
 def test_in_cylinder():

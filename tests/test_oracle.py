@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -96,8 +97,49 @@ def test_dense_cap():
         (MeasurementRule(Z_BASIS),) * (DENSE_CAP + 1),
         tuple(range(DENSE_CAP + 1)),
     )
-    with pytest.raises(ValueError):
+    for oracle_fn in (dense_output, exact_distribution):
+        with pytest.raises(oracle.DenseTooLarge, match="^dense oracle capped at 14 qubits$"):
+            oracle_fn(c)
+
+
+def _complete(n):
+    """n qubits, every pair joined: the largest sign table dense_output makes."""
+    return ClusterCircuit(
+        n, tuple(itertools.combinations(range(n), 2)),
+        tuple(CylinderExtremum(0.3, 0.4 * v, 1 - 2 * (v % 2)) for v in range(n)),
+        (MeasurementRule(Z_BASIS),) * n, tuple(range(n)),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dense_output_peak_bounds_the_traced_peak(n):
+    c = _complete(n)
+    tracemalloc.start()
+    try:
         dense_output(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the figure dense_output is admitted at
+    assert peak <= 20 * 4**n + 2**19
+
+
+def test_dense_oracles_refuse_by_their_own_cost(monkeypatch):
+    # five qubits' operator is admitted at its own figure, 2^19 + 20 4^5
+    # bytes, and refused a byte below it, where exact_distribution's smaller
+    # peak still fits
+    c = _complete(5)
+    need = 20 * 4**5 + 2**19
+    assert oracle.dense_peak(c) < need
+    monkeypatch.setattr(oracle, "_available_memory", lambda: need)
+    dense_output(c)
+    monkeypatch.setattr(oracle, "_available_memory", lambda: need - 1)
+    with pytest.raises(oracle.DenseTooLarge, match=re.escape(f"about {need:.3g} bytes at 5")):
+        dense_output(c)
+    exact_distribution(c)
+    monkeypatch.setattr(oracle, "_available_memory", lambda: int(oracle.dense_peak(c)) - 1)
+    with pytest.raises(oracle.DenseTooLarge):
+        exact_distribution(c)
 
 
 def test_exact_distribution_diagonal_product():

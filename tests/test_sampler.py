@@ -30,6 +30,7 @@ from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
 from cylsim.sampler import (
     BLOCK_SHOTS,
     MAX_UNIFORMS,
+    NotSimulable,
     TooManyShots,
     check_simulable,
     default_rep,
@@ -132,8 +133,16 @@ def test_check_simulable_agrees_with_sampler_on_high_degree(rep, excess, ok):
     if ok:
         assert sum(sample_parallel(c, 10, seed=1, rep=rep).values()) == 10
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(NotSimulable) as refused:
             sample_parallel(c, 10, seed=1, rep=rep)
+        assert refused.value.report == check_simulable(c, rep.growth)
+
+
+@pytest.mark.parametrize("shots,seed,threads", [(-5, -1, 0), (10**30, 2**64, 1)])
+def test_not_simulable_wins_over_bad_arguments(rep, shots, seed, threads):
+    c = xy_circuit(2, ((0, 1),), [0.9, 0.9])
+    with pytest.raises(NotSimulable, match="^vertex 0: degree 1, radius 0.9, bound 0.485"):
+        sample_parallel(c, shots, seed, rep, threads)
 
 
 def reference_shot(c, rep, u):
@@ -251,26 +260,52 @@ def test_tables_identical_across_threads_and_blocks(rep):
 
 
 def test_pool_capped_by_blocks(rep, monkeypatch):
-    sizes = []
+    sizes, submitted = [], []
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
     monkeypatch.setattr(sampler, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 4)
     c = build_fixture("chain2", rep.growth, adaptive=False)
     sample_parallel(c, 3 * BLOCK_SHOTS - 5, 2, rep, 64)
     sample_parallel(c, BLOCK_SHOTS, 2, rep, 8)
-    assert sizes == [3]
+    # every call runs through a pool, of one worker for no shots at all; the
+    # calling thread is its first worker, so only the others are submitted
+    sample_parallel(c, 0, 2, rep, 8)
+    assert sizes == [3, 1, 1]
+    assert len(submitted) == 2
     # the CPU count caps the pool too, and the table does not change
     table = sample_parallel(c, 3 * BLOCK_SHOTS, 2, rep, 3)
-    for cpus, workers in ((2, 2), (1, None), (None, None)):
+    for cpus, workers in ((2, 2), (1, 1), (None, 1)):
         monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
         sizes.clear()
         assert sample_parallel(c, 3 * BLOCK_SHOTS, 2, rep, 1000) == table
-        assert sizes == ([] if workers is None else [workers])
+        assert sizes == [workers]
+
+
+def test_workers_share_blocks_under_fast_switching(rep, monkeypatch):
+    # 200 blocks shared by 8 workers on fewer cores, switching threads every
+    # microsecond: a block taken twice or lost changes the table
+    c = build_fixture("cycle4", rep.growth, adaptive=True)
+    monkeypatch.setattr(sampler, "BLOCK_SHOTS", 64)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 8)
+    shots = 200 * 64 - 3
+    serial = sample_parallel(c, shots, 5, rep, 1)
+    assert sum(serial.values()) == shots
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert sample_parallel(c, shots, 5, rep, 8) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(
