@@ -77,7 +77,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             args,
             {
                 "growth": rep.growth,
-                "representation": sampler.rep_provenance(args.growth_margin),
+                "representation": {"growth": rep.growth, "branches": len(rep.branches),
+                                   "residual": rep.residual, "source": rep.source},
                 "simulable": True,
                 "vertex_bounds": [
                     {"vertex": v.vertex, "degree": v.degree, "bound": v.bound}

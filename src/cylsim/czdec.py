@@ -12,9 +12,10 @@ decomposition by linear programming over discretized rim angles, or loads
 one stored as angle-grid indices; both meet one residual check over all 16
 coefficients.  The LP solves 4 coefficient rows over mirror pairs {(a, b),
 (-a, -b)}, with the 16-row LP's optimum (see lp_feasibility).  The
-resulting StochasticRep drives the sampler: one CZ application becomes a
-radius growth plus a sampled pair of Z-rotation offsets.  scipy's LP solver
-is imported only when an LP is solved.
+resulting StochasticRep, which records that residual and its source, drives
+the sampler: one CZ application becomes a radius growth plus a sampled pair
+of Z-rotation offsets.  scipy's LP solver is imported only when an LP is
+solved.
 """
 
 from __future__ import annotations
@@ -167,10 +168,14 @@ class StochasticRep:
 
     branches: list of (probability, dthetaA, dthetaB); the offsets are the
     output angles relative to each input's own angle (for pole +1 inputs).
+    residual and source record its acceptance: the mixture_residual of its
+    branches, and "stored" (grid_rep) or "lp" (build_decomposition).
     """
 
     growth: float
     branches: tuple[tuple[float, float, float], ...]
+    residual: float
+    source: str
 
     def __post_init__(self):
         if self.growth <= 1.0:
@@ -195,9 +200,10 @@ def build_decomposition(
     if f == 0.0:
         # diagonal inputs: CZ acts trivially on the Pauli coefficients.  Exempt
         # from the acceptance rule, which pictures outputs on the unit rim.
-        return StochasticRep(growth=math.inf, branches=((1.0, 0.0, 0.0),))
+        branches = ((1.0, 0.0, 0.0),)
+        return StochasticRep(math.inf, branches, mixture_residual(f, branches), "lp")
     _, _, branches = lp_feasibility(f, f, grid_size=grid_size, tol=tol)
-    return _accepted(f, grid_size, branches, tol)
+    return _accepted(f, grid_size, branches, tol, "lp")
 
 
 def mixture_residual(f: float, branches) -> float:
@@ -220,10 +226,11 @@ def grid_rep(f: float, grid_size: int, triples, tol: float = 1e-6) -> Stochastic
     DecompositionError carries that residual.
     """
     step = TWO_PI / grid_size
-    return _accepted(f, grid_size, [(float(w), j * step, k * step) for w, j, k in triples], tol)
+    branches = [(float(w), j * step, k * step) for w, j, k in triples]
+    return _accepted(f, grid_size, branches, tol, "stored")
 
 
-def _accepted(f: float, grid_size: int, branches, tol: float) -> StochasticRep:
+def _accepted(f: float, grid_size: int, branches, tol: float, source: str) -> StochasticRep:
     # a solver failure returns no branches
     residual = mixture_residual(f, branches) if branches else math.inf
     if not residual <= tol:
@@ -231,7 +238,7 @@ def _accepted(f: float, grid_size: int, branches, tol: float) -> StochasticRep:
             f"no decomposition at f={f} on grid {grid_size}: residual {residual:.3e} > {tol:.1e}",
             residual,
         )
-    return StochasticRep(growth=1.0 / f, branches=tuple(branches))
+    return StochasticRep(1.0 / f, tuple(branches), residual, source)
 
 
 def apply_branch(

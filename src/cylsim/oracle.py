@@ -115,18 +115,20 @@ def dense_peak(c: ClusterCircuit) -> float:
     exactly +-1, so a Z-basis measurement has one outcome, and the oracle's
     default prune drops the other's zero-trace branch.  A step after j
     XY-plane steps holds at most b = 2^j branches of complex operators on the
-    window of w qubits, 16 b 3^w bytes; the measured qubit's sign rows, 48
-    bytes for each code of the r other window qubits, take 64 while they are
-    built.  The step's peak is the largest of four phases: the grown input
-    beside the old one and the joining qubits' code vector, the input beside
-    the sign rows being built, the input beside the sign rows and both
-    outcomes (32 b 3^r bytes), and the outcomes beside the branches that
-    pruning keeps.  Each step adds 3n + 58 bytes a branch: thrice the n
-    outcome bits while concatenate doubles them, the angle and two complex
-    phase rows (8 + 32) and the prune mask over the doubled branches
-    (16 + 2).  The result takes 256 bytes for each table entry, one per
-    surviving branch, and 512 kiB covers numpy's buffers (two of 128 kiB at
-    most at a time)."""
+    window of w qubits, 16 b 3^w bytes, and the measured qubit's sign rows,
+    48 bytes for each code of the r other window qubits.  Its peak is the
+    largest of three phases (the grown input beside the old one and the
+    joining qubits' code vector; the input beside the sign rows and both
+    outcomes, 32 b 3^r bytes; the outcomes beside the branches pruning keeps)
+    plus 3n + 58 bytes a branch (thrice the n outcome bits while concatenate
+    doubles them, an angle and two complex phase rows, 8 + 32, and the prune
+    mask over the doubled branches, 16 + 2) and numpy's buffers: up to three
+    operands of a ufunc, each of at most getbufsize() entries and of no more
+    than it iterates over, b 3^w at the join and outcomes, 3^(r+1) for the
+    sign rows.  The result takes 50 + n + 3 ceil(n/8) bytes a branch: the
+    last column, bits and prune mask, 16 + n + 2, and from_bits's packed
+    rows, sort order, sorted copies and sums, 3 ceil(n/8) + 32.  64 kiB
+    covers the walk's Python objects."""
     peak = 0.0
     b = 1.0
     for v, new, window, _ in _window_walk(c):
@@ -134,10 +136,11 @@ def dense_peak(c: ClusterCircuit) -> float:
         r = len(window) - (v in window)
         out = 32 * b * 3**r
         join = grown + grown / 3 ** len(new) + 24 * 3 ** len(new) if new else 0
-        step = max(join, grown + 64 * 3**r, grown + out + 48 * 3**r, out * (2 - 0.5 / b))
-        peak = max(peak, step + (3 * c.n_qubits + 58) * b)
+        step = max(join, grown + out + 48 * 3**r, out * (2 - 0.5 / b))
+        buffers = 48 * min(np.getbufsize(), max(b, 3) * 3 ** len(window))
+        peak = max(peak, step + buffers + (3 * c.n_qubits + 58) * b)
         b *= 2 if c.plan[v].kind == XY_PLANE else 1
-    return max(peak, 256 * b) + 2**19
+    return max(peak, (50 + c.n_qubits + 3 * -(-c.n_qubits // 8)) * b) + 2**16
 
 
 def _available_memory() -> int:

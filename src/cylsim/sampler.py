@@ -2,10 +2,11 @@
 
 Each CZ is replaced by its stochastic separable update, so the state stays
 a product of cylinder extrema throughout; measurements are then sampled
-from single-qubit Born values.  This is efficient whenever every vertex v
-satisfies r_v <= growth^(-D_v) with D_v the vertex degree, since radii grow
-by the factor `growth` per incident gate and must end inside the unit
-cylinder (the dual of the allowed measurements).
+from single-qubit Born values.  This is efficient whenever every XY-measured
+vertex v satisfies r_v <= growth^(-D_v) with D_v the vertex degree, since
+radii grow by the factor `growth` per incident gate and must end inside the
+unit cylinder (the dual of the allowed measurements).  A Z-measured vertex
+has no such bound: its outcome is its pole, whatever its radius.
 
 A branch update never changes a pole and multiplies both radii by the
 growth, so one shot is a vector of n angles plus n adaptive draws.  Shots
@@ -20,8 +21,8 @@ its other checks it applies check_simulable, the one radius rule.  It
 returns an outcomes.OutcomeTable, the sum (outcomes.total) of each block's
 count table (OutcomeTable.counted), whose bitstrings are built only when
 asked for.  The default representation is stored below as angle-grid
-indices and checked on load; only a non-default growth margin solves the
-LP.
+indices and checked on load, and only a non-default growth margin solves
+the LP; either way it records its own residual and source.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import ClusterCircuit
-from .czdec import (
-    LAMBDA,
-    StochasticRep,
-    build_decomposition,
-    grid_rep,
-    mixture_residual,
-)
+from .czdec import LAMBDA, StochasticRep, build_decomposition, grid_rep
 from .geometry import Z_BASIS
 from .outcomes import OutcomeTable, total
 
@@ -90,7 +85,9 @@ class VertexBound:
     degree: int
     radius: float
     bound: float
-    ok: bool
+    #: "ok" within the bound; past it, "Z-measured" (the sampler never reads
+    #: that radius) or "EXCEEDED"
+    status: str
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class SimulabilityReport:
 
     @property
     def simulable(self) -> bool:
-        return all(v.ok for v in self.vertices)
+        return all(v.status != "EXCEEDED" for v in self.vertices)
 
 
 class NotSimulable(ValueError):
@@ -110,12 +107,14 @@ class NotSimulable(ValueError):
     def __init__(self, report: SimulabilityReport):
         super().__init__("\n".join(
             f"vertex {v.vertex}: degree {v.degree}, radius {v.radius:.6g}, "
-            f"bound {v.bound:.6g} [{'ok' if v.ok else 'EXCEEDED'}]" for v in report.vertices))
+            f"bound {v.bound:.6g} [{v.status}]" for v in report.vertices))
         self.report = report
 
 
 def check_simulable(c: ClusterCircuit, growth: float) -> SimulabilityReport:
-    """Per-vertex radius bounds growth^(-D_v) and whether the inputs meet them."""
+    """Per-vertex radius bounds growth^(-D_v) and whether the inputs meet them.
+    A Z-measured vertex has no bound to meet: the sampler sets its bit from
+    its pole alone and never reads its radius."""
     if growth <= 1.0:
         raise ValueError("growth must exceed 1")
     rows = []
@@ -123,8 +122,9 @@ def check_simulable(c: ClusterCircuit, growth: float) -> SimulabilityReport:
         d = c.degree(v)
         bound = growth ** (-d)
         r = c.inputs[v].r
-        ok = _final_radius(r, growth, d) <= 1.0 + RADIUS_TOL
-        rows.append(VertexBound(v, d, r, bound, ok))
+        within = _final_radius(r, growth, d) <= 1.0 + RADIUS_TOL
+        status = "ok" if within else "Z-measured" if c.plan[v].kind == Z_BASIS else "EXCEEDED"
+        rows.append(VertexBound(v, d, r, bound, status))
     return SimulabilityReport(growth=growth, vertices=tuple(rows))
 
 
@@ -143,18 +143,6 @@ def default_rep(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> StochasticRep:
     if round(growth_margin, 15) == DEFAULT_GROWTH_MARGIN:
         return grid_rep(f, REP_GRID_SIZE, _DEFAULT_TABLE, tol=REP_TOL)
     return build_decomposition(f, grid_size=REP_GRID_SIZE, tol=REP_TOL)
-
-
-def rep_provenance(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> dict:
-    """Growth, branch count, residual and source ("stored" or "lp") of default_rep."""
-    rep = default_rep(growth_margin)
-    stored = round(growth_margin, 15) == DEFAULT_GROWTH_MARGIN
-    return {
-        "growth": rep.growth,
-        "branches": len(rep.branches),
-        "residual": mixture_residual(1.0 / rep.growth, rep.branches),
-        "source": "stored" if stored else "lp",
-    }
 
 
 class _ShotKernel:

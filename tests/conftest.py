@@ -69,6 +69,25 @@ def build_fixture(name: str, growth: float, adaptive: bool) -> ClusterCircuit:
     return ClusterCircuit(n, edges, inputs, tuple(plan), tuple(range(n)))
 
 
+def z_measured_grid3x3(growth: float) -> ClusterCircuit:
+    """The 3x3 grid with vertices 1 and 4 Z-measured at radius 0.95, far past
+    their bounds, and every other radius at 90% of its bound; the XY steps
+    take the previous outcome's sign."""
+    edges = tuple((3 * r + q, 3 * r + q + 1) for r in range(3) for q in range(2))
+    edges += tuple((v, v + 3) for v in range(6))
+    inputs = tuple(
+        CylinderExtremum(0.95 if v in (1, 4) else 0.9 * growth ** (-degree(9, edges, v)),
+                         0.4 + 0.9 * v, 1 if v % 3 else -1)
+        for v in range(9)
+    )
+    plan = tuple(
+        MeasurementRule(Z_BASIS) if v in (1, 4) else
+        MeasurementRule(XY_PLANE, 0.3 + 0.5 * v, frozenset({v - 1} if v else ()))
+        for v in range(9)
+    )
+    return ClusterCircuit(9, edges, inputs, plan, tuple(range(9)))
+
+
 def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
     """Real coefficient tensor c with rho = (1/2^n) sum c[i...] sigma_i x ...
 

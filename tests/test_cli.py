@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_GRAPHS, build_fixture
+from conftest import FIXTURE_GRAPHS, build_fixture, z_measured_grid3x3
 
 import cylsim
 from cylsim import cli, oracle, sampler
@@ -59,6 +59,11 @@ def test_sample_deterministic_csv(tmp_path, circuit_file):
     rep = prov["representation"]
     assert rep["source"] == "stored" and rep["branches"] == 9
     assert rep["growth"] == prov["growth"] and rep["residual"] <= 1e-6
+    assert main(args + ["--growth-margin", "2e-3", "--out", str(out2)]) == EXIT_OK
+    lp = sampler.default_rep(2e-3)
+    assert json.loads((tmp_path / "b.csv.provenance.json").read_text())["representation"] == {
+        "growth": lp.growth, "branches": len(lp.branches), "residual": lp.residual,
+        "source": lp.source}
 
 
 @pytest.mark.parametrize("name, digest", [
@@ -105,6 +110,29 @@ def test_sample_rejects_nonsimulable(tmp_path, capsys):
             f"vertex {v}: degree 1, radius 0.9, bound 0.485383 [EXCEEDED]" for v in (0, 1)
         ]
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_z_measured_vertex_has_no_radius_bound(tmp_path, capsys):
+    c = z_measured_grid3x3(sampler.default_rep().growth)
+    path = tmp_path / "grid.json"
+    path.write_text(c.to_json())
+    args = ["--circuit", str(path), "--shots", "20000", "--seed", "1", "--threads", "1"]
+    assert main(["sample", *args, "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
+    assert main(["compare", *args, "--out", str(tmp_path / "tv.json")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["within_bound"] is True
+    # an XY vertex over its bound still refuses the circuit; the Z rows over
+    # theirs are labelled as such, and every other row keeps its text
+    inputs = (CylinderExtremum(0.9, 0.4, -1),) + c.inputs[1:]
+    path.write_text(dataclasses.replace(c, inputs=inputs).to_json())
+    assert main(["sample", *args, "--out", str(tmp_path / "bad.csv")]) == EXIT_NOT_SIMULABLE
+    err = capsys.readouterr().err.splitlines()
+    assert err[:4] == [
+        "vertex 0: degree 2, radius 0.9, bound 0.235597 [EXCEEDED]",
+        "vertex 1: degree 3, radius 0.95, bound 0.114355 [Z-measured]",
+        "vertex 2: degree 2, radius 0.212037, bound 0.235597 [ok]",
+        "vertex 3: degree 3, radius 0.102919, bound 0.114355 [ok]",
+    ]
+    assert [line.rsplit(" ", 1)[1] for line in err[4:]] == ["[Z-measured]"] + ["[ok]"] * 4
 
 
 def _nonsimulable_chain(n):
@@ -219,21 +247,21 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "resource cap: dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is its result, 256 bytes for each of 2 entries,
-    # plus 2^19 = 524800 bytes
-    monkeypatch.setattr(oracle, "_available_memory", lambda: 524800)
+    # chain2's estimated peak is its first step's 784 bytes, of which 432 are
+    # numpy's buffers, plus 2^16 = 66320 bytes
+    monkeypatch.setattr(oracle, "_available_memory", lambda: 66320)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(oracle, "_available_memory", lambda: 524799)
+    monkeypatch.setattr(oracle, "_available_memory", lambda: 66319)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
     assert err.startswith("resource cap: dense oracle needs about ")
-    assert "about 5.25e+05 bytes at 2 qubits" in err and "5.25e+05 bytes of available memory" in err
+    assert "about 6.63e+04 bytes at 2 qubits" in err and "6.63e+04 bytes of available memory" in err
     assert not out.exists()
 
 
@@ -276,7 +304,7 @@ def _grid3x4():
     # outcomes: 16 + 48 + 32 bytes per code of the nine leaves, 32 * 3^n
     (_star(10), 32 * 3**10, 40 * 3**10, None),
     # every other vertex Z-measured, with one outcome: 2^7 branches at most,
-    # not 2^14, and a result dict of 2^7 entries, so the estimate is 0.73 MB,
+    # not 2^14, and a result table of 2^7 entries, so the estimate is 0.59 MB,
     # not 67.4 MB
     (ClusterCircuit.from_json((DATA / "chain14.json").read_text()), 0, 2**21, 2 * 10**6),
 ], ids=["chain14", "grid3x4", "star10-centre-first", "chain14-data-z-steps"])
@@ -345,16 +373,16 @@ def test_refuse_dense_reads_mem_available(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(oracle, "_MEMINFO", str(meminfo))
     c = build_fixture("chain2", LAMBDA, adaptive=False)
-    need = oracle.dense_peak(c)  # 524800 bytes = 512.5 kB
+    need = oracle.dense_peak(c)  # 66320 bytes = 64.8 kB
     meminfo.write_text("MemTotal:       16384000 kB\nMemFree:            1024 kB\n"
-                       "MemAvailable:        513 kB\nBuffers:          100 kB\n")
-    assert oracle._available_memory() == 513 * 1024 > need
+                       "MemAvailable:         65 kB\nBuffers:          100 kB\n")
+    assert oracle._available_memory() == 65 * 1024 > need
     oracle.admit(c)
-    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:        512 kB\n")
+    meminfo.write_text("MemTotal:       16384000 kB\nMemAvailable:         64 kB\n")
     with pytest.raises(oracle.DenseTooLarge) as refused:
         oracle.admit(c)
     assert _compare_before_work(tmp_path, monkeypatch, c) == EXIT_RESOURCE_CAP
-    assert str(refused.value).endswith("more than the 5.24e+05 bytes of available memory")
+    assert str(refused.value).endswith("more than the 6.55e+04 bytes of available memory")
 
 
 def test_available_memory_falls_back_to_sysconf(tmp_path, monkeypatch):

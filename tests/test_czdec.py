@@ -91,6 +91,8 @@ def test_ppt_determinants():
 def test_build_decomposition_trivial_and_infeasible():
     rep = build_decomposition(0.0)
     assert rep.branches == ((1.0, 0.0, 0.0),)
+    # exempt from acceptance: its residual is recorded, not checked
+    assert (rep.residual, rep.source) == (1.0, "lp")
     with pytest.raises(DecompositionError) as exc:
         build_decomposition(0.6, grid_size=32)
     assert exc.value.residual > 1e-4
@@ -116,6 +118,7 @@ def test_build_decomposition_near_critical():
     eA = CylinderExtremum(f, 0.0, 1)
     rec = reconstructed_output(eA, eA, rep)
     assert np.max(np.abs(rec - cz_pauli_output(f, f))) < 1e-6
+    assert (rep.residual, rep.source) == (czdec.mixture_residual(f, rep.branches), "lp")
     assert len(rep.branches) <= 17
     assert sum(p for p, _, _ in rep.branches) == pytest.approx(1.0, abs=1e-9)
 

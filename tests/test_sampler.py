@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_GRAPHS, build_fixture, degree, measure_prob
+from conftest import FIXTURE_GRAPHS, build_fixture, degree, measure_prob, z_measured_grid3x3
 
 import cylsim
 from cylsim import sampler
@@ -34,7 +34,6 @@ from cylsim.sampler import (
     TooManyShots,
     check_simulable,
     default_rep,
-    rep_provenance,
     sample_parallel,
 )
 
@@ -116,11 +115,18 @@ def test_check_simulable_examples():
 
     c = xy_circuit(5, ((0, 1), (0, 2), (0, 3), (0, 4)), [0.06, 0, 0, 0, 0])
     report = check_simulable(c, LAMBDA)
-    assert not report.vertices[0].ok  # 0.06 > lambda^-4 ~ 0.0557
+    assert report.vertices[0].status == "EXCEEDED"  # 0.06 > lambda^-4 ~ 0.0557
     assert not report.simulable
 
     c = xy_circuit(3, ((0, 1), (1, 2)), [0.0] * 3)
     assert check_simulable(c, LAMBDA).simulable
+
+    # Z-measured vertices 1 and 4 far past their bounds: the sampler never reads their radii
+    report = check_simulable(z_measured_grid3x3(LAMBDA), LAMBDA)
+    assert report.simulable
+    assert [v.vertex for v in report.vertices if v.radius > v.bound] == [1, 4]
+    assert [v.status for v in report.vertices] == ["ok", "Z-measured", "ok", "ok", "Z-measured",
+                                                   "ok", "ok", "ok", "ok"]
 
 
 @pytest.mark.parametrize("excess,ok", [(0.0, True), (5e-13, False)])
@@ -342,9 +348,8 @@ def test_stored_rep_passes_residual_check():
     residual = mixture_residual(f, rep.branches)
     assert residual <= 1e-6
     assert rep == default_rep()
-    assert rep_provenance() == {
-        "growth": rep.growth, "branches": 9, "residual": residual, "source": "stored",
-    }
+    assert (rep.growth, len(rep.branches), rep.residual, rep.source) == (
+        1.0 / f, 9, residual, "stored")
     for i in range(len(sampler._DEFAULT_TABLE)):
         table = list(sampler._DEFAULT_TABLE)
         w, j, k = table[i]
@@ -356,10 +361,10 @@ def test_stored_rep_passes_residual_check():
 
 
 def test_nondefault_margin_solves_lp():
-    prov = rep_provenance(2e-3)
-    assert prov["source"] == "lp"
-    assert prov["residual"] <= 1e-6
-    assert prov["growth"] == pytest.approx(LAMBDA * 1.002)
+    rep = default_rep(2e-3)
+    assert rep.source == "lp"
+    assert rep.residual <= 1e-6
+    assert rep.growth == pytest.approx(LAMBDA * 1.002)
 
 
 def test_cli_path_does_not_load_lp_solver():
