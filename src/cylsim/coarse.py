@@ -39,6 +39,16 @@ inflated angle grid bounds the continuous minimum from below.  The scan
 computes that minimum in floating point, so a certificate asks it to be at
 least rounding_bound, the scan's forward error, not merely nonnegative.
 
+The same argument makes the exact grid minimum a nonincreasing function of
+r.  Every radius scales with r in both modes, so each site's polygon at
+r' < r is a shrunken copy inside its polygon at r; the block value is the
+same multilinear function of the a_i at every r, so its minimum over the
+larger product of polygons, attained at a vertex, is no larger.  A
+certificate at lower therefore settles every smaller radius, and where the
+scan has more than one chunk s_estimate screens its lower probes on chunk 0,
+the chunk that holds the all-zero grid point, and runs one full scan, at the
+final lower.
+
 Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
 any graph: every coefficient-tensor entry with an odd number of Im codes is
@@ -539,12 +549,14 @@ def _rechunk(blocks, rows: int):
         yield np.concatenate(held)
 
 
-def _grid_sign(T: np.ndarray, radii: np.ndarray, grid: int, head) -> float:
+def _grid_sign(T: np.ndarray, radii: np.ndarray, grid: int, head, chunks: int | None = None) -> float:
     """A value with the sign of the grid minimum: the minimum itself when it
     is nonnegative, else the minimum of the first chunk that goes negative,
-    where the scan stops."""
+    where the scan stops.  With chunks set, the scan stops after that many
+    chunks and the same rule covers only them: chunks=1 gives the minimum of
+    chunk 0, which holds the all-zero grid point."""
     low = math.inf
-    for v in _grid_chunks(T, radii, grid, head):
+    for v in itertools.islice(_grid_chunks(T, radii, grid, head), chunks):
         low = min(low, v)
         if v < 0.0:
             break
@@ -636,7 +648,11 @@ class Probe(NamedTuple):
     value is where the zero-start descent ended, and it holds when that is
     nonnegative.  A lower probe's value is the certification-grid minimum, or
     the first negative chunk's, and it holds when that is at least
-    rounding_bound at the probe's inflated radii."""
+    rounding_bound at the probe's inflated radii.  A lower probe that chunk 0
+    decided alone (a screened hold, see s_estimate) records chunk 0's
+    minimum, which equals the grid minimum by repr on every recorded
+    bracket; the probe at lower records the minimum of the full scan that
+    verified it."""
 
     bound: str
     r: float
@@ -649,7 +665,7 @@ class SEstimate:
     """Bracket [lower, upper] for a block threshold.
 
     lower is certified: at radii inflated by cert_inflation =
-    1/cos(pi/cert_grid), the scan's grid minimum was at least its rounding
+    1/cos(pi/cert_grid), a full scan's grid minimum was at least its rounding
     bound, so the exact grid minimum was nonnegative, which bounds the
     continuous minimum from below.  upper is witnessed: witness, the
     assignment where the descent of the failing probe at upper ended, has a
@@ -657,9 +673,9 @@ class SEstimate:
     theta_grid is the requested certification grid, cert_grid the one used.
     A full certification scan visits scan_points of its cert_grid^n points,
     one per orbit of a symmetry group of order scan_group_order (_orbit_head).
-    cert_rounding_bound is rounding_bound at the inflated radii of lower: how
-    far the scan's grid minimum there can lie from the exact one, and so the
-    slack a lower probe there must clear.
+    cert_rounding_bound is rounding_bound at the inflated radii of lower,
+    the one its probe computed: how far the scan's grid minimum there can lie
+    from the exact one, and so the slack a lower probe there must clear.
     probes lists every probe of both bisections in order.
     """
 
@@ -711,10 +727,25 @@ def s_estimate(
     scans the minimum over G angles per site (theta_grid, halved to fit
     _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G): a
     minimum of at least rounding_bound, the scan's forward error, certifies
-    the continuous minimum.  The probe stops at the first chunk of grid
-    points that goes negative, and computes the bound only when none does.
-    The scan visits one grid point per orbit of the block's symmetry group;
-    its head and leader list are set up once, for every lower probe.
+    the continuous minimum.  A scan stops at the first chunk of grid points
+    that goes negative, and the bound is computed only when none does.  The
+    scan visits one grid point per orbit of the block's symmetry group; its
+    head and leader list are set up once, for every lower probe.
+
+    The exact grid minimum does not increase with r (module docstring), so
+    the lower bisection decides each probe from chunk 0 of its scan, which
+    holds the all-zero grid point: a negative chunk 0 fails; one below
+    rounding_bound goes on to the full scan, whose minimum decides; one at or
+    above rounding_bound is a tentative hold.  One full scan at the final
+    lower must then reach rounding_bound there plus twice the largest
+    rounding_bound rb' of the tentative holds, and its minimum becomes the
+    value of the probe at lower.  With exact grid minima E, a tentative hold
+    at r' <= lower then holds in a full scan too: its minimum is at least
+    E(r') - rb(r') >= E(lower) - rb(r') >= 2 rb' - rb(r') >= rb(r').  When the
+    margin is missed, the screened probes are dropped and the bisection runs
+    again with a full scan per probe, which gives the bracket and probes
+    that such a bisection always gave.  A grid that fits one chunk, such as
+    3x3's, runs that bisection from the start: its chunk 0 is the full scan.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -738,6 +769,7 @@ def s_estimate(
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
     witnesses = {}  # assignment of each failing upper probe, by radius
+    bounds = {}  # rounding bound of each lower probe that computed one, by radius
 
     def nonnegative(r: float) -> bool:
         radii = b.radii(r)
@@ -747,12 +779,21 @@ def s_estimate(
             witnesses[r] = a
         return v >= 0.0
 
-    def certified(r: float) -> bool:
+    def certified(r: float, chunks: int | None) -> bool:
         radii = b.radii(r)[order] * inflate
-        v = _grid_sign(T, radii, cert_grid, head)
-        holds = v >= 0.0 and v >= rounding_bound(T, radii)
+        v = _grid_sign(T, radii, cert_grid, head, chunks)
+        if v >= 0.0:
+            bounds[r] = rounding_bound(T, radii)
+            if chunks and v < bounds[r]:  # too close to call on the chunks seen
+                v = _grid_sign(T, radii, cert_grid, head)
+        holds = v >= 0.0 and v >= bounds[r]
         probes.append(Probe("lower", r, holds, v))
         return holds
+
+    def lower_bisection(chunks: int | None) -> float:
+        if certified(upper, chunks):
+            return upper
+        return _bisect(0.0, upper, bisect_tol, lambda r: certified(r, chunks))[0]
 
     # upper: smallest r with a concrete negative witness
     hi = 0.05
@@ -765,11 +806,24 @@ def s_estimate(
         _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
         witness = _angles(witnesses[upper])
 
-    # lower: largest r whose inflated-grid minimum is certified nonnegative
-    if certified(upper):
-        lower = upper
-    else:
-        lower, _ = _bisect(0.0, upper, bisect_tol, certified)
+    # lower: largest r whose inflated-grid minimum is certified nonnegative.
+    # A scan of more than _CHUNK points, so of more than one chunk, is
+    # screened on chunk 0 and verified by one full scan at lower
+    scan_points = len(head[1]) * cert_grid ** (b.n - head[0])
+    screen = 1 if scan_points > _CHUNK else None
+    screened = len(probes)
+    lower = lower_bisection(screen)
+    if lower > 0.0 and screen:
+        radii = b.radii(lower)[order] * inflate
+        v = _grid_sign(T, radii, cert_grid, head)
+        held = [i for i in range(screened, len(probes)) if probes[i].holds]  # the last at lower
+        if v >= bounds[lower] + 2.0 * max(bounds[probes[i].r] for i in held):
+            probes[held[-1]] = probes[held[-1]]._replace(value=v)
+        else:
+            del probes[screened:]
+            lower = lower_bisection(None)
+    if lower == 0.0:  # no lower probe held, so none computed the bound there
+        bounds[lower] = rounding_bound(T, b.radii(lower)[order] * inflate)
     return SEstimate(
         lower=lower,
         upper=upper,
@@ -777,8 +831,8 @@ def s_estimate(
         cert_grid=cert_grid,
         cert_inflation=inflate,
         scan_group_order=group_order,
-        scan_points=len(head[1]) * cert_grid ** (b.n - head[0]),
-        cert_rounding_bound=rounding_bound(T, b.radii(lower)[order] * inflate),
+        scan_points=scan_points,
+        cert_rounding_bound=bounds[lower],
         witness=witness,
         capped=capped,
         probes=tuple(probes),

@@ -787,10 +787,8 @@ def test_certified_sign_equals_full_minimum_sign(case):
     assert min(_grid_chunks(D, radii, grid, head)) > 1e6 * rounding_bound(D, radii)
 
 
-def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
-    # the bracket at grid 32 used to compute 25 full grids of 4^12 points;
-    # only certification probes that hold need all their chunks now, and
-    # upper probes run no grid at all
+def chunks_per_scan(monkeypatch, b: BlockSpec) -> list[tuple[int, int]]:
+    """(grid, chunks run) of every certification scan of b's bracket at grid 32."""
     runs = []
     chunks = coarse._grid_chunks
 
@@ -801,13 +799,148 @@ def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
             yield item
 
     monkeypatch.setattr(coarse, "_grid_chunks", spy)
-    s_estimate(BlockSpec(3, 4, LAMBDA_GROWN), theta_grid=32, bisect_tol=1e-4)
+    s_estimate(b, theta_grid=32, bisect_tol=1e-4)
+    monkeypatch.undo()
+    return [tuple(run) for run in runs]
+
+
+def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
+    # chunk 0 decides every lower probe, one full scan of 4^12 points
+    # verifies lower, and upper probes run no grid at all
+    runs = chunks_per_scan(monkeypatch, BlockSpec(3, 4, LAMBDA_GROWN))
     # one head row of the 4 corners per chunk, one per orbit of the 4^4
     # corner strings under the 4 reflections of the rectangle and the
     # mirror: (256 + 3 * 16 + 2^4 + 3 * 16) / 8 = 46 by Burnside's lemma
     per_grid = 46
-    assert sum(1 for grid, n in runs if grid == 4 and n == per_grid) <= 5
+    assert sum(1 for grid, n in runs if n > 1) == 1
     assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
+
+
+@pytest.mark.parametrize("hw", [(2, 2), (2, 3), (2, 4)], ids=["2x2", "2x3", "2x4"])
+def test_bracket_runs_one_full_certification_grid(hw, monkeypatch):
+    runs = chunks_per_scan(monkeypatch, BlockSpec(*hw, LAMBDA_GROWN))
+    assert max(n for _, n in runs) > 1
+    assert sum(1 for _, n in runs if n > 1) == 1
+
+
+@pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3)], ids=["1x2", "2x2", "2x3"])
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+@pytest.mark.parametrize("grid", [4, 5, 8])
+def test_grid_minimum_does_not_increase_with_r(hw, mode, grid):
+    # every radius scales with r, so each site's polygon at r1 < r2 lies in
+    # its polygon at r2, and the multilinear block value takes its minimum
+    # over a product of polygons at a vertex: the exact grid minimum cannot
+    # increase with r.  The scan's minima keep that up to their rounding
+    # bounds.  This is what lets s_estimate screen its lower probes on chunk 0
+    b = BlockSpec(*hw, mode)
+    est = s_estimate(b, theta_grid=grid, bisect_tol=1e-3)
+    order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
+    D = coeff_tensor(b, order)
+    failed = min(p.r for p in est.probes if p.bound == "lower" and not p.holds)
+    rs = sorted({0.5 * est.lower, est.lower, failed, est.upper, 2.0 * est.upper})
+    scans = []
+    for r in rs:
+        radii = b.radii(r)[order] * est.cert_inflation
+        scans.append((min(_grid_chunks(D, radii, est.cert_grid, head)), rounding_bound(D, radii)))
+    assert {low >= 0.0 for low, _ in scans} == {True, False}  # across the threshold
+    for (low1, bound1), (low2, bound2) in itertools.combinations(scans, 2):
+        assert low1 >= low2 - bound1 - bound2
+
+
+def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisect_tol: float):
+    """The lower bisection with one full certification scan per probe, which
+    s_estimate's chunk-0 screen must reproduce: each scan stops at its first
+    negative chunk, and a probe holds when the minimum clears the rounding
+    bound.  Returns lower, the lower probes and the rounding bound at
+    lower."""
+    grid = coarse._grid_size(b.n, theta_grid)
+    order, head, _ = _orbit_head(b.n, b.automorphisms(), grid)
+    D = coeff_tensor(b, order)
+    inflate = 1.0 / math.cos(math.pi / grid)
+    probes = []
+
+    def holds(r):
+        radii = b.radii(r)[order] * inflate
+        low = math.inf
+        for v in coarse._grid_chunks(D, radii, grid, head):
+            low = min(low, v)
+            if v < 0.0:
+                break
+        probes.append(coarse.Probe("lower", r, low >= 0.0 and low >= rounding_bound(D, radii), low))
+        return probes[-1].holds
+
+    lo, hi = (upper, upper) if holds(upper) else (0.0, upper)
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo, probes, rounding_bound(D, b.radii(lo)[order] * inflate)
+
+
+@pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x2", "2x3", "2x4")],
+                         ids=lambda c: f"{c['block']}-{c['mode']}")
+def test_screened_lower_bisection_matches_full_scans(case):
+    # a screened hold records chunk 0's minimum, which equals the full
+    # scan's minimum on every recorded case
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+    est = s_estimate(b, case["grid"], case["bisect_tol"])
+    lower, probes, bound = reference_lower_bisection(b, est.upper, case["grid"], case["bisect_tol"])
+    assert (est.lower, est.cert_rounding_bound) == (lower, bound)
+    assert [p for p in est.probes if p.bound == "lower"] == probes
+
+
+@pytest.mark.parametrize("below, defect", [(3.0, -1.0), (math.inf, -1.0), (3.0, 1.5)],
+                         ids=["negative-near", "negative-everywhere", "within-margin"])
+def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch):
+    # above a cut below the recorded lower, chunk 1 takes defect times the
+    # rounding bound, where chunk 0 cannot see it.  Negative, it fails every
+    # full scan above the cut, and the grid minimum still does not increase
+    # with r.  At 1.5 rounding bounds every full scan holds, but the one at
+    # lower misses the margin, which asks for 3
+    case = next(c for c in BRACKETS if c["block"] == "2x3")
+    b = BlockSpec(2, 3, case["mode"])
+    tol = case["bisect_tol"]
+    grid = coarse._grid_size(b.n, case["grid"])
+    order = _orbit_head(b.n, b.automorphisms(), grid)[0]
+    cut = max(0.0, case["r_lower"] - below * tol)
+    edge = (b.radii(cut)[order] / math.cos(math.pi / grid)).max()
+    chunks = coarse._grid_chunks
+
+    def defective(D, radii, grid, head):
+        for i, v in enumerate(chunks(D, radii, grid, head)):
+            yield defect * rounding_bound(D, radii) if i == 1 and radii.max() > edge else v
+
+    monkeypatch.setattr(coarse, "_grid_chunks", defective)
+    est = s_estimate(b, case["grid"], tol)
+    lower, probes, bound = reference_lower_bisection(b, est.upper, case["grid"], tol)
+    if defect < 0.0:
+        assert cut - tol <= lower <= cut
+    else:
+        assert lower == case["r_lower"] and probes[-1].value == 1.5 * bound
+    assert (est.lower, est.upper, est.cert_rounding_bound) == (lower, case["r_upper"], bound)
+    assert [p for p in est.probes if p.bound == "lower"] == probes
+    upper = [[p.bound, p.r, p.holds] for p in est.probes if p.bound == "upper"]
+    assert upper == [p for p in case["probes"] if p[0] == "upper"]
+
+
+def test_chunk_0_within_the_rounding_bound_goes_on_to_the_full_scan(monkeypatch):
+    # a chunk 0 that is nonnegative but below the scan's forward error
+    # decides nothing, so the probe records the full scan's value: here
+    # chunk 1's -1.0
+    chunks = coarse._grid_chunks
+
+    def defective(D, radii, grid, head):
+        for i, v in enumerate(chunks(D, radii, grid, head)):
+            yield (0.5 * rounding_bound(D, radii), -1.0)[i] if i < 2 else v
+
+    monkeypatch.setattr(coarse, "_grid_chunks", defective)
+    b = BlockSpec(2, 3, LAMBDA_GROWN)
+    est = s_estimate(b, 32, 1e-4)
+    lower, probes, bound = reference_lower_bisection(b, est.upper, 32, 1e-4)
+    assert (est.lower, est.cert_rounding_bound) == (lower, bound) and lower == 0.0
+    assert [p for p in est.probes if p.bound == "lower"] == probes
+    assert all(p.value == -1.0 for p in probes)
 
 
 def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):
