@@ -4,7 +4,8 @@ with an adaptive measurement plan and a fixed measurement order.
 Adaptivity is encoded as two dependency sets per vertex: odd outcome parity
 over sign_deps negates the base azimuth, odd parity over shift_deps adds pi.
 This covers standard byproduct propagation while keeping circuits fully
-serializable.
+serializable.  MeasurementRule.azimuths is the one statement of that rule,
+which the sampler and the dense oracle both read.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum, is_real
 
@@ -32,6 +35,17 @@ class MeasurementRule:
         for name in ("sign_deps", "shift_deps"):
             deps = frozenset(_index(d, name) for d in getattr(self, name))
             object.__setattr__(self, name, deps)
+
+    def azimuths(self, bits: np.ndarray) -> np.ndarray:
+        """The float azimuth of each row of earlier outcome bits (rows, n):
+        base_alpha times 1 - 2 (parity over sign_deps), plus pi times the
+        parity over shift_deps, equal to negating and adding pi in turn."""
+        alpha = np.full(len(bits), self.base_alpha, dtype=float)
+        if self.sign_deps:
+            alpha *= 1.0 - 2.0 * np.bitwise_xor.reduce(bits[:, list(self.sign_deps)], axis=1)
+        if self.shift_deps:
+            alpha += math.pi * np.bitwise_xor.reduce(bits[:, list(self.shift_deps)], axis=1)
+        return alpha
 
 
 @dataclass(frozen=True)
@@ -138,12 +152,3 @@ def _index(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
-
-def resolve_alpha(rule: MeasurementRule, outcomes: dict[int, int]) -> float:
-    """Adaptively resolved azimuth given earlier outcomes."""
-    alpha = rule.base_alpha
-    if sum(outcomes[d] for d in rule.sign_deps) % 2:
-        alpha = -alpha
-    if sum(outcomes[d] for d in rule.shift_deps) % 2:
-        alpha += math.pi
-    return alpha

@@ -649,10 +649,10 @@ class Probe(NamedTuple):
     nonnegative.  A lower probe's value is the certification-grid minimum, or
     the first negative chunk's, and it holds when that is at least
     rounding_bound at the probe's inflated radii.  A lower probe that chunk 0
-    decided alone (a screened hold, see s_estimate) records chunk 0's
-    minimum, which equals the grid minimum by repr on every recorded
-    bracket; the probe at lower records the minimum of the full scan that
-    verified it."""
+    decided alone (screened, see s_estimate) records chunk 0's minimum: a
+    hold's equals the grid minimum by repr on every recorded bracket, and a
+    chunk 0 in [0, rounding_bound) fails with it; the probe at lower records
+    the minimum of the full scan that verified it."""
 
     bound: str
     r: float
@@ -734,18 +734,20 @@ def s_estimate(
 
     The exact grid minimum does not increase with r (module docstring), so
     the lower bisection decides each probe from chunk 0 of its scan, which
-    holds the all-zero grid point: a negative chunk 0 fails; one below
-    rounding_bound goes on to the full scan, whose minimum decides; one at or
-    above rounding_bound is a tentative hold.  One full scan at the final
-    lower must then reach rounding_bound there plus twice the largest
-    rounding_bound rb' of the tentative holds, and its minimum becomes the
-    value of the probe at lower.  With exact grid minima E, a tentative hold
-    at r' <= lower then holds in a full scan too: its minimum is at least
-    E(r') - rb(r') >= E(lower) - rb(r') >= 2 rb' - rb(r') >= rb(r').  When the
-    margin is missed, the screened probes are dropped and the bisection runs
-    again with a full scan per probe, which gives the bracket and probes
-    that such a bisection always gave.  A grid that fits one chunk, such as
-    3x3's, runs that bisection from the start: its chunk 0 is the full scan.
+    holds the all-zero grid point: at or above rounding_bound it is a
+    tentative hold, and below it the probe fails, as a full scan would, whose
+    chunk 0 is the same computation.  One full scan at the final lower must
+    then reach 3 rb, rb = rounding_bound there, and its minimum becomes the
+    value of the probe at lower.  rounding_bound does not decrease with r
+    (abs, sums and products of the inflated radii and other nonnegative
+    operands, each monotone under round-to-nearest), so the bound rb' of a
+    tentative hold at r' <= lower is at most rb, and with exact grid minima E
+    its full scan would hold too: its minimum is at least
+    E(r') - rb' >= E(lower) - rb' >= 2 rb - rb' >= rb'.  When the margin is
+    missed, the screened probes are dropped and the bisection runs again
+    with a full scan per probe, which gives the bracket and probes that such
+    a bisection always gave.  A grid that fits one chunk, such as 3x3's,
+    runs that bisection from the start: its chunk 0 is the full scan.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -769,7 +771,7 @@ def s_estimate(
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
     witnesses = {}  # assignment of each failing upper probe, by radius
-    bounds = {}  # rounding bound of each lower probe that computed one, by radius
+    cert_bound = 0.0  # rounding bound of the last lower probe that held, so at lower
 
     def nonnegative(r: float) -> bool:
         radii = b.radii(r)
@@ -780,13 +782,12 @@ def s_estimate(
         return v >= 0.0
 
     def certified(r: float, chunks: int | None) -> bool:
+        nonlocal cert_bound
         radii = b.radii(r)[order] * inflate
         v = _grid_sign(T, radii, cert_grid, head, chunks)
-        if v >= 0.0:
-            bounds[r] = rounding_bound(T, radii)
-            if chunks and v < bounds[r]:  # too close to call on the chunks seen
-                v = _grid_sign(T, radii, cert_grid, head)
-        holds = v >= 0.0 and v >= bounds[r]
+        holds = v >= 0.0 and v >= (bound := rounding_bound(T, radii))
+        if holds:
+            cert_bound = bound
         probes.append(Probe("lower", r, holds, v))
         return holds
 
@@ -814,16 +815,15 @@ def s_estimate(
     screened = len(probes)
     lower = lower_bisection(screen)
     if lower > 0.0 and screen:
-        radii = b.radii(lower)[order] * inflate
-        v = _grid_sign(T, radii, cert_grid, head)
-        held = [i for i in range(screened, len(probes)) if probes[i].holds]  # the last at lower
-        if v >= bounds[lower] + 2.0 * max(bounds[probes[i].r] for i in held):
-            probes[held[-1]] = probes[held[-1]]._replace(value=v)
+        v = _grid_sign(T, b.radii(lower)[order] * inflate, cert_grid, head)
+        if v >= 3.0 * cert_bound:
+            last = max(i for i in range(screened, len(probes)) if probes[i].holds)  # at lower
+            probes[last] = probes[last]._replace(value=v)
         else:
             del probes[screened:]
             lower = lower_bisection(None)
     if lower == 0.0:  # no lower probe held, so none computed the bound there
-        bounds[lower] = rounding_bound(T, b.radii(lower)[order] * inflate)
+        cert_bound = rounding_bound(T, b.radii(lower)[order] * inflate)
     return SEstimate(
         lower=lower,
         upper=upper,
@@ -832,7 +832,7 @@ def s_estimate(
         cert_inflation=inflate,
         scan_group_order=group_order,
         scan_points=scan_points,
-        cert_rounding_bound=bounds[lower],
+        cert_rounding_bound=cert_bound,
         witness=witness,
         capped=capped,
         probes=tuple(probes),

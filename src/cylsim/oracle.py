@@ -211,8 +211,8 @@ def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
     branch's operator on the window (_window_walk), each qubit on its three
     codes (_codes); bits holds the branches' outcomes.  Measuring v is
     _outcomes over v's code axis of t, or over t itself with v's own three
-    entries in the weights when v is outside the window.  Adaptive angles are
-    resolved for all branches at once; a branch's trace is its
+    entries in the weights when v is outside the window.  The rule's
+    azimuths are read for all branches at once; a branch's trace is its
     all-diagonal-code entry.  Values may be negative when inputs leave the
     unit cylinder; they always sum to 1 (trace preservation).
     """
@@ -265,7 +265,7 @@ def _outcomes(
     # outcome o weighs code (d, d) by 1/2 (in w), (0, 1) by +-e^{ia}/2 and
     # (1, 0) by +-e^{-ia}/2: out = A +- C, with A formed in out[0] and C in
     # the code (1, 0) slice, which is read last
-    ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1)
+    ph = 0.5 * np.exp(1j * rule.azimuths(bits)).reshape(b, 1, 1)
     np.multiply(part[0], w[0], out=out[0])
     np.multiply(part[1], w[1], out=out[1])
     out[1] *= ph
@@ -276,14 +276,6 @@ def _outcomes(
     np.subtract(out[0], tail, out=out[1])
     out[0] += tail
     return out
-
-
-def _branch_alpha(rule: MeasurementRule, bits: np.ndarray) -> np.ndarray:
-    """resolve_alpha, bit for bit, for every row of outcome bits (branches, n)."""
-    alpha = np.full(len(bits), rule.base_alpha)
-    alpha[np.bitwise_xor.reduce(bits[:, list(rule.sign_deps)], axis=1) == 1] *= -1
-    alpha[np.bitwise_xor.reduce(bits[:, list(rule.shift_deps)], axis=1) == 1] += math.pi
-    return alpha
 
 
 def tv_distance(p: Mapping, q: Mapping) -> float:

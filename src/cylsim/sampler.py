@@ -168,8 +168,7 @@ class _ShotKernel:
         self.cdf = np.cumsum([b[0] for b in rep.branches])
         self.da = np.array([b[1] for b in rep.branches])
         self.db = np.array([b[2] for b in rep.branches])
-        self.steps = [(v, c.plan[v], sorted(c.plan[v].sign_deps), sorted(c.plan[v].shift_deps))
-                      for v in c.order]
+        self.steps = [(v, c.plan[v]) for v in c.order]
         self.n = c.n_qubits
         self.width = len(c.edges) + c.n_qubits
 
@@ -184,19 +183,14 @@ class _ShotKernel:
             theta[:, a] += self.pole[a] * self.da[branch[:, e]]
             theta[:, b] += self.pole[b] * self.db[branch[:, e]]
         bits = np.empty((shots, self.n), dtype=np.uint8)
-        for col, (v, rule, sign_deps, shift_deps) in enumerate(self.steps, start=n_edges):
+        for col, (v, rule) in enumerate(self.steps, start=n_edges):
             if rule.kind == Z_BASIS:
                 bits[:, v] = self.pole[v] < 0  # p0 = (1 + pole)/2 is 1 or 0
                 continue
-            # p0 = (1 + r cos(theta - alpha))/2 with alpha = +-base_alpha (+ pi)
-            phase = theta[:, v] - rule.base_alpha
-            if sign_deps:
-                phase += 2.0 * rule.base_alpha * np.bitwise_xor.reduce(bits[:, sign_deps], axis=1)
-            amp = 0.5 * self.radius[v]
-            if shift_deps:
-                amp = amp * (1.0 - 2.0 * np.bitwise_xor.reduce(bits[:, shift_deps], axis=1))
-            # u < p0 gives 0; u lies in [0, 1), so p0 needs no clamping
-            bits[:, v] = u[:, col] >= 0.5 + amp * np.cos(phase)
+            # p0 = (1 + r cos(theta - alpha))/2; u < p0 gives 0, and u lies in
+            # [0, 1), so p0 needs no clamping
+            phase = theta[:, v] - rule.azimuths(bits)
+            bits[:, v] = u[:, col] >= 0.5 + 0.5 * self.radius[v] * np.cos(phase)
         return bits
 
 

@@ -6,7 +6,7 @@ import pytest
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import _rim_vectors, cz_pauli_output
 from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
-from cylsim.oracle import _branch_alpha, _window_walk, admit, extremum_matrix
+from cylsim.oracle import _window_walk, admit, extremum_matrix
 from cylsim.outcomes import OutcomeTable
 from cylsim.sampler import default_rep
 
@@ -86,6 +86,17 @@ def z_measured_grid3x3(growth: float) -> ClusterCircuit:
         for v in range(9)
     )
     return ClusterCircuit(9, edges, inputs, plan, tuple(range(9)))
+
+
+def resolve_alpha(rule: MeasurementRule, outcomes: dict[int, int]) -> float:
+    """The azimuth of rule given earlier outcomes, by vertex, one scalar step
+    at a time: the reference for MeasurementRule.azimuths."""
+    alpha = rule.base_alpha
+    if sum(outcomes[d] for d in rule.sign_deps) % 2:
+        alpha = -alpha
+    if sum(outcomes[d] for d in rule.shift_deps) % 2:
+        alpha += math.pi
+    return alpha
 
 
 def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
@@ -204,7 +215,7 @@ def _window_outcomes(t, rule, bits, chi):
     if rule.kind == XY_PLANE:
         # (|0> +- e^{ia}|1>)/sqrt(2) gives A +- C with A = (T00 + T11)/2 and
         # C = (e^{ia} T01 + e^{-ia} T10)/2; C is parked in T01
-        ph = 0.5 * np.exp(1j * _branch_alpha(rule, bits)).reshape(b, 1, 1, 1, 1)
+        ph = 0.5 * np.exp(1j * rule.azimuths(bits)).reshape(b, 1, 1, 1, 1)
         out[0], out[1] = t10, t01
         out[0] *= ph.conj() * rows
         out[1] *= ph * chi
@@ -237,7 +248,7 @@ def _folded_outcomes(t, e, rule, bits, chi):
     b = len(t)
     vec = np.zeros((b, 2, 2), dtype=complex)
     if rule.kind == XY_PLANE:
-        ph = np.exp(1j * _branch_alpha(rule, bits)) / math.sqrt(2.0)
+        ph = np.exp(1j * rule.azimuths(bits)) / math.sqrt(2.0)
         vec[:, :, 0] = 1.0 / math.sqrt(2.0)
         vec[:, 0, 1], vec[:, 1, 1] = ph, -ph
     else:

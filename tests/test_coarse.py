@@ -924,23 +924,54 @@ def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch
     assert upper == [p for p in case["probes"] if p[0] == "upper"]
 
 
-def test_chunk_0_within_the_rounding_bound_goes_on_to_the_full_scan(monkeypatch):
-    # a chunk 0 that is nonnegative but below the scan's forward error
-    # decides nothing, so the probe records the full scan's value: here
-    # chunk 1's -1.0
+def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
+    # a chunk 0 that is nonnegative but below the scan's forward error fails
+    # the probe: the full scan's chunk 0 is the same computation, so its
+    # minimum is at most chunk 0's.  No scan goes past chunk 0 (chunk 1 here
+    # would read -1.0), and each probe records chunk 0's minimum
     chunks = coarse._grid_chunks
+    scans = []
 
     def defective(D, radii, grid, head):
+        scans.append([D, radii, 0])
         for i, v in enumerate(chunks(D, radii, grid, head)):
+            scans[-1][2] += 1
             yield (0.5 * rounding_bound(D, radii), -1.0)[i] if i < 2 else v
 
     monkeypatch.setattr(coarse, "_grid_chunks", defective)
     b = BlockSpec(2, 3, LAMBDA_GROWN)
     est = s_estimate(b, 32, 1e-4)
+    screened = scans[:]
     lower, probes, bound = reference_lower_bisection(b, est.upper, 32, 1e-4)
     assert (est.lower, est.cert_rounding_bound) == (lower, bound) and lower == 0.0
-    assert [p for p in est.probes if p.bound == "lower"] == probes
-    assert all(p.value == -1.0 for p in probes)
+    got = [p for p in est.probes if p.bound == "lower"]
+    assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
+    assert len(screened) == len(got)
+    order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
+    for p, (D, radii, seen) in zip(got, screened):
+        assert np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
+        assert seen == 1 and p.value == 0.5 * rounding_bound(D, radii)
+
+
+@pytest.mark.parametrize("hw", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
+                         ids=lambda hw: f"{hw[0]}x{hw[1]}")
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_rounding_bound_does_not_decrease_with_r(hw, mode):
+    # the inflated radii do not decrease with r in floating point, and
+    # rounding_bound takes abs, sums and products of them and of nonnegative
+    # operands, each monotone under round-to-nearest.  So the bound at lower
+    # is the largest of the lower probes that held, which s_estimate's
+    # margin of 3 bounds at lower relies on.  Random radii and the next
+    # float above each, at the block's certification grid
+    b = BlockSpec(*hw, mode)
+    grid = coarse._grid_size(b.n, 32)
+    order = _orbit_head(b.n, b.automorphisms(), grid)[0]
+    D = coeff_tensor(b, order)
+    inflate = 1.0 / math.cos(math.pi / grid)
+    rs = np.random.default_rng(10 * hw[0] + hw[1]).uniform(0.0, 0.2, size=200)
+    rs = np.sort(np.concatenate([rs, np.nextafter(rs, 1.0)]))
+    bounds = [rounding_bound(D, b.radii(float(r))[order] * inflate) for r in rs]
+    assert all(x <= y for x, y in zip(bounds, bounds[1:]))
 
 
 def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     PAULI, FIXTURE_GRAPHS, build_fixture, pauli_coefficients, reference_window_distribution,
+    resolve_alpha,
 )
 
 from cylsim import oracle
-from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
+from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import LAMBDA, cz_pauli_output
 from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
 from cylsim.oracle import (
@@ -470,14 +471,42 @@ def test_dense_output_equals_kron_reference(case):
     assert np.array_equal(dense_output(cut), reference_dense_output(cut))
 
 
-def test_branch_alpha_is_resolve_alpha_bit_for_bit():
-    bits = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
-    for base in (0.0, 0.3, -2.7, 5.9, 1e-300, 123.456):
-        for sign, shift in [((), ()), ((0,), ()), ((), (4,)), ((1, 3), (0, 2, 4)), ((4,), (4,))]:
-            rule = MeasurementRule(XY_PLANE, base, frozenset(sign), frozenset(shift))
-            got = oracle._branch_alpha(rule, bits)
-            want = [resolve_alpha(rule, dict(enumerate(row.tolist()))) for row in bits]
-            assert got.tolist() == want
+def test_azimuths_are_resolve_alpha_bit_for_bit():
+    # every 5-bit row, and rows of one bit and of 14: the arithmetic form
+    # equals the scalar rule, an integer base too
+    rng = np.random.default_rng(7)
+    rows = {
+        1: np.array([[0], [1]], dtype=np.uint8),
+        5: np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8),
+        14: rng.integers(0, 2, size=(64, 14), dtype=np.uint8),
+    }
+    deps = {
+        1: [((), ()), ((0,), ()), ((), (0,)), ((0,), (0,))],
+        5: [((), ()), ((0,), ()), ((), (4,)), ((1, 3), (0, 2, 4)), ((4,), (4,))],
+        14: [((), ()), ((13,), ()), ((), (0, 13)), ((0, 5, 13), tuple(range(0, 14, 3)))],
+    }
+    for n, bits in rows.items():
+        for base in (0.0, 0.3, -2.7, 5.9, 1e-300, 123.456, 2):
+            rules = [MeasurementRule(XY_PLANE, base)]
+            rules += [MeasurementRule(XY_PLANE, base, frozenset(a), frozenset(b)) for a, b in deps[n]]
+            for rule in rules:
+                got = rule.azimuths(bits)
+                want = [resolve_alpha(rule, dict(enumerate(row.tolist()))) for row in bits]
+                assert got.dtype == np.float64 and got.tolist() == want
+
+
+def test_exact_distribution_takes_an_integer_base_azimuth():
+    # JSON gives an int for "base_alpha": 1, which a shift by pi must not
+    # truncate: the oracle reads it as 1.0
+    def circuit(base):
+        return ClusterCircuit(
+            2, ((0, 1),), (CylinderExtremum(0.1, 0.0, 1), CylinderExtremum(0.1, 0.5, 1)),
+            (MeasurementRule(XY_PLANE), MeasurementRule(XY_PLANE, base, shift_deps=frozenset({0}))),
+            (0, 1),
+        )
+    by_int = ClusterCircuit.from_json(circuit(1.0).to_json().replace('"base_alpha": 1.0', '"base_alpha": 1'))
+    assert type(by_int.plan[1].base_alpha) is int
+    assert dict(exact_distribution(by_int)) == dict(exact_distribution(circuit(1.0)))
 
 
 DATA = Path(__file__).parent / "data"

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_GRAPHS, build_fixture, degree, measure_prob, z_measured_grid3x3
+from conftest import (
+    FIXTURE_GRAPHS, build_fixture, degree, measure_prob, resolve_alpha, z_measured_grid3x3,
+)
 
 import cylsim
 from cylsim import sampler
-from cylsim.circuits import ClusterCircuit, MeasurementRule, resolve_alpha
+from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import (
     LAMBDA,
     DecompositionError,
@@ -105,6 +107,8 @@ def test_resolve_alpha_parity():
     assert resolve_alpha(rule, {0: 0, 1: 0, 2: 0}) == pytest.approx(0.7)
     assert resolve_alpha(rule, {0: 1, 1: 0, 2: 0}) == pytest.approx(-0.7)
     assert resolve_alpha(rule, {0: 1, 1: 1, 2: 1}) == pytest.approx(0.7 + math.pi)
+    bits = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=np.uint8)
+    assert rule.azimuths(bits) == pytest.approx([0.7, -0.7, 0.7 + math.pi])
 
 
 def test_check_simulable_examples():
