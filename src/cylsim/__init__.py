@@ -3,7 +3,7 @@ with cylinder-state inputs."""
 
 from .czdec import LAMBDA, StochasticRep, build_decomposition, symmetric_growth
 from .circuits import ClusterCircuit, MeasurementRule
-from .geometry import CylinderExtremum, CylinderOperator, Measurement
+from .geometry import CylinderExtremum, CylinderOperator
 
 __all__ = [
     "LAMBDA",
@@ -14,7 +14,6 @@ __all__ = [
     "MeasurementRule",
     "CylinderExtremum",
     "CylinderOperator",
-    "Measurement",
 ]
 
 __version__ = "0.1.0"

@@ -52,10 +52,6 @@ class CylinderOperator:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite Bloch coefficient {name}={v!r}")
 
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class CylinderExtremum:
@@ -74,19 +70,6 @@ class CylinderExtremum:
         if not (is_real(self.theta) and math.isfinite(self.theta)):
             raise ValueError(f"invalid angle theta={self.theta!r}")
         object.__setattr__(self, "theta", canonical_angle(self.theta))
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """Either a Z-basis measurement or an XY-plane measurement of cos(a)X + sin(a)Y."""
-
-    kind: str
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (Z_BASIS, XY_PLANE):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        object.__setattr__(self, "alpha", canonical_angle(self.alpha))
 
 
 def to_bloch(e: CylinderExtremum) -> CylinderOperator:

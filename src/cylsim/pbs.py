@@ -5,8 +5,7 @@ identities express any off-diagonal element of a unit-trace operator in
 terms of equatorial outcome values, proving duals are Hermitian and
 bounded.  For gates diagonal in the privileged basis, a Z8 phase-averaging
 trick decomposes the (dephased) gate output into products of local dual
-operators; the amount of dephasing the trick tolerates gives a lower bound
-on the disentangling constant of the gate.
+operators.
 """
 
 from __future__ import annotations
@@ -66,28 +65,6 @@ def offdiag_identity_check(rho: np.ndarray) -> tuple[float, float]:
     total2 = float(np.real(np.einsum("vi,ij,vj->", np.conj(vst), rho, vst)))
     gap2 = abs(2.0 * t - (-1.0 + scale * total2))
     return gap1, gap2
-
-
-def equatorial_vectors(d: int, grid: int) -> np.ndarray:
-    """Product phase grid of unbiased vectors (1, e^{i p1}, ...)/sqrt(d)."""
-    phases = 2.0 * np.pi * np.arange(grid) / grid
-    combos = np.indices((grid,) * (d - 1)).reshape(d - 1, grid ** (d - 1))
-    v = np.ones((grid ** (d - 1), d), dtype=complex)
-    v[:, 1:] = np.exp(1j * phases[combos.T])
-    return v / math.sqrt(d)
-
-
-def dual_membership(rho: np.ndarray, grid: int = 16) -> float:
-    """Minimum measurement value over basis projectors and an equatorial grid.
-
-    A nonnegative result certifies membership at the grid resolution; the
-    input need not have unit trace (cone membership test).
-    """
-    d = rho.shape[0]
-    best = min(float(np.real(rho[j, j])) for j in range(d))
-    vs = equatorial_vectors(d, grid)
-    vals = np.real(np.einsum("vi,ij,vj->v", np.conj(vs), rho, vs))
-    return min(best, float(np.min(vals)))
 
 
 @dataclass(frozen=True)
@@ -160,103 +137,3 @@ def phase_decompose(
     return PhaseDecomposition(
         d=d, a=a, x=x, y=y, site_coeff=site_coeff, W=float(W), terms=tuple(terms)
     )
-
-
-def max_dual_offdiag(d: int, grid: int = 64, tol: float = 1e-9) -> float:
-    """Largest t with |0><0| + t(|0><1| + |1><0|) in the dual, by bisection."""
-    base = np.zeros((d, d), dtype=complex)
-    base[0, 0] = 1.0
-    off = np.zeros((d, d), dtype=complex)
-    off[0, 1] = off[1, 0] = 1.0
-    lo, hi = 0.0, 1.0
-    while dual_membership(base + hi * off, grid) >= -tol:
-        lo = hi
-        hi *= 2.0
-        if hi > 16.0:
-            return lo
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if dual_membership(base + mid * off, grid) >= -tol:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _diag_is_product(phases: np.ndarray, d: int, n: int) -> bool:
-    """Whether the gate's diagonal factors into per-site diagonals."""
-    t = phases.reshape((d,) * n)
-    for axis in range(1, n):
-        mat = np.moveaxis(t, axis, 0).reshape(d, -1)
-        # all columns proportional to the first nonzero one
-        ref = mat[:, 0]
-        if np.max(np.abs(mat - np.outer(ref, mat[0, :] / ref[0]))) > 1e-10:
-            return False
-    return True
-
-
-def estimate_c(
-    diag: np.ndarray,
-    d: int,
-    n: int,
-    eta_grid: int = 200,
-    meas_grid: int = 32,
-    tol: float = 1e-9,
-) -> float:
-    """Construction lower bound on the disentangling constant of a diagonal gate.
-
-    Feeds worst-case extremal inputs |0><0| + t_max (|0><1| + h.c.) per site
-    through the gate, dephases off-diagonals by eta, splits into one term
-    per unordered off-diagonal pair, and accepts eta when every local factor
-    of the Z8 decomposition sits in the dual (grid-checked).  Returns the
-    largest accepted eta on the grid; this bounds c from below only for this
-    particular decomposition, not in general.
-    """
-    if n > 3 or d > 4:
-        raise ValueError("estimate_c capped at N <= 3, d <= 4")
-    phases = np.asarray(diag, dtype=complex)
-    if phases.shape != (d**n,):
-        raise ValueError("diag must list d^n phases")
-    if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-9:
-        raise ValueError("gate must be unitary (unimodular diagonal)")
-    if _diag_is_product(phases, d, n):
-        # the gate is a product of local diagonals: outputs of product
-        # inputs stay product, no dephasing is needed
-        return 1.0
-
-    t_max = max_dual_offdiag(d, grid=meas_grid)
-    site = np.zeros((d, d), dtype=complex)
-    site[0, 0] = 1.0
-    site[0, 1] = site[1, 0] = t_max
-    rho = functools.reduce(np.kron, [site] * n) * np.outer(phases, np.conj(phases))
-
-    labels = list(itertools.product(range(d), repeat=n))
-    rows, cols = np.nonzero(np.triu(np.abs(rho) > 1e-14, 1))
-    pairs = [(labels[i], labels[j], rho[i, j]) for i, j in zip(rows, cols)]
-    W = len(pairs)
-    if W == 0:
-        return 1.0
-    a = (0,) * n
-
-    def factor_ok(eta: float) -> bool:
-        for mx, my, c in pairs:
-            w = W ** (1.0 / n) * abs(eta * c) ** (1.0 / n)
-            for j in range(n):
-                if mx[j] == my[j]:
-                    # both legs land on |a_j><a_j|; worst phase subtracts
-                    if 1.0 - 2.0 * w < -tol:
-                        return False
-                    continue
-                F = np.zeros((d, d), dtype=complex)
-                F[a[j], a[j]] = 1.0
-                F[mx[j], my[j]] += w
-                F[my[j], mx[j]] += w
-                if dual_membership(F, meas_grid) < -tol:
-                    return False
-        return True
-
-    for k in range(eta_grid, 0, -1):
-        eta = k / eta_grid
-        if factor_ok(eta):
-            return eta
-    return 0.0

@@ -85,57 +85,6 @@ def site_success_prob(protocol: ChainProtocol) -> float:
     return total
 
 
-def derive_chain(phi1: float, n_ancilla: int) -> tuple[float, ...]:
-    """Angles of an exactly-constrained chain generated by its first angle."""
-    angles = [phi1]
-    psi = phi1
-    for _ in range(n_ancilla - 1):
-        nxt = HALF_PI - psi
-        angles.append(nxt)
-        psi = failure_angle(psi, nxt)
-    return tuple(angles)
-
-
-def optimize_angles(
-    n_ancilla: int, r_cap: float, grid: int = 200, cap_tol: float = 5e-3
-) -> tuple[tuple[float, ...], float]:
-    """Best exactly-constrained chain under the radius cap max |sin phi_k|.
-
-    One free parameter (the first angle) fixes the whole chain, so a grid
-    sweep plus local refinement suffices.  cap_tol loosens the radius cap
-    slightly, matching the two-decimal rounding of published caps.  Returns
-    (angles, p_site); an infeasible cap yields (zeros, 0.0).
-    """
-    if n_ancilla < 1 or n_ancilla > 5:
-        raise ValueError("n_ancilla must be in 1..5")
-    if r_cap < 0.0:
-        raise ValueError("r_cap must be nonnegative")
-
-    def evaluate(phi1: float) -> tuple[float, tuple[float, ...]]:
-        angles = derive_chain(phi1, n_ancilla)
-        if max(abs(math.sin(a)) for a in angles) > r_cap + cap_tol:
-            return -1.0, angles
-        return site_success_prob(ChainProtocol(angles)), angles
-
-    best_p, best_angles, best_phi = -1.0, None, None
-    for k in range(1, grid):
-        phi1 = HALF_PI * k / grid
-        p, angles = evaluate(phi1)
-        if p > best_p:
-            best_p, best_angles, best_phi = p, angles, phi1
-    if best_p < 0.0 or best_angles is None:
-        return (0.0,) * n_ancilla, 0.0
-    step = HALF_PI / grid
-    while step > 1e-10:
-        for cand in (best_phi - step / 2.0, best_phi + step / 2.0):
-            if 0.0 < cand < HALF_PI:
-                p, angles = evaluate(cand)
-                if p > best_p:
-                    best_p, best_angles, best_phi = p, angles, cand
-        step /= 2.0
-    return best_angles, best_p
-
-
 def percolation_verdict(p_site: float) -> bool:
     """Strictly above the site percolation threshold."""
     if not 0.0 <= p_site <= 1.0:

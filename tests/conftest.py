@@ -5,7 +5,7 @@ import pytest
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.czdec import _rim_vectors, cz_pauli_output
-from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator, Measurement
+from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator
 from cylsim.oracle import _window_walk, admit, extremum_matrix
 from cylsim.outcomes import OutcomeTable
 from cylsim.sampler import default_rep
@@ -266,18 +266,65 @@ def _folded_outcomes(t, e, rule, bits, chi):
     return out
 
 
-def measure_prob(op: CylinderOperator, m: Measurement, outcome: int) -> float:
-    """Born-rule value for the given outcome (0 or 1).
+def measure_prob(op: CylinderOperator, kind: str, alpha: float, outcome: int) -> float:
+    """Born-rule value for the given outcome (0 or 1) of a Z-basis measurement
+    (alpha unused) or an XY-plane measurement of cos(alpha)X + sin(alpha)Y.
 
     For operators outside the unit cylinder the value can be negative; it is
     returned as a signed quasi-probability, not an error.
     """
+    if kind not in (Z_BASIS, XY_PLANE):
+        raise ValueError(f"unknown measurement kind {kind!r}")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     sign = 1.0 if outcome == 0 else -1.0
-    if m.kind == Z_BASIS:
+    if kind == Z_BASIS:
         return 0.5 * (1.0 + sign * op.z)
-    return 0.5 * (1.0 + sign * (op.x * math.cos(m.alpha) + op.y * math.sin(m.alpha)))
+    return 0.5 * (1.0 + sign * (op.x * math.cos(alpha) + op.y * math.sin(alpha)))
+
+
+def equatorial_vectors(d: int, grid: int) -> np.ndarray:
+    """Product phase grid of unbiased vectors (1, e^{i p1}, ...)/sqrt(d)."""
+    phases = 2.0 * np.pi * np.arange(grid) / grid
+    combos = np.indices((grid,) * (d - 1)).reshape(d - 1, grid ** (d - 1))
+    v = np.ones((grid ** (d - 1), d), dtype=complex)
+    v[:, 1:] = np.exp(1j * phases[combos.T])
+    return v / math.sqrt(d)
+
+
+def dual_membership(rho: np.ndarray, grid: int = 16) -> float:
+    """Minimum measurement value over basis projectors and an equatorial grid:
+    the reference for membership in the qudit dual.
+
+    A nonnegative result certifies membership at the grid resolution; the
+    input need not have unit trace (cone membership test).
+    """
+    d = rho.shape[0]
+    best = min(float(np.real(rho[j, j])) for j in range(d))
+    vs = equatorial_vectors(d, grid)
+    vals = np.real(np.einsum("vi,ij,vj->v", np.conj(vs), rho, vs))
+    return min(best, float(np.min(vals)))
+
+
+def max_dual_offdiag(d: int, grid: int = 64, tol: float = 1e-9) -> float:
+    """Largest t with |0><0| + t(|0><1| + |1><0|) in the dual, by bisection."""
+    base = np.zeros((d, d), dtype=complex)
+    base[0, 0] = 1.0
+    off = np.zeros((d, d), dtype=complex)
+    off[0, 1] = off[1, 0] = 1.0
+    lo, hi = 0.0, 1.0
+    while dual_membership(base + hi * off, grid) >= -tol:
+        lo = hi
+        hi *= 2.0
+        if hi > 16.0:
+            return lo
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if dual_membership(base + mid * off, grid) >= -tol:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def dense_measurement(phi1: float, phi2: float, outcome: int) -> tuple[float, np.ndarray]:

@@ -1060,3 +1060,41 @@ def test_certificate_holds_on_dense_backend(hw, mode):
     for idx in itertools.product(range(est.cert_grid), repeat=b.n):
         assert block_min_prob_dense(b, r, [angles[g] for g in idx]) >= 0.0
     assert block_min_prob_dense(b, est.upper, est.witness) < 0.0
+
+
+@pytest.mark.parametrize("hw,mode,grid", [
+    ((1, 2), PLAIN, 8), ((2, 2), LAMBDA_GROWN, 32), ((2, 3), LAMBDA_GROWN, 16),
+    ((3, 3), PLAIN, 16), ((2, 4), LAMBDA_GROWN, 32),
+], ids=["1x2-plain-8", "2x2-lambda-32", "2x3-lambda-16", "3x3-plain-16", "2x4-lambda-32"])
+def test_certification_polygons_hold_their_discs(hw, mode, grid, monkeypatch):
+    # a lower probe at r certifies the continuous minimum only if each site's
+    # grid polygon, vertices (Re a, Im a), holds the disc |a| <= rho / 2 of its
+    # exact radius rho: its apothem, the least distance from the centre to an
+    # edge line, must reach rho / 2.  Judged on the rows every scan builds,
+    # for every lower probe and the verifying scan at lower, whatever
+    # inflation made them
+    b = BlockSpec(*hw, mode)
+    rows = []
+    grid_rows = coarse._grid_rows
+
+    def spy(radii, g):
+        Y = grid_rows(radii, g)
+        rows.append([y.copy() for y in Y])  # _grid_chunks rescales Y[0] in place
+        return Y
+
+    monkeypatch.setattr(coarse, "_grid_rows", spy)
+    est = s_estimate(b, theta_grid=grid, bisect_tol=1e-4)
+    monkeypatch.undo()
+    order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
+    rs = [p.r for p in est.probes if p.bound == "lower"]
+    if est.scan_points > coarse._CHUNK and est.lower > 0.0:
+        rs.append(est.lower)  # chunk 0 screened the probes; one full scan verifies lower
+    assert len(rows) == len(rs)  # one scan per lower probe: the bisection never reran
+    for r, Y in zip(rs, rows):
+        for rho, y in zip(b.radii(r)[order], Y):
+            assert len(y) == est.cert_grid
+            p, q = y[:, 1:], np.roll(y[:, 1:], -1, axis=0)
+            cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+            assert np.all(cross < 0.0) or np.all(cross > 0.0)  # convex, around the centre
+            apothem = np.min(np.abs(cross) / np.hypot(*(q - p).T))
+            assert apothem >= (rho / 2.0) * (1.0 - 1e-14)

@@ -11,7 +11,6 @@ from cylsim.geometry import (
     Z_BASIS,
     CylinderExtremum,
     CylinderOperator,
-    Measurement,
     canonical_angle,
     to_bloch,
 )
@@ -23,7 +22,7 @@ def in_cylinder(op: CylinderOperator, r: float, tol: float) -> bool:
     """Membership of op in the cylinder of radius r, up to tolerance tol."""
     if r < 0.0 or tol < 0.0:
         raise ValueError("r and tol must be nonnegative")
-    return op.radius <= r + tol and abs(op.z) <= 1.0 + tol
+    return math.hypot(op.x, op.y) <= r + tol and abs(op.z) <= 1.0 + tol
 
 
 def test_to_bloch_basics():
@@ -39,7 +38,7 @@ def test_to_bloch_basics():
 def test_extremum_radius_exact(r, theta, pole):
     e = CylinderExtremum(r, theta, pole)
     op = to_bloch(e)
-    assert op.radius == pytest.approx(r, abs=1e-12)
+    assert math.hypot(op.x, op.y) == pytest.approx(r, abs=1e-12)
     assert op.z == pole
     assert in_cylinder(op, r, 1e-12)
 
@@ -75,11 +74,11 @@ def test_in_cylinder():
 
 
 def test_measure_prob_examples():
-    assert measure_prob(CylinderOperator(0, 0, 1), Measurement(Z_BASIS), 0) == 1
-    assert measure_prob(CylinderOperator(0, 0, 0), Measurement(XY_PLANE, 0.3), 0) == 0.5
+    assert measure_prob(CylinderOperator(0, 0, 1), Z_BASIS, 0.0, 0) == 1
+    assert measure_prob(CylinderOperator(0, 0, 0), XY_PLANE, 0.3, 0) == 0.5
     # signed quasi-probability for a non-dual operator
     assert measure_prob(
-        CylinderOperator(1.2, 0, 1), Measurement(XY_PLANE, math.pi), 0
+        CylinderOperator(1.2, 0, 1), XY_PLANE, math.pi, 0
     ) == pytest.approx(-0.1)
 
 
@@ -90,8 +89,7 @@ def test_measure_prob_examples():
 def test_dual_property_unit_cylinder(r, theta, pole, alpha, kind):
     """Operators in the unit cylinder give genuine probabilities."""
     op = to_bloch(CylinderExtremum(r, theta, pole))
-    m = Measurement(kind, alpha)
-    p0 = measure_prob(op, m, 0)
-    p1 = measure_prob(op, m, 1)
+    p0 = measure_prob(op, kind, alpha, 0)
+    p1 = measure_prob(op, kind, alpha, 1)
     assert -1e-12 <= p0 <= 1 + 1e-12
     assert p0 + p1 == pytest.approx(1.0, abs=1e-12)

@@ -10,9 +10,7 @@ from cylsim.purify import (
     P_C,
     ChainProtocol,
     branch_probs,
-    derive_chain,
     failure_angle,
-    optimize_angles,
     percolation_verdict,
     site_success_prob,
 )
@@ -108,29 +106,6 @@ def test_simulate_chain_agrees():
     proto = ChainProtocol((0.18 * math.pi, 0.32 * math.pi, 0.31 * math.pi))
     mc = simulate_chain(proto, trials=200000, seed=4)
     assert mc == pytest.approx(site_success_prob(proto), abs=0.005)
-
-
-def test_derive_chain_satisfies_constraint():
-    angles = derive_chain(0.18 * math.pi, 4)
-    ChainProtocol(angles)  # must validate
-    assert angles[0] + angles[1] == pytest.approx(HALF_PI)
-
-
-def test_optimize_angles():
-    angles, p = optimize_angles(3, r_cap=0.84)
-    assert p == pytest.approx(0.7309, abs=5e-4)
-    assert max(abs(math.sin(a)) for a in angles) <= 0.84 + 5e-3 + 1e-12
-    assert percolation_verdict(p)
-
-    assert optimize_angles(3, r_cap=0.0) == ((0.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        optimize_angles(0, 0.5)
-
-
-def test_more_ancillas_help():
-    _, p2 = optimize_angles(2, r_cap=0.85, grid=120)
-    _, p4 = optimize_angles(4, r_cap=0.85, grid=120)
-    assert p4 >= p2 - 1e-9
 
 
 def test_percolation_verdict_strict():

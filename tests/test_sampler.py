@@ -27,7 +27,7 @@ from cylsim.czdec import (
     lp_feasibility,
     mixture_residual,
 )
-from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, Measurement, to_bloch
+from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
 from cylsim.oracle import exact_distribution, normalize_counts, tv_distance
 from cylsim.sampler import (
     BLOCK_SHOTS,
@@ -173,8 +173,8 @@ def reference_shot(c, rep, u):
     base = len(c.edges)
     for k, v in enumerate(c.order):
         rule = c.plan[v]
-        m = Measurement(rule.kind, resolve_alpha(rule, outcomes))
-        p0 = min(1.0, max(0.0, measure_prob(to_bloch(state[v]), m, 0)))
+        p0 = measure_prob(to_bloch(state[v]), rule.kind, resolve_alpha(rule, outcomes), 0)
+        p0 = min(1.0, max(0.0, p0))
         if rule.kind == XY_PLANE:
             gap = min(gap, abs(u[base + k] - p0))
         outcomes[v] = 0 if u[base + k] < p0 else 1
@@ -450,8 +450,7 @@ def _accumulate_outcomes(
             continue
         v = c.order[k]
         rule = c.plan[v]
-        m = Measurement(rule.kind, resolve_alpha(rule, outcomes))
-        p0 = measure_prob(to_bloch(state[v]), m, 0)
+        p0 = measure_prob(to_bloch(state[v]), rule.kind, resolve_alpha(rule, outcomes), 0)
         for outcome, pv in ((0, p0), (1, 1.0 - p0)):
             if abs(pv) < 1e-15:
                 continue
