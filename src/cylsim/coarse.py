@@ -44,10 +44,9 @@ r.  Every radius scales with r in both modes, so each site's polygon at
 r' < r is a shrunken copy inside its polygon at r; the block value is the
 same multilinear function of the a_i at every r, so its minimum over the
 larger product of polygons, attained at a vertex, is no larger.  A
-certificate at lower therefore settles every smaller radius, and where the
-scan has more than one chunk s_estimate screens its lower probes on chunk 0,
-the chunk that holds the all-zero grid point, and runs one full scan, at the
-final lower.
+certificate at lower therefore settles every smaller radius, and s_estimate
+screens its lower probes on chunk 0, the chunk that holds the all-zero grid
+point, and runs one full scan, at the final lower.
 
 Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
@@ -362,7 +361,7 @@ def coeff_tensor(b: BlockSpec, order=None) -> np.ndarray:
         x[:, 1] += x[:, 2]
         x[:, 2] = im
     ims = reduce(np.add, [_along(np.array([0, 0, 1], np.int8), n, i) for i in reversed(range(n))])
-    T[ims % 4 == 2] *= -1
+    T *= 1 - (ims & 2)  # (-1)^(m/2) for even m; the entries of odd m are 0
     return T
 
 
@@ -647,12 +646,12 @@ class Probe(NamedTuple):
     radius, whether it held, and the value that decided it.  An upper probe's
     value is where the zero-start descent ended, and it holds when that is
     nonnegative.  A lower probe's value is the certification-grid minimum, or
-    the first negative chunk's, and it holds when that is at least
-    rounding_bound at the probe's inflated radii.  A lower probe that chunk 0
-    decided alone (screened, see s_estimate) records chunk 0's minimum: a
-    hold's equals the grid minimum by repr on every recorded bracket, and a
-    chunk 0 in [0, rounding_bound) fails with it; the probe at lower records
-    the minimum of the full scan that verified it."""
+    the first negative chunk's, and it holds when that is at least the
+    bracket's bound, rounding_bound at the inflated radii of upper (see
+    s_estimate).  A lower probe that chunk 0 decided alone (screened) records
+    chunk 0's minimum: a hold's equals the grid minimum by repr on every
+    recorded bracket, and a chunk 0 in [0, bound) fails with it; the probe at
+    lower records the minimum of the full scan that verified it."""
 
     bound: str
     r: float
@@ -673,9 +672,9 @@ class SEstimate:
     theta_grid is the requested certification grid, cert_grid the one used.
     A full certification scan visits scan_points of its cert_grid^n points,
     one per orbit of a symmetry group of order scan_group_order (_orbit_head).
-    cert_rounding_bound is rounding_bound at the inflated radii of lower,
-    the one its probe computed: how far the scan's grid minimum there can lie
-    from the exact one, and so the slack a lower probe there must clear.
+    cert_rounding_bound is rounding_bound at the inflated radii of lower:
+    how far the scan's grid minimum there can lie from the exact one.  It is
+    at most the bound that every lower probe cleared, the one at upper.
     probes lists every probe of both bisections in order.
     """
 
@@ -728,26 +727,28 @@ def s_estimate(
     _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G): a
     minimum of at least rounding_bound, the scan's forward error, certifies
     the continuous minimum.  A scan stops at the first chunk of grid points
-    that goes negative, and the bound is computed only when none does.  The
-    scan visits one grid point per orbit of the block's symmetry group; its
-    head and leader list are set up once, for every lower probe.
+    that goes negative.  The scan visits one grid point per orbit of the
+    block's symmetry group; its head and leader list are set up once, for
+    every lower probe.
+
+    Every lower probe clears one bound, B = rounding_bound at the inflated
+    radii of upper.  rounding_bound does not decrease with r (abs, sums and
+    products of the inflated radii and other nonnegative operands, each
+    monotone under round-to-nearest), so B is at least the bound rb(r') of
+    every probe at r' <= upper.
 
     The exact grid minimum does not increase with r (module docstring), so
     the lower bisection decides each probe from chunk 0 of its scan, which
-    holds the all-zero grid point: at or above rounding_bound it is a
-    tentative hold, and below it the probe fails, as a full scan would, whose
-    chunk 0 is the same computation.  One full scan at the final lower must
-    then reach 3 rb, rb = rounding_bound there, and its minimum becomes the
-    value of the probe at lower.  rounding_bound does not decrease with r
-    (abs, sums and products of the inflated radii and other nonnegative
-    operands, each monotone under round-to-nearest), so the bound rb' of a
-    tentative hold at r' <= lower is at most rb, and with exact grid minima E
-    its full scan would hold too: its minimum is at least
-    E(r') - rb' >= E(lower) - rb' >= 2 rb - rb' >= rb'.  When the margin is
-    missed, the screened probes are dropped and the bisection runs again
-    with a full scan per probe, which gives the bracket and probes that such
-    a bisection always gave.  A grid that fits one chunk, such as 3x3's,
-    runs that bisection from the start: its chunk 0 is the full scan.
+    holds the all-zero grid point: at or above B it is a tentative hold, and
+    below it the probe fails, as a full scan would, whose chunk 0 is the same
+    computation.  One full scan at the final lower must then reach 3 B, and
+    its minimum becomes the value of the probe at lower.  With exact grid
+    minima E, the full scan of a tentative hold at r' <= lower would hold
+    too: its minimum is at least E(r') - rb(r') >= E(lower) - rb(r') >=
+    3 B - rb(lower) - rb(r') >= B.  When the margin is missed, the screened
+    probes are dropped and the bisection runs again with a full scan per
+    probe.  Every grid takes this path; for one that fits a chunk, such as
+    3x3's, chunk 0 is the full scan, and the verifying scan repeats it.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -771,7 +772,6 @@ def s_estimate(
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
     witnesses = {}  # assignment of each failing upper probe, by radius
-    cert_bound = 0.0  # rounding bound of the last lower probe that held, so at lower
 
     def nonnegative(r: float) -> bool:
         radii = b.radii(r)
@@ -780,21 +780,6 @@ def s_estimate(
         if v < 0.0:
             witnesses[r] = a
         return v >= 0.0
-
-    def certified(r: float, chunks: int | None) -> bool:
-        nonlocal cert_bound
-        radii = b.radii(r)[order] * inflate
-        v = _grid_sign(T, radii, cert_grid, head, chunks)
-        holds = v >= 0.0 and v >= (bound := rounding_bound(T, radii))
-        if holds:
-            cert_bound = bound
-        probes.append(Probe("lower", r, holds, v))
-        return holds
-
-    def lower_bisection(chunks: int | None) -> float:
-        if certified(upper, chunks):
-            return upper
-        return _bisect(0.0, upper, bisect_tol, lambda r: certified(r, chunks))[0]
 
     # upper: smallest r with a concrete negative witness
     hi = 0.05
@@ -807,23 +792,33 @@ def s_estimate(
         _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
         witness = _angles(witnesses[upper])
 
-    # lower: largest r whose inflated-grid minimum is certified nonnegative.
-    # A scan of more than _CHUNK points, so of more than one chunk, is
-    # screened on chunk 0 and verified by one full scan at lower
-    scan_points = len(head[1]) * cert_grid ** (b.n - head[0])
-    screen = 1 if scan_points > _CHUNK else None
+    # lower: largest r whose inflated-grid minimum is certified nonnegative,
+    # each probe screened on chunk 0 and lower verified by one full scan
+    def cert_radii(r: float) -> np.ndarray:
+        return b.radii(r)[order] * inflate
+
+    bound = rounding_bound(T, cert_radii(upper))
+
+    def certified(r: float, chunks: int | None) -> bool:
+        v = _grid_sign(T, cert_radii(r), cert_grid, head, chunks)
+        probes.append(Probe("lower", r, v >= bound, v))
+        return v >= bound
+
+    def lower_bisection(chunks: int | None) -> float:
+        if certified(upper, chunks):
+            return upper
+        return _bisect(0.0, upper, bisect_tol, lambda r: certified(r, chunks))[0]
+
     screened = len(probes)
-    lower = lower_bisection(screen)
-    if lower > 0.0 and screen:
-        v = _grid_sign(T, b.radii(lower)[order] * inflate, cert_grid, head)
-        if v >= 3.0 * cert_bound:
+    lower = lower_bisection(1)
+    if lower > 0.0:
+        v = _grid_sign(T, cert_radii(lower), cert_grid, head)
+        if v >= 3.0 * bound:
             last = max(i for i in range(screened, len(probes)) if probes[i].holds)  # at lower
             probes[last] = probes[last]._replace(value=v)
         else:
             del probes[screened:]
             lower = lower_bisection(None)
-    if lower == 0.0:  # no lower probe held, so none computed the bound there
-        cert_bound = rounding_bound(T, b.radii(lower)[order] * inflate)
     return SEstimate(
         lower=lower,
         upper=upper,
@@ -831,8 +826,8 @@ def s_estimate(
         cert_grid=cert_grid,
         cert_inflation=inflate,
         scan_group_order=group_order,
-        scan_points=scan_points,
-        cert_rounding_bound=cert_bound,
+        scan_points=len(head[1]) * cert_grid ** (b.n - head[0]),
+        cert_rounding_bound=rounding_bound(T, cert_radii(lower)),
         witness=witness,
         capped=capped,
         probes=tuple(probes),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylsim import coarse
+from cylsim import coarse, oracle
+from cylsim.circuits import ClusterCircuit, MeasurementRule
 from cylsim.coarse import (
     LAMBDA_GROWN,
     PLAIN,
@@ -35,6 +36,7 @@ from cylsim.coarse import (
     two_block_formula,
 )
 from cylsim.czdec import LAMBDA
+from cylsim.geometry import XY_PLANE, CylinderExtremum
 
 angles = st.floats(0.0, 2 * math.pi)
 
@@ -823,6 +825,38 @@ def test_bracket_runs_one_full_certification_grid(hw, monkeypatch):
     assert sum(1 for _, n in runs if n > 1) == 1
 
 
+@pytest.mark.parametrize("hw", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
+                         ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch):
+    # every lower probe clears the one bound at upper, so a bracket computes
+    # rounding_bound there and once more at lower, for cert_rounding_bound.
+    # Chunk 0 screens every lower probe, on 3x3's one-chunk grid too, and
+    # the one full scan verifies lower
+    bounds, scans = [], []
+    bound, sign = coarse.rounding_bound, coarse._grid_sign
+
+    def bound_spy(D, radii):
+        bounds.append(radii)
+        return bound(D, radii)
+
+    def sign_spy(D, radii, grid, head, chunks=None):
+        scans.append((radii, chunks))
+        return sign(D, radii, grid, head, chunks)
+
+    monkeypatch.setattr(coarse, "rounding_bound", bound_spy)
+    monkeypatch.setattr(coarse, "_grid_sign", sign_spy)
+    b = BlockSpec(*hw, LAMBDA_GROWN)
+    est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
+    monkeypatch.undo()
+    order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
+    upper, lower = (b.radii(r)[order] * est.cert_inflation for r in (est.upper, est.lower))
+    assert est.lower > 0.0 and len(bounds) == 2
+    assert np.array_equal(bounds[0], upper) and np.array_equal(bounds[1], lower)
+    full = [radii for radii, chunks in scans if chunks is None]
+    assert len(full) == 1 and np.array_equal(full[0], lower)
+    assert len(scans) == 1 + sum(p.bound == "lower" for p in est.probes)
+
+
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3)], ids=["1x2", "2x2", "2x3"])
 @pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
 @pytest.mark.parametrize("grid", [4, 5, 8])
@@ -959,10 +993,11 @@ def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
 def test_rounding_bound_does_not_decrease_with_r(hw, mode):
     # the inflated radii do not decrease with r in floating point, and
     # rounding_bound takes abs, sums and products of them and of nonnegative
-    # operands, each monotone under round-to-nearest.  So the bound at lower
-    # is the largest of the lower probes that held, which s_estimate's
-    # margin of 3 bounds at lower relies on.  Random radii and the next
-    # float above each, at the block's certification grid
+    # operands, each monotone under round-to-nearest.  So the one bound that
+    # s_estimate computes at upper is at least every lower probe's own
+    # bound, and its margin of 3 such bounds at lower covers the full scan
+    # of every screened hold.  Random radii and the next float above each,
+    # at the block's certification grid
     b = BlockSpec(*hw, mode)
     grid = coarse._grid_size(b.n, 32)
     order = _orbit_head(b.n, b.automorphisms(), grid)[0]
@@ -1062,6 +1097,32 @@ def test_certificate_holds_on_dense_backend(hw, mode):
     assert block_min_prob_dense(b, est.upper, est.witness) < 0.0
 
 
+@pytest.mark.parametrize("case", BRACKETS, ids=lambda c: f"{c['block']}-{c['mode']}")
+def test_recorded_bracket_holds_on_windowed_oracle(case):
+    # the windowed dense oracle shares no code with the coefficient tensor or
+    # the frontier contraction, and takes 12 sites in milliseconds: with
+    # every qubit measured in X, the all-ones outcome is the block value, its
+    # (I - X)/2 projection.  It judges the witness at upper and the all-zero
+    # grid point, a vertex of every certified polygon, at the inflated lower
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+
+    def judged(r, thetas):
+        c = ClusterCircuit(
+            n_qubits=b.n,
+            edges=tuple(b.edges()),
+            inputs=tuple(CylinderExtremum(rho, t, +1) for rho, t in zip(b.radii(r), thetas)),
+            plan=(MeasurementRule(XY_PLANE),) * b.n,
+            order=tuple(range(b.n)),
+        )
+        value = oracle.exact_distribution(c, prune=0.0)["1" * b.n]
+        assert value == pytest.approx(block_value(b, b.radii(r), thetas), rel=1e-11)
+        return value
+
+    assert judged(case["r_upper"], case["witness"]) < 0.0
+    inflation = 1.0 / math.cos(math.pi / case["cert_grid"])
+    assert judged(case["r_lower"] * inflation, [0.0] * b.n) >= 0.0
+
+
 @pytest.mark.parametrize("hw,mode,grid", [
     ((1, 2), PLAIN, 8), ((2, 2), LAMBDA_GROWN, 32), ((2, 3), LAMBDA_GROWN, 16),
     ((3, 3), PLAIN, 16), ((2, 4), LAMBDA_GROWN, 32),
@@ -1087,7 +1148,7 @@ def test_certification_polygons_hold_their_discs(hw, mode, grid, monkeypatch):
     monkeypatch.undo()
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
     rs = [p.r for p in est.probes if p.bound == "lower"]
-    if est.scan_points > coarse._CHUNK and est.lower > 0.0:
+    if est.lower > 0.0:
         rs.append(est.lower)  # chunk 0 screened the probes; one full scan verifies lower
     assert len(rows) == len(rs)  # one scan per lower probe: the bisection never reran
     for r, Y in zip(rs, rows):
