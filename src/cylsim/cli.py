@@ -81,6 +81,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                                    "residual": rep.residual, "source": rep.source},
                 "simulable": True,
                 "vertex_bounds": [
+                    {"vertex": v.vertex, "status": v.status} if v.bound is None else
                     {"vertex": v.vertex, "degree": v.degree, "bound": v.bound}
                     for v in sampler.check_simulable(c, rep.growth).vertices
                 ],

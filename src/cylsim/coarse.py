@@ -599,12 +599,6 @@ def rounding_bound(T: np.ndarray, radii) -> float:
     return nu / (1.0 - nu) * float(t[0])
 
 
-def _min_gain(n: int) -> float:
-    """Least decrease for which a descent on n sites accepts a move: 1e-15,
-    halved per site past 12, since block values shrink roughly like 2^-n."""
-    return 1e-15 * 2.0 ** -max(0, n - 12)
-
-
 def _coordinate_descent(b: BlockSpec, radii: np.ndarray, a0) -> tuple[float, np.ndarray]:
     """Greedy descent over the transverse components a_i, from a0.
 
@@ -612,20 +606,21 @@ def _coordinate_descent(b: BlockSpec, radii: np.ndarray, a0) -> tuple[float, np.
     the best a_i on its disc is -(rho_i / 2) conj(k1) / |k1|.  Codes 1 and 2
     enter _SITE and _EDGE symmetrically, so real components give real
     kernels, and the best a_i is then a sign flip: a real start stays real,
-    and the frontier keeps its dtype, float64 or complex.  _min_gain(n) is
-    the only acceptance rule: a move gains at most 2 rho_i |k1|, so it
-    rejects negligible kernels; a fixed floor on |k1| would stall large blocks.
+    and the frontier keeps its dtype, float64 or complex.  The one
+    acceptance rule takes a move that lowers the value by more than 2^-40 of
+    its size.  Block values shrink roughly like 2^-n, so a least gain fixed
+    in absolute terms stops a large block's descent on the wrong side of
+    zero, and a floor on |k1| would stall large blocks too.
     """
     a = np.array(a0)
     chain = _Frontier(b, a)
     val = chain.value()
-    gain = _min_gain(b.n)
     for _ in range(_MAX_SWEEPS):
         improved = False
         for i in range(b.n):
             k0, k1, _ = chain.kernel(i)
             cand = k0.real - radii[i] * abs(k1)
-            if cand < val - gain:
+            if cand < val - 2.0**-40 * abs(val):
                 a[i] = -(radii[i] / 2.0) * (np.conj(k1) / abs(k1))
                 chain.set(i, a[i])
                 val = cand

@@ -2,26 +2,27 @@
 
 dense_output forms the CZ-conjugated product of the inputs (which may be
 non-positive quasi-states) by elementwise sign masks: the full 2^n x 2^n
-operator.  exact_distribution measures the adaptive outcome tree exactly,
-breadth-first over one array of all branches, holding operators only on a
-window: the qubits that a measured neighbour has entangled and that are not
-measured yet.  Every input has z = +-1 exactly, so one diagonal entry of each
-input's operator is exactly 0, and it stays 0 through every CZ sign and
-every other qubit's measurement: a window qubit is held on three codes, its
-nonzero diagonal entry, (0, 1) and (1, 0), so a branch on w qubits has 3^w
-entries, not 4^w.  A qubit joins the window with its code vector when its
-first neighbour is measured, and measuring a vertex sums its code slices,
-each times an outcome weight and the signs of its CZ edges to the rest of
-the window; a vertex that no earlier measurement reached is the same sum
-over its own three entries, so on a chain measured end to end the largest
-operator is on two qubits.  The branches come out in breadth-first order and
-are sorted once into an outcomes.OutcomeTable; dense_peak estimates the peak
-memory of that walk.  admit, the one admission rule of both dense oracles
-and of compare, raises DenseTooLarge over DENSE_CAP qubits or an estimated
-peak over the available memory.  normalize_counts and tv_distance work on the tables'
-arrays, converting a plain bitstring dict to a table once, so no outcome
-string is formatted between the sampler's counts and the TV distance, which
-sums p and -q by outcomes.total.  tv_bound is the sampling bound that compare
+operator.  exact_distribution measures the adaptive outcome tree of the
+pole normal form (circuits.pole_normal_form) exactly, breadth-first over
+one array of all branches, holding operators only on a window: the qubits
+that a measured neighbour has entangled and that are not measured yet.
+Every input there is at pole +1, so the (1, 1) entry of its operator is
+exactly 0, and it stays 0 through every CZ sign and every other qubit's
+measurement: a window qubit is held on three codes, (0, 0), (0, 1) and
+(1, 0), so a branch on w qubits has 3^w entries, not 4^w.  A qubit joins
+the window with its code vector when its first neighbour is measured, and
+measuring a vertex sums its code slices, each times an outcome weight and
+the signs of its CZ edges to the rest of the window; a vertex that no
+earlier measurement reached is the same sum over its own three entries, so
+on a chain measured end to end the largest operator is on two qubits.  The
+branches come out in breadth-first order and are sorted once into an
+outcomes.OutcomeTable; dense_peak estimates the peak memory of that walk.
+admit, the one admission rule of both dense oracles and of compare, raises
+DenseTooLarge over DENSE_CAP qubits or an estimated peak over the available
+memory.  normalize_counts and tv_distance work on the tables' arrays,
+converting a plain bitstring dict to a table once, so no outcome string is
+formatted between the sampler's counts and the TV distance, which sums p
+and -q by outcomes.total.  tv_bound is the sampling bound that compare
 judges the TV distance by.  Deliberately method-independent of the sampler:
 no separable decompositions, no stabilizer shortcuts.
 """
@@ -37,7 +38,7 @@ from functools import reduce
 import numpy as np
 
 from .circuits import ClusterCircuit, MeasurementRule
-from .geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
+from .geometry import CylinderExtremum, to_bloch
 from .outcomes import OutcomeTable, as_table, total
 
 DENSE_CAP = 14
@@ -110,14 +111,12 @@ def _window_walk(c: ClusterCircuit):
 
 
 def dense_peak(c: ClusterCircuit) -> float:
-    """Estimated peak bytes of exact_distribution on c, from its window
-    walk.  The branches double only at XY-plane steps: every input has z
-    exactly +-1, so a Z-basis measurement has one outcome, and the oracle's
-    default prune drops the other's zero-trace branch.  A step after j
-    XY-plane steps holds at most b = 2^j branches of complex operators on the
-    window of w qubits, 16 b 3^w bytes, and the measured qubit's sign rows,
-    48 bytes for each code of the r other window qubits.  Its peak is the
-    largest of three phases (the grown input beside the old one and the
+    """Estimated peak bytes of exact_distribution on c, from the window walk
+    of its pole normal form, on n XY-measured qubits.  Step j holds at most
+    b = 2^j branches of complex operators on the window of w qubits,
+    16 b 3^w bytes, and the measured qubit's sign rows, 48 bytes for each
+    code of the r other window qubits.  Its peak is the largest of three
+    phases (the grown input beside the old one and the
     joining qubits' code vector; the input beside the sign rows and both
     outcomes, 32 b 3^r bytes; the outcomes beside the branches pruning keeps)
     plus 3n + 58 bytes a branch (thrice the n outcome bits while concatenate
@@ -125,10 +124,11 @@ def dense_peak(c: ClusterCircuit) -> float:
     mask over the doubled branches, 16 + 2) and numpy's buffers: up to three
     operands of a ufunc, each of at most getbufsize() entries and of no more
     than it iterates over, b 3^w at the join and outcomes, 3^(r+1) for the
-    sign rows.  The result takes 50 + n + 3 ceil(n/8) bytes a branch: the
-    last column, bits and prune mask, 16 + n + 2, and from_bits's packed
-    rows, sort order, sorted copies and sums, 3 ceil(n/8) + 32.  64 kiB
-    covers the walk's Python objects."""
+    sign rows.  The result takes 50 + n + N + 3 ceil(N/8) bytes a branch, N
+    the qubits of c: the last column, bits and prune mask, 16 + n + 2, the
+    bits lifted to N, and from_bits's packed rows, sort order, sorted copies
+    and sums, 3 ceil(N/8) + 32.  64 kiB covers the walk's Python objects."""
+    full, c = c.n_qubits, c.normal_form.circuit
     peak = 0.0
     b = 1.0
     for v, new, window, _ in _window_walk(c):
@@ -139,8 +139,8 @@ def dense_peak(c: ClusterCircuit) -> float:
         step = max(join, grown + out + 48 * 3**r, out * (2 - 0.5 / b))
         buffers = 48 * min(np.getbufsize(), max(b, 3) * 3 ** len(window))
         peak = max(peak, step + buffers + (3 * c.n_qubits + 58) * b)
-        b *= 2 if c.plan[v].kind == XY_PLANE else 1
-    return max(peak, (50 + c.n_qubits + 3 * -(-c.n_qubits // 8)) * b) + 2**16
+        b *= 2
+    return max(peak, (50 + c.n_qubits + full + 3 * -(-full // 8)) * b) + 2**16
 
 
 def _available_memory() -> int:
@@ -157,10 +157,11 @@ def _available_memory() -> int:
 
 
 def admit(c: ClusterCircuit, cost=dense_peak) -> None:
-    """Raise DenseTooLarge, before any work, for a circuit over DENSE_CAP
-    qubits or one whose cost(c) bytes exceed the available memory."""
+    """Raise DenseTooLarge, before any work, for a circuit whose oracle holds
+    over DENSE_CAP qubits (the XY-measured ones at cost dense_peak, all n
+    for dense_output) or whose cost(c) bytes exceed the available memory."""
     n = c.n_qubits
-    if n > DENSE_CAP:
+    if (c.normal_form.circuit.n_qubits if cost is dense_peak else n) > DENSE_CAP:
         raise DenseTooLarge(f"dense oracle capped at {DENSE_CAP} qubits")
     need, have = cost(c), _available_memory()
     if need > have:
@@ -170,99 +171,83 @@ def admit(c: ClusterCircuit, cost=dense_peak) -> None:
         )
 
 
-#: (row, column) bits of the codes (d, d), (0, 1) and (1, 0) of a qubit whose
-#: input has its nonzero diagonal entry at d
-_CODE_BITS = [np.array([[d, d], [0, 1], [1, 0]]) for d in (0, 1)]
+#: (row, column) bits of the three codes (0, 0), (0, 1) and (1, 0)
+_CODE_BITS = np.array([[0, 0], [0, 1], [1, 0]])
 
 #: CZ signs (-1)^(a r + b k) between the codes (a, b) of a measured qubit
-#: (rows) and (r, k) of a neighbour (columns), by their inputs' d, and the
-#: signs of a qubit without the edge; complex like the operators, so that no
-#: product casts through a buffer
-_EDGE_SIGNS = [[(1 - 2 * ((p @ q.T) & 1)).astype(complex) for q in _CODE_BITS] for p in _CODE_BITS]
+#: (rows) and (r, k) of a neighbour (columns), and the signs of a qubit
+#: without the edge; complex like the operators, so that no product casts
+#: through a buffer
+_EDGE_SIGNS = (1 - 2 * ((_CODE_BITS @ _CODE_BITS.T) & 1)).astype(complex)
 _NO_EDGE = np.ones((3, 3), dtype=complex)
 
 
-def _codes(e: CylinderExtremum) -> tuple[int, np.ndarray]:
-    """(d, x): the index d of the nonzero diagonal entry of extremum_matrix(e),
-    and its entries at the three codes.  A pole input has z = +-1 exactly, so
-    its other diagonal entry is exactly 0."""
-    m = extremum_matrix(e)
-    d = int(m[0, 0] == 0)
-    return d, m[tuple(_CODE_BITS[d].T)]
-
-
-def _weights(top: np.ndarray, d: int, rest, linked, diag) -> np.ndarray:
-    """top (3,), a weight for each code of a measured qubit whose nonzero
-    diagonal entry is at d, times the CZ signs of its edges to its linked
-    qubits in rest: shape (3, 3^len(rest)), one column per code of rest (the
-    first qubit most significant)."""
+def _weights(top: np.ndarray, rest, linked) -> np.ndarray:
+    """top (3,), a weight for each code of a measured qubit, times the CZ
+    signs of its edges to its linked qubits in rest: shape (3, 3^len(rest)),
+    one column per code of rest (the first qubit most significant)."""
     s = top[:, None]
     for u in rest:
-        e = _EDGE_SIGNS[d][diag[u]] if u in linked else _NO_EDGE
+        e = _EDGE_SIGNS if u in linked else _NO_EDGE
         s = (s[:, :, None] * e[:, None, :]).reshape(3, -1)
     return s
 
 
 def exact_distribution(c: ClusterCircuit, prune: float = 1e-14) -> OutcomeTable:
-    """Signed measure over outcome bitstrings, exact for any dense-cap circuit,
-    as an OutcomeTable with one entry per surviving branch.
+    """Signed measure over outcome bitstrings, exact for any circuit whose
+    pole normal form is within the dense cap, as an OutcomeTable with one
+    entry per surviving branch, each lifted to c's n bits.
 
-    Measures breadth-first over one array t (branches, 3^w): every surviving
+    Measures the normal form (every vertex XY-measured, every input at pole
+    +1) breadth-first over one array t (branches, 3^w): every surviving
     branch's operator on the window (_window_walk), each qubit on its three
-    codes (_codes); bits holds the branches' outcomes.  Measuring v is
-    _outcomes over v's code axis of t, or over t itself with v's own three
-    entries in the weights when v is outside the window.  The rule's
+    codes; bits holds the branches' outcomes.  Measuring v is _outcomes over
+    v's code axis of t, or over t itself with v's own three entries in the
+    weights when v is outside the window.  The rule's
     azimuths are read for all branches at once; a branch's trace is its
-    all-diagonal-code entry.  Values may be negative when inputs leave the
-    unit cylinder; they always sum to 1 (trace preservation).
+    (0, 0)-code entry.  Values may be negative when inputs leave the unit
+    cylinder; they always sum to 1 (trace preservation).
     """
-    n = c.n_qubits
     admit(c)
-    diag, code = zip(*map(_codes, c.inputs))
-    bits = np.zeros((1, n), dtype=np.uint8)
+    nf = c.normal_form
+    c = nf.circuit
+    code = [extremum_matrix(e)[tuple(_CODE_BITS.T)] for e in c.inputs]
+    bits = np.zeros((1, c.n_qubits), dtype=np.uint8)
     t = np.ones((1, 1), dtype=complex)
     for v, new, window, linked in _window_walk(c):
         b = len(t)
         if new:
             t = (t[:, :, None] * reduce(np.outer, [code[u] for u in new]).ravel()).reshape(b, -1)
-        rule = c.plan[v]
-        top = np.array([0.5 if rule.kind == XY_PLANE else 1.0, 1.0, 1.0], dtype=complex)
+        top = np.array([0.5, 1.0, 1.0], dtype=complex)
         if v in window:
             t = t.reshape(b, 3 ** window.index(v), 3, -1)
         else:
             t, top = t.reshape(b, 1, 1, -1), top * code[v]
         rest = [u for u in window if u != v]
-        t = _outcomes(t, _weights(top, diag[v], rest, linked, diag), rule, diag[v], bits)
+        t = _outcomes(t, _weights(top, rest, linked), c.plan[v], bits)
         t = t.reshape(2 * b, -1)
         bits = np.concatenate([bits, bits])
         bits[b:, v] = 1
         keep = np.abs(np.real(t[:, 0])) >= prune
         if not keep.all():
             t, bits = t[keep], bits[keep]
-    return OutcomeTable.from_bits(bits, np.real(t[:, 0]))
+    return OutcomeTable.from_bits(nf.lift(bits), np.real(t[:, 0]))
 
 
-def _outcomes(
-    t: np.ndarray, w: np.ndarray, rule: MeasurementRule, d: int, bits: np.ndarray
-) -> np.ndarray:
-    """Both outcomes of measuring the middle axis of t (branches, lo, k, hi)
-    on every branch: shape (2, branches, lo, hi), outcome 0 first.  The axis
-    holds the k = 3 codes of a window qubit whose nonzero diagonal entry is at
-    d, or k = 1 for a qubit outside the window, whose three entries are in w.
-    w (3, lo * hi) is each code's weight times the CZ signs of its edges to
-    the other qubits.  An XY-plane measurement overwrites t, so that no
-    temporary of its size is made.
+def _outcomes(t: np.ndarray, w: np.ndarray, rule: MeasurementRule, bits: np.ndarray) -> np.ndarray:
+    """Both outcomes of the XY-plane measurement of the middle axis of t
+    (branches, lo, k, hi) on every branch: shape (2, branches, lo, hi),
+    outcome 0 first.  The axis holds the k = 3 codes of a window qubit, or
+    k = 1 for a qubit outside the window, whose three entries are in w.  w
+    (3, lo * hi) is each code's weight times the CZ signs of its edges to
+    the other qubits.  Overwrites t, so that no temporary of its size is
+    made.
     """
     b, lo, k, hi = t.shape
     part = [t[:, :, min(i, k - 1)] for i in range(3)]
     w = w.reshape(3, 1, lo, hi)
     out = np.empty((2, b, lo, hi), dtype=complex)
-    if rule.kind == Z_BASIS:
-        # outcome o weighs code (o, o) by 1: only o = d remains
-        np.multiply(part[0], w[0], out=out[d])
-        out[1 - d] = 0.0
-        return out
-    # outcome o weighs code (d, d) by 1/2 (in w), (0, 1) by +-e^{ia}/2 and
+    # outcome o weighs code (0, 0) by 1/2 (in w), (0, 1) by +-e^{ia}/2 and
     # (1, 0) by +-e^{-ia}/2: out = A +- C, with A formed in out[0] and C in
     # the code (1, 0) slice, which is read last
     ph = 0.5 * np.exp(1j * rule.azimuths(bits)).reshape(b, 1, 1)

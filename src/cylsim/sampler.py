@@ -2,18 +2,19 @@
 
 Each CZ is replaced by its stochastic separable update, so the state stays
 a product of cylinder extrema throughout; measurements are then sampled
-from single-qubit Born values.  This is efficient whenever every XY-measured
-vertex v satisfies r_v <= growth^(-D_v) with D_v the vertex degree, since
-radii grow by the factor `growth` per incident gate and must end inside the
-unit cylinder (the dual of the allowed measurements).  A Z-measured vertex
-has no such bound: its outcome is its pole, whatever its radius.
+from single-qubit Born values of the circuit's pole normal form
+(circuits.pole_normal_form), whose outcomes are lifted back to n bits.  This
+is efficient whenever its every vertex v satisfies r_v <= growth^(-D_v),
+D_v its degree there, since radii grow by the factor `growth` per incident
+gate and must end inside the unit cylinder (the dual of the allowed
+measurements).  A Z-measured vertex is pole-only: it has no bound, and its
+edges grow no radius.
 
-A branch update never changes a pole and multiplies both radii by the
-growth, so one shot is a vector of n angles plus n adaptive draws.  Shots
-are sampled in fixed-size blocks, vectorised over the block; each block
-draws its uniforms from its own counter-based stream Philox(key=[seed,
-block]), so the count table for a seed does not depend on how many threads
-share the blocks.
+A branch update multiplies both radii by the growth, so one shot is a
+vector of angles plus one adaptive draw a vertex.  Shots are sampled in
+fixed-size blocks, vectorised over the block; each block draws its uniforms
+from its own counter-based stream Philox(key=[seed, block]), so the count
+table for a seed does not depend on how many threads share the blocks.
 
 sample_parallel is the one sampling entry point, and every call runs
 through one thread pool whose first worker is the calling thread.  Before
@@ -28,7 +29,6 @@ the LP; either way it records its own residual and source.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +37,6 @@ import numpy as np
 
 from .circuits import ClusterCircuit
 from .czdec import LAMBDA, StochasticRep, build_decomposition, grid_rep
-from .geometry import Z_BASIS
 from .outcomes import OutcomeTable, total
 
 #: relative headroom between the sampler's growth factor and the critical one
@@ -82,11 +81,10 @@ class TooManyShots(ValueError):
 @dataclass(frozen=True)
 class VertexBound:
     vertex: int
-    degree: int
+    degree: int | None  # in the pole normal form; None for a pole-only vertex
     radius: float
-    bound: float
-    #: "ok" within the bound; past it, "Z-measured" (the sampler never reads
-    #: that radius) or "EXCEEDED"
+    bound: float | None
+    #: "ok" within the bound, "EXCEEDED" past it, or "pole-only" (Z-measured)
     status: str
 
 
@@ -106,25 +104,25 @@ class NotSimulable(ValueError):
 
     def __init__(self, report: SimulabilityReport):
         super().__init__("\n".join(
+            f"vertex {v.vertex}: radius {v.radius:.6g} [{v.status}]" if v.bound is None else
             f"vertex {v.vertex}: degree {v.degree}, radius {v.radius:.6g}, "
             f"bound {v.bound:.6g} [{v.status}]" for v in report.vertices))
         self.report = report
 
 
 def check_simulable(c: ClusterCircuit, growth: float) -> SimulabilityReport:
-    """Per-vertex radius bounds growth^(-D_v) and whether the inputs meet them.
-    A Z-measured vertex has no bound to meet: the sampler sets its bit from
-    its pole alone and never reads its radius."""
+    """Per-vertex radius bounds growth^(-D_v), D_v the degree in c's pole
+    normal form, and whether the inputs meet them.  A Z-measured vertex is
+    pole-only: the normal form drops it, so it has no bound to meet."""
     if growth <= 1.0:
         raise ValueError("growth must exceed 1")
-    rows = []
-    for v in range(c.n_qubits):
-        d = c.degree(v)
-        bound = growth ** (-d)
+    nf = c.normal_form
+    rows = [VertexBound(v, None, e.r, None, "pole-only") for v, e in enumerate(c.inputs)]
+    for i, v in enumerate(nf.kept):
+        d = nf.circuit.degree(i)
         r = c.inputs[v].r
         within = _final_radius(r, growth, d) <= 1.0 + RADIUS_TOL
-        status = "ok" if within else "Z-measured" if c.plan[v].kind == Z_BASIS else "EXCEEDED"
-        rows.append(VertexBound(v, d, r, bound, status))
+        rows[v] = VertexBound(v, d, r, growth ** (-d), "ok" if within else "EXCEEDED")
     return SimulabilityReport(growth=growth, vertices=tuple(rows))
 
 
@@ -146,7 +144,7 @@ def default_rep(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> StochasticRep:
 
 
 class _ShotKernel:
-    """Per-circuit constants of the batched sampler.
+    """Per-circuit constants of the batched sampler on a pole normal form.
 
     A row of uniforms holds one draw per edge (branch selection), then one
     per measurement in c.order; outcomes() maps rows to outcome bits.
@@ -155,15 +153,7 @@ class _ShotKernel:
     def __init__(self, c: ClusterCircuit, rep: StochasticRep):
         g = rep.growth
         self.radius = [_final_radius(e.r, g, c.degree(v)) for v, e in enumerate(c.inputs)]
-        self.pole = [e.pole for e in c.inputs]
-        # a partner of pole -1 adds pi to the angle (see apply_branch)
-        theta = [e.theta for e in c.inputs]
-        for a, b in c.edges:
-            if self.pole[b] < 0:
-                theta[a] += math.pi
-            if self.pole[a] < 0:
-                theta[b] += math.pi
-        self.theta = np.array(theta)
+        self.theta = np.array([e.theta for e in c.inputs])
         self.edges = c.edges
         self.cdf = np.cumsum([b[0] for b in rep.branches])
         self.da = np.array([b[1] for b in rep.branches])
@@ -180,13 +170,10 @@ class _ShotKernel:
         np.minimum(branch, len(self.cdf) - 1, out=branch)
         theta = np.tile(self.theta, (shots, 1))
         for e, (a, b) in enumerate(self.edges):
-            theta[:, a] += self.pole[a] * self.da[branch[:, e]]
-            theta[:, b] += self.pole[b] * self.db[branch[:, e]]
+            theta[:, a] += self.da[branch[:, e]]
+            theta[:, b] += self.db[branch[:, e]]
         bits = np.empty((shots, self.n), dtype=np.uint8)
         for col, (v, rule) in enumerate(self.steps, start=n_edges):
-            if rule.kind == Z_BASIS:
-                bits[:, v] = self.pole[v] < 0  # p0 = (1 + pole)/2 is 1 or 0
-                continue
             # p0 = (1 + r cos(theta - alpha))/2; u < p0 gives 0, and u lies in
             # [0, 1), so p0 needs no clamping
             phase = theta[:, v] - rule.azimuths(bits)
@@ -211,7 +198,7 @@ def sample_parallel(
     order, NotSimulable for a circuit whose final radii leave the unit
     cylinder, ValueError for a negative shot count, a seed outside [0, 2^64)
     or fewer than one thread, and TooManyShots when shots * (edges +
-    vertices) uniforms exceed MAX_UNIFORMS."""
+    vertices) uniforms of c's pole normal form exceed MAX_UNIFORMS."""
     report = check_simulable(c, rep.growth)
     if not report.simulable:
         raise NotSimulable(report)
@@ -221,18 +208,19 @@ def sample_parallel(
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    need = shots * (len(c.edges) + c.n_qubits)
+    nf = c.normal_form
+    need = shots * (len(nf.circuit.edges) + nf.circuit.n_qubits)
     if need > MAX_UNIFORMS:
         raise TooManyShots(
             f"{shots} shots need {need} uniform draws, more than the cap of {MAX_UNIFORMS}"
         )
-    kernel = _ShotKernel(c, rep)
+    kernel = _ShotKernel(nf.circuit, rep)
     blocks = range(-(-shots // BLOCK_SHOTS))
 
     def run(block: int):
         size = min(BLOCK_SHOTS, shots - block * BLOCK_SHOTS)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-        return OutcomeTable.counted(kernel.outcomes(rng.random((size, kernel.width))))
+        return OutcomeTable.counted(nf.lift(kernel.outcomes(rng.random((size, kernel.width)))))
 
     # each worker holds one block's arrays, so more workers than cores only add
     # memory.  The calling thread is the first worker, as a fresh thread made

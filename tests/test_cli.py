@@ -67,8 +67,8 @@ def test_sample_deterministic_csv(tmp_path, circuit_file):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("grid3x4", "d9c31056db616de988fd55bb9fc70e8e45207d98ce07f4b2a777238cf1444a20"),
-    ("chain14", "445e2de7b0f7fcebebc9d397f0a62e203d7ce01f6439676872132ba313dd023c"),
+    ("grid3x4", "54ee63afefe7eb2eccb0760ccdfa0105a130c4548b189979aa181501e679f1a7"),
+    ("chain14", "cde229f016cba57cac3f40c015d2755f71dde84a0ebf28189d5162771af58dab"),
 ], ids=["grid3x4", "chain14"])
 def test_sample_csv_is_pinned_across_threads(name, digest, tmp_path):
     # 16389 shots are two blocks of sampler.BLOCK_SHOTS, so the CSV goes
@@ -120,19 +120,69 @@ def test_z_measured_vertex_has_no_radius_bound(tmp_path, capsys):
     assert main(["sample", *args, "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
     assert main(["compare", *args, "--out", str(tmp_path / "tv.json")]) == EXIT_OK
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["within_bound"] is True
-    # an XY vertex over its bound still refuses the circuit; the Z rows over
-    # theirs are labelled as such, and every other row keeps its text
+    # an XY vertex over its bound still refuses the circuit; the Z rows are
+    # pole-only, with no bound, and every other row's degree and bound are
+    # those of the pole normal form, which drops the Z-measured vertices
     inputs = (CylinderExtremum(0.9, 0.4, -1),) + c.inputs[1:]
     path.write_text(dataclasses.replace(c, inputs=inputs).to_json())
     assert main(["sample", *args, "--out", str(tmp_path / "bad.csv")]) == EXIT_NOT_SIMULABLE
     err = capsys.readouterr().err.splitlines()
     assert err[:4] == [
-        "vertex 0: degree 2, radius 0.9, bound 0.235597 [EXCEEDED]",
-        "vertex 1: degree 3, radius 0.95, bound 0.114355 [Z-measured]",
-        "vertex 2: degree 2, radius 0.212037, bound 0.235597 [ok]",
-        "vertex 3: degree 3, radius 0.102919, bound 0.114355 [ok]",
+        "vertex 0: degree 1, radius 0.9, bound 0.485383 [EXCEEDED]",
+        "vertex 1: radius 0.95 [pole-only]",
+        "vertex 2: degree 1, radius 0.212037, bound 0.485383 [ok]",
+        "vertex 3: degree 2, radius 0.102919, bound 0.235597 [ok]",
     ]
-    assert [line.rsplit(" ", 1)[1] for line in err[4:]] == ["[Z-measured]"] + ["[ok]"] * 4
+    assert [line.rsplit(" ", 1)[1] for line in err[4:]] == ["[pole-only]"] + ["[ok]"] * 4
+
+
+@pytest.mark.parametrize("name", ["grid3x4_z5", "grid4x4_z8"])
+def test_pole_only_vertices_charge_no_bound(tmp_path, capsys, name):
+    # grid3x4_z5: radius 0.2 past g^-3 at five vertices of degree 3 or 4, but
+    # its Z-measured vertices 1, 4, 6, 9 and 11 drop out of the pole normal
+    # form, which leaves degrees of at most 2 (g^-2 = 0.2356); grid4x4_z8: 16
+    # qubits, of which rows 0-1 are Z-measured, so the oracle holds 8
+    assert main(["compare", "--circuit", str(DATA / f"{name}.json"), "--shots", "100000",
+                 "--seed", "1", "--threads", "1", "--out", str(tmp_path / "tv.json")]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["within_bound"] is True and out["tv"] <= out["tv_bound"]
+
+
+def test_all_z_circuit_compares_and_zero_qubits_are_refused(tmp_path, capsys):
+    # every vertex Z-measured: the pole normal form has no qubit, and the one
+    # outcome, the pole bits, has mass 1; circuit JSON still needs a qubit
+    c = ClusterCircuit(3, ((0, 1), (1, 2)), tuple(CylinderExtremum(0.9, 0.3, p) for p in (1, -1, -1)),
+                       (MeasurementRule(Z_BASIS),) * 3, (2, 0, 1))
+    path = tmp_path / "z.json"
+    path.write_text(c.to_json())
+    args = ["--circuit", str(path), "--shots", "100", "--seed", "1", "--threads", "1"]
+    assert main(["compare", *args, "--out", str(tmp_path / "tv.json")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "tv": 0.0, "shots": 100, "support": 1, "tv_bound": oracle.tv_bound(100, 1),
+        "within_bound": True}
+    assert main(["sample", *args, "--out", str(tmp_path / "z.csv")]) == EXIT_OK
+    assert (tmp_path / "z.csv").read_text() == "bitstring,count\n011,100\n"
+    data = json.loads(c.to_json())
+    data.update(n_qubits=0, edges=[], inputs=[], plan=[], order=[])
+    path.write_text(json.dumps(data))
+    assert main(["sample", *args, "--out", str(tmp_path / "none.csv")]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: n_qubits must be >= 1\n"
+
+
+def test_sidecar_has_no_bound_for_pole_only_rows(tmp_path):
+    out = tmp_path / "z5.csv"
+    assert main(["sample", "--circuit", str(DATA / "grid3x4_z5.json"), "--shots", "100",
+                 "--seed", "1", "--threads", "1", "--out", str(out)]) == EXIT_OK
+
+    def non_finite(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "z5.csv.provenance.json").read_text()
+    rows = json.loads(text, parse_constant=non_finite)["vertex_bounds"]
+    assert [row["vertex"] for row in rows] == list(range(12))
+    assert [row["vertex"] for row in rows if row.get("status") == "pole-only"] == [1, 4, 6, 9, 11]
+    assert all(set(row) == {"vertex", "status"} for row in rows if "status" in row)
+    assert max(row["degree"] for row in rows if "degree" in row) == 2
 
 
 def _nonsimulable_chain(n):
@@ -247,21 +297,22 @@ def test_compare_refuses_by_cost(tmp_path, circuit_file, capsys, monkeypatch):
     path.write_text(wide.to_json())
     assert main([*args, "--circuit", str(path)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == "resource cap: dense oracle capped at 14 qubits\n"
-    # chain2's estimated peak is its first step's 784 bytes, of which 432 are
-    # numpy's buffers, plus 2^16 = 66320 bytes
-    monkeypatch.setattr(oracle, "_available_memory", lambda: 66320)
+    # chain2's pole normal form is its XY-plane vertex 0 alone: the estimated
+    # peak is that one step's 301 bytes, of which 144 are numpy's buffers,
+    # plus 2^16 = 65837 bytes
+    monkeypatch.setattr(oracle, "_available_memory", lambda: 65837)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_OK
     out.unlink()
 
     def not_sampled(*_):
         raise AssertionError("sampled before the memory check")
 
-    monkeypatch.setattr(oracle, "_available_memory", lambda: 66319)
+    monkeypatch.setattr(oracle, "_available_memory", lambda: 65836)
     monkeypatch.setattr(cli.sampler, "sample_parallel", not_sampled)
     assert main([*args, "--circuit", str(circuit_file)]) == EXIT_RESOURCE_CAP
     err = capsys.readouterr().err
     assert err.startswith("resource cap: dense oracle needs about ")
-    assert "about 6.63e+04 bytes at 2 qubits" in err and "6.63e+04 bytes of available memory" in err
+    assert "about 6.58e+04 bytes at 2 qubits" in err and "6.58e+04 bytes of available memory" in err
     assert not out.exists()
 
 
@@ -303,9 +354,9 @@ def _grid3x4():
     # the leaves' codes beside the centre's three sign rows and both
     # outcomes: 16 + 48 + 32 bytes per code of the nine leaves, 32 * 3^n
     (_star(10), 32 * 3**10, 40 * 3**10, None),
-    # every other vertex Z-measured, with one outcome: 2^7 branches at most,
-    # not 2^14, and a result table of 2^7 entries, so the estimate is 0.59 MB,
-    # not 67.4 MB
+    # every other vertex Z-measured, with one outcome: the pole normal form
+    # keeps the 7 others, so 2^7 branches at most, not 2^14, and the estimate
+    # is 0.08 MB, not 67.4 MB
     (ClusterCircuit.from_json((DATA / "chain14.json").read_text()), 0, 2**21, 2 * 10**6),
 ], ids=["chain14", "grid3x4", "star10-centre-first", "chain14-data-z-steps"])
 def test_dense_peak_bounds_the_window(c, low, high, model):
@@ -403,16 +454,17 @@ def test_shots_capped_by_uniform_draws(tmp_path, circuit_file, capsys, monkeypat
     out = tmp_path / "out"
     args = [command, "--circuit", str(circuit_file), "--seed", "1", "--threads", "1",
             "--out", str(out)]
-    # chain2 draws 3 uniforms a shot (2 vertices, 1 edge)
+    # chain2 draws 1 uniform a shot: its pole normal form keeps vertex 0
+    # alone, without the edge to the Z-measured vertex 1
     shots = 10**30
     assert main([*args, "--shots", str(shots)]) == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == (
-        f"resource cap: {shots} shots need {3 * shots} uniform draws, "
+        f"resource cap: {shots} shots need {shots} uniform draws, "
         f"more than the cap of {2**34}\n"
     )
-    monkeypatch.setattr(cli.sampler, "MAX_UNIFORMS", 3 * 64)
+    monkeypatch.setattr(cli.sampler, "MAX_UNIFORMS", 64)
     assert main([*args, "--shots", "65"]) == EXIT_RESOURCE_CAP
-    assert "65 shots need 195 uniform draws, more than the cap of 192" in capsys.readouterr().err
+    assert "65 shots need 65 uniform draws, more than the cap of 64" in capsys.readouterr().err
     assert not out.exists()
     assert main([*args, "--shots", "64"]) == EXIT_OK
     assert out.exists()

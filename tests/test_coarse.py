@@ -22,7 +22,6 @@ from cylsim.coarse import (
     _grid_chunks,
     _grid_rows,
     _grid_sign,
-    _min_gain,
     _orbit_head,
     _transverse,
     block_min_prob_dense,
@@ -277,7 +276,6 @@ def reference_flip_search(b: BlockSpec, r: float, restarts: int = 8, seed: int =
     n = b.n
     half = b.radii(r) / 2.0
     rng = np.random.default_rng(seed)
-    gain = _min_gain(n)
 
     def descend(pattern):
         chain = _Frontier(b, pattern * half)
@@ -289,7 +287,7 @@ def reference_flip_search(b: BlockSpec, r: float, restarts: int = 8, seed: int =
                 k0, k1, k2 = chain.kernel(i)
                 flipped = -pattern[i] * half[i]
                 v = k0 + (k1 + k2) * flipped
-                if v < best - gain:
+                if v < best - 2.0**-40 * abs(best):
                     pattern[i] *= -1
                     chain.set(i, flipped)
                     best = v
@@ -342,6 +340,21 @@ def test_descent_keeps_the_dtype_of_its_start():
     v, a = _coordinate_descent(b, radii, start)
     assert a.dtype == np.complex128
     assert v == pytest.approx(block_value(b, radii, _angles(a)), abs=1e-15)
+
+
+def test_descent_leaves_no_move_of_relative_gain():
+    # plain 8x12 at r = 0.13, where block values are near 1e-40: a least gain
+    # fixed at 1e-15 * 2^-84 stopped this descent at -2.987e-40 with a move of
+    # gain 2.3e-41 left
+    b = BlockSpec(8, 12, PLAIN)
+    radii = b.radii(0.13)
+    start = np.random.default_rng(2).choice([-1, 1], size=b.n) * radii / 2.0
+    val, a = _coordinate_descent(b, radii, start)
+    assert val < 0.0
+    chain = _Frontier(b, a)
+    for i in range(b.n):
+        k0, k1, _ = chain.kernel(i)
+        assert val - (k0.real - radii[i] * abs(k1)) <= 2.0**-40 * abs(val)
 
 
 def test_s_estimate_validates_arguments():

@@ -95,12 +95,18 @@ def test_dense_cap():
         DENSE_CAP + 1,
         (),
         (CylinderExtremum(0, 0, 1),) * (DENSE_CAP + 1),
-        (MeasurementRule(Z_BASIS),) * (DENSE_CAP + 1),
+        (MeasurementRule(XY_PLANE),) * (DENSE_CAP + 1),
         tuple(range(DENSE_CAP + 1)),
     )
     for oracle_fn in (dense_output, exact_distribution):
         with pytest.raises(oracle.DenseTooLarge, match="^dense oracle capped at 14 qubits$"):
             oracle_fn(c)
+    # one vertex Z-measured: exact_distribution holds the 14 others, while
+    # dense_output holds all 15
+    c = dataclasses.replace(c, plan=(MeasurementRule(Z_BASIS),) + c.plan[1:])
+    assert len(exact_distribution(c)) == 2**DENSE_CAP
+    with pytest.raises(oracle.DenseTooLarge, match="^dense oracle capped at 14 qubits$"):
+        dense_output(c)
 
 
 def _complete(n):
@@ -400,13 +406,22 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_exact_distribution_matches_depth_first_reference(case):
-    c = ORACLE_CASES[case]()
+def assert_matches_reference(c):
+    """exact_distribution(c) against the depth-first walk of the full circuit,
+    unpruned and pruned.  The oracle measures c's pole normal form, which has
+    no branch for the other outcome of a Z-measured vertex: the reference
+    lists such an outcome, at mass exactly 0, when nothing prunes it."""
     for prune in (1e-14, 0.0):
         got, ref = exact_distribution(c, prune), reference_distribution(c, prune)
-        assert sorted(got) == sorted(ref)
-        assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-12
+        assert set(got) <= set(ref)
+        assert all(ref[k] == 0.0 for k in set(ref) - set(got))
+        assert max(abs(got.get(k, 0.0) - ref[k]) for k in ref) <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_exact_distribution_matches_depth_first_reference(case):
+    got = assert_matches_reference(ORACLE_CASES[case]())
     assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -438,10 +453,7 @@ def small_circuits(draw, max_n=6):
 @settings(max_examples=150, deadline=None)
 @given(small_circuits())
 def test_window_matches_depth_first_reference(c):
-    for prune in (1e-14, 0.0):
-        got, ref = exact_distribution(c, prune), reference_distribution(c, prune)
-        assert sorted(got) == sorted(ref)
-        assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-12
+    assert_matches_reference(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,7 +471,9 @@ def test_dense_peak_bounds_the_traced_peak(c):
 def test_reference_cases_cover_pruning_and_negative_values():
     pruned = exact_distribution(_pruned())
     assert sorted(pruned) == ["000", "010"]
-    assert len(exact_distribution(_pruned(), prune=0.0)) == 8
+    # unpruned, both outcomes of the two XY-plane vertices; the Z-measured
+    # vertex 0 has one branch, at its pole bit
+    assert len(exact_distribution(_pruned(), prune=0.0)) == 4
     assert min(exact_distribution(_quasi()).values()) < 0
 
 

@@ -125,12 +125,14 @@ def test_check_simulable_examples():
     c = xy_circuit(3, ((0, 1), (1, 2)), [0.0] * 3)
     assert check_simulable(c, LAMBDA).simulable
 
-    # Z-measured vertices 1 and 4 far past their bounds: the sampler never reads their radii
+    # Z-measured vertices 1 and 4 far past any bound: the pole normal form
+    # drops them, so they have none, and the others' degrees omit their edges
     report = check_simulable(z_measured_grid3x3(LAMBDA), LAMBDA)
     assert report.simulable
-    assert [v.vertex for v in report.vertices if v.radius > v.bound] == [1, 4]
-    assert [v.status for v in report.vertices] == ["ok", "Z-measured", "ok", "ok", "Z-measured",
+    assert [v.vertex for v in report.vertices if v.bound is None] == [1, 4]
+    assert [v.status for v in report.vertices] == ["ok", "pole-only", "ok", "ok", "pole-only",
                                                    "ok", "ok", "ok", "ok"]
+    assert [v.degree for v in report.vertices] == [1, None, 1, 2, None, 2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("excess,ok", [(0.0, True), (5e-13, False)])
@@ -234,18 +236,20 @@ def test_kernel_matches_per_shot_reference(rep, case):
     else:
         c = build_fixture(name, rep.growth, adaptive=adaptive)
     shots, seed = 3000, 11
-    kernel = sampler._ShotKernel(c, rep)
+    nf = c.normal_form
+    kernel = sampler._ShotKernel(nf.circuit, rep)
     u = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random(
         (shots, kernel.width)
     )
     bits = kernel.outcomes(u)
     got = ["".join(map(str, row)) for row in bits]
-    ref = [reference_shot(c, rep, row) for row in u]
+    ref = [reference_shot(nf.circuit, rep, row) for row in u]
     checked = [(g, s) for g, (s, gap) in zip(got, ref) if gap > 1e-12]
     assert len(checked) >= shots - 2
     assert all(g == s for g, s in checked)
-    # sample_parallel draws block 0 from the same stream
-    assert sample_parallel(c, shots, seed, rep, 1) == Counter(got)
+    # sample_parallel draws block 0 from the same stream, and lifts its bits
+    lifted = ["".join(map(str, row)) for row in nf.lift(bits)]
+    assert sample_parallel(c, shots, seed, rep, 1) == Counter(lifted)
 
 
 def test_deterministic_cases(rep):
