@@ -21,15 +21,14 @@ contraction orders:
   left and right environments cached as in DMRG sweeps, the per-site kernel
   (the value as an affine function of one site's monomials) in
   O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
-- the coefficient tensor multiplies all factors out into 3^n code signs,
-  one site at a time, and takes them in integers to the per-site basis
-  (1, Re a_i, Im a_i).  It stays in those integers, in units of 2^-n, from
-  the build to the certificate: the grid minima and the rounding bound
-  read it as floats one block of at most _CHUNK values at a time, and fold
-  the unit, a power of two, into exact products.  Grid minima contract it
-  along a walk over the prefixes of the scanned head strings, then with
-  every grid point of a chunk at once: one matrix product per pair of tail
-  sites.
+- the coefficient tensor is the value in the per-site basis
+  (1, Re a_i, Im a_i).  Of its 3^n entries only 2^n are nonzero, one per
+  vertex subset, each a signed power of two in closed form (coeff_tensor),
+  and only those terms are formed.  Grid minima contract them along a walk
+  over the prefixes of the scanned head strings, one head site at a time,
+  then with every grid point of a chunk at once: one matrix product per
+  pair of tail sites.  Their magnitudes give the rounding bound as a
+  product over the sites.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
@@ -46,7 +45,8 @@ same multilinear function of the a_i at every r, so its minimum over the
 larger product of polygons, attained at a vertex, is no larger.  A
 certificate at lower therefore settles every smaller radius, and s_estimate
 screens its lower probes on chunk 0, the chunk that holds the all-zero grid
-point, and runs one full scan, at the final lower.
+point, and runs one full scan, at the final lower, unless the grid fits
+chunk 0.
 
 Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
@@ -183,14 +183,6 @@ def _transverse(radii, thetas):
     return (np.asarray(radii, dtype=float) / 2.0) * np.exp(-1j * np.asarray(thetas, dtype=float))
 
 
-def _along(factor: np.ndarray, ndim: int, *axes: int) -> np.ndarray:
-    """View of a per-code factor that broadcasts along the given axes (ascending)."""
-    shape = [1] * ndim
-    for ax in axes:
-        shape[ax] = 3
-    return factor.reshape(shape)
-
-
 def _weight(a) -> np.ndarray:
     """Site factor times the monomials (1, a, conj(a)) of one site."""
     return _SITE * np.array([1.0, a, np.conj(a)])
@@ -319,84 +311,58 @@ def block_min_prob_dense(b: BlockSpec, r: float, thetas) -> float:
     return float(np.real(parity @ oracle.dense_output(c) @ parity)) / 2**n
 
 
-def _code_tensor(b: BlockSpec, order=None) -> np.ndarray:
-    """Block factors multiplied out over the codes (1, a, conj(a)) per site,
-    in units of 2^-n.
+def coeff_tensor(b: BlockSpec, order=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero terms of the real coefficient tensor D of shape (3,)*n, axis p
+    for site order[p] (default: site order): their flat indices, ascending,
+    and their values, each a signed power of two.
 
-    Shape (3,)*n, axis p for site order[p] (default: site order); the block
-    value is 2^-n sum_v C_v prod_i x_i(v_i) with x_i = (1, a_i, conj(a_i)).
-    Every entry is +-1, as int8.
-    """
-    pos = np.argsort(order) if order is not None else np.arange(b.n)
-    site, edge = (2 * _SITE).astype(np.int8), _EDGE.astype(np.int8)
-    # per axis, its site factor times the edges to earlier axes; the tensor
-    # then grows by one axis at a time
-    factors = [_along(site, p + 1, p) for p in range(b.n)]
-    for u, v in b.edges():
-        pu, pv = sorted((pos[u], pos[v]))
-        factors[pv] = factors[pv] * _along(edge, pv + 1, pu, pv)  # _EDGE is symmetric
-    return reduce(lambda C, f: C[..., None] * f, factors, np.ones((), np.int8))
-
-
-def coeff_tensor(b: BlockSpec, order=None) -> np.ndarray:
-    """Real coefficient tensor T of shape (3,)*n in units of 2^-n, axis p for
-    site order[p] (default: site order).
-
-    The block value is 2^-n sum_u T_u prod_i y_i(u_i) with y_i = (1, Re a_i,
-    Im a_i).  Each site's monomials are 1, a = Re a + i Im a and conj(a) =
-    Re a - i Im a, so per axis the codes (c0, c1, c2) map to (c0, c1 + c2,
-    i (c1 - c2)): integer sums of the +-1 code entries, times i^m for m Im
-    codes.  T is real because the value is real for all real (Re a_i,
-    Im a_i): the integer sums of odd m vanish, so T is even under
-    conjugation, and i^m is (-1)^(m/2) for even m.  Every entry is an
-    integer of magnitude at most 2^n, computed exactly and kept in the
-    narrowest signed integer type that holds -2^(n+1): int16 up to 14 sites,
-    a quarter of float64's bytes, and int32 for 15 and 16.
+    The block value is sum_u D_u prod_i y_i(u_i) with y_i = (1, Re a_i,
+    Im a_i).  Each vertex subset S has exactly one nonzero entry, at the code
+    string u with u_v = 0 off S, u_v = 2 (Im) where v has odd degree in the
+    induced subgraph G[S] and u_v = 1 (Re) elsewhere in S, and its value is
+    (-1)^(|S| + |E(S)| + m/2) 2^(|S| - n) for m odd-degree vertices.  Why:
+    write codes 1 and 2 of (1, a, conj(a)) as sigma = +-1.  The site factor
+    gives (-1)^|S| 2^-n, each edge inside S gives -sigma_u sigma_v, the Im
+    basis weighs sigma_v and i^m gives (-1)^(m/2), m being even.  The sum
+    over sigma then factorizes per vertex into sum_sigma
+    sigma^(deg_S(v) + [v in Im]), which is 2 when the exponent is even and 0
+    otherwise.  So there are 2^n terms, not 3^n entries, and every value is
+    exact in float64.
     """
     n = b.n
-    T = _code_tensor(b, order).astype(np.min_scalar_type(-(2 ** (n + 1))))  # holds +-2^n
-    for i in range(n):
-        x = T.reshape(3**i, 3, -1)
-        im = x[:, 1] - x[:, 2]
-        x[:, 1] += x[:, 2]
-        x[:, 2] = im
-    ims = reduce(np.add, [_along(np.array([0, 0, 1], np.int8), n, i) for i in reversed(range(n))])
-    T *= 1 - (ims & 2)  # (-1)^(m/2) for even m; the entries of odd m are 0
-    return T
+    neighbors = [[] for _ in range(n)]
+    for u, v in b.edges():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    place = np.empty(n, dtype=np.int64)
+    place[np.arange(n) if order is None else list(order)] = 3 ** np.arange(n - 1, -1, -1)
+    subsets = np.arange(2**n)  # bit v of S is 1 when v is in S
+    index, size, m, twice_edges = (np.zeros(2**n, dtype=np.int64) for _ in range(4))
+    for v in range(n):
+        inside = (subsets >> v) & 1
+        degree = inside * sum((subsets >> u) & 1 for u in neighbors[v])  # in G[S], 0 off S
+        index += (inside + (degree & 1)) * place[v]
+        size += inside
+        m += degree & 1
+        twice_edges += degree
+    value = (1 - 2 * ((size + twice_edges // 2 + m // 2) & 1)) * 2.0 ** (size - n)
+    ascending = np.argsort(index)
+    return index[ascending], value[ascending]
 
 
-def _unit(T: np.ndarray) -> float:
-    """Value of one unit of a coefficient tensor: 2^-n for coeff_tensor's
-    integers, 1 for a tensor of float values."""
-    return 2.0**-T.ndim if T.dtype.kind == "i" else 1.0
-
-
-def _float_columns(T: np.ndarray):
-    """T.reshape(3, -1) as float64, one block of columns of at most _CHUNK
-    values (but one column at least) at a time, so that no float copy of T
-    is held: yields (first column, block), every block a view of one reused
-    buffer."""
-    x = T.reshape(3, -1)
-    cols = min(x.shape[1], max(1, _CHUNK // 3))
-    buf = np.empty(3 * cols)
-    for s in range(0, x.shape[1], cols):
-        block = buf[: 3 * min(cols, x.shape[1] - s)].reshape(3, -1)
-        np.copyto(block, x[:, s : s + block.shape[1]])
-        yield s, block
-
-
-def _grid_rows(radii: np.ndarray, grid: int) -> list[np.ndarray]:
+def _grid_rows(radii: np.ndarray, grid: int) -> np.ndarray:
     """Per site, the rows (1, Re a, Im a) of a = (rho / 2) exp(-i theta) at
-    the grid angles theta = 2 pi j / grid.  Rows j <= grid / 2 come from their
-    angles, with sin(pi) taken as 0; row -j mod grid is row j with Im a
-    negated, so mirror images are exact."""
+    the grid angles theta = 2 pi j / grid, shape (sites, grid, 3).  Rows
+    j <= grid / 2 come from their angles, with sin(pi) taken as 0; row
+    -j mod grid is row j with Im a negated, so mirror images are exact."""
     angles = np.arange(grid // 2 + 1) * (TWO_PI / grid)
     cos, sin = np.cos(angles), np.sin(angles)
     if grid % 2 == 0:
         sin[-1] = 0.0  # the angle pi is its own mirror image
     mirrored = slice((grid - 1) // 2, 0, -1)  # the rows j with 0 < j < grid - j
     cos, sin = np.concatenate([cos, cos[mirrored]]), np.concatenate([sin, -sin[mirrored]])
-    return [np.stack([np.ones(grid), (rho / 2.0) * cos, -(rho / 2.0) * sin], axis=1) for rho in radii]
+    half = np.asarray(radii, dtype=float)[:, None] / 2.0
+    return np.stack(np.broadcast_arrays(1.0, half * cos, -half * sin), axis=2)
 
 
 def _leaders(grid: int, perms) -> np.ndarray:
@@ -438,38 +404,79 @@ def _orbit_head(n: int, perms, grid: int) -> tuple[list[int], tuple[int, np.ndar
     return order, (len(head), _leaders(grid, on_head)), 2 * len(group)
 
 
-def _grid_chunks(T: np.ndarray, radii: np.ndarray, grid: int, head):
+class _Scan:
+    """The part of a certification scan that does not depend on r, built once
+    per bracket: from terms = (index, value), the nonzero entries of a
+    coefficient tensor D of n sites in scan order (coeff_tensor's terms),
+    the number of grid angles per site, and head = (k, leaders) from
+    _orbit_head.
+
+    The head walk of _grid_chunks contracts terms one head site at a time
+    down to level fit, the first level i >= 1 at which the head rows under
+    a prefix fit a chunk, or k; from level 1 on, so that no row of all 3^n
+    codes is formed.  steps[i] contracts the leading code of the
+    level-i terms: the number of level-(i+1) terms and, per code c, the
+    positions of the level-i terms with code c and of their remainders among
+    the level-(i+1) terms.  index holds the flat indices of the level-fit
+    terms among the 3^(n - fit) code strings of the sites from fit on.  tree
+    splits the leaders by digit down to level fit: per level a list of
+    (digit, subtree) pairs, and at level fit the flat indices of the leaders
+    past their prefix, ascending.
+    """
+
+    def __init__(self, terms, n: int, grid: int, head):
+        index, self.value = terms
+        self.n, self.grid, (self.k, leaders) = n, grid, head
+        k = self.k
+        self.fit = min(i for i in range(1, k + 1) if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK)
+        self.steps = []
+        for i in range(self.fit):
+            code, rest = np.divmod(index, 3 ** (n - i - 1))
+            index, target = np.unique(rest, return_inverse=True)
+            self.steps.append((len(index), [(np.flatnonzero(code == c), target[code == c]) for c in range(3)]))
+        self.index = index
+
+        def split(ids, i):
+            if i == self.fit:
+                return ids
+            digit, ids = np.divmod(ids, grid ** (k - i - 1))
+            return [(d, split(ids[digit == d], i + 1)) for d in np.flatnonzero(np.bincount(digit))]
+
+        self.tree = split(leaders, 0)
+
+
+def _grid_chunks(scan: _Scan, radii: np.ndarray):
     """Yield the minimum of the block value per chunk of a uniform per-qubit
     angle grid, visiting one grid point per orbit of a symmetry group.
 
-    Matrix products with the rows (1, Re a, Im a) of each site's grid points
-    contract the coefficient tensor D = T times its unit (_unit: 2^-n for
-    coeff_tensor's integers, 1 for floats): the leading k >= 1 sites first,
-    giving one head row per grid point of those sites, then the rest in
-    chunks of head rows, each chunk small enough (_CHUNK values) to stay in
-    cache.  head = (k, leaders), from _orbit_head, names the head rows
-    scanned, ascending.
+    Products with the rows (1, Re a, Im a) of each site's grid points
+    contract the coefficient tensor D of scan (_Scan): the leading k >= 1
+    sites first, giving one head row per grid point of those sites, then the
+    rest in chunks of head rows, each chunk small enough (_CHUNK values) to
+    stay in cache.  The head rows scanned are those of scan's leaders,
+    ascending.
 
-    Head: one recursive walk over the prefixes of the leader strings.  Once
-    the head rows under a prefix fit a chunk, one stacked product per
-    remaining head site forms them all, and one fancy index picks the
-    leaders'.  Above that level the walk forms only the child row
-    Y[i][d] @ row of each digit d that leads to leaders, so it holds one row
-    per level, and a scan that stops at chunk 0 skips the rest.  The first
-    product, at the empty prefix, reads T one block of at most _CHUNK values
-    at a time into a reused float64 buffer, and multiplies it by the first
-    site's rows times T's unit.  The unit is a power of two, so every value
-    is the one from the float tensor D bit for bit, and the scan holds no
-    float copy of T.
+    Head: one recursive walk over the prefixes of the leader strings, down
+    scan.tree.  Above level scan.fit the walk forms only the terms of the
+    child Y[i][d] contracted with its prefix's terms, per digit d that leads
+    to leaders: per term of the child, the sum over the codes of its parents
+    in ascending order, which is the sum a BLAS product of the dense rows
+    forms.  It holds one set of at most 2^n terms per level, and a scan that
+    stops at chunk 0 skips the rest.  At level scan.fit the terms fill a
+    dense row of 3^(n - fit) codes; one stacked product per remaining head
+    site forms every head row under the prefix, and one fancy index picks
+    the leaders'.
 
     Tail: the rows of two tail sites, np.kron(Y[i-1], Y[i]) of shape
     (grid^2, 9), are built once per scan, the last pair first; a lone first
     tail site keeps its (grid, 3) rows.  Each is one 2-D product over every
     head row of the chunk, P @ t.reshape(-1, 9).T, which moves the pair's
-    grid indices to the front.  The values of a chunk come out in another
-    order than their grid points, but only the chunk minimum is used.
+    grid indices to the front.  The products go into two buffers that every
+    chunk of the scan reuses, so the heap does not shrink and grow again
+    with each chunk.  The values of a chunk come out in another order than
+    their grid points, but only the chunk minimum is used.
 
-    The scan needs T even under conjugation, as every coeff_tensor is: its
+    The scan needs D even under conjugation, as every coeff_tensor is: its
     entries with an odd number of Im codes are zero.  Then the value at grid
     point (-j_1, ..., -j_n) mod grid equals the value at (j_1, ..., j_n) in
     exact arithmetic, since _grid_rows builds row -j as row j with Im a
@@ -479,7 +486,7 @@ def _grid_chunks(T: np.ndarray, radii: np.ndarray, grid: int, head):
     grid, (grid^k + 1)/2 for odd, in flat index order, with the all-zero
     point still in chunk 0.
 
-    A block automorphism sigma (_orbit_head) fixes T, with its axes in any
+    A block automorphism sigma (_orbit_head) fixes D, with its axes in any
     scan order, and the radii; so the value at grid point j equals the value
     at j with its digits permuted by sigma, in exact arithmetic.  When the
     head sites are a union of site orbits, every grid point has an image
@@ -488,47 +495,42 @@ def _grid_chunks(T: np.ndarray, radii: np.ndarray, grid: int, head):
     value.
 
     Every value, and so every chunk minimum and the scan's minimum, lies
-    within rounding_bound(T, radii) of the exact one at the same grid rows.
+    within rounding_bound(radii) of the exact one at the same grid rows.
     The chunk boundaries and the BLAS kernels fix the order of the
     arithmetic, so they set the last bits; a mirror image need not match
     its grid point bit for bit.
     """
-    n = T.ndim
+    n, grid, k = scan.n, scan.grid, scan.k
     Y = _grid_rows(radii, grid)
-    k, leaders = head
-    tail = [np.kron(Y[i - 1], Y[i]) for i in range(n - 1, k, -2)]
+    pairs = np.arange(n - 1, k, -2)  # np.kron(Y[i - 1], Y[i]) of each pair, the last first
+    tail = list((Y[pairs - 1, :, None, :, None] * Y[pairs, None, :, None, :]).reshape(len(pairs), grid * grid, 9))
     if (n - k) % 2:
         tail.append(Y[k])
-    Y[0] = Y[0] * _unit(T)  # a power of two: every product with T keeps its bits
 
-    def from_T(y):
-        """y @ T.reshape(3, -1) for a row y, or the rows, of the first head
-        site, one block of T's columns at a time."""
-        row = np.empty(y.shape[:-1] + (T.size // 3,))
-        for s, block in _float_columns(T):
-            row[..., s : s + block.shape[1]] = y @ block
-        return row
-
-    def head_rows(row, i, ids):
-        """Head rows of the leaders under one prefix of length i, whose row is
-        row (None for the empty prefix, whose row is T); ids are their flat
-        indices past the prefix, ascending."""
-        if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK:  # its rows fit a chunk
+    def head_rows(terms, i, node):
+        """Head rows of the leaders under one prefix of length i, whose terms
+        are terms; node is the prefix's subtree of scan.tree."""
+        if i == scan.fit:
+            row = np.zeros(3 ** (n - i))
+            row[scan.index] = terms
             for y in Y[i:k]:
-                row = from_T(y) if row is None else np.matmul(y, row.reshape(-1, 3, row.shape[-1] // 3))
-            yield row.reshape(grid ** (k - i), -1)[ids]
+                row = np.matmul(y, row.reshape(-1, 3, row.shape[-1] // 3))
+            yield row.reshape(grid ** (k - i), -1)[node]
             return
-        digit, ids = np.divmod(ids, grid ** (k - i - 1))
-        for d in np.flatnonzero(np.bincount(digit)):
-            # the child row is passed on unnamed, so it is freed before its sibling is formed
-            yield from head_rows(
-                from_T(Y[0][d]) if row is None else Y[i][d] @ row.reshape(3, -1), i + 1, ids[digit == d]
-            )
+        size, codes = scan.steps[i]
+        for d, child in node:
+            child_terms = np.zeros(size)
+            for y, (parents, at) in zip(Y[i][d], codes):
+                child_terms[at] += y * terms[parents]
+            yield from head_rows(child_terms, i + 1, child)
 
-    for t in _rechunk(head_rows(None, 0, leaders), max(1, _CHUNK // grid ** (n - k))):
-        for P in tail:
+    rows = max(1, _CHUNK // grid ** (n - k))
+    work = np.empty((2, rows * max(grid, 3) ** (n - k)))
+    for t in _rechunk(head_rows(scan.value, 0, scan.tree), rows):
+        for P, out in zip(tail, itertools.cycle(work)):
             # the codes of P's sites trail every row; their grid indices lead
-            t = P @ t.reshape(-1, P.shape[1]).T
+            x = t.reshape(-1, P.shape[1]).T
+            t = np.matmul(P, x, out=out[: P.shape[0] * x.shape[1]].reshape(P.shape[0], -1))
         yield float(t.min())
 
 
@@ -548,26 +550,26 @@ def _rechunk(blocks, rows: int):
         yield np.concatenate(held)
 
 
-def _grid_sign(T: np.ndarray, radii: np.ndarray, grid: int, head, chunks: int | None = None) -> float:
+def _grid_sign(scan: _Scan, radii: np.ndarray, chunks: int | None = None) -> float:
     """A value with the sign of the grid minimum: the minimum itself when it
     is nonnegative, else the minimum of the first chunk that goes negative,
     where the scan stops.  With chunks set, the scan stops after that many
     chunks and the same rule covers only them: chunks=1 gives the minimum of
     chunk 0, which holds the all-zero grid point."""
     low = math.inf
-    for v in itertools.islice(_grid_chunks(T, radii, grid, head), chunks):
+    for v in itertools.islice(_grid_chunks(scan, radii), chunks):
         low = min(low, v)
         if v < 0.0:
             break
     return low
 
 
-def rounding_bound(T: np.ndarray, radii) -> float:
-    """How far a value of _grid_chunks(T, radii, ...), and so a chunk or grid
-    minimum, can lie from the exact value at the same grid rows:
-    gamma_{5n} sum_u |D_u| prod_i w_i(u_i), with D = T times its unit
-    (_unit), w_i = (1, rho_i/2, rho_i/2) bounding site i's grid rows and
-    gamma_m = m u / (1 - m u), u = 2^-53.
+def rounding_bound(radii) -> float:
+    """How far a value of _grid_chunks(scan, radii) over a block's
+    coefficient tensor D, and so a chunk or grid minimum, can lie from the
+    exact value at the same grid rows: gamma_{5n} sum_u |D_u| prod_i
+    w_i(u_i), with w_i = (1, rho_i/2, rho_i/2) bounding site i's grid rows
+    and gamma_m = m u / (1 - m u), u = 2^-53.
 
     Each term D_u prod_i y_i(u_i) of a value meets at most 5 roundings per
     site: 3 at a head site (one product and two sums in its row of 3), 10 at
@@ -575,28 +577,16 @@ def rounding_bound(T: np.ndarray, radii) -> float:
     row of 9) and 3 at a lone tail site.  Any summation order keeps these
     counts.
 
-    The first axis is read from T one block of at most _CHUNK values at a
-    time.  A block's integers times the unit, a power of two, are exact,
-    and so is the sum of two of them, so every bit is as from D.
+    The term of vertex subset S (coeff_tensor) has |D_u| = 2^(|S| - n) and
+    weight prod_{i in S} rho_i / 2, so the sum is exactly
+    2^-n prod_i (1 + rho_i).  Evaluating it makes 2n roundings: n sums
+    1 + rho_i, n - 1 products and the product with gamma_{5n}.  The result
+    is padded for them by the factor 1 + gamma_{2n}.
     """
-    def absorb(x, rho, out=None):
-        """|x[1]| + |x[2]| times rho / 2, plus |x[0]|: one leading axis of
-        |D|, taking the absolute values in place in x."""
-        np.abs(x, out=x)
-        out = np.add(x[1], x[2], out=out)
-        out *= rho / 2.0
-        out += x[0]
-        return out
-
-    t = np.empty(T.size // 3)
-    for s, x in _float_columns(T):
-        x *= _unit(T)  # exact: integers times a power of two
-        absorb(x, radii[0], t[s : s + x.shape[1]])
-    del x  # the last block holds the buffer
-    for rho in radii[1:]:  # then the other axes, one leading axis at a time
-        t = absorb(t.reshape(3, -1), rho)
-    nu = 5 * T.ndim * 2.0**-53
-    return nu / (1.0 - nu) * float(t[0])
+    n = len(radii)
+    nu, pad = 5 * n * 2.0**-53, 2 * n * 2.0**-53
+    sums = (1.0 + np.asarray(radii, dtype=float)).tolist()
+    return nu / (1.0 - nu) * math.prod(sums) * 2.0**-n * (1.0 + pad / (1.0 - pad))
 
 
 def _coordinate_descent(b: BlockSpec, radii: np.ndarray, a0) -> tuple[float, np.ndarray]:
@@ -610,14 +600,17 @@ def _coordinate_descent(b: BlockSpec, radii: np.ndarray, a0) -> tuple[float, np.
     acceptance rule takes a move that lowers the value by more than 2^-40 of
     its size.  Block values shrink roughly like 2^-n, so a least gain fixed
     in absolute terms stops a large block's descent on the wrong side of
-    zero, and a floor on |k1| would stall large blocks too.
+    zero, and a floor on |k1| would stall large blocks too.  A sweep visits
+    the sites in the frontier's absorption order, chain.order, so an
+    accepted move costs one environment step, not one per line of the
+    short side, and a sweep about 2n.
     """
     a = np.array(a0)
     chain = _Frontier(b, a)
     val = chain.value()
     for _ in range(_MAX_SWEEPS):
         improved = False
-        for i in range(b.n):
+        for i in chain.order:
             k0, k1, _ = chain.kernel(i)
             cand = k0.real - radii[i] * abs(k1)
             if cand < val - 2.0**-40 * abs(val):
@@ -646,7 +639,8 @@ class Probe(NamedTuple):
     s_estimate).  A lower probe that chunk 0 decided alone (screened) records
     chunk 0's minimum: a hold's equals the grid minimum by repr on every
     recorded bracket, and a chunk 0 in [0, bound) fails with it; the probe at
-    lower records the minimum of the full scan that verified it."""
+    lower records the minimum of the full scan that verified it, which on a
+    grid of one chunk was its screen."""
 
     bound: str
     r: float
@@ -723,11 +717,11 @@ def s_estimate(
     minimum of at least rounding_bound, the scan's forward error, certifies
     the continuous minimum.  A scan stops at the first chunk of grid points
     that goes negative.  The scan visits one grid point per orbit of the
-    block's symmetry group; its head and leader list are set up once, for
-    every lower probe.
+    block's symmetry group; its head, leader split and coefficient terms
+    are set up once (_Scan), for every lower probe.
 
     Every lower probe clears one bound, B = rounding_bound at the inflated
-    radii of upper.  rounding_bound does not decrease with r (abs, sums and
+    radii of upper.  rounding_bound does not decrease with r (sums and
     products of the inflated radii and other nonnegative operands, each
     monotone under round-to-nearest), so B is at least the bound rb(r') of
     every probe at r' <= upper.
@@ -742,8 +736,9 @@ def s_estimate(
     too: its minimum is at least E(r') - rb(r') >= E(lower) - rb(r') >=
     3 B - rb(lower) - rb(r') >= B.  When the margin is missed, the screened
     probes are dropped and the bisection runs again with a full scan per
-    probe.  Every grid takes this path; for one that fits a chunk, such as
-    3x3's, chunk 0 is the full scan, and the verifying scan repeats it.
+    probe.  A grid that fits one chunk, such as 3x3's, skips the verifying
+    scan: chunk 0 is its full scan, so every screen was a full scan, and
+    the probe at lower keeps its screen's value.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -763,7 +758,8 @@ def s_estimate(
         )
     cert_grid = _grid_size(b.n, theta_grid)
     order, head, group_order = _orbit_head(b.n, b.automorphisms(), cert_grid)
-    T = coeff_tensor(b, order)
+    scan = _Scan(coeff_tensor(b, order), b.n, cert_grid, head)
+    scan_points = len(head[1]) * cert_grid ** (b.n - head[0])
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
     witnesses = {}  # assignment of each failing upper probe, by radius
@@ -792,10 +788,10 @@ def s_estimate(
     def cert_radii(r: float) -> np.ndarray:
         return b.radii(r)[order] * inflate
 
-    bound = rounding_bound(T, cert_radii(upper))
+    bound = rounding_bound(cert_radii(upper))
 
     def certified(r: float, chunks: int | None) -> bool:
-        v = _grid_sign(T, cert_radii(r), cert_grid, head, chunks)
+        v = _grid_sign(scan, cert_radii(r), chunks)
         probes.append(Probe("lower", r, v >= bound, v))
         return v >= bound
 
@@ -806,8 +802,8 @@ def s_estimate(
 
     screened = len(probes)
     lower = lower_bisection(1)
-    if lower > 0.0:
-        v = _grid_sign(T, cert_radii(lower), cert_grid, head)
+    if lower > 0.0 and scan_points > _CHUNK:  # else chunk 0 was the full scan
+        v = _grid_sign(scan, cert_radii(lower))
         if v >= 3.0 * bound:
             last = max(i for i in range(screened, len(probes)) if probes[i].holds)  # at lower
             probes[last] = probes[last]._replace(value=v)
@@ -821,8 +817,8 @@ def s_estimate(
         cert_grid=cert_grid,
         cert_inflation=inflate,
         scan_group_order=group_order,
-        scan_points=len(head[1]) * cert_grid ** (b.n - head[0]),
-        cert_rounding_bound=rounding_bound(T, cert_radii(lower)),
+        scan_points=scan_points,
+        cert_rounding_bound=rounding_bound(cert_radii(lower)),
         witness=witness,
         capped=capped,
         probes=tuple(probes),

@@ -1,9 +1,11 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
+from cylsim.coarse import _EDGE, _SITE, BlockSpec
 from cylsim.czdec import _rim_vectors, cz_pauli_output
 from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator
 from cylsim.oracle import _window_walk, admit, extremum_matrix
@@ -345,3 +347,72 @@ def dense_measurement(phi1: float, phi2: float, outcome: int) -> tuple[float, np
     if p <= 0.0:
         return 0.0, np.array([1.0, 0.0])
     return p, post / math.sqrt(p)
+
+
+def _along(factor: np.ndarray, ndim: int, *axes: int) -> np.ndarray:
+    """View of a per-code factor that broadcasts along the given axes (ascending)."""
+    shape = [1] * ndim
+    for ax in axes:
+        shape[ax] = 3
+    return factor.reshape(shape)
+
+
+def code_tensor(b: BlockSpec, order=None) -> np.ndarray:
+    """Block factors multiplied out over the codes (1, a, conj(a)) per site,
+    in units of 2^-n: shape (3,)*n, axis p for site order[p] (default: site
+    order), every entry +-1 as int8.  The block value is
+    2^-n sum_v C_v prod_i x_i(v_i) with x_i = (1, a_i, conj(a_i))."""
+    pos = np.argsort(order) if order is not None else np.arange(b.n)
+    site, edge = (2 * _SITE).astype(np.int8), _EDGE.astype(np.int8)
+    # per axis, its site factor times the edges to earlier axes; the tensor
+    # then grows by one axis at a time
+    factors = [_along(site, p + 1, p) for p in range(b.n)]
+    for u, v in b.edges():
+        pu, pv = sorted((pos[u], pos[v]))
+        factors[pv] = factors[pv] * _along(edge, pv + 1, pu, pv)  # _EDGE is symmetric
+    return reduce(lambda C, f: C[..., None] * f, factors, np.ones((), np.int8))
+
+
+def reference_coeff_tensor(b: BlockSpec, order=None) -> np.ndarray:
+    """The dense real coefficient tensor D of shape (3,)*n by broadcasting,
+    axis p for site order[p]: the code tensor's integers taken to the
+    per-site basis (1, Re a, Im a) one axis at a time, codes (c0, c1, c2)
+    to (c0, c1 + c2, i (c1 - c2)), then the sign i^m = (-1)^(m/2) of the m
+    Im codes of each entry (the entries of odd m are 0), in units of 2^-n.
+    Every step is exact in integers."""
+    n = b.n
+    T = code_tensor(b, order).astype(np.int32)
+    for i in range(n):
+        x = T.reshape(3**i, 3, -1)
+        im = x[:, 1] - x[:, 2]
+        x[:, 1] += x[:, 2]
+        x[:, 2] = im
+    ims = reduce(np.add, [_along(np.array([0, 0, 1], np.int8), n, i) for i in reversed(range(n))])
+    return T * (1 - (ims & 2)) * 2.0**-n
+
+
+def scatter(terms, n: int) -> np.ndarray:
+    """The dense tensor of shape (3,)*n with the given (index, value) terms."""
+    index, value = terms
+    D = np.zeros(3**n)
+    D[index] = value
+    return D.reshape((3,) * n)
+
+
+def to_terms(D: np.ndarray):
+    """The nonzero entries of a dense tensor as (flat index, value) terms,
+    in the order of its axes."""
+    index = np.flatnonzero(D)
+    return index, np.ravel(D)[index]
+
+
+def reference_rounding_bound(D: np.ndarray, radii) -> float:
+    """gamma_{5n} sum_u |D_u| prod_i w_i(u_i) with w_i = (1, rho_i/2, rho_i/2),
+    summed in floats one leading axis of |D| at a time: the forward error
+    bound of a certification scan over any dense tensor D."""
+    t = np.abs(D)
+    for rho in radii:
+        x = t.reshape(3, -1)
+        t = (x[1] + x[2]) * (rho / 2.0) + x[0]
+    nu = 5 * D.ndim * 2.0**-53
+    return nu / (1.0 - nu) * float(t[0])

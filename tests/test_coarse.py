@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import code_tensor, reference_coeff_tensor, reference_rounding_bound, scatter, to_terms
 from hypothesis import given, settings, strategies as st
 
 from cylsim import coarse, oracle
@@ -15,8 +16,8 @@ from cylsim.coarse import (
     PLAIN,
     BlockSpec,
     BlockTooLarge,
-    _code_tensor,
     _Frontier,
+    _Scan,
     _angles,
     _coordinate_descent,
     _grid_chunks,
@@ -110,7 +111,7 @@ def test_contraction_transposed_block():
 
 def test_coeff_tensor_zero_radius_value():
     b = BlockSpec(2, 2)
-    assert coeff_tensor(b)[(0,) * 4] * 2.0**-4 == pytest.approx(2.0**-4)
+    assert scatter(coeff_tensor(b), 4)[(0,) * 4] == pytest.approx(2.0**-4)
     assert block_value(b, np.zeros(4), (0.0,) * 4) == pytest.approx(2.0**-4)
 
 
@@ -193,15 +194,13 @@ def _reference_code_tensor(b: BlockSpec) -> np.ndarray:
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (1, 5), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8)])
 def test_code_tensor_matches_enumeration(hw):
     b = BlockSpec(*hw)
-    assert np.array_equal(_code_tensor(b) * 2.0**-b.n, _reference_code_tensor(b))
+    assert np.array_equal(code_tensor(b) * 2.0**-b.n, _reference_code_tensor(b))
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3), (3, 3)])
 def test_coeff_tensor_real_basis_matches_dense(hw):
     b = BlockSpec(*hw, LAMBDA_GROWN)
-    T = coeff_tensor(b)
-    assert np.issubdtype(T.dtype, np.signedinteger)
-    D = T * 2.0**-b.n
+    D = scatter(coeff_tensor(b), b.n)
     rng = np.random.default_rng(3)
     for r in (0.02, 0.07):
         thetas = rng.uniform(0, 2 * math.pi, b.n)
@@ -223,16 +222,15 @@ def test_grid_min_matches_dense_brute_force(hw, mode, monkeypatch):
         block_min_prob_dense(b, r, [angles[g] for g in idx])
         for idx in itertools.product(range(4), repeat=b.n)
     )
-    D = coeff_tensor(b)
     # one chunk for the whole grid, then one grid point of the last site per chunk
     for chunk in (coarse._CHUNK, 4):
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
-        plain = (D, radii, 4, mirror_head(b.n, 4))
+        plain = (_Scan(coeff_tensor(b), b.n, 4, mirror_head(b.n, 4)), radii)
         assert min(_grid_chunks(*plain)) == pytest.approx(brute, abs=1e-12)
         assert (_grid_sign(*plain) >= 0.0) == (brute >= 0.0)
         # the scan that s_estimate runs: one grid point per orbit
         order, head, _ = _orbit_head(b.n, b.automorphisms(), 4)
-        scan = (coeff_tensor(b, order), radii[order], 4, head)
+        scan = (_Scan(coeff_tensor(b, order), b.n, 4, head), radii[order])
         assert min(_grid_chunks(*scan)) == pytest.approx(brute, abs=1e-12)
         assert (_grid_sign(*scan) >= 0.0) == (brute >= 0.0)
 
@@ -272,7 +270,8 @@ def test_fast_path_value_is_exact_3x4():
 def reference_flip_search(b: BlockSpec, r: float, restarts: int = 8, seed: int = 0):
     """The {0, pi} fast path as its own greedy flip loop, before it became the
     coordinate descent from real starts: kept as the reference that the fold
-    must reproduce up to rounding."""
+    must reproduce up to rounding.  It visits the sites in the frontier's
+    absorption order, as the descent does."""
     n = b.n
     half = b.radii(r) / 2.0
     rng = np.random.default_rng(seed)
@@ -283,7 +282,7 @@ def reference_flip_search(b: BlockSpec, r: float, restarts: int = 8, seed: int =
         improved = True
         while improved:
             improved = False
-            for i in range(n):
+            for i in chain.order:
                 k0, k1, k2 = chain.kernel(i)
                 flipped = -pattern[i] * half[i]
                 v = k0 + (k1 + k2) * flipped
@@ -340,6 +339,28 @@ def test_descent_keeps_the_dtype_of_its_start():
     v, a = _coordinate_descent(b, radii, start)
     assert a.dtype == np.complex128
     assert v == pytest.approx(block_value(b, radii, _angles(a)), abs=1e-15)
+
+
+def test_descent_sweeps_in_absorption_order(monkeypatch):
+    # the descent visits the sites in the frontier's absorption order, so an
+    # accepted move costs one environment step, and a sweep about 2n.  On
+    # the hunt's first random sign start (6x7 plain, r = 0.14), sweeps in
+    # site order made 5.4n to 5.8n steps each
+    b = BlockSpec(6, 7, PLAIN)
+    radii = b.radii(0.14)
+    start = np.random.default_rng(0).choice([-1, 1], size=b.n) * radii / 2.0
+    calls = {"_open": 0, "_close": 0, "kernel": 0}
+    for name in calls:
+
+        def spy(self, *args, method=getattr(_Frontier, name), name=name):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_Frontier, name, spy)
+    _coordinate_descent(b, radii, start)
+    sweeps, rest = divmod(calls["kernel"], b.n)  # one kernel per site and sweep
+    assert rest == 0 and sweeps >= 2
+    assert calls["_open"] + calls["_close"] <= 3 * b.n * sweeps
 
 
 def test_descent_leaves_no_move_of_relative_gain():
@@ -399,6 +420,11 @@ def mirror_head(n: int, grid: int):
     return _orbit_head(n, [tuple(range(n))], grid)[1]
 
 
+def dense_scan(D: np.ndarray, grid: int, head) -> _Scan:
+    """The certification scan of a dense tensor, through its nonzero terms."""
+    return _Scan(to_terms(D), D.ndim, grid, head)
+
+
 def reference_grid_chunks(D, radii, grid, head=None):
     """Values of the grid points, one flat array per chunk, in flat index
     order: the grid scan as one loop over the head rows, before it skipped
@@ -440,10 +466,10 @@ def reference_grid_min(D, radii, grid):
 
 
 def assert_near_reference(scan: float, ref: float, D, radii) -> None:
-    """The scan's and the reference's minima each lie within rounding_bound
-    of the exact one (the reference meets fewer roundings per site), so
-    within twice of each other, and they have the same sign."""
-    assert abs(scan - ref) <= 2.0 * rounding_bound(D, radii)
+    """The scan's and the reference's minima each lie within the rounding
+    bound of the exact one (the reference meets fewer roundings per site),
+    so within twice of each other, and they have the same sign."""
+    assert abs(scan - ref) <= 2.0 * reference_rounding_bound(D, radii)
     assert (scan >= 0.0) == (ref >= 0.0)
 
 
@@ -463,26 +489,27 @@ def test_grid_chunks_reduce_to_reference_grid_min(hw, grid, chunk, monkeypatch):
     head = mirror_head(b.n, grid)
     noise = conjugation_even(np.random.default_rng(b.n).normal(size=(3,) * b.n))
     shifted = noise.copy()
-    shifted.flat[0] += 0.01 - min(_grid_chunks(noise, b.radii(0.1), grid, head))
-    assert min(_grid_chunks(shifted, b.radii(0.1), grid, head)) > 0.0
-    T = coeff_tensor(b)
-    # the scan and the bound read T's integers in units of 2^-n, bit for bit
-    # as they read the float tensor D = T 2^-n; r = 0.05 holds, 0.12 fails
-    D = T * 2.0**-b.n
+    shifted.flat[0] += 0.01 - min(_grid_chunks(dense_scan(noise, grid, head), b.radii(0.1)))
+    assert min(_grid_chunks(dense_scan(shifted, grid, head), b.radii(0.1))) > 0.0
+    # the block's terms scan as its dense tensor, and their bound comes from
+    # the radii; r = 0.05 holds, 0.12 fails
+    terms = coeff_tensor(b)
+    D = scatter(terms, b.n)
     signs = set()
     for r in (0.05, 0.08, 0.12):
-        chunks = list(_grid_chunks(D, b.radii(r), grid, head))
-        assert list(_grid_chunks(T, b.radii(r), grid, head)) == chunks
-        assert rounding_bound(T, b.radii(r)) == rounding_bound(D, b.radii(r))
+        chunks = list(_grid_chunks(_Scan(terms, b.n, grid, head), b.radii(r)))
+        assert rounding_bound(b.radii(r)) >= reference_rounding_bound(D, b.radii(r))
         signs.add(min(chunks) >= 0.0)
     assert signs == {True, False}
     cases = [(D, b.radii(r)) for r in (0.05, 0.08, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     for D, radii in cases:
-        chunks = list(_grid_chunks(D, radii, grid, head))
+        chunks = list(_grid_chunks(dense_scan(D, grid, head), radii))
         assert_near_reference(min(chunks), reference_grid_min(D, radii, grid)[0], D, radii)
         first_negative = next((v for v in chunks if v < 0.0), None)
-        assert _grid_sign(D, radii, grid, head) == (min(chunks) if first_negative is None else first_negative)
+        assert _grid_sign(dense_scan(D, grid, head), radii) == (
+            min(chunks) if first_negative is None else first_negative
+        )
 
 
 @pytest.mark.parametrize("hw", [(h, w) for h in (1, 2, 3) for w in (1, 2, 3, 4) if h * w >= 2])
@@ -491,11 +518,11 @@ def test_coeff_tensor_is_even_under_conjugation(hw, mode):
     # codes 1 and 2 enter _SITE and _EDGE symmetrically, so conjugating every
     # a_i, which negates every Im a_i, leaves the block value unchanged
     b = BlockSpec(*hw, mode)
-    T = coeff_tensor(b)
-    assert_exact_coeff_tensor(b, T)
-    even = conjugation_even(T)
-    assert np.array_equal(T, even)
-    assert np.count_nonzero(T) > 0
+    D = scatter(coeff_tensor(b), b.n)
+    assert_exact_coeff_tensor(b, coeff_tensor(b))
+    even = conjugation_even(D)
+    assert np.array_equal(D, even)
+    assert np.count_nonzero(D) > 0
 
 
 @pytest.mark.parametrize("grid", range(2, 10))
@@ -518,7 +545,7 @@ def test_half_grid_scan_equals_full_mirrored_grid(hw, grid, chunk, monkeypatch):
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
     b = BlockSpec(*hw, LAMBDA_GROWN)
     rng = np.random.default_rng(grid * b.n)
-    cases = [(coeff_tensor(b) * 2.0**-b.n, b.radii(r)) for r in (0.05, 0.12)]
+    cases = [(scatter(coeff_tensor(b), b.n), b.radii(r)) for r in (0.05, 0.12)]
     cases += [(conjugation_even(rng.normal(size=(3,) * b.n)), b.radii(0.1)) for _ in range(4)]
     mirror = np.ravel_multi_index(
         [-d % grid for d in np.unravel_index(np.arange(grid**b.n), (grid,) * b.n)], (grid,) * b.n
@@ -528,7 +555,7 @@ def test_half_grid_scan_equals_full_mirrored_grid(hw, grid, chunk, monkeypatch):
         # mirror image, bit for bit
         values = np.concatenate(list(reference_grid_chunks(D, radii, grid)))
         assert np.array_equal(values, values[mirror])
-        scanned = min(_grid_chunks(D, radii, grid, mirror_head(b.n, grid)))
+        scanned = min(_grid_chunks(dense_scan(D, grid, mirror_head(b.n, grid)), radii))
         assert_near_reference(scanned, values.min(), D, radii)
 
 
@@ -541,7 +568,7 @@ def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
     rng = np.random.default_rng(grid)
     D = rng.normal(size=(3,) * n)
     radii = rng.uniform(0.05, 0.5, n)
-    bound = 2.0 * rounding_bound(D, radii)
+    bound = 2.0 * reference_rounding_bound(D, radii)
     for tail in range(1, n):
         monkeypatch.setattr(coarse, "_CHUNK", grid**tail)
         k, leaders = mirror_head(n, grid)
@@ -550,29 +577,30 @@ def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
         assert len(ref) > 1
         # the chunk minima of D and of -D: every chunk's least and greatest value
         for sign in (1.0, -1.0):
-            got = list(_grid_chunks(sign * D, radii, grid, (k, leaders)))
+            got = list(_grid_chunks(dense_scan(sign * D, grid, (k, leaders)), radii))
             assert len(got) == len(ref)
             for v, values in zip(got, ref):
                 assert abs(v - (sign * values).min()) <= bound
 
 
 def test_certification_scan_memory():
-    # a lower probe that fails stops after chunk 0; its head forms one row
-    # per prefix level, not every grid child of T (3^12 entries here).  The
-    # bracket keeps T as int16 (1.06 MB) and reads it as floats one block
-    # at a time, never as the 4.25 MB float64 tensor T 2^-n
+    # a lower probe that fails stops after chunk 0; its head walk holds one
+    # set of at most 2^12 terms per prefix level, not a row of 3^11 codes.
+    # The bracket keeps the 2^12 terms of the coefficient tensor, never its
+    # 3^12 entries; its traced peak is about 2.02e6 bytes, and the bound 1.3
+    # times that
     b = BlockSpec(3, 4, LAMBDA_GROWN)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), 4)
-    T = coeff_tensor(b, order)
+    scan = _Scan(coeff_tensor(b, order), b.n, 4, head)
     radii = b.radii(0.06)[order] * math.sqrt(2.0)
     # a first scan in the process also pays one-time work, such as numpy's
     # lazy imports, that depends on what ran before; warm it up untraced
-    next(_grid_chunks(T, radii, 4, head))
+    next(_grid_chunks(scan, radii))
     tracemalloc.start()
     try:
-        assert next(_grid_chunks(T, radii, 4, head)) < 0.0
+        assert next(_grid_chunks(scan, radii)) < 0.0
         first_chunk = tracemalloc.get_traced_memory()[1]
-        del T
+        del scan
         tracemalloc.reset_peak()
         coeff_tensor(b, order)
         build = tracemalloc.get_traced_memory()[1]
@@ -583,7 +611,7 @@ def test_certification_scan_memory():
         tracemalloc.stop()
     assert first_chunk < 4e6
     assert build < 4e6
-    assert bracket < 5.5e6
+    assert bracket < 2.6e6
 
 
 @pytest.mark.parametrize("hw,grid,count", [((2, 2), 32, 9), ((2, 3), 16, 130), ((2, 4), 8, 130)])
@@ -592,7 +620,7 @@ def test_full_scan_skips_mirror_images(hw, grid, count):
     # 2x3: one of 16^2 head rows per chunk, (256 + 4) / 2 scanned; 2x4: two of
     # 8^3 head rows per chunk, (512 + 8) / 2 scanned
     b = BlockSpec(*hw, LAMBDA_GROWN)
-    chunks = _grid_chunks(coeff_tensor(b), b.radii(0.01), grid, mirror_head(b.n, grid))
+    chunks = _grid_chunks(_Scan(coeff_tensor(b), b.n, grid, mirror_head(b.n, grid)), b.radii(0.01))
     assert len(list(chunks)) == count
 
 
@@ -609,16 +637,16 @@ def test_automorphisms_fix_coeff_tensor_and_radii(hw, mode):
     assert len(perms) == (2 if 1 in hw else 8 if hw[0] == hw[1] else 4)
     assert tuple(range(b.n)) in perms
     edges = {frozenset(e) for e in b.edges()}
-    D = coeff_tensor(b)
+    D = scatter(coeff_tensor(b), b.n)
     radii = b.radii(0.07)
     for p in perms:
         assert {frozenset((p[u], p[v])) for u, v in b.edges()} == edges
         assert all(tuple(p[s] for s in q) in perms for q in perms)  # a group
         assert np.array_equal(D.transpose(p), D)
         assert np.array_equal(radii[list(p)], radii)
-    # the scan order's tensor is built directly, equal to the transposed one
+    # the scan order's terms are built directly, equal to the transposed tensor's
     order, _, _ = _orbit_head(b.n, perms, coarse._grid_size(b.n, 32))
-    assert np.array_equal(coeff_tensor(b, order), D.transpose(order))
+    assert np.array_equal(scatter(coeff_tensor(b, order), b.n), D.transpose(order))
 
 
 def reference_mirror_head(n: int, grid: int):
@@ -657,35 +685,63 @@ def test_one_head_rule_falls_back_to_the_mirror_alone():
     assert (est.cert_grid, est.scan_group_order, est.scan_points) == (32, 2, 557056)
 
 
-def reference_coeff_tensor(b: BlockSpec) -> np.ndarray:
+def complex_basis_coeff_tensor(b: BlockSpec) -> np.ndarray:
     """The real coefficient tensor by a complex basis change of the code
     tensor, one axis at a time: the monomials (1, a, conj(a)) in the basis
     (1, Re a, Im a)."""
     to_real = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0j], [0.0, 1.0, -1.0j]])
-    t = (_code_tensor(b) * 2.0**-b.n).astype(complex)
+    t = (code_tensor(b) * 2.0**-b.n).astype(complex)
     for _ in range(b.n):
         # contract the leading axis; the new axis goes last, so n steps restore the order
         t = np.tensordot(t, to_real, axes=([0], [0]))
     return np.ascontiguousarray(t.real)
 
 
-def assert_exact_coeff_tensor(b: BlockSpec, T: np.ndarray) -> None:
-    """T is the exact coefficient tensor in units of 2^-n: integers of the
-    narrowest signed type that holds -2^(n+1), at most 2^n in magnitude,
-    and T 2^-n is the complex basis change of the code tensor exactly."""
+def assert_exact_coeff_tensor(b: BlockSpec, terms) -> None:
+    """terms are the exact coefficient tensor: one term per vertex subset S,
+    at ascending flat indices, of magnitude 2^(|S| - n) for the |S| nonzero
+    codes of its index, and scattered they are the complex basis change of
+    the code tensor exactly."""
     n = b.n
-    narrowest = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).min <= -(2 ** (n + 1)))
-    assert T.dtype == narrowest
-    assert np.abs(T.astype(np.int64)).max() <= 2**n
-    assert np.array_equal(T * 2.0**-n, reference_coeff_tensor(b))
+    index, value = terms
+    assert len(index) == 2**n and np.all(np.diff(index) > 0)
+    size = (np.array(np.unravel_index(index, (3,) * n)) > 0).sum(axis=0)
+    assert np.array_equal(np.abs(value), 2.0 ** (size - n))
+    assert np.array_equal(scatter(terms, n), complex_basis_coeff_tensor(b))
 
 
 @pytest.mark.parametrize("hw", BLOCKS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
 def test_coeff_tensor_matches_complex_basis_change(hw):
     b = BlockSpec(*hw)
-    T = coeff_tensor(b)
-    assert T.flags.c_contiguous
-    assert_exact_coeff_tensor(b, T)
+    assert_exact_coeff_tensor(b, coeff_tensor(b))
+
+
+@pytest.mark.parametrize("hw", BLOCKS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_coeff_tensor_terms_match_broadcast_reference(hw):
+    # the closed form, one term per vertex subset, scattered into 3^n
+    # entries equals the tensor built by broadcasting the block factors and
+    # changing basis, in site order and in 3 random site orders.  A closed
+    # form without the sign (-1)^(m/2) fails here
+    b = BlockSpec(*hw)
+    rng = np.random.default_rng(b.n)
+    for order in [None] + [list(rng.permutation(b.n)) for _ in range(3)]:
+        assert np.array_equal(scatter(coeff_tensor(b, order), b.n), reference_coeff_tensor(b, order))
+
+
+@pytest.mark.parametrize("hw", BLOCKS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_closed_form_rounding_bound_covers_the_float_sum(hw):
+    # every term has |D_u| = 2^(|S| - n), so sum_u |D_u| prod_i w_i(u_i) is
+    # 2^-n prod_i (1 + rho_i) exactly.  The bound from the radii, padded for
+    # its own roundings, is at least the float sum over the dense tensor and
+    # within 4n ulps of it
+    b = BlockSpec(*hw)
+    D = reference_coeff_tensor(b)
+    rng = np.random.default_rng(b.n)
+    cases = [BlockSpec(*hw, mode).radii(0.07) for mode in (PLAIN, LAMBDA_GROWN)]
+    cases += [rng.uniform(0.0, 0.5, b.n) for _ in range(10)]
+    for radii in cases:
+        ref = reference_rounding_bound(D, radii)
+        assert ref <= rounding_bound(radii) <= ref + 4 * b.n * np.spacing(ref)
 
 
 def brute_force_automorphisms(b: BlockSpec) -> list[tuple[int, ...]]:
@@ -759,25 +815,26 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
     noise = conjugation_even(sum(T.transpose(p) for p in b.automorphisms()))
     shifted = noise.copy()
     plain = mirror_head(b.n, grid)
-    shifted.flat[0] += 1.0 - min(_grid_chunks(noise, b.radii(0.1), grid, plain))
-    cases = [(coeff_tensor(b) * 2.0**-b.n, b.radii(r)) for r in (0.05, 0.07, 0.09, 0.12)]
+    shifted.flat[0] += 1.0 - min(_grid_chunks(dense_scan(noise, grid, plain), b.radii(0.1)))
+    cases = [(scatter(coeff_tensor(b), b.n), b.radii(r)) for r in (0.05, 0.07, 0.09, 0.12)]
     cases += [(noise, b.radii(0.1)), (shifted, b.radii(0.1))]
     signs = set()
     for D, radii in cases:
-        mirror = min(_grid_chunks(D, radii, grid, plain))
-        scan = (D.transpose(order), radii[order], grid, head)
+        bound = reference_rounding_bound(D, radii)
+        mirror = min(_grid_chunks(dense_scan(D, grid, plain), radii))
+        scan = (dense_scan(D.transpose(order), grid, head), radii[order])
         orbit = min(_grid_chunks(*scan))
-        # each within rounding_bound of the exact minimum
-        assert abs(orbit - mirror) <= 2.0 * rounding_bound(D, radii)
+        # each within the rounding bound of the exact minimum
+        assert abs(orbit - mirror) <= 2.0 * bound
         assert (orbit >= 0.0) == (mirror >= 0.0) == (_grid_sign(*scan) >= 0.0)
         signs.add(orbit >= 0.0)
         # chunk by chunk, the minima of D and -D against the per-row reference
-        ref = list(reference_grid_chunks(*scan))
+        ref = list(reference_grid_chunks(D.transpose(order), radii[order], grid, head))
         for sign in (1.0, -1.0):
-            got = list(_grid_chunks(sign * scan[0], *scan[1:]))
+            got = list(_grid_chunks(dense_scan(sign * D.transpose(order), grid, head), radii[order]))
             assert len(got) == len(ref)
             for v, values in zip(got, ref):
-                assert abs(v - (sign * values).min()) <= 2.0 * rounding_bound(D, radii)
+                assert abs(v - (sign * values).min()) <= 2.0 * bound
     assert signs == {True, False}
 
 
@@ -785,21 +842,20 @@ def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
                          ids=lambda c: f"{c['block']}-{c['mode']}")
 def test_certified_sign_equals_full_minimum_sign(case):
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
-    D = coeff_tensor(b)
     grid = case["cert_grid"]
-    head = mirror_head(b.n, grid)
+    scan = _Scan(coeff_tensor(b), b.n, grid, mirror_head(b.n, grid))
     inflate = 1.0 / math.cos(math.pi / grid)
     lower, upper = case["r_lower"], case["r_upper"]
     verdicts = []
     for r in (0.5 * lower, lower, lower + case["bisect_tol"], upper):
         radii = b.radii(r) * inflate
-        verdicts.append(_grid_sign(D, radii, grid, head) >= 0.0)
-        assert verdicts[-1] == (min(_grid_chunks(D, radii, grid, head)) >= 0.0)
+        verdicts.append(_grid_sign(scan, radii) >= 0.0)
+        assert verdicts[-1] == (min(_grid_chunks(scan, radii)) >= 0.0)
     assert verdicts == [True, True, False, False]
     # the certified minimum clears its rounding bound by far: 1.5e-9 against
     # 1.6e-17 on 3x4
     radii = b.radii(lower) * inflate
-    assert min(_grid_chunks(D, radii, grid, head)) > 1e6 * rounding_bound(D, radii)
+    assert min(_grid_chunks(scan, radii)) > 1e6 * rounding_bound(radii)
 
 
 def chunks_per_scan(monkeypatch, b: BlockSpec) -> list[tuple[int, int]]:
@@ -807,9 +863,9 @@ def chunks_per_scan(monkeypatch, b: BlockSpec) -> list[tuple[int, int]]:
     runs = []
     chunks = coarse._grid_chunks
 
-    def spy(D, radii, grid, head):
-        runs.append([grid, 0])
-        for item in chunks(D, radii, grid, head):
+    def spy(scan, radii):
+        runs.append([scan.grid, 0])
+        for item in chunks(scan, radii):
             runs[-1][1] += 1
             yield item
 
@@ -838,23 +894,41 @@ def test_bracket_runs_one_full_certification_grid(hw, monkeypatch):
     assert sum(1 for _, n in runs if n > 1) == 1
 
 
+def test_one_chunk_grid_runs_one_scan_per_lower_probe(monkeypatch):
+    # 3x3's certification grid fits one chunk, so every screen is a full
+    # scan, and the probe at lower keeps its screen's value: no scan repeats
+    # that screen
+    b = BlockSpec(3, 3, LAMBDA_GROWN)
+    est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
+    assert est.scan_points <= coarse._CHUNK and est.lower > 0.0
+    runs = chunks_per_scan(monkeypatch, b)
+    lower = [p for p in est.probes if p.bound == "lower"]
+    assert len(runs) == len(lower) and all(n == 1 for _, n in runs)
+    order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
+    scan = _Scan(coeff_tensor(b, order), b.n, est.cert_grid, head)
+    at_lower = max((p for p in lower if p.holds), key=lambda p: p.r)
+    assert at_lower.r == est.lower
+    assert at_lower.value == min(_grid_chunks(scan, b.radii(est.lower)[order] * est.cert_inflation))
+
+
 @pytest.mark.parametrize("hw", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
                          ids=lambda hw: f"{hw[0]}x{hw[1]}")
 def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch):
     # every lower probe clears the one bound at upper, so a bracket computes
     # rounding_bound there and once more at lower, for cert_rounding_bound.
     # Chunk 0 screens every lower probe, on 3x3's one-chunk grid too, and
-    # the one full scan verifies lower
+    # the one full scan verifies lower, except on a one-chunk grid, whose
+    # screen at lower was that full scan
     bounds, scans = [], []
     bound, sign = coarse.rounding_bound, coarse._grid_sign
 
-    def bound_spy(D, radii):
+    def bound_spy(radii):
         bounds.append(radii)
-        return bound(D, radii)
+        return bound(radii)
 
-    def sign_spy(D, radii, grid, head, chunks=None):
+    def sign_spy(scan, radii, chunks=None):
         scans.append((radii, chunks))
-        return sign(D, radii, grid, head, chunks)
+        return sign(scan, radii, chunks)
 
     monkeypatch.setattr(coarse, "rounding_bound", bound_spy)
     monkeypatch.setattr(coarse, "_grid_sign", sign_spy)
@@ -866,8 +940,9 @@ def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch)
     assert est.lower > 0.0 and len(bounds) == 2
     assert np.array_equal(bounds[0], upper) and np.array_equal(bounds[1], lower)
     full = [radii for radii, chunks in scans if chunks is None]
-    assert len(full) == 1 and np.array_equal(full[0], lower)
-    assert len(scans) == 1 + sum(p.bound == "lower" for p in est.probes)
+    verified = est.scan_points > coarse._CHUNK
+    assert len(full) == verified and all(np.array_equal(radii, lower) for radii in full)
+    assert len(scans) == verified + sum(p.bound == "lower" for p in est.probes)
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3)], ids=["1x2", "2x2", "2x3"])
@@ -882,13 +957,13 @@ def test_grid_minimum_does_not_increase_with_r(hw, mode, grid):
     b = BlockSpec(*hw, mode)
     est = s_estimate(b, theta_grid=grid, bisect_tol=1e-3)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
-    D = coeff_tensor(b, order)
+    scan = _Scan(coeff_tensor(b, order), b.n, est.cert_grid, head)
     failed = min(p.r for p in est.probes if p.bound == "lower" and not p.holds)
     rs = sorted({0.5 * est.lower, est.lower, failed, est.upper, 2.0 * est.upper})
     scans = []
     for r in rs:
         radii = b.radii(r)[order] * est.cert_inflation
-        scans.append((min(_grid_chunks(D, radii, est.cert_grid, head)), rounding_bound(D, radii)))
+        scans.append((min(_grid_chunks(scan, radii)), rounding_bound(radii)))
     assert {low >= 0.0 for low, _ in scans} == {True, False}  # across the threshold
     for (low1, bound1), (low2, bound2) in itertools.combinations(scans, 2):
         assert low1 >= low2 - bound1 - bound2
@@ -902,18 +977,18 @@ def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisec
     lower."""
     grid = coarse._grid_size(b.n, theta_grid)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), grid)
-    D = coeff_tensor(b, order)
+    scan = _Scan(coeff_tensor(b, order), b.n, grid, head)
     inflate = 1.0 / math.cos(math.pi / grid)
     probes = []
 
     def holds(r):
         radii = b.radii(r)[order] * inflate
         low = math.inf
-        for v in coarse._grid_chunks(D, radii, grid, head):
+        for v in coarse._grid_chunks(scan, radii):
             low = min(low, v)
             if v < 0.0:
                 break
-        probes.append(coarse.Probe("lower", r, low >= 0.0 and low >= rounding_bound(D, radii), low))
+        probes.append(coarse.Probe("lower", r, low >= 0.0 and low >= rounding_bound(radii), low))
         return probes[-1].holds
 
     lo, hi = (upper, upper) if holds(upper) else (0.0, upper)
@@ -922,7 +997,7 @@ def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisec
         if not lo < mid < hi:
             break
         lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo, probes, rounding_bound(D, b.radii(lo)[order] * inflate)
+    return lo, probes, rounding_bound(b.radii(lo)[order] * inflate)
 
 
 @pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x2", "2x3", "2x4")],
@@ -954,9 +1029,9 @@ def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch
     edge = (b.radii(cut)[order] / math.cos(math.pi / grid)).max()
     chunks = coarse._grid_chunks
 
-    def defective(D, radii, grid, head):
-        for i, v in enumerate(chunks(D, radii, grid, head)):
-            yield defect * rounding_bound(D, radii) if i == 1 and radii.max() > edge else v
+    def defective(scan, radii):
+        for i, v in enumerate(chunks(scan, radii)):
+            yield defect * rounding_bound(radii) if i == 1 and radii.max() > edge else v
 
     monkeypatch.setattr(coarse, "_grid_chunks", defective)
     est = s_estimate(b, case["grid"], tol)
@@ -979,11 +1054,11 @@ def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
     chunks = coarse._grid_chunks
     scans = []
 
-    def defective(D, radii, grid, head):
-        scans.append([D, radii, 0])
-        for i, v in enumerate(chunks(D, radii, grid, head)):
-            scans[-1][2] += 1
-            yield (0.5 * rounding_bound(D, radii), -1.0)[i] if i < 2 else v
+    def defective(scan, radii):
+        scans.append([radii, 0])
+        for i, v in enumerate(chunks(scan, radii)):
+            scans[-1][1] += 1
+            yield (0.5 * rounding_bound(radii), -1.0)[i] if i < 2 else v
 
     monkeypatch.setattr(coarse, "_grid_chunks", defective)
     b = BlockSpec(2, 3, LAMBDA_GROWN)
@@ -995,9 +1070,9 @@ def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
     assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
     assert len(screened) == len(got)
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
-    for p, (D, radii, seen) in zip(got, screened):
+    for p, (radii, seen) in zip(got, screened):
         assert np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
-        assert seen == 1 and p.value == 0.5 * rounding_bound(D, radii)
+        assert seen == 1 and p.value == 0.5 * rounding_bound(radii)
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
@@ -1014,18 +1089,17 @@ def test_rounding_bound_does_not_decrease_with_r(hw, mode):
     b = BlockSpec(*hw, mode)
     grid = coarse._grid_size(b.n, 32)
     order = _orbit_head(b.n, b.automorphisms(), grid)[0]
-    D = coeff_tensor(b, order)
     inflate = 1.0 / math.cos(math.pi / grid)
     rs = np.random.default_rng(10 * hw[0] + hw[1]).uniform(0.0, 0.2, size=200)
     rs = np.sort(np.concatenate([rs, np.nextafter(rs, 1.0)]))
-    bounds = [rounding_bound(D, b.radii(float(r))[order] * inflate) for r in rs]
+    bounds = [rounding_bound(b.radii(float(r))[order] * inflate) for r in rs]
     assert all(x <= y for x, y in zip(bounds, bounds[1:]))
 
 
 def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):
     # a grid minimum that is nonnegative but below the scan's forward error
     # certifies nothing, since the exact minimum may be negative
-    monkeypatch.setattr(coarse, "_grid_sign", lambda D, radii, *_: 0.5 * rounding_bound(D, radii))
+    monkeypatch.setattr(coarse, "_grid_sign", lambda scan, radii, *_: 0.5 * rounding_bound(radii))
     est = s_estimate(BlockSpec(2, 2, LAMBDA_GROWN), theta_grid=8, bisect_tol=1e-3)
     lower = [p for p in est.probes if p.bound == "lower"]
     assert lower and not any(p.holds for p in lower)
@@ -1046,7 +1120,7 @@ def test_probes_record_every_sign_decision(monkeypatch):
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     monkeypatch.undo()
     order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
-    D = coeff_tensor(b, order)
+    scan = _Scan(coeff_tensor(b, order), b.n, est.cert_grid, head)
     bounds = [p.bound for p in est.probes]
     assert bounds == sorted(bounds, reverse=True)  # the upper bisection runs first
     upper = [p for p in est.probes if p.bound == "upper"]
@@ -1057,12 +1131,12 @@ def test_probes_record_every_sign_decision(monkeypatch):
         radii = b.radii(p.r)
         assert p.value == _coordinate_descent(b, radii, radii / 2.0)[0]
     inflate = est.cert_inflation
-    assert est.cert_rounding_bound == rounding_bound(D, b.radii(est.lower)[order] * inflate)
+    assert est.cert_rounding_bound == rounding_bound(b.radii(est.lower)[order] * inflate)
     for p in lower:
         radii = b.radii(p.r)[order] * inflate
-        full = min(_grid_chunks(D, radii, est.cert_grid, head))
-        assert p.holds == (p.value >= rounding_bound(D, radii)) == (full >= 0.0)
-        assert p.value == _grid_sign(D, radii, est.cert_grid, head)
+        full = min(_grid_chunks(scan, radii))
+        assert p.holds == (p.value >= rounding_bound(radii)) == (full >= 0.0)
+        assert p.value == _grid_sign(scan, radii)
         if p.holds:
             assert p.value == full
     # one zero-angle descent per upper probe and none for the witness, which
@@ -1153,7 +1227,7 @@ def test_certification_polygons_hold_their_discs(hw, mode, grid, monkeypatch):
 
     def spy(radii, g):
         Y = grid_rows(radii, g)
-        rows.append([y.copy() for y in Y])  # _grid_chunks rescales Y[0] in place
+        rows.append(Y.copy())
         return Y
 
     monkeypatch.setattr(coarse, "_grid_rows", spy)
@@ -1161,7 +1235,7 @@ def test_certification_polygons_hold_their_discs(hw, mode, grid, monkeypatch):
     monkeypatch.undo()
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
     rs = [p.r for p in est.probes if p.bound == "lower"]
-    if est.lower > 0.0:
+    if est.lower > 0.0 and est.scan_points > coarse._CHUNK:
         rs.append(est.lower)  # chunk 0 screened the probes; one full scan verifies lower
     assert len(rows) == len(rs)  # one scan per lower probe: the bisection never reran
     for r, Y in zip(rs, rows):
