@@ -17,10 +17,11 @@ over all code strings of the product of these factors, evaluated in two
 contraction orders:
 
 - the frontier contraction absorbs the sites one by one along the long side,
-  holding 3^H codes for the short side H.  It gives single values and, with
-  left and right environments cached as in DMRG sweeps, the per-site kernel
-  (the value as an affine function of one site's monomials) in
-  O(3^(H+1)) per site.  The coordinate descent runs on these kernels.
+  holding 3^H codes for the short side H, one product with a per-site block
+  per site.  It gives single values and, with left and right environments
+  cached as in DMRG sweeps, the per-site kernel (the value as an affine
+  function of one site's monomials) in O(3^(H+1)) per site.  The coordinate
+  descent of the fast path and the witness hunt runs on these kernels.
 - the coefficient tensor is the value in the per-site basis
   (1, Re a_i, Im a_i).  Of its 3^n entries only 2^n are nonzero, one per
   vertex subset, each a signed power of two in closed form (coeff_tensor),
@@ -28,7 +29,11 @@ contraction orders:
   over the prefixes of the scanned head strings, one head site at a time,
   then with every grid point of a chunk at once: one matrix product per
   pair of tail sites.  Their magnitudes give the rounding bound as a
-  product over the sites.
+  product over the sites.  At real components only the terms with no Im
+  code survive, 278 of 4,096 on 3x4, and flipping the sign of a_i changes
+  the value by -2 q_i, q_i the sum of the terms that contain i: the
+  bisection's upper probes, which start at real components and stay there,
+  run the same coordinate descent on these terms.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
@@ -60,9 +65,9 @@ mirror: a group of order 4 for a line, 8 for a rectangle and 16 for a
 square, or the mirror's alone where that group's head would hold too many
 grid points (_orbit_head).  Every value of the scan lies within rounding_bound
 of the exact value at its grid point, whichever group it uses, so its
-minimum equals the full grid's up to that bound, not bit for bit.  Bit for
-bit holds for the frontier contraction, and so for every upper probe, which
-does not depend on the scan.
+minimum equals the full grid's up to that bound, not bit for bit.  The
+upper probes' real terms come in scan order too; the order sets only the
+last bits of their values.
 """
 
 from __future__ import annotations
@@ -184,8 +189,35 @@ def _transverse(radii, thetas):
 
 
 def _weight(a) -> np.ndarray:
-    """Site factor times the monomials (1, a, conj(a)) of one site."""
-    return _SITE * np.array([1.0, a, np.conj(a)])
+    """Site factor times the monomials (1, a, conj(a)) of transverse
+    components a, along a new last axis."""
+    a = np.asarray(a)
+    return _SITE * np.stack([np.ones_like(a), a, np.conj(a)], axis=-1)
+
+
+#: the two edges of a site on the codes of its frontier position pair: row
+#: (b, o) holds the code b of the site before it in its line and the code o
+#: of its neighbor in the previous line, column (b', c) the codes b and the
+#: site's own code c, and the entry is [b = b'] _EDGE[o, c] _EDGE[b, c].  Its
+#: leading 3x3, b = b' = 0, is _EDGE alone: the edges of a site that starts
+#: a line, whose frontier position has no position before it
+_PAIR = np.einsum("bd,oc,bc->bodc", np.eye(3), _EDGE, _EDGE).reshape(9, 9)
+
+#: per size m of a site's view (9 for a position pair, 3 at a line start),
+#: the kernel of the site from the codes of its view: entry ((x, y), c) is
+#: _PAIR[x, y] _SITE[c] where y holds the site's own code c, and 0 elsewhere
+_KERNEL = {m: (_PAIR[:m, :m, None] * (np.arange(m)[:, None] % 3 == np.arange(3)) * _SITE).reshape(-1, 3)
+           for m in (3, 9)}
+
+
+def _absorption(b: BlockSpec) -> tuple[int, list[int]]:
+    """Short side of the block and the order in which the frontier
+    contraction absorbs its sites: along the long side, one line of the
+    short side at a time."""
+    H, W = b.height, b.width
+    if W <= H:
+        return W, [b.index(i, j) for i in range(H) for j in range(W)]
+    return H, [b.index(i, j) for j in range(W) for i in range(H)]
 
 
 class _Frontier:
@@ -193,97 +225,105 @@ class _Frontier:
 
     Sites are absorbed along the long side, one line of the short side at a
     time, so the frontier holds one code per short-side position: 3^H
-    states for short side H, with code 0 (a factor 1 on every edge) standing in for missing
-    neighbors before the first line.  open_[p] is the frontier with the
-    code of the p-th absorbed site open and its weight not yet applied; it
-    depends on the sites before p.  right[p] is sites p.. contracted against
-    a frontier; it depends on the sites from p on.  Changing one site
-    invalidates only the environments that contain it, and they are rebuilt
-    when next needed, so a sweep in absorption order costs O(n 3^(H+1)).
+    states for short side H, with code 0 (a factor 1 on every edge) standing
+    in for missing neighbors before the first line.  Absorbing the p-th site
+    is one product (_step) with its block, which folds the site's weight
+    (_SITE times its monomials (1, a, conj(a))) and both its edges: _PAIR
+    times the weight of the site's own code, on the codes of its position
+    and the position before it, or the leading 3x3 of that at a line start,
+    on its position alone.  The blocks of all sites are built by one
+    broadcast, and set rebuilds one.
+
+    left[p] is the frontier before the p-th site, which depends on the sites
+    before p; right[p] is sites p.. contracted against a frontier, which
+    depends on the sites from p on; the value is left[p] @ right[p] for
+    every p, and left[0] has all codes 0.  The kernel of the p-th site is
+    one product, of left[p] and right[p + 1] summed over every code but
+    those of the site's positions, and one reduction of that against
+    _KERNEL.  Changing one site invalidates only the environments that
+    contain it, and they are rebuilt when next needed, so a sweep in
+    absorption order costs about 2n steps of O(3^(H+1)).
     """
 
     def __init__(self, b: BlockSpec, a):
-        H, W = b.height, b.width
-        if W <= H:
-            self.axes = W
-            order = [b.index(i, j) for i in range(H) for j in range(W)]
-        else:
-            self.axes = H
-            order = [b.index(i, j) for j in range(W) for i in range(H)]
-        if self.axes > 8:
+        H, self.order = _absorption(b)
+        if H > 8:
             raise ValueError("frontier contraction capped at short side 8")
-        self.order = order
-        self.pos = {site: p for p, site in enumerate(order)}
-        self.w = np.array([_weight(x) for x in np.asarray(a)[order]])
-        start = np.zeros(3**self.axes)
+        n = len(self.order)
+        self.pos = {site: p for p, site in enumerate(self.order)}
+        self.a = np.array(a)
+        self.blocks = _PAIR * np.tile(_weight(self.a[self.order]), 3)[:, None, :]
+        # each site's frontier as (L, m, R): its position pair (m = 9), or its
+        # position alone at a line start (m = 3), in the middle
+        self.views = [(3 ** (j - 1), 9, 3 ** (H - 1 - j)) if j else (1, 3, 3 ** (H - 1))
+                      for j in (p % H for p in range(n))]
+        start = np.zeros(3**H)
         start[0] = 1.0
-        n = len(order)
-        self.open_ = [self._open(start, 0)] + [None] * (n - 1)
-        self.right = [None] * n + [np.ones(3**self.axes)]
-        self.open_ok = 0  # open_[p] is valid for p <= open_ok
+        self.left = [start] + [None] * n
+        self.right = [None] * n + [np.ones(3**H)]
+        self.left_ok = 0  # left[p] is valid for p <= left_ok
         self.right_ok = n  # right[p] is valid for p >= right_ok
 
-    def _view(self, F: np.ndarray, p: int) -> np.ndarray:
-        """Flat frontier F as (L, 3, R), the code of the p-th site's short-side
-        position in the middle."""
-        return F.reshape(3 ** (p % self.axes), 3, -1)
+    def _step(self, F: np.ndarray, p: int, T: np.ndarray) -> np.ndarray:
+        """Frontier F with T (m x m) contracted into the codes of the p-th
+        site's view: sum_y T[x, y] F[l, y, r]."""
+        L, m, R = self.views[p]
+        if R == 1:
+            return (F.reshape(L, m) @ T.T).reshape(-1)
+        return np.matmul(T, F.reshape(L, m, R)).reshape(-1)
 
-    @staticmethod
-    def _edges(t: np.ndarray) -> np.ndarray:
-        """_EDGE applied to the middle axis of t, of shape (L, 3, R).  For
-        R = 1 one product of L rows replaces L products of one column; both
-        sum each entry's three terms in order, so the bits agree."""
-        if t.shape[2] == 1:
-            return (t.reshape(-1, 3) @ _EDGE).reshape(t.shape)  # _EDGE is symmetric
-        return np.matmul(_EDGE, t)
+    def _block(self, p: int) -> np.ndarray:
+        m = self.views[p][1]
+        return self.blocks[p, :m, :m]
 
-    def _open(self, F: np.ndarray, p: int) -> np.ndarray:
-        """Absorb the edges of the p-th site into frontier F, leaving its code open."""
-        # _EDGE is symmetric: this sums out the code of the previous line's site
-        t = self._edges(self._view(F, p))
-        if p % self.axes:  # the edge to the site before, whose code leads the middle
-            t = t.reshape(-1, 3, 3, t.shape[-1]) * _EDGE[:, :, None]
-        return t.reshape(-1)
+    def _left(self, p: int) -> np.ndarray:
+        while self.left_ok < p:
+            q = self.left_ok
+            self.left[q + 1] = self._step(self.left[q], q, self._block(q).T)
+            self.left_ok += 1
+        return self.left[p]
 
-    def _close(self, R: np.ndarray, p: int) -> np.ndarray:
-        """Contract the p-th site, its weight and its edges into right environment R."""
-        t = self._view(R, p) * self.w[p][:, None]
-        if p % self.axes:
-            t = t.reshape(-1, 3, 3, t.shape[-1]) * _EDGE[:, :, None]
-        return self._edges(self._view(t.reshape(-1), p)).reshape(-1)
-
-    def _raw(self, p: int) -> np.ndarray:
-        """Unweighted kernel of the p-th site: value = _raw(p) @ w[p]."""
-        while self.open_ok < p:
-            q = self.open_ok
-            F = self._view(self.open_[q], q) * self.w[q][:, None]
-            self.open_[q + 1] = self._open(F.reshape(-1), q + 1)
-            self.open_ok += 1
-        while self.right_ok > p + 1:
+    def _right(self, p: int) -> np.ndarray:
+        while self.right_ok > p:
             self.right_ok -= 1
             q = self.right_ok
-            self.right[q] = self._close(self.right[q + 1], q)
-        # sum the codes after the next one first, then the rest in order: the
-        # recorded probe values depend on this order in their last bits
-        rest = min(3, 3 ** (self.axes - 1 - p % self.axes))
-        t = (self.open_[p] * self.right[p + 1]).reshape(3 ** (p % self.axes), 3, rest, -1)
-        return t.sum(axis=3).transpose(0, 2, 1).reshape(-1, 3).sum(axis=0)
+            self.right[q] = self._step(self.right[q + 1], q, self._block(q))
+        return self.right[p]
+
+    def _rows(self, F: np.ndarray, p: int) -> np.ndarray:
+        """Frontier F as one row per code of the p-th site's view, (m, L R)."""
+        L, m, R = self.views[p]
+        return F.reshape(L, m, R).transpose(1, 0, 2).reshape(m, -1)
 
     def kernel(self, site: int) -> np.ndarray:
         """(k0, k1, k2) with value = k0 + k1 a + k2 conj(a) in the site's component a."""
-        return _SITE * self._raw(self.pos[site])
+        p = self.pos[site]
+        outer = self._rows(self._left(p), p) @ self._rows(self._right(p + 1), p).T
+        return outer.reshape(-1) @ _KERNEL[self.views[p][1]]
 
     def set(self, site: int, a) -> None:
         """Replace the transverse component of one site."""
         p = self.pos[site]
-        self.w[p] = _weight(a)
-        self.open_ok = min(self.open_ok, p)
+        self.a[site] = a
+        self.blocks[p] = _PAIR * np.tile(_weight(self.a[site]), 3)
+        self.left_ok = min(self.left_ok, p)
         self.right_ok = max(self.right_ok, p + 1)
 
     def value(self) -> float:
         """Block value at the current transverse components."""
-        p = len(self.order) - 1
-        return float(np.real(self._raw(p) @ self.w[p]))
+        return float(np.real(self._right(0)[0]))
+
+    def least(self, site: int, radius: float) -> float:
+        """Least value over the site's disc |a| <= radius / 2, the others
+        held: the value there is Re(k0 + 2 k1 a), least at a = -(radius / 2)
+        conj(k1) / |k1|, where take(site) moves the site."""
+        k0, k1, _ = self.kernel(site)
+        self._least = radius, k1
+        return k0.real - radius * abs(k1)
+
+    def take(self, site: int) -> None:
+        radius, k1 = self._least
+        self.set(site, -(radius / 2.0) * (np.conj(k1) / abs(k1)))
 
 
 def block_value(b: BlockSpec, radii: np.ndarray, thetas) -> float:
@@ -370,7 +410,7 @@ def _leaders(grid: int, perms) -> np.ndarray:
     the least in their orbit under the mirror j -> -j mod grid and the
     permutations perms of the k positions, a group holding the identity."""
     k = len(perms[0])
-    index = np.arange(grid**k).reshape((grid,) * k)
+    index = np.arange(grid**k, dtype=np.min_scalar_type(grid**k - 1)).reshape((grid,) * k)
     least = np.minimum(index, index[np.ix_(*[-np.arange(grid) % grid] * k)])
     least = reduce(np.minimum, [least.transpose(p) for p in perms])
     return np.flatnonzero(least == index)
@@ -431,9 +471,11 @@ class _Scan:
         self.fit = min(i for i in range(1, k + 1) if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK)
         self.steps = []
         for i in range(self.fit):
-            code, rest = np.divmod(index, 3 ** (n - i - 1))
-            index, target = np.unique(rest, return_inverse=True)
-            self.steps.append((len(index), [(np.flatnonzero(code == c), target[code == c]) for c in range(3)]))
+            place = 3 ** (n - i - 1)
+            ends = np.searchsorted(index, place * np.arange(4)).tolist()  # index ascends
+            index, target = np.unique(index % place, return_inverse=True)
+            self.steps.append((len(index), [(slice(*ends[c : c + 2]), target[ends[c] : ends[c + 1]])
+                                            for c in range(3)]))
         self.index = index
 
         def split(ids, i):
@@ -589,38 +631,99 @@ def rounding_bound(radii) -> float:
     return nu / (1.0 - nu) * math.prod(sums) * 2.0**-n * (1.0 + pad / (1.0 - pad))
 
 
-def _coordinate_descent(b: BlockSpec, radii: np.ndarray, a0) -> tuple[float, np.ndarray]:
-    """Greedy descent over the transverse components a_i, from a0.
+def _real_terms(terms, order) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of coefficient tensor terms = coeff_tensor(b, order) that
+    have no Im code, the only ones that do not vanish at real transverse
+    components: per site, in site order, a row of -1 on the terms that
+    contain it and 1 elsewhere, and the terms' values.  Each is the term of
+    a vertex subset S whose code string is 1 on S and 0 off S (no vertex of
+    odd degree in G[S]): 278 of 4,096 on 3x4.  The flat indices of those
+    strings, for every S, are looked up among the terms' indices."""
+    index, value = terms
+    n = len(order)
+    place = np.empty(n, dtype=np.int64)
+    place[list(order)] = 3 ** np.arange(n - 1, -1, -1)
+    strings = np.zeros(1, dtype=np.int64)  # at S, bit v of S for site v
+    for v in range(n):
+        strings = np.concatenate([strings, strings + place[v]])
+    at = np.searchsorted(index, strings)
+    real = index[np.minimum(at, len(index) - 1)] == strings
+    subsets = np.flatnonzero(real)
+    return 1.0 - 2.0 * ((subsets >> np.arange(n)[:, None]) & 1), value[at[real]]
 
-    The value is affine in each a_i, Re(k0 + 2 k1 a_i) given the others, so
-    the best a_i on its disc is -(rho_i / 2) conj(k1) / |k1|.  Codes 1 and 2
+
+class _RealTerms:
+    """Block value at real transverse components a, from the real terms of
+    its coefficient tensor (_real_terms): D_S prod_{i in S} a_i summed over
+    them.  order is the order in which a descent visits the sites.
+
+    Flipping the sign of a_i negates the terms that contain i, so it changes
+    the value by -2 q_i, q_i the sum of those terms; least gives the value
+    after the flip, one product of the flip rows with the current terms for
+    every site at once, formed again after each take.  At real components
+    the terms with an Im code at site i vanish, so the value is affine in
+    Re a_i alone and least over the disc |a_i| <= rho_i / 2 at rho_i / 2 or
+    -rho_i / 2: from a start on those circles the flip is the only move,
+    and where it does not lower the value the descent rejects it.
+    """
+
+    def __init__(self, real, order, a):
+        self.flips, value = real
+        self.order = order
+        self.a = np.array(a, dtype=float)
+        self.terms = value * np.prod(np.where(self.flips < 0.0, self.a[:, None], 1.0), axis=0)
+        self.flipped = None
+
+    def value(self) -> float:
+        return float(self.terms.sum())
+
+    def least(self, site: int, radius: float) -> float:
+        """The value after flipping the site's sign, which lands on the
+        circle |a| = radius / 2 of its start."""
+        if self.flipped is None:
+            self.flipped = self.flips @ self.terms
+        return self.flipped[site]
+
+    def take(self, site: int) -> None:
+        self.a[site] = -self.a[site]
+        self.terms *= self.flips[site]
+        self.flipped = None
+
+
+def _coordinate_descent(chain, radii: np.ndarray) -> tuple[float, np.ndarray]:
+    """Greedy descent over the transverse components a_i held by an
+    evaluator chain, from where it stands: a _Frontier, for any components,
+    or _RealTerms, for real ones.
+
+    Per site, chain.least(i, rho_i) is the least value over the disc
+    |a_i| <= rho_i / 2 with the other sites held, and chain.take(i) moves a_i
+    there.  The value is affine in each a_i, Re(k0 + 2 k1 a_i) given the
+    others, so the best a_i is -(rho_i / 2) conj(k1) / |k1|.  Codes 1 and 2
     enter _SITE and _EDGE symmetrically, so real components give real
     kernels, and the best a_i is then a sign flip: a real start stays real,
-    and the frontier keeps its dtype, float64 or complex.  The one
-    acceptance rule takes a move that lowers the value by more than 2^-40 of
-    its size.  Block values shrink roughly like 2^-n, so a least gain fixed
-    in absolute terms stops a large block's descent on the wrong side of
-    zero, and a floor on |k1| would stall large blocks too.  A sweep visits
-    the sites in the frontier's absorption order, chain.order, so an
-    accepted move costs one environment step, not one per line of the
-    short side, and a sweep about 2n.
+    the frontier keeps its dtype, float64 or complex, and on real components
+    both evaluators propose the same moves.  The one acceptance rule takes a
+    move that lowers the value by more than 2^-40 of its size.  Block values
+    shrink roughly like 2^-n, so a least gain fixed in absolute terms stops
+    a large block's descent on the wrong side of zero, and a floor on |k1|
+    would stall large blocks too.  A sweep visits the sites in chain.order,
+    the frontier's absorption order for both evaluators, so an accepted move
+    on the frontier costs one environment step, not one per line of the
+    short side, and a sweep about 2n.  Returns the value where the descent
+    ended and chain.a, the components there.
     """
-    a = np.array(a0)
-    chain = _Frontier(b, a)
     val = chain.value()
     for _ in range(_MAX_SWEEPS):
         improved = False
         for i in chain.order:
-            k0, k1, _ = chain.kernel(i)
-            cand = k0.real - radii[i] * abs(k1)
+            cand = chain.least(i, radii[i])
             if cand < val - 2.0**-40 * abs(val):
-                a[i] = -(radii[i] / 2.0) * (np.conj(k1) / abs(k1))
-                chain.set(i, a[i])
+                chain.take(i)
                 val = cand
                 improved = True
         if not improved:
             break
-    return float(val), a
+    return float(val), chain.a
 
 
 def _angles(a) -> tuple[float, ...]:
@@ -632,15 +735,17 @@ def _angles(a) -> tuple[float, ...]:
 class Probe(NamedTuple):
     """One bisection probe: the bound it served ("upper" or "lower"), its
     radius, whether it held, and the value that decided it.  An upper probe's
-    value is where the zero-start descent ended, and it holds when that is
-    nonnegative.  A lower probe's value is the certification-grid minimum, or
-    the first negative chunk's, and it holds when that is at least the
-    bracket's bound, rounding_bound at the inflated radii of upper (see
-    s_estimate).  A lower probe that chunk 0 decided alone (screened) records
-    chunk 0's minimum: a hold's equals the grid minimum by repr on every
-    recorded bracket, and a chunk 0 in [0, bound) fails with it; the probe at
-    lower records the minimum of the full scan that verified it, which on a
-    grid of one chunk was its screen."""
+    value is where the zero-start descent on the bracket's real terms
+    (_RealTerms) ended, within rounding_bound of where the frontier descent
+    ends, and it holds when that is nonnegative.  A lower probe's value is
+    the certification-grid minimum, or the first negative chunk's, and it
+    holds when that is at least the bracket's bound, rounding_bound at the
+    inflated radii of upper (see s_estimate).  A lower probe that chunk 0
+    decided alone (screened) records chunk 0's minimum: a hold's equals the
+    grid minimum by repr on every recorded bracket, and a chunk 0 in
+    [0, bound) fails with it; the probe at lower records the minimum of the
+    full scan that verified it, which on a grid of one chunk was its
+    screen."""
 
     bound: str
     r: float
@@ -711,7 +816,12 @@ def s_estimate(
 
     Each probe decides a sign by one search.  An upper probe descends from
     all-zero angles at the exact radii and fails when it ends negative; upper
-    is always such a probe, and its assignment is the witness.  A lower probe
+    is always such a probe, and its assignment is the witness.  Its
+    components stay real, so it descends on the real terms of the scan's
+    coefficient tensor (_real_terms, built once per bracket), where a move
+    flips one sign and changes the value by -2 q_i, in the frontier's
+    absorption order and by the acceptance rule of _coordinate_descent,
+    which the frontier descent of the fast path shares.  A lower probe
     scans the minimum over G angles per site (theta_grid, halved to fit
     _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G): a
     minimum of at least rounding_bound, the scan's forward error, certifies
@@ -758,7 +868,9 @@ def s_estimate(
         )
     cert_grid = _grid_size(b.n, theta_grid)
     order, head, group_order = _orbit_head(b.n, b.automorphisms(), cert_grid)
-    scan = _Scan(coeff_tensor(b, order), b.n, cert_grid, head)
+    terms = coeff_tensor(b, order)
+    scan = _Scan(terms, b.n, cert_grid, head)
+    real, visit = _real_terms(terms, order), _absorption(b)[1]
     scan_points = len(head[1]) * cert_grid ** (b.n - head[0])
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
@@ -766,7 +878,7 @@ def s_estimate(
 
     def nonnegative(r: float) -> bool:
         radii = b.radii(r)
-        v, a = _coordinate_descent(b, radii, radii / 2.0)
+        v, a = _coordinate_descent(_RealTerms(real, visit, radii / 2.0), radii)
         probes.append(Probe("upper", r, v >= 0.0, v))
         if v < 0.0:
             witnesses[r] = a
@@ -876,7 +988,7 @@ def conjecture_fast_path(
     radii = b.radii(r)
     rng = np.random.default_rng(seed)
     starts = [np.ones(b.n)] + [rng.choice([-1, 1], size=b.n) for _ in range(restarts)]
-    descents = (_coordinate_descent(b, radii, s * (radii / 2.0)) for s in starts)
+    descents = (_coordinate_descent(_Frontier(b, s * (radii / 2.0)), radii) for s in starts)
     v, a = min(descents, key=lambda t: t[0])  # ties go to the earliest start
     return v, _angles(a)
 

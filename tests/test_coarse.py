@@ -45,6 +45,13 @@ angles = st.floats(0.0, 2 * math.pi)
 #: grid 8 and tolerance 1e-3
 BRACKETS = json.loads((Path(__file__).parent / "data" / "coarse_brackets.json").read_text())
 
+#: brackets of every rectangle of 2 to 12 sites in both modes: at grid 32
+#: with tolerances 5e-5 and 1e-4, and at grid 8 with 1e-3
+SWEEP = json.loads((Path(__file__).parent / "data" / "coarse_sweep.json").read_text())
+
+#: every rectangle of 2 to 12 sites, as (height, width)
+RECTANGLES = [(h, w) for h in range(1, 13) for w in range(1, 13) if 2 <= h * w <= 12]
+
 
 def test_block_spec_validation():
     with pytest.raises(ValueError):
@@ -331,12 +338,12 @@ def test_witness_hunt_matches_reference_flip_search(seed):
 def test_descent_keeps_the_dtype_of_its_start():
     b = BlockSpec(2, 3, LAMBDA_GROWN)
     radii = b.radii(0.08)
-    v, a = _coordinate_descent(b, radii, radii / 2.0)
+    v, a = _coordinate_descent(_Frontier(b, radii / 2.0), radii)
     assert a.dtype == np.float64
     assert set(_angles(a)) <= {0.0, math.pi}
     assert v == pytest.approx(block_value(b, radii, _angles(a)), abs=1e-15)
     start = _transverse(radii, np.random.default_rng(2).uniform(0, 2 * math.pi, b.n))
-    v, a = _coordinate_descent(b, radii, start)
+    v, a = _coordinate_descent(_Frontier(b, start), radii)
     assert a.dtype == np.complex128
     assert v == pytest.approx(block_value(b, radii, _angles(a)), abs=1e-15)
 
@@ -349,7 +356,7 @@ def test_descent_sweeps_in_absorption_order(monkeypatch):
     b = BlockSpec(6, 7, PLAIN)
     radii = b.radii(0.14)
     start = np.random.default_rng(0).choice([-1, 1], size=b.n) * radii / 2.0
-    calls = {"_open": 0, "_close": 0, "kernel": 0}
+    calls = {"_step": 0, "kernel": 0}
     for name in calls:
 
         def spy(self, *args, method=getattr(_Frontier, name), name=name):
@@ -357,10 +364,10 @@ def test_descent_sweeps_in_absorption_order(monkeypatch):
             return method(self, *args)
 
         monkeypatch.setattr(_Frontier, name, spy)
-    _coordinate_descent(b, radii, start)
+    _coordinate_descent(_Frontier(b, start), radii)
     sweeps, rest = divmod(calls["kernel"], b.n)  # one kernel per site and sweep
     assert rest == 0 and sweeps >= 2
-    assert calls["_open"] + calls["_close"] <= 3 * b.n * sweeps
+    assert calls["_step"] <= 3 * b.n * sweeps
 
 
 def test_descent_leaves_no_move_of_relative_gain():
@@ -370,7 +377,7 @@ def test_descent_leaves_no_move_of_relative_gain():
     b = BlockSpec(8, 12, PLAIN)
     radii = b.radii(0.13)
     start = np.random.default_rng(2).choice([-1, 1], size=b.n) * radii / 2.0
-    val, a = _coordinate_descent(b, radii, start)
+    val, a = _coordinate_descent(_Frontier(b, start), radii)
     assert val < 0.0
     chain = _Frontier(b, a)
     for i in range(b.n):
@@ -405,6 +412,42 @@ def test_brackets_match_recorded(case):
     assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
     # every decision, not only the bracket; the probe values may move in the last bits
     assert [[p.bound, p.r, p.holds] for p in est.probes] == case["probes"]
+
+
+@pytest.mark.parametrize("case", SWEEP, ids=lambda c: f"{c['block']}-{c['mode']}-{c['grid']}-{c['bisect_tol']!r}")
+def test_sweep_matches_recorded(case):
+    # the bracket, certification grid, witness and every probe decision of
+    # each recorded case: the upper probes judge the real-term descent, the
+    # lower probes the screened certification scans
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+    est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
+    got = (est.lower, est.upper, est.cert_grid, list(est.witness) if est.witness else None)
+    assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
+    assert [[p.bound, p.r, p.holds] for p in est.probes] == case["probes"]
+
+
+@pytest.mark.parametrize("hw", RECTANGLES, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_real_term_descent_matches_frontier_descent(hw, mode):
+    # s_estimate's upper probes descend on the real terms of the scan's
+    # coefficient tensor, the hunt on the frontier: from real starts both
+    # visit the sites in one order and take the same flips, so they end at
+    # the same signs, with values within the rounding bound of each other.
+    # At the recorded upper, just below and above it, from the all-zero
+    # angles and from random sign patterns
+    b = BlockSpec(*hw, mode)
+    upper = next(c["r_upper"] for c in SWEEP if c["block"] == f"{hw[0]}x{hw[1]}" and c["mode"] == mode)
+    order = _orbit_head(b.n, b.automorphisms(), coarse._grid_size(b.n, 32))[0]
+    real, visit = coarse._real_terms(coeff_tensor(b, order), order), coarse._absorption(b)[1]
+    rng = np.random.default_rng(b.n)
+    for r in (0.9 * upper, upper, 1.1 * upper):
+        radii = b.radii(r)
+        for signs in [np.ones(b.n)] + [rng.choice([-1.0, 1.0], size=b.n) for _ in range(3)]:
+            start = signs * radii / 2.0
+            v, a = _coordinate_descent(coarse._RealTerms(real, visit, start), radii)
+            ref, ref_a = _coordinate_descent(_Frontier(b, start), radii)
+            assert np.array_equal(a, ref_a)
+            assert abs(v - ref) <= rounding_bound(radii)
 
 
 def conjugation_even(T: np.ndarray) -> np.ndarray:
@@ -1111,16 +1154,23 @@ def test_probes_record_every_sign_decision(monkeypatch):
     descents = []
     descent = coarse._coordinate_descent
 
-    def spy(*args):
-        descents.append((args[1], args[2]))
-        return descent(*args)
+    def spy(chain, radii):
+        descents.append((type(chain), radii, chain.a.copy()))
+        return descent(chain, radii)
 
     monkeypatch.setattr(coarse, "_coordinate_descent", spy)
     b = BlockSpec(2, 3, LAMBDA_GROWN)
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     monkeypatch.undo()
     order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
-    scan = _Scan(coeff_tensor(b, order), b.n, est.cert_grid, head)
+    terms = coeff_tensor(b, order)
+    scan = _Scan(terms, b.n, est.cert_grid, head)
+    real, visit = coarse._real_terms(terms, order), coarse._absorption(b)[1]
+
+    def zero_start_descent(r):
+        radii = b.radii(r)
+        return _coordinate_descent(coarse._RealTerms(real, visit, radii / 2.0), radii)
+
     bounds = [p.bound for p in est.probes]
     assert bounds == sorted(bounds, reverse=True)  # the upper bisection runs first
     upper = [p for p in est.probes if p.bound == "upper"]
@@ -1128,8 +1178,7 @@ def test_probes_record_every_sign_decision(monkeypatch):
     assert {p.holds for p in upper} == {p.holds for p in lower} == {True, False}
     for p in upper:
         assert p.holds == (p.value >= 0.0)
-        radii = b.radii(p.r)
-        assert p.value == _coordinate_descent(b, radii, radii / 2.0)[0]
+        assert p.value == zero_start_descent(p.r)[0]
     inflate = est.cert_inflation
     assert est.cert_rounding_bound == rounding_bound(b.radii(est.lower)[order] * inflate)
     for p in lower:
@@ -1139,15 +1188,15 @@ def test_probes_record_every_sign_decision(monkeypatch):
         assert p.value == _grid_sign(scan, radii)
         if p.holds:
             assert p.value == full
-    # one zero-angle descent per upper probe and none for the witness, which
-    # is the assignment of the failing probe at upper
+    # one zero-angle descent on the real terms per upper probe and none for
+    # the witness, which is the assignment of the failing probe at upper
     assert len(descents) == len(upper)
-    for (radii, start), p in zip(descents, upper):
+    for (kind, radii, start), p in zip(descents, upper):
+        assert kind is coarse._RealTerms
         assert np.array_equal(radii, b.radii(p.r)) and np.array_equal(start, radii / 2.0)
     assert est.upper == min(p.r for p in upper if not p.holds)
     assert est.lower == max(p.r for p in lower if p.holds)
-    radii = b.radii(est.upper)
-    assert est.witness == _angles(_coordinate_descent(b, radii, radii / 2.0)[1])
+    assert est.witness == _angles(zero_start_descent(est.upper)[1])
     assert block_value(b, b.radii(est.upper), est.witness) < 0.0
 
 
@@ -1164,7 +1213,7 @@ def test_descent_gain_scales_past_12_sites(hw):
     radii = b.radii(0.136)
     zero = block_value(b, radii, (0.0,) * b.n)
     start = np.random.default_rng(0).uniform(0, 2 * math.pi, b.n)
-    v, a = _coordinate_descent(b, radii, _transverse(radii, start))
+    v, a = _coordinate_descent(_Frontier(b, _transverse(radii, start)), radii)
     scale = 2.0**b.n  # block values are sums of terms of order 2^-n
     assert scale * (v - zero) < 1e-9
     assert scale * v == pytest.approx(scale * block_value(b, radii, _angles(a)), abs=1e-12)
