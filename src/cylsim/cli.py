@@ -142,6 +142,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "scan_group_order": est.scan_group_order,
         "scan_points": est.scan_points,
         "cert_rounding_bound": est.cert_rounding_bound,
+        "lower_screen": est.lower_screen,
         "witness_assignment": list(est.witness) if est.witness else None,
         "search_capped": est.capped,
         "probes": [p._asdict() for p in est.probes],

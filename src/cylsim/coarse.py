@@ -21,7 +21,7 @@ contraction orders:
   per site.  It gives single values and, with left and right environments
   cached as in DMRG sweeps, the per-site kernel (the value as an affine
   function of one site's monomials) in O(3^(H+1)) per site.  The coordinate
-  descent of the fast path and the witness hunt runs on these kernels.
+  descent of the witness hunt runs on these kernels.
 - the coefficient tensor is the value in the per-site basis
   (1, Re a_i, Im a_i).  Of its 3^n entries only 2^n are nonzero, one per
   vertex subset, each a signed power of two in closed form (coeff_tensor),
@@ -33,7 +33,8 @@ contraction orders:
   code survive, 278 of 4,096 on 3x4, and flipping the sign of a_i changes
   the value by -2 q_i, q_i the sum of the terms that contain i: the
   bisection's upper probes, which start at real components and stay there,
-  run the same coordinate descent on these terms.
+  run the same coordinate descent on these terms, and the lower probes read
+  the all-zero grid point from them.
 
 Multilinearity also yields certified lower bounds: each disc
 |a_i| <= rho_i/2 sits inside the convex hull of G polygon vertices at radius
@@ -49,9 +50,8 @@ r' < r is a shrunken copy inside its polygon at r; the block value is the
 same multilinear function of the a_i at every r, so its minimum over the
 larger product of polygons, attained at a vertex, is no larger.  A
 certificate at lower therefore settles every smaller radius, and s_estimate
-screens its lower probes on chunk 0, the chunk that holds the all-zero grid
-point, and runs one full scan, at the final lower, unless the grid fits
-chunk 0.
+screens its lower probes at the all-zero grid point, which chunk 0 of every
+scan holds, and runs one full scan, at the final lower, to confirm them.
 
 Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
@@ -76,7 +76,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -110,9 +110,16 @@ class BlockTooLarge(ValueError):
     """The certification grid of a block would exceed _CERT_BUDGET points."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BlockSpec:
-    """Rectangular block with external-edge counts from the lattice embedding."""
+    """Rectangular block with external-edge counts from the lattice embedding.
+    Its edges, external counts and radius growth are worked out once per
+    block, on first use; the arrays are read-only."""
 
     height: int
     width: int
@@ -131,7 +138,8 @@ class BlockSpec:
     def index(self, row: int, col: int) -> int:
         return row * self.width + col
 
-    def edges(self) -> list[tuple[int, int]]:
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
         out = []
         for i in range(self.height):
             for j in range(self.width):
@@ -139,22 +147,34 @@ class BlockSpec:
                     out.append((self.index(i, j), self.index(i, j + 1)))
                 if i + 1 < self.height:
                     out.append((self.index(i, j), self.index(i + 1, j)))
-        return out
+        return tuple(out)
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self._edges
+
+    @cached_property
+    def _ext_counts(self) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=int)
+        for u, v in self._edges:
+            deg[u] += 1
+            deg[v] += 1
+        return _read_only(4 - deg)
 
     def ext_counts(self) -> np.ndarray:
         """External CZ count per qubit: 4 minus the internal degree."""
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges():
-            deg[u] += 1
-            deg[v] += 1
-        return 4 - deg
+        return self._ext_counts
+
+    @cached_property
+    def _growth(self) -> np.ndarray:
+        """Radius per unit r: 1, or LAMBDA per external edge in lambda mode."""
+        if self.mode == PLAIN:
+            return _read_only(np.ones(self.n))
+        return _read_only(LAMBDA ** self.ext_counts().astype(float))
 
     def radii(self, r: float) -> np.ndarray:
         if r < 0.0:
             raise ValueError("r must be nonnegative")
-        if self.mode == PLAIN:
-            return np.full(self.n, float(r))
-        return r * LAMBDA ** self.ext_counts().astype(float)
+        return r * self._growth
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Site permutations p that map the block onto itself, site s to p[s]:
@@ -690,6 +710,14 @@ class _RealTerms:
         self.flipped = None
 
 
+def _zero_point(real, radii: np.ndarray) -> float:
+    """Block value at the all-zero grid point of a scan at radii (in site
+    order), where every transverse component is a_i = rho_i / 2, from the
+    real terms of its coefficient tensor (_real_terms).  Chunk 0 of every
+    scan holds this point."""
+    return _RealTerms(real, range(len(radii)), radii / 2.0).value()
+
+
 def _coordinate_descent(chain, radii: np.ndarray) -> tuple[float, np.ndarray]:
     """Greedy descent over the transverse components a_i held by an
     evaluator chain, from where it stands: a _Frontier, for any components,
@@ -737,15 +765,14 @@ class Probe(NamedTuple):
     radius, whether it held, and the value that decided it.  An upper probe's
     value is where the zero-start descent on the bracket's real terms
     (_RealTerms) ended, within rounding_bound of where the frontier descent
-    ends, and it holds when that is nonnegative.  A lower probe's value is
-    the certification-grid minimum, or the first negative chunk's, and it
-    holds when that is at least the bracket's bound, rounding_bound at the
-    inflated radii of upper (see s_estimate).  A lower probe that chunk 0
-    decided alone (screened) records chunk 0's minimum: a hold's equals the
-    grid minimum by repr on every recorded bracket, and a chunk 0 in
-    [0, bound) fails with it; the probe at lower records the minimum of the
-    full scan that verified it, which on a grid of one chunk was its
-    screen."""
+    ends, and it holds when that is nonnegative.  A lower probe holds when
+    its value is at least the bracket's bound, rounding_bound at the
+    inflated radii of upper (see s_estimate), and its value comes from the
+    screen that decided it (SEstimate.lower_screen): the all-zero grid
+    point's value, when that is below the bound or the point settled the
+    bisection; else chunk 0's minimum, or the certification-grid minimum, or
+    the first negative chunk's.  The probe at lower records the minimum of
+    the full scan that confirmed it."""
 
     bound: str
     r: float
@@ -769,7 +796,9 @@ class SEstimate:
     cert_rounding_bound is rounding_bound at the inflated radii of lower:
     how far the scan's grid minimum there can lie from the exact one.  It is
     at most the bound that every lower probe cleared, the one at upper.
-    probes lists every probe of both bisections in order.
+    lower_screen names the screen that settled the lower bisection, "point",
+    "chunk0" or "full" (s_estimate).  probes lists every probe of the upper
+    bisection and of that screen's lower bisection, in order.
     """
 
     lower: float
@@ -780,6 +809,7 @@ class SEstimate:
     scan_group_order: int
     scan_points: int
     cert_rounding_bound: float
+    lower_screen: str
     witness: tuple[float, ...] | None
     capped: bool = False
     probes: tuple[Probe, ...] = ()
@@ -821,7 +851,7 @@ def s_estimate(
     coefficient tensor (_real_terms, built once per bracket), where a move
     flips one sign and changes the value by -2 q_i, in the frontier's
     absorption order and by the acceptance rule of _coordinate_descent,
-    which the frontier descent of the fast path shares.  A lower probe
+    which the frontier descent of the witness hunt shares.  A lower probe
     scans the minimum over G angles per site (theta_grid, halved to fit
     _CERT_BUDGET, to no fewer than 4) at radii inflated by 1/cos(pi/G): a
     minimum of at least rounding_bound, the scan's forward error, certifies
@@ -837,18 +867,24 @@ def s_estimate(
     every probe at r' <= upper.
 
     The exact grid minimum does not increase with r (module docstring), so
-    the lower bisection decides each probe from chunk 0 of its scan, which
-    holds the all-zero grid point: at or above B it is a tentative hold, and
-    below it the probe fails, as a full scan would, whose chunk 0 is the same
-    computation.  One full scan at the final lower must then reach 3 B, and
-    its minimum becomes the value of the probe at lower.  With exact grid
-    minima E, the full scan of a tentative hold at r' <= lower would hold
-    too: its minimum is at least E(r') - rb(r') >= E(lower) - rb(r') >=
-    3 B - rb(lower) - rb(r') >= B.  When the margin is missed, the screened
-    probes are dropped and the bisection runs again with a full scan per
-    probe.  A grid that fits one chunk, such as 3x3's, skips the verifying
-    scan: chunk 0 is its full scan, so every screen was a full scan, and
-    the probe at lower keeps its screen's value.
+    one full scan at the final lower can confirm a bisection run on cheaper
+    screens.  Each lower probe is first evaluated at the all-zero grid point,
+    which chunk 0 of every scan holds, from the real terms (_zero_point):
+    below B the probe fails with no scan.  The first bisection runs on that
+    point alone ("point"); if the full scan at its lower misses 3 B, it runs
+    again with chunk 0 screening each probe the point passes ("chunk0"), and
+    if the full scan at that lower misses 3 B too, with full scans ("full"),
+    which need no confirming.  On a grid of one chunk, such as 3x3's, chunk
+    0 is the full scan, so "chunk0" is confirmed by its own probes.  The
+    full scan's minimum becomes the value of the probe at lower, and only
+    the last bisection's probes are kept.
+
+    With exact grid minima E, a hold at r' <= lower that a full scan would
+    fail is caught: that scan reads E(r') - rb(r') < B, so the scan at lower
+    reads at most E(lower) + rb(lower) <= E(r') + rb(lower) < B + rb(r') +
+    rb(lower) <= 3 B, and the next screen runs.  A point below B fails as
+    chunk 0 would, unless the point's value lies within the two
+    evaluations' rounding errors below B.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
     bisect_tol that is not finite and positive, and BlockTooLarge, before
@@ -896,32 +932,35 @@ def s_estimate(
         witness = _angles(witnesses[upper])
 
     # lower: largest r whose inflated-grid minimum is certified nonnegative,
-    # each probe screened on chunk 0 and lower verified by one full scan
+    # each probe screened at the all-zero grid point, then on chunk 0 or by
+    # a full scan, and lower confirmed by one full scan
     def cert_radii(r: float) -> np.ndarray:
         return b.radii(r)[order] * inflate
 
     bound = rounding_bound(cert_radii(upper))
 
     def certified(r: float, chunks: int | None) -> bool:
-        v = _grid_sign(scan, cert_radii(r), chunks)
+        radii = b.radii(r) * inflate
+        v = _zero_point(real, radii)
+        if v >= bound and chunks != 0:
+            v = _grid_sign(scan, radii[order], chunks)
         probes.append(Probe("lower", r, v >= bound, v))
         return v >= bound
 
-    def lower_bisection(chunks: int | None) -> float:
-        if certified(upper, chunks):
-            return upper
-        return _bisect(0.0, upper, bisect_tol, lambda r: certified(r, chunks))[0]
-
     screened = len(probes)
-    lower = lower_bisection(1)
-    if lower > 0.0 and scan_points > _CHUNK:  # else chunk 0 was the full scan
+    for lower_screen, chunks in (("point", 0), ("chunk0", 1), ("full", None)):
+        del probes[screened:]
+        if certified(upper, chunks):
+            lower = upper
+        else:
+            lower = _bisect(0.0, upper, bisect_tol, lambda r: certified(r, chunks))[0]
+        if lower == 0.0 or chunks is None or (chunks and scan_points <= _CHUNK):
+            break  # nothing to confirm, or every probe that passed the point ran a full scan
         v = _grid_sign(scan, cert_radii(lower))
         if v >= 3.0 * bound:
             last = max(i for i in range(screened, len(probes)) if probes[i].holds)  # at lower
             probes[last] = probes[last]._replace(value=v)
-        else:
-            del probes[screened:]
-            lower = lower_bisection(None)
+            break
     return SEstimate(
         lower=lower,
         upper=upper,
@@ -931,6 +970,7 @@ def s_estimate(
         scan_group_order=group_order,
         scan_points=scan_points,
         cert_rounding_bound=rounding_bound(cert_radii(lower)),
+        lower_screen=lower_screen,
         witness=witness,
         capped=capped,
         probes=tuple(probes),
@@ -974,31 +1014,25 @@ def lemma4_checks(
     return report
 
 
-def conjecture_fast_path(
-    b: BlockSpec, r: float, restarts: int = 8, seed: int = 0
-) -> tuple[float, tuple[float, ...]]:
-    """Heuristic minimum over inputs with no Y component (angles 0 or pi).
-
-    The coordinate descent from the all-zero angles and from random {0, pi}
-    patterns.  Their components are real, so every kernel is real and every
-    move a sign flip, valued exactly: the descent never leaves {0, pi}.
-    The restriction to real transverse components is a conjecture about
-    where the optimum sits, so results are upper-bound material only.
-    """
-    radii = b.radii(r)
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(b.n)] + [rng.choice([-1, 1], size=b.n) for _ in range(restarts)]
-    descents = (_coordinate_descent(_Frontier(b, s * (radii / 2.0)), radii) for s in starts)
-    v, a = min(descents, key=lambda t: t[0])  # ties go to the earliest start
-    return v, _angles(a)
-
-
 def find_negativity_witness(
     b: BlockSpec, r_values, restarts: int = 4, seed: int = 0
 ) -> tuple[float, tuple[float, ...]] | None:
-    """Smallest r in r_values whose fast-path minimum goes negative."""
+    """Smallest r in r_values at which a coordinate descent on the frontier
+    ends below zero, and the angles where it ended; None if there is none.
+
+    At each r the descent runs from the all-zero angles, then from restarts
+    random {0, pi} patterns drawn from seed (the same patterns at every r),
+    and the hunt returns at the first start that ends negative.  Real starts
+    give real kernels, so every move is a sign flip, valued exactly, and
+    the angles stay in {0, pi}.  That the minimum sits at real components is
+    a conjecture, so a witness is upper-bound material only.
+    """
     for r in r_values:
-        v, thetas = conjecture_fast_path(b, r, restarts=restarts, seed=seed)
-        if v < 0.0:
-            return float(r), thetas
+        radii = b.radii(r)
+        rng = np.random.default_rng(seed)
+        for start in range(restarts + 1):
+            signs = rng.choice([-1, 1], size=b.n) if start else np.ones(b.n)
+            v, a = _coordinate_descent(_Frontier(b, signs * (radii / 2.0)), radii)
+            if v < 0.0:
+                return float(r), _angles(a)
     return None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cylsim.circuits import ClusterCircuit, MeasurementRule
-from cylsim.coarse import _EDGE, _SITE, BlockSpec
+from cylsim.coarse import _EDGE, _SITE, BlockSpec, _angles, _coordinate_descent, _Frontier
 from cylsim.czdec import _rim_vectors, cz_pauli_output
 from cylsim.geometry import TWO_PI, XY_PLANE, Z_BASIS, CylinderExtremum, CylinderOperator
 from cylsim.oracle import _window_walk, admit, extremum_matrix
@@ -416,3 +416,16 @@ def reference_rounding_bound(D: np.ndarray, radii) -> float:
         t = (x[1] + x[2]) * (rho / 2.0) + x[0]
     nu = 5 * D.ndim * 2.0**-53
     return nu / (1.0 - nu) * float(t[0])
+
+
+def conjecture_fast_path(b: BlockSpec, r: float, restarts: int = 8, seed: int = 0):
+    """Least value over the starts of find_negativity_witness at one radius,
+    the all-zero angles and restarts random {0, pi} patterns drawn from
+    seed, and the angles where it ended: the descents of every start, where
+    the hunt stops at the first negative one."""
+    radii = b.radii(r)
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(b.n)] + [rng.choice([-1, 1], size=b.n) for _ in range(restarts)]
+    descents = (_coordinate_descent(_Frontier(b, s * (radii / 2.0)), radii) for s in starts)
+    v, a = min(descents, key=lambda t: t[0])  # ties go to the earliest start
+    return v, _angles(a)

@@ -595,6 +595,8 @@ def test_coarse_1x2_bracket(tmp_path, capsys):
     # the swap of the two sites and the mirror: Burnside's lemma gives
     # (32^2 + 32 + 2^2 + 32) / 4 orbits of the 32^2 grid points
     assert (result["scan_group_order"], result["scan_points"]) == (4, 273)
+    # the all-zero grid point settled the lower bisection
+    assert result["lower_screen"] == "point"
     probes = result["probes"]
     assert all(set(p) == {"bound", "r", "holds", "value"} for p in probes)
     assert all(p["holds"] == (p["value"] >= 0.0) for p in probes)
@@ -631,6 +633,9 @@ def test_coarse_accepts_3x4(tmp_path, capsys):
     # rounding bound of the grid minimum at r_lower, whose values are near 2^-12
     assert 0.0 < result["cert_rounding_bound"] < 1e-15
     assert 0.0 < result["r_lower"] <= result["r_upper"]
+    # the full scan at the all-zero point's lower missed its margin, so
+    # chunk 0 screens settled the lower bisection
+    assert result["lower_screen"] == "chunk0"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import code_tensor, reference_coeff_tensor, reference_rounding_bound, scatter, to_terms
+from conftest import (
+    code_tensor,
+    conjecture_fast_path,
+    reference_coeff_tensor,
+    reference_rounding_bound,
+    scatter,
+    to_terms,
+)
 from hypothesis import given, settings, strategies as st
 
 from cylsim import coarse, oracle
@@ -28,7 +35,6 @@ from cylsim.coarse import (
     block_min_prob_dense,
     block_value,
     coeff_tensor,
-    conjecture_fast_path,
     find_negativity_witness,
     lemma4_checks,
     rounding_bound,
@@ -69,6 +75,29 @@ def test_ext_counts():
     assert counts[1, 1] == 0
     assert counts[0, 1] == counts[1, 0] == 1
     assert counts[0, 0] == 2
+
+
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_radii_match_the_formula(mode):
+    # radii scale one cached growth vector, read-only like the cached
+    # external counts, and equal the formula that builds both anew
+    for hw in RECTANGLES:
+        b = BlockSpec(*hw, mode)
+        deg = np.zeros(b.n, dtype=int)
+        for u, v in itertools.chain.from_iterable(
+            [((b.index(i, j), b.index(i, j + 1)) for i in range(hw[0]) for j in range(hw[1] - 1)),
+             ((b.index(i, j), b.index(i + 1, j)) for i in range(hw[0] - 1) for j in range(hw[1]))]
+        ):
+            deg[u] += 1
+            deg[v] += 1
+        assert np.array_equal(b.ext_counts(), 4 - deg)
+        for r in (0.0, 0.07, 0.13, 1.0):
+            want = np.full(b.n, float(r)) if mode == PLAIN else r * LAMBDA ** (4 - deg).astype(float)
+            assert np.array_equal(b.radii(r), want)
+        for cached in (b.ext_counts(), b._growth):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0
 
 
 def test_radii_modes():
@@ -335,6 +364,26 @@ def test_witness_hunt_matches_reference_flip_search(seed):
     assert hit is not None and hit[0] == ref
 
 
+def test_witness_hunt_stops_at_the_first_negative_start(monkeypatch):
+    # criterion 08's radii on 6x7: every start of the two radii that hold
+    # ends nonnegative, and at 0.14 the zero start ends negative, so the
+    # hunt descends 3 + 3 + 1 times where the minimum over starts took 9
+    b = BlockSpec(6, 7, PLAIN)
+    calls = []
+    descent = coarse._coordinate_descent
+
+    def spy(chain, radii):
+        calls.append(chain.a.copy())
+        return descent(chain, radii)
+
+    monkeypatch.setattr(coarse, "_coordinate_descent", spy)
+    r, thetas = find_negativity_witness(b, (0.130, 0.136, 0.140, 0.145), restarts=2)
+    monkeypatch.undo()
+    assert r == 0.14 and len(calls) == 7
+    assert np.array_equal(calls[-1], b.radii(0.14) / 2.0)  # the zero start
+    assert block_value(b, b.radii(r), thetas) < 0.0
+
+
 def test_descent_keeps_the_dtype_of_its_start():
     b = BlockSpec(2, 3, LAMBDA_GROWN)
     radii = b.radii(0.08)
@@ -424,6 +473,51 @@ def test_sweep_matches_recorded(case):
     got = (est.lower, est.upper, est.cert_grid, list(est.witness) if est.witness else None)
     assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
     assert [[p.bound, p.r, p.holds] for p in est.probes] == case["probes"]
+
+
+@pytest.mark.parametrize(
+    "case", [("bracket", c) for c in BRACKETS] + [("sweep", c) for c in SWEEP],
+    ids=lambda c: f"{c[0]}-{c[1]['block']}-{c[1]['mode']}-{c[1]['grid']}-{c[1]['bisect_tol']!r}",
+)
+def test_point_decisions_match_chunk_0(case):
+    # every lower probe that the all-zero point decides, all of them when it
+    # settled the bisection and otherwise the ones it fails, gets the same
+    # decision from chunk 0 of its scan, the screen the point stands in for
+    _, case = case
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+    est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
+    order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
+    terms = coeff_tensor(b, order)
+    scan = _Scan(terms, b.n, est.cert_grid, head)
+    real = coarse._real_terms(terms, order)
+    B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
+    decided = 0
+    for p in (p for p in est.probes if p.bound == "lower"):
+        point = point_value(real, b.radii(p.r) * est.cert_inflation)
+        if est.lower_screen == "point" or point < B:
+            decided += 1
+            assert (point >= B) == p.holds
+            assert (_grid_sign(scan, b.radii(p.r)[order] * est.cert_inflation, 1) >= B) == p.holds
+    assert decided > 0
+
+
+@pytest.mark.parametrize("case", BRACKETS, ids=lambda c: f"{c['block']}-{c['mode']}")
+def test_point_screen_that_holds_everywhere_falls_back_to_chunk_0(case, monkeypatch):
+    # a broken point screen that passes every probe puts the point's lower at
+    # upper, whose full scan misses the margin, so chunk 0 screens the probes
+    # again and the recorded bracket and decisions come back.  Chunk 0's
+    # minimum then equals the full scan's on every probe of 2x2, 2x3 and 2x4
+    monkeypatch.setattr(coarse, "_zero_point", lambda real, radii: math.inf)
+    b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
+    est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
+    monkeypatch.undo()
+    got = (est.lower, est.upper, est.cert_grid, list(est.witness))
+    assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
+    assert [[p.bound, p.r, p.holds] for p in est.probes] == case["probes"]
+    assert est.lower_screen == "chunk0"
+    if case["block"] in ("2x2", "2x3", "2x4"):
+        _, probes, _ = reference_lower_bisection(b, est.upper, case["grid"], case["bisect_tol"])
+        assert [p for p in est.probes if p.bound == "lower"] == probes
 
 
 @pytest.mark.parametrize("hw", RECTANGLES, ids=lambda hw: f"{hw[0]}x{hw[1]}")
@@ -919,8 +1013,9 @@ def chunks_per_scan(monkeypatch, b: BlockSpec) -> list[tuple[int, int]]:
 
 
 def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
-    # chunk 0 decides every lower probe, one full scan of 4^12 points
-    # verifies lower, and upper probes run no grid at all
+    # the all-zero point's lower misses the margin on its first chunk, chunk 0
+    # then screens every lower probe that the point passes, one full scan of
+    # 4^12 points confirms lower, and upper probes run no grid at all
     runs = chunks_per_scan(monkeypatch, BlockSpec(3, 4, LAMBDA_GROWN))
     # one head row of the 4 corners per chunk, one per orbit of the 4^4
     # corner strings under the 4 reflections of the rectangle and the
@@ -928,6 +1023,7 @@ def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
     per_grid = 46
     assert sum(1 for grid, n in runs if n > 1) == 1
     assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
+    assert runs[-1] == (4, per_grid)
 
 
 @pytest.mark.parametrize("hw", [(2, 2), (2, 3), (2, 4)], ids=["2x2", "2x3", "2x4"])
@@ -937,21 +1033,27 @@ def test_bracket_runs_one_full_certification_grid(hw, monkeypatch):
     assert sum(1 for _, n in runs if n > 1) == 1
 
 
-def test_one_chunk_grid_runs_one_scan_per_lower_probe(monkeypatch):
-    # 3x3's certification grid fits one chunk, so every screen is a full
-    # scan, and the probe at lower keeps its screen's value: no scan repeats
-    # that screen
+def test_one_chunk_grid_runs_one_full_scan(monkeypatch):
+    # 3x3's certification grid fits one chunk.  The all-zero point decides
+    # every lower probe, and the one scan, a full scan of that one chunk,
+    # confirms lower, whose probe keeps its minimum; every other probe keeps
+    # the point's value
     b = BlockSpec(3, 3, LAMBDA_GROWN)
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     assert est.scan_points <= coarse._CHUNK and est.lower > 0.0
-    runs = chunks_per_scan(monkeypatch, b)
-    lower = [p for p in est.probes if p.bound == "lower"]
-    assert len(runs) == len(lower) and all(n == 1 for _, n in runs)
+    assert est.lower_screen == "point"
+    assert chunks_per_scan(monkeypatch, b) == [(est.cert_grid, 1)]
     order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
-    scan = _Scan(coeff_tensor(b, order), b.n, est.cert_grid, head)
+    terms = coeff_tensor(b, order)
+    scan = _Scan(terms, b.n, est.cert_grid, head)
+    real = coarse._real_terms(terms, order)
+    lower = [p for p in est.probes if p.bound == "lower"]
     at_lower = max((p for p in lower if p.holds), key=lambda p: p.r)
     assert at_lower.r == est.lower
     assert at_lower.value == min(_grid_chunks(scan, b.radii(est.lower)[order] * est.cert_inflation))
+    for p in lower:
+        if p is not at_lower:
+            assert p.value == point_value(real, b.radii(p.r) * est.cert_inflation)
 
 
 @pytest.mark.parametrize("hw", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
@@ -959,9 +1061,11 @@ def test_one_chunk_grid_runs_one_scan_per_lower_probe(monkeypatch):
 def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch):
     # every lower probe clears the one bound at upper, so a bracket computes
     # rounding_bound there and once more at lower, for cert_rounding_bound.
-    # Chunk 0 screens every lower probe, on 3x3's one-chunk grid too, and
-    # the one full scan verifies lower, except on a one-chunk grid, whose
-    # screen at lower was that full scan
+    # The all-zero point screens every lower probe, and one full scan
+    # confirms lower with a margin of 3 bounds, on 3x3's one-chunk grid too.
+    # On 3x4 the full scan at the point's lower misses the margin, so chunk
+    # 0 screens every lower probe that the point passes, and one more full
+    # scan confirms the new lower
     bounds, scans = [], []
     bound, sign = coarse.rounding_bound, coarse._grid_sign
 
@@ -970,22 +1074,34 @@ def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch)
         return bound(radii)
 
     def sign_spy(scan, radii, chunks=None):
-        scans.append((radii, chunks))
-        return sign(scan, radii, chunks)
+        scans.append((radii, chunks, sign(scan, radii, chunks)))
+        return scans[-1][2]
 
     monkeypatch.setattr(coarse, "rounding_bound", bound_spy)
     monkeypatch.setattr(coarse, "_grid_sign", sign_spy)
     b = BlockSpec(*hw, LAMBDA_GROWN)
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     monkeypatch.undo()
-    order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
+    order, _, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
     upper, lower = (b.radii(r)[order] * est.cert_inflation for r in (est.upper, est.lower))
     assert est.lower > 0.0 and len(bounds) == 2
     assert np.array_equal(bounds[0], upper) and np.array_equal(bounds[1], lower)
-    full = [radii for radii, chunks in scans if chunks is None]
-    verified = est.scan_points > coarse._CHUNK
-    assert len(full) == verified and all(np.array_equal(radii, lower) for radii in full)
-    assert len(scans) == verified + sum(p.bound == "lower" for p in est.probes)
+    B = bound(upper)
+    full = [(radii, v) for radii, chunks, v in scans if chunks is None]
+    assert np.array_equal(full[-1][0], lower) and full[-1][1] >= 3.0 * B
+    assert all(v < 3.0 * B for _, v in full[:-1])
+    assert est.lower_screen == ("chunk0" if hw == (3, 4) else "point")
+    if est.lower_screen == "point":
+        assert len(scans) == 1
+        return
+    real = coarse._real_terms(coeff_tensor(b, order), order)
+    passed = [p.r for p in est.probes if p.bound == "lower"
+              and point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
+    screens = [radii for radii, chunks, _ in scans if chunks == 1]
+    assert len(full) == 2 and len(scans) == 2 + len(screens)
+    assert len(screens) == len(passed)
+    for radii, r in zip(screens, passed):
+        assert np.array_equal(radii, b.radii(r)[order] * est.cert_inflation)
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3)], ids=["1x2", "2x2", "2x3"])
@@ -1010,6 +1126,12 @@ def test_grid_minimum_does_not_increase_with_r(hw, mode, grid):
     assert {low >= 0.0 for low, _ in scans} == {True, False}  # across the threshold
     for (low1, bound1), (low2, bound2) in itertools.combinations(scans, 2):
         assert low1 >= low2 - bound1 - bound2
+
+
+def point_value(real, radii) -> float:
+    """The value of the all-zero grid point of a scan at radii (site order),
+    a_i = rho_i / 2, by the bracket's real-term evaluator."""
+    return coarse._RealTerms(real, range(len(radii)), radii / 2.0).value()
 
 
 def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisect_tol: float):
@@ -1046,23 +1168,37 @@ def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisec
 @pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x2", "2x3", "2x4")],
                          ids=lambda c: f"{c['block']}-{c['mode']}")
 def test_screened_lower_bisection_matches_full_scans(case):
-    # a screened hold records chunk 0's minimum, which equals the full
-    # scan's minimum on every recorded case
+    # the all-zero point decides every lower probe as full scans do; each
+    # probe records the point's value, which chunk 0 holds, so the full
+    # scan's minimum lies below it up to two rounding bounds, and the probe
+    # at lower the minimum of the full scan that confirmed it
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
     est = s_estimate(b, case["grid"], case["bisect_tol"])
     lower, probes, bound = reference_lower_bisection(b, est.upper, case["grid"], case["bisect_tol"])
-    assert (est.lower, est.cert_rounding_bound) == (lower, bound)
-    assert [p for p in est.probes if p.bound == "lower"] == probes
+    assert (est.lower, est.cert_rounding_bound, est.lower_screen) == (lower, bound, "point")
+    got = [p for p in est.probes if p.bound == "lower"]
+    assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
+    order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
+    real = coarse._real_terms(coeff_tensor(b, order), order)
+    B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
+    for p, ref in zip(got, probes):
+        if p.r == lower:
+            assert p.value == ref.value
+        else:
+            assert p.value == point_value(real, b.radii(p.r) * est.cert_inflation)
+            assert ref.value <= p.value + 2.0 * B
 
 
 @pytest.mark.parametrize("below, defect", [(3.0, -1.0), (math.inf, -1.0), (3.0, 1.5)],
                          ids=["negative-near", "negative-everywhere", "within-margin"])
 def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch):
     # above a cut below the recorded lower, chunk 1 takes defect times the
-    # rounding bound, where chunk 0 cannot see it.  Negative, it fails every
-    # full scan above the cut, and the grid minimum still does not increase
-    # with r.  At 1.5 rounding bounds every full scan holds, but the one at
-    # lower misses the margin, which asks for 3
+    # rounding bound, where neither the all-zero point nor chunk 0 can see
+    # it.  Negative, it fails every full scan above the cut, and the grid
+    # minimum still does not increase with r.  At 1.5 rounding bounds every
+    # full scan holds, but the one at lower misses the margin, which asks
+    # for 3.  Either way the point's lower and then chunk 0's miss it, and
+    # the bisection ends on full scans
     case = next(c for c in BRACKETS if c["block"] == "2x3")
     b = BlockSpec(2, 3, case["mode"])
     tol = case["bisect_tol"]
@@ -1084,7 +1220,16 @@ def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch
     else:
         assert lower == case["r_lower"] and probes[-1].value == 1.5 * bound
     assert (est.lower, est.upper, est.cert_rounding_bound) == (lower, case["r_upper"], bound)
-    assert [p for p in est.probes if p.bound == "lower"] == probes
+    assert est.lower_screen == "full"
+    # a probe that the all-zero point fails records the point's value, every
+    # other one its full scan's
+    got = [p for p in est.probes if p.bound == "lower"]
+    assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
+    real = coarse._real_terms(coeff_tensor(b, order), order)
+    B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
+    for p, ref in zip(got, probes):
+        point = point_value(real, b.radii(p.r) * est.cert_inflation)
+        assert p.value == (point if point < B else ref.value)
     upper = [[p.bound, p.r, p.holds] for p in est.probes if p.bound == "upper"]
     assert upper == [p for p in case["probes"] if p[0] == "upper"]
 
@@ -1092,8 +1237,10 @@ def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch
 def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
     # a chunk 0 that is nonnegative but below the scan's forward error fails
     # the probe: the full scan's chunk 0 is the same computation, so its
-    # minimum is at most chunk 0's.  No scan goes past chunk 0 (chunk 1 here
-    # would read -1.0), and each probe records chunk 0's minimum
+    # minimum is at most chunk 0's.  Chunk 1 here reads -1.0, so the full
+    # scan at the all-zero point's lower stops there, short of the margin;
+    # after it no scan goes past chunk 0, and each probe that the point
+    # passes records chunk 0's minimum
     chunks = coarse._grid_chunks
     scans = []
 
@@ -1109,13 +1256,21 @@ def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
     screened = scans[:]
     lower, probes, bound = reference_lower_bisection(b, est.upper, 32, 1e-4)
     assert (est.lower, est.cert_rounding_bound) == (lower, bound) and lower == 0.0
+    assert est.lower_screen == "chunk0"
     got = [p for p in est.probes if p.bound == "lower"]
     assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
-    assert len(screened) == len(got)
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
-    for p, (radii, seen) in zip(got, screened):
+    real = coarse._real_terms(coeff_tensor(b, order), order)
+    B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
+    assert screened[0][1] == 2
+    passed = [p for p in got if point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
+    assert len(screened) == 1 + len(passed) and passed
+    for p, (radii, seen) in zip(passed, screened[1:]):
         assert np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
         assert seen == 1 and p.value == 0.5 * rounding_bound(radii)
+    for p in got:
+        if p not in passed:
+            assert p.value == point_value(real, b.radii(p.r) * est.cert_inflation) < B
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
@@ -1140,14 +1295,36 @@ def test_rounding_bound_does_not_decrease_with_r(hw, mode):
 
 
 def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):
-    # a grid minimum that is nonnegative but below the scan's forward error
-    # certifies nothing, since the exact minimum may be negative
-    monkeypatch.setattr(coarse, "_grid_sign", lambda scan, radii, *_: 0.5 * rounding_bound(radii))
-    est = s_estimate(BlockSpec(2, 2, LAMBDA_GROWN), theta_grid=8, bisect_tol=1e-3)
-    lower = [p for p in est.probes if p.bound == "lower"]
-    assert lower and not any(p.holds for p in lower)
-    assert all(p.value > 0.0 for p in lower)
-    assert est.lower == 0.0
+    # a value that is nonnegative but below the scan's forward error
+    # certifies nothing, since the exact minimum may be negative.  At the
+    # all-zero point it fails every probe with no scan run.  In every scan,
+    # the full scan at the point's lower misses the margin, and then chunk
+    # 0 fails every probe that the point passes
+    b = BlockSpec(2, 2, LAMBDA_GROWN)
+    half = lambda *args: 0.5 * rounding_bound(args[1])  # noqa: E731
+    for where in ("point", "scan"):
+        scans = []
+        with monkeypatch.context() as m:
+            m.setattr(coarse, "_grid_sign", lambda *args: scans.append(args) or half(*args))
+            if where == "point":
+                m.setattr(coarse, "_zero_point", half)
+            est = s_estimate(b, theta_grid=8, bisect_tol=1e-3)
+        lower = [p for p in est.probes if p.bound == "lower"]
+        assert lower and not any(p.holds for p in lower)
+        assert est.lower == 0.0
+        if where == "point":
+            assert est.lower_screen == "point" and not scans
+            assert all(p.value > 0.0 for p in lower)
+            continue
+        order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
+        real = coarse._real_terms(coeff_tensor(b, order), order)
+        B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
+        passed = [p for p in lower if point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
+        assert est.lower_screen == "chunk0" and passed
+        assert len(scans) == 1 + len(passed) and len(scans[0]) == 2  # the full scan at the point's lower
+        for p, (_, radii, chunks) in zip(passed, scans[1:]):
+            assert chunks == 1 and np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
+            assert p.value == 0.5 * rounding_bound(radii) > 0.0
 
 
 def test_probes_record_every_sign_decision(monkeypatch):
@@ -1181,13 +1358,19 @@ def test_probes_record_every_sign_decision(monkeypatch):
         assert p.value == zero_start_descent(p.r)[0]
     inflate = est.cert_inflation
     assert est.cert_rounding_bound == rounding_bound(b.radii(est.lower)[order] * inflate)
+    # the all-zero point decides every lower probe and records its value;
+    # the probe at lower records the minimum of the full scan that confirms it
+    B = rounding_bound(b.radii(est.upper)[order] * inflate)
+    assert est.lower_screen == "point"
     for p in lower:
         radii = b.radii(p.r)[order] * inflate
         full = min(_grid_chunks(scan, radii))
-        assert p.holds == (p.value >= rounding_bound(radii)) == (full >= 0.0)
-        assert p.value == _grid_sign(scan, radii)
-        if p.holds:
-            assert p.value == full
+        point = point_value(real, b.radii(p.r) * inflate)
+        assert p.holds == (point >= B) == (p.value >= B) == (full >= 0.0)
+        if p.r == est.lower:
+            assert p.value == full == _grid_sign(scan, radii) >= 3.0 * B
+        else:
+            assert p.value == point
     # one zero-angle descent on the real terms per upper probe and none for
     # the witness, which is the assignment of the failing probe at upper
     assert len(descents) == len(upper)
@@ -1261,33 +1444,40 @@ def test_recorded_bracket_holds_on_windowed_oracle(case):
 
 @pytest.mark.parametrize("hw,mode,grid", [
     ((1, 2), PLAIN, 8), ((2, 2), LAMBDA_GROWN, 32), ((2, 3), LAMBDA_GROWN, 16),
-    ((3, 3), PLAIN, 16), ((2, 4), LAMBDA_GROWN, 32),
-], ids=["1x2-plain-8", "2x2-lambda-32", "2x3-lambda-16", "3x3-plain-16", "2x4-lambda-32"])
+    ((3, 3), PLAIN, 16), ((2, 4), LAMBDA_GROWN, 32), ((3, 4), LAMBDA_GROWN, 32),
+], ids=["1x2-plain-8", "2x2-lambda-32", "2x3-lambda-16", "3x3-plain-16", "2x4-lambda-32", "3x4-lambda-32"])
 def test_certification_polygons_hold_their_discs(hw, mode, grid, monkeypatch):
     # a lower probe at r certifies the continuous minimum only if each site's
     # grid polygon, vertices (Re a, Im a), holds the disc |a| <= rho / 2 of its
     # exact radius rho: its apothem, the least distance from the centre to an
     # edge line, must reach rho / 2.  Judged on the rows every scan builds,
-    # for every lower probe and the verifying scan at lower, whatever
-    # inflation made them
+    # the confirming scan at lower included, whatever inflation made them,
+    # against the exact radii at the r of the last BlockSpec.radii call
+    # before the scan
     b = BlockSpec(*hw, mode)
     rows = []
-    grid_rows = coarse._grid_rows
+    grid_rows, radii = coarse._grid_rows, BlockSpec.radii
+    last_r = []
 
-    def spy(radii, g):
+    def rows_spy(radii, g):
         Y = grid_rows(radii, g)
-        rows.append(Y.copy())
+        rows.append((last_r[-1], Y.copy()))
         return Y
 
-    monkeypatch.setattr(coarse, "_grid_rows", spy)
+    def radii_spy(self, r):
+        last_r.append(r)
+        return radii(self, r)
+
+    monkeypatch.setattr(coarse, "_grid_rows", rows_spy)
+    monkeypatch.setattr(BlockSpec, "radii", radii_spy)
     est = s_estimate(b, theta_grid=grid, bisect_tol=1e-4)
     monkeypatch.undo()
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
-    rs = [p.r for p in est.probes if p.bound == "lower"]
-    if est.lower > 0.0 and est.scan_points > coarse._CHUNK:
-        rs.append(est.lower)  # chunk 0 screened the probes; one full scan verifies lower
-    assert len(rows) == len(rs)  # one scan per lower probe: the bisection never reran
-    for r, Y in zip(rs, rows):
+    assert est.lower > 0.0 and rows[-1][0] == est.lower  # the scan that confirms lower
+    # the point settles the smaller brackets with that one scan; on 3x4 the
+    # scan at the point's lower and each probe's chunk-0 screen run too
+    assert len(rows) == 1 if est.lower_screen == "point" else len(rows) > 2
+    for r, Y in rows:
         for rho, y in zip(b.radii(r)[order], Y):
             assert len(y) == est.cert_grid
             p, q = y[:, 1:], np.roll(y[:, 1:], -1, axis=0)
