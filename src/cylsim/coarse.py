@@ -50,8 +50,8 @@ r' < r is a shrunken copy inside its polygon at r; the block value is the
 same multilinear function of the a_i at every r, so its minimum over the
 larger product of polygons, attained at a vertex, is no larger.  A
 certificate at lower therefore settles every smaller radius, and s_estimate
-screens its lower probes at the all-zero grid point, which chunk 0 of every
-scan holds, and runs one full scan, at the final lower, to confirm them.
+screens its lower probes at the all-zero grid point, which every scan holds,
+and runs one full scan, at the final lower, to confirm them.
 
 Symmetry shrinks that grid.  Codes 1 and 2 enter _SITE and _EDGE
 symmetrically, so the value is unchanged when every a_i is conjugated, on
@@ -612,14 +612,12 @@ def _rechunk(blocks, rows: int):
         yield np.concatenate(held)
 
 
-def _grid_sign(scan: _Scan, radii: np.ndarray, chunks: int | None = None) -> float:
+def _grid_sign(scan: _Scan, radii: np.ndarray) -> float:
     """A value with the sign of the grid minimum: the minimum itself when it
     is nonnegative, else the minimum of the first chunk that goes negative,
-    where the scan stops.  With chunks set, the scan stops after that many
-    chunks and the same rule covers only them: chunks=1 gives the minimum of
-    chunk 0, which holds the all-zero grid point."""
+    where the scan stops."""
     low = math.inf
-    for v in itertools.islice(_grid_chunks(scan, radii), chunks):
+    for v in _grid_chunks(scan, radii):
         low = min(low, v)
         if v < 0.0:
             break
@@ -712,9 +710,8 @@ class _RealTerms:
 
 def _zero_point(real, radii: np.ndarray) -> float:
     """Block value at the all-zero grid point of a scan at radii (in site
-    order), where every transverse component is a_i = rho_i / 2, from the
-    real terms of its coefficient tensor (_real_terms).  Chunk 0 of every
-    scan holds this point."""
+    order), every a_i = rho_i / 2, which every scan holds, from the real
+    terms of its coefficient tensor (_real_terms)."""
     return _RealTerms(real, range(len(radii)), radii / 2.0).value()
 
 
@@ -770,9 +767,9 @@ class Probe(NamedTuple):
     inflated radii of upper (see s_estimate), and its value comes from the
     screen that decided it (SEstimate.lower_screen): the all-zero grid
     point's value, when that is below the bound or the point settled the
-    bisection; else chunk 0's minimum, or the certification-grid minimum, or
-    the first negative chunk's.  The probe at lower records the minimum of
-    the full scan that confirmed it."""
+    bisection, else the full scan's (_grid_sign).  The probe at lower records
+    the minimum of the full scan that confirmed it, and the one at an
+    uncapped upper the witness's value."""
 
     bound: str
     r: float
@@ -796,8 +793,8 @@ class SEstimate:
     cert_rounding_bound is rounding_bound at the inflated radii of lower:
     how far the scan's grid minimum there can lie from the exact one.  It is
     at most the bound that every lower probe cleared, the one at upper.
-    lower_screen names the screen that settled the lower bisection, "point",
-    "chunk0" or "full" (s_estimate).  probes lists every probe of the upper
+    lower_screen names the screen that settled the lower bisection, "point"
+    or "full" (s_estimate).  probes lists every probe of the upper
     bisection and of that screen's lower bisection, in order.
     """
 
@@ -846,8 +843,10 @@ def s_estimate(
 
     Each probe decides a sign by one search.  An upper probe descends from
     all-zero angles at the exact radii and fails when it ends negative; upper
-    is always such a probe, and its assignment is the witness.  Its
-    components stay real, so it descends on the real terms of the scan's
+    is always such a probe, and its assignment is the witness.  From 0.05
+    the search multiplies r by 1.5 while probes hold, or divides it by 1.5
+    until one holds (as r -> 0 the value tends to 2^-n > 0), then bisects.
+    Its components stay real, so it descends on the real terms of the scan's
     coefficient tensor (_real_terms, built once per bracket), where a move
     flips one sign and changes the value by -2 q_i, in the frontier's
     absorption order and by the acceptance rule of _coordinate_descent,
@@ -869,21 +868,18 @@ def s_estimate(
     The exact grid minimum does not increase with r (module docstring), so
     one full scan at the final lower can confirm a bisection run on cheaper
     screens.  Each lower probe is first evaluated at the all-zero grid point,
-    which chunk 0 of every scan holds, from the real terms (_zero_point):
-    below B the probe fails with no scan.  The first bisection runs on that
-    point alone ("point"); if the full scan at its lower misses 3 B, it runs
-    again with chunk 0 screening each probe the point passes ("chunk0"), and
-    if the full scan at that lower misses 3 B too, with full scans ("full"),
-    which need no confirming.  On a grid of one chunk, such as 3x3's, chunk
-    0 is the full scan, so "chunk0" is confirmed by its own probes.  The
-    full scan's minimum becomes the value of the probe at lower, and only
-    the last bisection's probes are kept.
+    which every scan holds, from the real terms (_zero_point): below B the
+    probe fails with no scan.  The first bisection runs on that point alone
+    ("point"); if the full scan at its lower misses 3 B, it runs again with
+    a full scan of each probe the point passes ("full").  Unless capped, the
+    probe at upper evaluates nothing and fails: the witness lies in the
+    polygons at upper, so the exact grid minimum there is negative.
 
     With exact grid minima E, a hold at r' <= lower that a full scan would
     fail is caught: that scan reads E(r') - rb(r') < B, so the scan at lower
     reads at most E(lower) + rb(lower) <= E(r') + rb(lower) < B + rb(r') +
-    rb(lower) <= 3 B, and the next screen runs.  A point below B fails as
-    chunk 0 would, unless the point's value lies within the two
+    rb(lower) <= 3 B, and the full screen runs.  A point below B fails as
+    the full scan would, unless the point's value lies within the two
     evaluations' rounding errors below B.
 
     Raises ValueError for a theta_grid that is not an integer >= 4 or a
@@ -910,14 +906,14 @@ def s_estimate(
     scan_points = len(head[1]) * cert_grid ** (b.n - head[0])
     inflate = 1.0 / math.cos(math.pi / cert_grid)
     probes = []
-    witnesses = {}  # assignment of each failing upper probe, by radius
+    witnesses = {}  # value and assignment of each failing upper probe, by radius
 
     def nonnegative(r: float) -> bool:
         radii = b.radii(r)
         v, a = _coordinate_descent(_RealTerms(real, visit, radii / 2.0), radii)
         probes.append(Probe("upper", r, v >= 0.0, v))
         if v < 0.0:
-            witnesses[r] = a
+            witnesses[r] = v, a
         return v >= 0.0
 
     # upper: smallest r with a concrete negative witness
@@ -928,33 +924,36 @@ def s_estimate(
     if capped:
         upper, witness = R_SEARCH_CAP, None
     else:
+        if hi == 0.05:  # the first probe failed: shrink until one holds
+            while not nonnegative(hi / 1.5):
+                hi /= 1.5
         _, upper = _bisect(hi / 1.5, hi, bisect_tol, nonnegative)
-        witness = _angles(witnesses[upper])
+        witness = _angles(witnesses[upper][1])
 
     # lower: largest r whose inflated-grid minimum is certified nonnegative,
-    # each probe screened at the all-zero grid point, then on chunk 0 or by
-    # a full scan, and lower confirmed by one full scan
+    # screened at the all-zero grid point, then on full scans
     def cert_radii(r: float) -> np.ndarray:
         return b.radii(r)[order] * inflate
 
     bound = rounding_bound(cert_radii(upper))
 
-    def certified(r: float, chunks: int | None) -> bool:
-        radii = b.radii(r) * inflate
-        v = _zero_point(real, radii)
-        if v >= bound and chunks != 0:
-            v = _grid_sign(scan, radii[order], chunks)
+    def certified(r: float, full: bool) -> bool:
+        if r == upper and not capped:
+            v = witnesses[upper][0]  # the witness lies in the polygons at upper
+        else:
+            radii = b.radii(r) * inflate
+            v = _zero_point(real, radii)
+            if v >= bound and full:
+                v = _grid_sign(scan, radii[order])
         probes.append(Probe("lower", r, v >= bound, v))
         return v >= bound
 
     screened = len(probes)
-    for lower_screen, chunks in (("point", 0), ("chunk0", 1), ("full", None)):
+    for lower_screen, full in (("point", False), ("full", True)):
         del probes[screened:]
-        if certified(upper, chunks):
-            lower = upper
-        else:
-            lower = _bisect(0.0, upper, bisect_tol, lambda r: certified(r, chunks))[0]
-        if lower == 0.0 or chunks is None or (chunks and scan_points <= _CHUNK):
+        lo = upper if certified(upper, full) else 0.0
+        lower = _bisect(lo, upper, bisect_tol, lambda r: certified(r, full))[0]
+        if lower == 0.0 or full:
             break  # nothing to confirm, or every probe that passed the point ran a full scan
         v = _grid_sign(scan, cert_radii(lower))
         if v >= 3.0 * bound:

@@ -633,9 +633,10 @@ def test_coarse_accepts_3x4(tmp_path, capsys):
     # rounding bound of the grid minimum at r_lower, whose values are near 2^-12
     assert 0.0 < result["cert_rounding_bound"] < 1e-15
     assert 0.0 < result["r_lower"] <= result["r_upper"]
-    # the full scan at the all-zero point's lower missed its margin, so
-    # chunk 0 screens settled the lower bisection
-    assert result["lower_screen"] == "chunk0"
+    # the all-zero grid point settled the lower bisection, where chunk 0
+    # screens once did, at the same r_lower
+    assert result["lower_screen"] == "point"
+    assert result["r_lower"] == 0.058007812500000006
 
 
 @pytest.mark.parametrize(

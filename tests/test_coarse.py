@@ -453,6 +453,26 @@ def test_s_estimate_tolerance_below_float_resolution_terminates():
     assert est.upper - est.lower < 0.1
 
 
+def test_upper_search_shrinks_until_a_probe_holds():
+    # with every radius tripled, the probe at 0.05 fails, as does 0.05 / 1.5.
+    # The search divides r by 1.5 until a probe holds, then bisects between
+    # the two, so upper is the 2x2 lambda upper / 3 to the bisection
+    # tolerance; bisecting [0.05 / 1.5, 0.05] untested would end near 0.0334
+    class Tripled(BlockSpec):
+        def radii(self, r):
+            return 3.0 * super().radii(r)
+
+    tol = 1e-4
+    b = Tripled(2, 2, LAMBDA_GROWN)
+    est = s_estimate(b, theta_grid=32, bisect_tol=tol)
+    ref = s_estimate(BlockSpec(2, 2, LAMBDA_GROWN), theta_grid=32, bisect_tol=tol)
+    first = [(p.r, p.holds) for p in est.probes[:3]]
+    assert first == [(0.05, False), (0.05 / 1.5, False), (0.05 / 1.5 / 1.5, True)]
+    assert not est.capped and abs(est.upper - ref.upper / 3.0) <= tol
+    assert block_value(b, b.radii(est.upper), est.witness) < 0.0
+    assert 0.0 < est.lower <= est.upper
+
+
 @pytest.mark.parametrize("case", BRACKETS, ids=lambda c: f"{c['block']}-{c['mode']}")
 def test_brackets_match_recorded(case):
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
@@ -482,7 +502,8 @@ def test_sweep_matches_recorded(case):
 def test_point_decisions_match_chunk_0(case):
     # every lower probe that the all-zero point decides, all of them when it
     # settled the bisection and otherwise the ones it fails, gets the same
-    # decision from chunk 0 of its scan, the screen the point stands in for
+    # decision from chunk 0 of its scan, which holds the point.  The probe at
+    # an uncapped upper is the witness's, and no point decides it
     _, case = case
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
     est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
@@ -492,21 +513,23 @@ def test_point_decisions_match_chunk_0(case):
     real = coarse._real_terms(terms, order)
     B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
     decided = 0
-    for p in (p for p in est.probes if p.bound == "lower"):
+    for p in (p for p in est.probes if p.bound == "lower" and p.r != est.upper):
         point = point_value(real, b.radii(p.r) * est.cert_inflation)
         if est.lower_screen == "point" or point < B:
             decided += 1
             assert (point >= B) == p.holds
-            assert (_grid_sign(scan, b.radii(p.r)[order] * est.cert_inflation, 1) >= B) == p.holds
+            chunk_0 = itertools.islice(_grid_chunks(scan, b.radii(p.r)[order] * est.cert_inflation), 1)
+            assert (min(chunk_0) >= B) == p.holds
     assert decided > 0
 
 
 @pytest.mark.parametrize("case", BRACKETS, ids=lambda c: f"{c['block']}-{c['mode']}")
 def test_point_screen_that_holds_everywhere_falls_back_to_chunk_0(case, monkeypatch):
-    # a broken point screen that passes every probe puts the point's lower at
-    # upper, whose full scan misses the margin, so chunk 0 screens the probes
-    # again and the recorded bracket and decisions come back.  Chunk 0's
-    # minimum then equals the full scan's on every probe of 2x2, 2x3 and 2x4
+    # a broken point screen that passes every probe puts the point's lower
+    # just below upper, whose full scan misses the margin, so the bisection
+    # runs again on full scans and the recorded bracket and decisions come
+    # back.  On 2x2, 2x3 and 2x4 every probe below upper then matches the
+    # reference bisection on full scans
     monkeypatch.setattr(coarse, "_zero_point", lambda real, radii: math.inf)
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
     est = s_estimate(b, theta_grid=case["grid"], bisect_tol=case["bisect_tol"])
@@ -514,10 +537,10 @@ def test_point_screen_that_holds_everywhere_falls_back_to_chunk_0(case, monkeypa
     got = (est.lower, est.upper, est.cert_grid, list(est.witness))
     assert got == (case["r_lower"], case["r_upper"], case["cert_grid"], case["witness"])
     assert [[p.bound, p.r, p.holds] for p in est.probes] == case["probes"]
-    assert est.lower_screen == "chunk0"
+    assert est.lower_screen == "full"
     if case["block"] in ("2x2", "2x3", "2x4"):
         _, probes, _ = reference_lower_bisection(b, est.upper, case["grid"], case["bisect_tol"])
-        assert [p for p in est.probes if p.bound == "lower"] == probes
+        assert [p for p in est.probes if p.bound == "lower"][1:] == probes[1:]
 
 
 @pytest.mark.parametrize("hw", RECTANGLES, ids=lambda hw: f"{hw[0]}x{hw[1]}")
@@ -1013,17 +1036,13 @@ def chunks_per_scan(monkeypatch, b: BlockSpec) -> list[tuple[int, int]]:
 
 
 def test_3x4_bracket_runs_few_full_certification_grids(monkeypatch):
-    # the all-zero point's lower misses the margin on its first chunk, chunk 0
-    # then screens every lower probe that the point passes, one full scan of
-    # 4^12 points confirms lower, and upper probes run no grid at all
+    # the all-zero point settles the lower bisection, one full scan of 4^12
+    # points confirms lower, and upper probes run no grid at all
     runs = chunks_per_scan(monkeypatch, BlockSpec(3, 4, LAMBDA_GROWN))
     # one head row of the 4 corners per chunk, one per orbit of the 4^4
     # corner strings under the 4 reflections of the rectangle and the
     # mirror: (256 + 3 * 16 + 2^4 + 3 * 16) / 8 = 46 by Burnside's lemma
-    per_grid = 46
-    assert sum(1 for grid, n in runs if n > 1) == 1
-    assert all(grid == 4 and n in (1, per_grid) for grid, n in runs)
-    assert runs[-1] == (4, per_grid)
+    assert runs == [(4, 46)]
 
 
 @pytest.mark.parametrize("hw", [(2, 2), (2, 3), (2, 4)], ids=["2x2", "2x3", "2x4"])
@@ -1035,9 +1054,9 @@ def test_bracket_runs_one_full_certification_grid(hw, monkeypatch):
 
 def test_one_chunk_grid_runs_one_full_scan(monkeypatch):
     # 3x3's certification grid fits one chunk.  The all-zero point decides
-    # every lower probe, and the one scan, a full scan of that one chunk,
-    # confirms lower, whose probe keeps its minimum; every other probe keeps
-    # the point's value
+    # every lower probe but the one at upper, which the witness decides, and
+    # the one scan, a full scan of that one chunk, confirms lower, whose
+    # probe keeps its minimum; every other probe keeps the point's value
     b = BlockSpec(3, 3, LAMBDA_GROWN)
     est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
     assert est.scan_points <= coarse._CHUNK and est.lower > 0.0
@@ -1051,7 +1070,8 @@ def test_one_chunk_grid_runs_one_full_scan(monkeypatch):
     at_lower = max((p for p in lower if p.holds), key=lambda p: p.r)
     assert at_lower.r == est.lower
     assert at_lower.value == min(_grid_chunks(scan, b.radii(est.lower)[order] * est.cert_inflation))
-    for p in lower:
+    assert lower[0] == ("lower", est.upper, False, witness_value(est))
+    for p in lower[1:]:
         if p is not at_lower:
             assert p.value == point_value(real, b.radii(p.r) * est.cert_inflation)
 
@@ -1062,10 +1082,7 @@ def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch)
     # every lower probe clears the one bound at upper, so a bracket computes
     # rounding_bound there and once more at lower, for cert_rounding_bound.
     # The all-zero point screens every lower probe, and one full scan
-    # confirms lower with a margin of 3 bounds, on 3x3's one-chunk grid too.
-    # On 3x4 the full scan at the point's lower misses the margin, so chunk
-    # 0 screens every lower probe that the point passes, and one more full
-    # scan confirms the new lower
+    # confirms lower with a margin of 3 bounds, on 3x3's one-chunk grid too
     bounds, scans = [], []
     bound, sign = coarse.rounding_bound, coarse._grid_sign
 
@@ -1073,9 +1090,9 @@ def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch)
         bounds.append(radii)
         return bound(radii)
 
-    def sign_spy(scan, radii, chunks=None):
-        scans.append((radii, chunks, sign(scan, radii, chunks)))
-        return scans[-1][2]
+    def sign_spy(scan, radii):
+        scans.append((radii, sign(scan, radii)))
+        return scans[-1][1]
 
     monkeypatch.setattr(coarse, "rounding_bound", bound_spy)
     monkeypatch.setattr(coarse, "_grid_sign", sign_spy)
@@ -1086,22 +1103,8 @@ def test_bracket_computes_two_rounding_bounds_and_one_full_scan(hw, monkeypatch)
     upper, lower = (b.radii(r)[order] * est.cert_inflation for r in (est.upper, est.lower))
     assert est.lower > 0.0 and len(bounds) == 2
     assert np.array_equal(bounds[0], upper) and np.array_equal(bounds[1], lower)
-    B = bound(upper)
-    full = [(radii, v) for radii, chunks, v in scans if chunks is None]
-    assert np.array_equal(full[-1][0], lower) and full[-1][1] >= 3.0 * B
-    assert all(v < 3.0 * B for _, v in full[:-1])
-    assert est.lower_screen == ("chunk0" if hw == (3, 4) else "point")
-    if est.lower_screen == "point":
-        assert len(scans) == 1
-        return
-    real = coarse._real_terms(coeff_tensor(b, order), order)
-    passed = [p.r for p in est.probes if p.bound == "lower"
-              and point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
-    screens = [radii for radii, chunks, _ in scans if chunks == 1]
-    assert len(full) == 2 and len(scans) == 2 + len(screens)
-    assert len(screens) == len(passed)
-    for radii, r in zip(screens, passed):
-        assert np.array_equal(radii, b.radii(r)[order] * est.cert_inflation)
+    assert est.lower_screen == "point" and len(scans) == 1
+    assert np.array_equal(scans[0][0], lower) and scans[0][1] >= 3.0 * bound(upper)
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (2, 2), (2, 3)], ids=["1x2", "2x2", "2x3"])
@@ -1112,7 +1115,8 @@ def test_grid_minimum_does_not_increase_with_r(hw, mode, grid):
     # its polygon at r2, and the multilinear block value takes its minimum
     # over a product of polygons at a vertex: the exact grid minimum cannot
     # increase with r.  The scan's minima keep that up to their rounding
-    # bounds.  This is what lets s_estimate screen its lower probes on chunk 0
+    # bounds.  This is what lets one full scan at lower confirm a bisection
+    # screened at the all-zero point
     b = BlockSpec(*hw, mode)
     est = s_estimate(b, theta_grid=grid, bisect_tol=1e-3)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), est.cert_grid)
@@ -1128,6 +1132,11 @@ def test_grid_minimum_does_not_increase_with_r(hw, mode, grid):
         assert low1 >= low2 - bound1 - bound2
 
 
+def witness_value(est) -> float:
+    """The value of the upper probe at est.upper, the witness's."""
+    return next(p.value for p in est.probes if p.bound == "upper" and p.r == est.upper)
+
+
 def point_value(real, radii) -> float:
     """The value of the all-zero grid point of a scan at radii (site order),
     a_i = rho_i / 2, by the bracket's real-term evaluator."""
@@ -1135,11 +1144,11 @@ def point_value(real, radii) -> float:
 
 
 def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisect_tol: float):
-    """The lower bisection with one full certification scan per probe, which
-    s_estimate's chunk-0 screen must reproduce: each scan stops at its first
-    negative chunk, and a probe holds when the minimum clears the rounding
-    bound.  Returns lower, the lower probes and the rounding bound at
-    lower."""
+    """The lower bisection with one full certification scan per probe, the
+    one at upper included, whose decisions s_estimate's screens must
+    reproduce: each scan stops at its first negative chunk, and a probe
+    holds when the minimum clears the rounding bound.  Returns lower, the
+    lower probes and the rounding bound at lower."""
     grid = coarse._grid_size(b.n, theta_grid)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), grid)
     scan = _Scan(coeff_tensor(b, order), b.n, grid, head)
@@ -1168,10 +1177,11 @@ def reference_lower_bisection(b: BlockSpec, upper: float, theta_grid: int, bisec
 @pytest.mark.parametrize("case", [c for c in BRACKETS if c["block"] in ("2x2", "2x3", "2x4")],
                          ids=lambda c: f"{c['block']}-{c['mode']}")
 def test_screened_lower_bisection_matches_full_scans(case):
-    # the all-zero point decides every lower probe as full scans do; each
-    # probe records the point's value, which chunk 0 holds, so the full
-    # scan's minimum lies below it up to two rounding bounds, and the probe
-    # at lower the minimum of the full scan that confirmed it
+    # the witness and the all-zero point decide every lower probe as full
+    # scans do; the probe at upper records the witness's value, every other
+    # one the point's, which every scan holds, so the full scan's minimum
+    # lies below it up to two rounding bounds, and the probe at lower the
+    # minimum of the full scan that confirmed it
     b = BlockSpec(*map(int, case["block"].split("x")), case["mode"])
     est = s_estimate(b, case["grid"], case["bisect_tol"])
     lower, probes, bound = reference_lower_bisection(b, est.upper, case["grid"], case["bisect_tol"])
@@ -1181,7 +1191,8 @@ def test_screened_lower_bisection_matches_full_scans(case):
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
     real = coarse._real_terms(coeff_tensor(b, order), order)
     B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
-    for p, ref in zip(got, probes):
+    assert got[0].value == witness_value(est)
+    for p, ref in zip(got[1:], probes[1:]):
         if p.r == lower:
             assert p.value == ref.value
         else:
@@ -1193,12 +1204,12 @@ def test_screened_lower_bisection_matches_full_scans(case):
                          ids=["negative-near", "negative-everywhere", "within-margin"])
 def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch):
     # above a cut below the recorded lower, chunk 1 takes defect times the
-    # rounding bound, where neither the all-zero point nor chunk 0 can see
-    # it.  Negative, it fails every full scan above the cut, and the grid
-    # minimum still does not increase with r.  At 1.5 rounding bounds every
-    # full scan holds, but the one at lower misses the margin, which asks
-    # for 3.  Either way the point's lower and then chunk 0's miss it, and
-    # the bisection ends on full scans
+    # rounding bound, where the all-zero point, in chunk 0, cannot see it.
+    # Negative, it fails every full scan above the cut, and the grid minimum
+    # still does not increase with r.  At 1.5 rounding bounds every full
+    # scan holds, but the one at lower misses the margin, which asks for 3.
+    # Either way the point's lower misses it, and the bisection ends on full
+    # scans
     case = next(c for c in BRACKETS if c["block"] == "2x3")
     b = BlockSpec(2, 3, case["mode"])
     tol = case["bisect_tol"]
@@ -1221,56 +1232,18 @@ def test_failed_verification_falls_back_to_full_scans(below, defect, monkeypatch
         assert lower == case["r_lower"] and probes[-1].value == 1.5 * bound
     assert (est.lower, est.upper, est.cert_rounding_bound) == (lower, case["r_upper"], bound)
     assert est.lower_screen == "full"
-    # a probe that the all-zero point fails records the point's value, every
-    # other one its full scan's
+    # the probe at upper records the witness's value, a probe that the
+    # all-zero point fails the point's, every other one its full scan's
     got = [p for p in est.probes if p.bound == "lower"]
     assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
+    assert got[0].value == witness_value(est)
     real = coarse._real_terms(coeff_tensor(b, order), order)
     B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
-    for p, ref in zip(got, probes):
+    for p, ref in zip(got[1:], probes[1:]):
         point = point_value(real, b.radii(p.r) * est.cert_inflation)
         assert p.value == (point if point < B else ref.value)
     upper = [[p.bound, p.r, p.holds] for p in est.probes if p.bound == "upper"]
     assert upper == [p for p in case["probes"] if p[0] == "upper"]
-
-
-def test_chunk_0_within_the_rounding_bound_fails_on_chunk_0_alone(monkeypatch):
-    # a chunk 0 that is nonnegative but below the scan's forward error fails
-    # the probe: the full scan's chunk 0 is the same computation, so its
-    # minimum is at most chunk 0's.  Chunk 1 here reads -1.0, so the full
-    # scan at the all-zero point's lower stops there, short of the margin;
-    # after it no scan goes past chunk 0, and each probe that the point
-    # passes records chunk 0's minimum
-    chunks = coarse._grid_chunks
-    scans = []
-
-    def defective(scan, radii):
-        scans.append([radii, 0])
-        for i, v in enumerate(chunks(scan, radii)):
-            scans[-1][1] += 1
-            yield (0.5 * rounding_bound(radii), -1.0)[i] if i < 2 else v
-
-    monkeypatch.setattr(coarse, "_grid_chunks", defective)
-    b = BlockSpec(2, 3, LAMBDA_GROWN)
-    est = s_estimate(b, 32, 1e-4)
-    screened = scans[:]
-    lower, probes, bound = reference_lower_bisection(b, est.upper, 32, 1e-4)
-    assert (est.lower, est.cert_rounding_bound) == (lower, bound) and lower == 0.0
-    assert est.lower_screen == "chunk0"
-    got = [p for p in est.probes if p.bound == "lower"]
-    assert [(p.r, p.holds) for p in got] == [(p.r, p.holds) for p in probes]
-    order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
-    real = coarse._real_terms(coeff_tensor(b, order), order)
-    B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
-    assert screened[0][1] == 2
-    passed = [p for p in got if point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
-    assert len(screened) == 1 + len(passed) and passed
-    for p, (radii, seen) in zip(passed, screened[1:]):
-        assert np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
-        assert seen == 1 and p.value == 0.5 * rounding_bound(radii)
-    for p in got:
-        if p not in passed:
-            assert p.value == point_value(real, b.radii(p.r) * est.cert_inflation) < B
 
 
 @pytest.mark.parametrize("hw", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)],
@@ -1298,8 +1271,9 @@ def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):
     # a value that is nonnegative but below the scan's forward error
     # certifies nothing, since the exact minimum may be negative.  At the
     # all-zero point it fails every probe with no scan run.  In every scan,
-    # the full scan at the point's lower misses the margin, and then chunk
-    # 0 fails every probe that the point passes
+    # the full scan at the point's lower misses the margin, and then the
+    # full scan of every probe that the point passes fails it.  The witness
+    # fails the probe at upper either way
     b = BlockSpec(2, 2, LAMBDA_GROWN)
     half = lambda *args: 0.5 * rounding_bound(args[1])  # noqa: E731
     for where in ("point", "scan"):
@@ -1314,17 +1288,46 @@ def test_lower_probe_must_clear_the_rounding_bound(monkeypatch):
         assert est.lower == 0.0
         if where == "point":
             assert est.lower_screen == "point" and not scans
-            assert all(p.value > 0.0 for p in lower)
+            assert lower[0].value == witness_value(est) < 0.0
+            assert all(p.value > 0.0 for p in lower[1:])
             continue
         order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
         real = coarse._real_terms(coeff_tensor(b, order), order)
         B = rounding_bound(b.radii(est.upper)[order] * est.cert_inflation)
-        passed = [p for p in lower if point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
-        assert est.lower_screen == "chunk0" and passed
-        assert len(scans) == 1 + len(passed) and len(scans[0]) == 2  # the full scan at the point's lower
-        for p, (_, radii, chunks) in zip(passed, scans[1:]):
-            assert chunks == 1 and np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
+        passed = [p for p in lower[1:] if point_value(real, b.radii(p.r) * est.cert_inflation) >= B]
+        assert est.lower_screen == "full" and passed
+        assert len(scans) == 1 + len(passed)  # the first at the point's lower
+        for p, (_, radii) in zip(passed, scans[1:]):
+            assert np.array_equal(radii, b.radii(p.r)[order] * est.cert_inflation)
             assert p.value == 0.5 * rounding_bound(radii) > 0.0
+
+
+def test_lower_probe_at_upper_is_the_witness(monkeypatch):
+    # uncapped, the witness lies on the discs at upper, so inside their
+    # polygons, and the exact grid minimum there is at most its negative
+    # value: the lower probe at upper fails with that value, and neither the
+    # all-zero point nor a scan runs there.  A capped bracket has no witness
+    # and evaluates its probe at upper
+    zero_point, sign = coarse._zero_point, coarse._grid_sign
+    b = BlockSpec(2, 3, LAMBDA_GROWN)
+    for cap in (coarse.R_SEARCH_CAP, 0.05):
+        evaluated = []
+        with monkeypatch.context() as m:
+            m.setattr(coarse, "R_SEARCH_CAP", cap)
+            m.setattr(coarse, "_zero_point", lambda real, radii: evaluated.append(np.sort(radii))
+                      or zero_point(real, radii))
+            m.setattr(coarse, "_grid_sign", lambda scan, radii: evaluated.append(np.sort(radii))
+                      or sign(scan, radii))
+            est = s_estimate(b, theta_grid=32, bisect_tol=1e-4)
+        at_upper = np.sort(b.radii(est.upper) * est.cert_inflation)
+        ran = any(np.array_equal(radii, at_upper) for radii in evaluated)
+        probe = next(p for p in est.probes if p.bound == "lower")
+        assert probe.r == est.upper and est.capped == (cap == 0.05)
+        if not est.capped:
+            assert probe == ("lower", est.upper, False, witness_value(est)) and not ran
+            continue
+        assert (est.upper, est.witness) == (0.05, None) and ran
+        assert probe.holds and est.lower == est.upper
 
 
 def test_probes_record_every_sign_decision(monkeypatch):
@@ -1358,11 +1361,14 @@ def test_probes_record_every_sign_decision(monkeypatch):
         assert p.value == zero_start_descent(p.r)[0]
     inflate = est.cert_inflation
     assert est.cert_rounding_bound == rounding_bound(b.radii(est.lower)[order] * inflate)
-    # the all-zero point decides every lower probe and records its value;
-    # the probe at lower records the minimum of the full scan that confirms it
+    # the witness decides the lower probe at upper and gives it its value,
+    # the all-zero point every other one, and records its value; the probe
+    # at lower records the minimum of the full scan that confirms it
     B = rounding_bound(b.radii(est.upper)[order] * inflate)
     assert est.lower_screen == "point"
-    for p in lower:
+    assert lower[0] == ("lower", est.upper, False, witness_value(est))
+    assert min(_grid_chunks(scan, b.radii(est.upper)[order] * inflate)) < 0.0
+    for p in lower[1:]:
         radii = b.radii(p.r)[order] * inflate
         full = min(_grid_chunks(scan, radii))
         point = point_value(real, b.radii(p.r) * inflate)
@@ -1474,9 +1480,8 @@ def test_certification_polygons_hold_their_discs(hw, mode, grid, monkeypatch):
     monkeypatch.undo()
     order = _orbit_head(b.n, b.automorphisms(), est.cert_grid)[0]
     assert est.lower > 0.0 and rows[-1][0] == est.lower  # the scan that confirms lower
-    # the point settles the smaller brackets with that one scan; on 3x4 the
-    # scan at the point's lower and each probe's chunk-0 screen run too
-    assert len(rows) == 1 if est.lower_screen == "point" else len(rows) > 2
+    # the point settles every one of these brackets with that one scan
+    assert est.lower_screen == "point" and len(rows) == 1
     for r, Y in rows:
         for rho, y in zip(b.radii(r)[order], Y):
             assert len(y) == est.cert_grid
