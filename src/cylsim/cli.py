@@ -78,7 +78,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             {
                 "growth": rep.growth,
                 "representation": {"growth": rep.growth, "branches": len(rep.branches),
-                                   "residual": rep.residual, "source": rep.source},
+                                   "residual": rep.residual},
                 "simulable": True,
                 "vertex_bounds": [
                     {"vertex": v.vertex, "status": v.status} if v.bound is None else

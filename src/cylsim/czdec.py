@@ -7,15 +7,14 @@ in the radius ratios holds.  The symmetric critical growth is
     LAMBDA = sqrt(1 / (sqrt(5) - 2)) ~= 2.05817
 
 This module evaluates the criterion, produces the explicit 4x4 Pauli
-coefficient matrix of the CZ output, and constructs an explicit
-decomposition by linear programming over discretized rim angles, or loads
-one stored as angle-grid indices; both meet one residual check over all 16
-coefficients.  The LP solves 4 coefficient rows over mirror pairs {(a, b),
-(-a, -b)}, with the 16-row LP's optimum (see lp_feasibility).  The
-resulting StochasticRep, which records that residual and its source, drives
+coefficient matrix of the CZ output, and builds the decomposition at equal
+ratios f in closed form: five branches, two of them mirror pairs (see
+build_decomposition).  lp_feasibility, an LP over discretized rim angles
+that fits fA != fB too, stays as the independent judge of the criterion;
+scipy's LP solver is imported only when it runs.  The resulting
+StochasticRep, which records its residual over all 16 coefficients, drives
 the sampler: one CZ application becomes a radius growth plus a sampled pair
-of Z-rotation offsets.  scipy's LP solver is imported only when an LP is
-solved.
+of Z-rotation offsets.
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ from .geometry import TWO_PI, CylinderExtremum, canonical_angle
 
 #: symmetric critical growth rate, root of 1 - 4/g^2 - 1/g^4 = 0
 LAMBDA = math.sqrt(1.0 / (math.sqrt(5.0) - 2.0))
+
+#: max-norm residual a representation must meet over all 16 coefficients
+REP_TOL = 1e-6
 
 
 def symmetric_growth() -> float:
@@ -168,14 +170,12 @@ class StochasticRep:
 
     branches: list of (probability, dthetaA, dthetaB); the offsets are the
     output angles relative to each input's own angle (for pole +1 inputs).
-    residual and source record its acceptance: the mixture_residual of its
-    branches, and "stored" (grid_rep) or "lp" (build_decomposition).
+    residual records its acceptance: the mixture_residual of its branches.
     """
 
     growth: float
     branches: tuple[tuple[float, float, float], ...]
     residual: float
-    source: str
 
     def __post_init__(self):
         if self.growth <= 1.0:
@@ -185,25 +185,49 @@ class StochasticRep:
             raise ValueError("branch weights must be a probability vector")
 
 
-def build_decomposition(
-    f: float, grid_size: int = 64, tol: float = 1e-6
-) -> StochasticRep:
-    """Construct a StochasticRep for inputs at radius ratio f = r/R per qubit.
+def build_decomposition(f: float) -> StochasticRep:
+    """The StochasticRep at growth 1/f for inputs at radius ratio f = r/R per qubit.
 
-    The decomposition depends only on f; growth is 1/f.  Requires f strictly
-    inside the separable region so the finite angle grid has room; an LP
-    solution that fails the acceptance rule (see grid_rep) raises
-    DecompositionError.
+    Five branches (weight, dthetaA, dthetaB): (w/2, t, t), (w/2, -t, -t),
+    (u/2, 0, pi), (u/2, pi, 0) and (v, 0, 0), with
+
+        cos t = (f^2 + 2f - 1) / (1 - f)^2,   w = (1 - f)^4 / (4 (1 - 2f)),
+        v = (1 - 4f^2 - f^4) / (4 (1 - 2f)),   u = 1 - w - v;
+
+    t is computed as 2 atan2(sqrt(1 - 2f), f), the same angle, with no acos
+    of a rounded cosine.  The mirror pairs zero the six Pauli coefficients
+    odd under (a, b) -> (-a, -b), and the weights meet the four even ones:
+    E cos a = E cos b = f, E cos a cos b = 0 and E sin a sin b = f^2.  For
+    f < 1/2, v >= 0 exactly when f^4 + 4f^2 <= 1, which is
+    separability_condition(f, f, 1, 1), so the form covers the whole
+    separable range: at f = 1/LAMBDA, v = 0, w = (sqrt(5) - 1)/2 and
+    u = (3 - sqrt(5))/2, and at f = 0, t = pi, w = v = 1/4 and u = 1/2.
+    Raises DecompositionError where the condition fails (with residual inf),
+    or where the branches' mixture_residual exceeds REP_TOL.
     """
     if not 0.0 <= f < 1.0:
         raise ValueError(f"f must lie in [0, 1), got {f!r}")
-    if f == 0.0:
-        # diagonal inputs: CZ acts trivially on the Pauli coefficients.  Exempt
-        # from the acceptance rule, which pictures outputs on the unit rim.
-        branches = ((1.0, 0.0, 0.0),)
-        return StochasticRep(math.inf, branches, mixture_residual(f, branches), "lp")
-    _, _, branches = lp_feasibility(f, f, grid_size=grid_size, tol=tol)
-    return _accepted(f, grid_size, branches, tol, "lp")
+    if not separability_condition(f, f, 1.0, 1.0):
+        raise DecompositionError(
+            f"no decomposition at f={f}: f^4 + 4f^2 = {f**4 + 4 * f * f!r} > 1",
+            math.inf,
+        )
+    t = 2.0 * math.atan2(math.sqrt(1.0 - 2.0 * f), f)
+    w = (1.0 - f) ** 4 / (4.0 * (1.0 - 2.0 * f))
+    # rounding leaves v a few ulps below 0 at the critical ratio
+    v = max(0.0, (1.0 - 4.0 * f * f - f**4) / (4.0 * (1.0 - 2.0 * f)))
+    u = 1.0 - w - v
+    branches = (
+        (w / 2.0, t, t), (w / 2.0, -t, -t),
+        (u / 2.0, 0.0, math.pi), (u / 2.0, math.pi, 0.0),
+        (v, 0.0, 0.0),
+    )
+    residual = mixture_residual(f, branches)
+    if not residual <= REP_TOL:
+        raise DecompositionError(
+            f"no decomposition at f={f}: residual {residual:.3e} > {REP_TOL:.1e}", residual
+        )
+    return StochasticRep(math.inf if f == 0.0 else 1.0 / f, branches, residual)
 
 
 def mixture_residual(f: float, branches) -> float:
@@ -215,30 +239,6 @@ def mixture_residual(f: float, branches) -> float:
     w, a, b = np.array(branches, dtype=float).T
     mixture = (_rim_vectors(a) * w) @ _rim_vectors(b).T
     return float(np.max(np.abs(mixture - cz_pauli_output(f, f))))
-
-
-def grid_rep(f: float, grid_size: int, triples, tol: float = 1e-6) -> StochasticRep:
-    """StochasticRep at growth 1/f from stored (weight, j, k) angle-grid indices.
-
-    Branch angles are j and k steps of 2*pi/grid_size, as lp_feasibility
-    builds them.  Stored and solved representations meet one acceptance
-    rule: the mixture_residual of their branches must be <= tol, else
-    DecompositionError carries that residual.
-    """
-    step = TWO_PI / grid_size
-    branches = [(float(w), j * step, k * step) for w, j, k in triples]
-    return _accepted(f, grid_size, branches, tol, "stored")
-
-
-def _accepted(f: float, grid_size: int, branches, tol: float, source: str) -> StochasticRep:
-    # a solver failure returns no branches
-    residual = mixture_residual(f, branches) if branches else math.inf
-    if not residual <= tol:
-        raise DecompositionError(
-            f"no decomposition at f={f} on grid {grid_size}: residual {residual:.3e} > {tol:.1e}",
-            residual,
-        )
-    return StochasticRep(1.0 / f, tuple(branches), residual, source)
 
 
 def apply_branch(

@@ -21,9 +21,9 @@ through one thread pool whose first worker is the calling thread.  Before
 its other checks it applies check_simulable, the one radius rule.  It
 returns an outcomes.OutcomeTable, the sum (outcomes.total) of each block's
 count table (OutcomeTable.counted), whose bitstrings are built only when
-asked for.  The default representation is stored below as angle-grid
-indices and checked on load, and only a non-default growth margin solves
-the LP; either way it records its own residual and source.
+asked for.  Every growth margin takes the one closed-form representation of
+czdec.build_decomposition, five branches that record their own residual;
+no sampling path solves an LP.
 """
 
 from __future__ import annotations
@@ -36,33 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import ClusterCircuit
-from .czdec import LAMBDA, StochasticRep, build_decomposition, grid_rep
+from .czdec import LAMBDA, StochasticRep, build_decomposition
 from .outcomes import OutcomeTable, total
 
 #: relative headroom between the sampler's growth factor and the critical one
 DEFAULT_GROWTH_MARGIN = 1e-3
-
-#: angle grid of every representation; grids 16 to 128 all meet REP_TOL at the
-#: default margin, and 128 stays because the stored indices are steps of 2*pi/128
-REP_GRID_SIZE = 128
-
-#: max-norm residual a representation must meet, stored or solved
-REP_TOL = 1e-6
-
-#: the 16-row LP's solution (tests' reference_lp_feasibility) at the default
-#: margin as (weight, j, k), angles j and k steps of 2*pi/REP_GRID_SIZE; it is
-#: not mirror-closed, and the residual check on load is its judge
-_DEFAULT_TABLE = (
-    (0.08316908131323694, 3, 33),
-    (0.18266411299837287, 6, 30),
-    (0.04582532377044778, 31, 3),
-    (0.06440991747267705, 31, 5),
-    (0.10475283812078656, 33, 6),
-    (0.044973792284386076, 66, 127),
-    (0.02964531168693419, 97, 121),
-    (0.1833546036259833, 98, 123),
-    (0.2612050187271752, 123, 97),
-)
 
 RADIUS_TOL = 1e-9
 
@@ -134,13 +112,11 @@ def _final_radius(r: float, growth: float, degree: int) -> float:
 @functools.cache
 def default_rep(growth_margin: float = DEFAULT_GROWTH_MARGIN) -> StochasticRep:
     """Stochastic CZ representation at growth LAMBDA*(1+margin), built once per
-    margin: from _DEFAULT_TABLE at the default margin, else by LP."""
+    margin by czdec.build_decomposition at f = 1/growth, which raises
+    DecompositionError for a margin below 0 by more than separability's slack."""
     if not growth_margin > -1.0:
         raise ValueError(f"growth margin must exceed -1, got {growth_margin!r}")
-    f = 1.0 / (LAMBDA * (1.0 + growth_margin))
-    if round(growth_margin, 15) == DEFAULT_GROWTH_MARGIN:
-        return grid_rep(f, REP_GRID_SIZE, _DEFAULT_TABLE, tol=REP_TOL)
-    return build_decomposition(f, grid_size=REP_GRID_SIZE, tol=REP_TOL)
+    return build_decomposition(1.0 / (LAMBDA * (1.0 + growth_margin)))
 
 
 class _ShotKernel:

@@ -524,7 +524,7 @@ def test_point_decisions_match_chunk_0(case):
 
 
 @pytest.mark.parametrize("case", BRACKETS, ids=lambda c: f"{c['block']}-{c['mode']}")
-def test_point_screen_that_holds_everywhere_falls_back_to_chunk_0(case, monkeypatch):
+def test_point_screen_that_holds_everywhere_falls_back_to_full_scans(case, monkeypatch):
     # a broken point screen that passes every probe puts the point's lower
     # just below upper, whose full scan misses the margin, so the bisection
     # runs again on full scans and the recorded bracket and decisions come

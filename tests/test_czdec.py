@@ -89,38 +89,84 @@ def test_ppt_determinants():
 
 
 def test_build_decomposition_trivial_and_infeasible():
+    # diagonal inputs: growth inf, t = pi, w = v = 1/4 and u = 1/2
     rep = build_decomposition(0.0)
-    assert rep.branches == ((1.0, 0.0, 0.0),)
-    # exempt from acceptance: its residual is recorded, not checked
-    assert (rep.residual, rep.source) == (1.0, "lp")
+    assert rep.growth == math.inf
+    assert [w for w, _, _ in rep.branches] == [0.125, 0.125, 0.25, 0.25, 0.25]
+    assert rep.branches[0][1:] == (math.pi, math.pi)
+    assert rep.residual == czdec.mixture_residual(0.0, rep.branches) <= 1e-14
     with pytest.raises(DecompositionError) as exc:
-        build_decomposition(0.6, grid_size=32)
-    assert exc.value.residual > 1e-4
+        build_decomposition(0.6)
+    assert exc.value.residual == math.inf
 
 
 def test_build_decomposition_accepts_by_mixture_residual(monkeypatch):
-    # a solver failure returns no branches and is refused with residual inf
-    monkeypatch.setattr(czdec, "lp_feasibility", lambda *a, **k: (False, math.inf, []))
-    with pytest.raises(DecompositionError) as exc:
+    # the rule reads the residual of the branches it built, whatever their form
+    monkeypatch.setattr(czdec, "mixture_residual", lambda f, branches: 2e-6)
+    with pytest.raises(DecompositionError, match="residual 2.000e-06 > 1.0e-06") as exc:
         build_decomposition(0.3)
-    assert exc.value.residual == math.inf
-    # the rule reads the branches, not the solver's own verdict
-    branch = [(1.0, 0.0, 0.0)]
-    monkeypatch.setattr(czdec, "lp_feasibility", lambda *a, **k: (True, 0.0, branch))
-    with pytest.raises(DecompositionError) as exc:
-        build_decomposition(0.3)
-    assert exc.value.residual == czdec.mixture_residual(0.3, branch) > 0.1
+    assert exc.value.residual == 2e-6
+    monkeypatch.setattr(czdec, "mixture_residual", lambda f, branches: 1e-6)
+    assert build_decomposition(0.3).residual == 1e-6
 
 
 def test_build_decomposition_near_critical():
-    rep = build_decomposition(1.0 / LAMBDA - 1e-3, grid_size=64)
+    rep = build_decomposition(1.0 / LAMBDA - 1e-3)
     f = 1.0 / rep.growth
     eA = CylinderExtremum(f, 0.0, 1)
     rec = reconstructed_output(eA, eA, rep)
-    assert np.max(np.abs(rec - cz_pauli_output(f, f))) < 1e-6
-    assert (rep.residual, rep.source) == (czdec.mixture_residual(f, rep.branches), "lp")
-    assert len(rep.branches) <= 17
-    assert sum(p for p, _, _ in rep.branches) == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(rec - cz_pauli_output(f, f))) < 1e-14
+    assert rep.residual == czdec.mixture_residual(f, rep.branches)
+    assert len(rep.branches) == 5
+    assert sum(p for p, _, _ in rep.branches) == pytest.approx(1.0, abs=1e-15)
+
+
+def _margin_ratio(margin: float) -> float:
+    return 1.0 / (LAMBDA * (1.0 + margin))
+
+
+def test_closed_form_is_exact_on_the_separable_range():
+    for f in [*np.linspace(0.0, 1.0 / LAMBDA, 2001), *map(_margin_ratio, (1e-3, 2e-3, 0.0))]:
+        rep = build_decomposition(f)
+        assert all(w >= 0.0 for w, _, _ in rep.branches)
+        assert czdec.mixture_residual(f, rep.branches) <= 1e-14
+        # two mirror pairs and the identity branch
+        (w1, a1, b1), (w2, a2, b2), (u1, c1, d1), (u2, c2, d2), (_, e1, e2) = rep.branches
+        assert (w1, a1, b1) == (w2, -a2, -b2) and a1 == b1
+        assert u1 == u2 and (c1, d1, c2, d2, e1, e2) == (0.0, math.pi, math.pi, 0.0, 0.0, 0.0)
+
+
+def test_build_decomposition_refuses_exactly_outside_separability():
+    margins = {-1e-2: False, -1e-3: False, -1e-6: False, 0.0: True, 1e-9: True}
+    fs = [*np.linspace(0.47, 0.5, 301), *map(_margin_ratio, margins)]
+    held = [separability_condition(f, f, 1.0, 1.0) for f in fs]
+    assert held[-len(margins):] == list(margins.values()) and False in held[:-len(margins)]
+    for f, holds in zip(fs, held):
+        if holds:
+            assert build_decomposition(f).residual <= 1e-14
+        else:
+            with pytest.raises(DecompositionError):
+                build_decomposition(f)
+
+
+def test_lp_judge_agrees_at_the_margins():
+    # the LP over a 64-angle grid, an independent judge of the same boundary
+    f = _margin_ratio(1e-3)
+    ok, residual, _ = lp_feasibility(f, f, grid_size=64)
+    assert ok and residual <= 1e-9
+    f = _margin_ratio(-1e-2)
+    ok, residual, _ = lp_feasibility(f, f, grid_size=64)
+    assert not ok and residual > 1e-3
+
+
+def test_critical_weights_are_golden():
+    # at f = 1/LAMBDA the identity branch drops out, and the mirror pairs weigh
+    # the golden-ratio conjugates; checks LAMBDA apart from the PPT determinant
+    (w1, _, _), (w2, _, _), (u1, _, _), (u2, _, _), (v, _, _) = build_decomposition(
+        1.0 / LAMBDA).branches
+    assert abs(w1 + w2 - (math.sqrt(5.0) - 1.0) / 2.0) <= 1e-14
+    assert abs(u1 + u2 - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-14
+    assert abs(v) <= 1e-14
 
 
 def test_lp_feasibility_asymmetric():
@@ -164,7 +210,7 @@ def test_product_columns_one_per_mirror_pair(grid_size, fixed_points):
 
 @pytest.fixture(scope="module")
 def module_rep():
-    return build_decomposition(1.0 / (LAMBDA * 1.001), grid_size=128)
+    return build_decomposition(1.0 / (LAMBDA * 1.001))
 
 
 def test_apply_branch_diagonal_fixed_point(module_rep):

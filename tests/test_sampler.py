@@ -23,8 +23,7 @@ from cylsim.czdec import (
     DecompositionError,
     StochasticRep,
     apply_branch,
-    grid_rep,
-    lp_feasibility,
+    build_decomposition,
     mixture_residual,
 )
 from cylsim.geometry import XY_PLANE, Z_BASIS, CylinderExtremum, to_bloch
@@ -350,34 +349,21 @@ def test_shot_cap_checked_before_any_work(rep, monkeypatch):
             sample_parallel(c, shots, 0, rep)
 
 
-def test_stored_rep_passes_residual_check():
-    f = 1.0 / (LAMBDA * (1.0 + sampler.DEFAULT_GROWTH_MARGIN))
-    rep = grid_rep(f, sampler.REP_GRID_SIZE, sampler._DEFAULT_TABLE, tol=1e-6)
-    residual = mixture_residual(f, rep.branches)
-    assert residual <= 1e-6
-    assert rep == default_rep()
-    assert (rep.growth, len(rep.branches), rep.residual, rep.source) == (
-        1.0 / f, 9, residual, "stored")
-    for i in range(len(sampler._DEFAULT_TABLE)):
-        table = list(sampler._DEFAULT_TABLE)
-        w, j, k = table[i]
-        table[i] = (w + 1e-3, j, k)
-        with pytest.raises(DecompositionError):
-            grid_rep(f, sampler.REP_GRID_SIZE, table, tol=1e-6)
-    ok, _, _ = lp_feasibility(f, f, grid_size=sampler.REP_GRID_SIZE, tol=1e-6)
-    assert ok
-
-
-def test_nondefault_margin_solves_lp():
+def test_nondefault_margin_takes_the_closed_form():
     rep = default_rep(2e-3)
-    assert rep.source == "lp"
-    assert rep.residual <= 1e-6
-    assert rep.growth == pytest.approx(LAMBDA * 1.002)
+    assert rep == build_decomposition(1.0 / (LAMBDA * 1.002))
+    assert len(rep.branches) == 5
+    assert rep.residual == mixture_residual(1.0 / rep.growth, rep.branches) <= 1e-14
+    assert rep.growth == pytest.approx(LAMBDA * 1.002, rel=1e-15)
+    assert default_rep().growth == pytest.approx(LAMBDA * 1.001, rel=1e-15)
+    with pytest.raises(DecompositionError):
+        default_rep(-1e-3)
 
 
 def test_cli_path_does_not_load_lp_solver():
     code = (
         "import sys, cylsim.cli, cylsim.sampler; cylsim.sampler.default_rep(); "
+        "cylsim.sampler.default_rep(2e-3); "
         "print('scipy.optimize' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cylsim.__file__).resolve().parents[1]))
