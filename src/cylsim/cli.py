@@ -138,6 +138,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
         "r_upper": est.upper,
         "grid": est.theta_grid,
         "certified_grid": est.cert_grid,
+        "bisect_tol": args.bisect_tol,
         "cert_inflation": est.cert_inflation,
         "scan_group_order": est.scan_group_order,
         "scan_points": est.scan_points,

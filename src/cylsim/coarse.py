@@ -25,11 +25,11 @@ contraction orders:
 - the coefficient tensor is the value in the per-site basis
   (1, Re a_i, Im a_i).  Of its 3^n entries only 2^n are nonzero, one per
   vertex subset, each a signed power of two in closed form (coeff_tensor),
-  and only those terms are formed.  Grid minima contract them along a walk
-  over the prefixes of the scanned head strings, one head site at a time,
-  then with every grid point of a chunk at once: one matrix product per
-  pair of tail sites.  Their magnitudes give the rounding bound as a
-  product over the sites.  At real components only the terms with no Im
+  and only those terms are formed.  Grid minima scatter them, per prefix of
+  the scanned head strings, into one row of the codes past the prefix,
+  then contract that with every grid point of a chunk at once: one matrix
+  product per pair of tail sites.  Their magnitudes give the rounding bound
+  as a product over the sites.  At real components only the terms with no Im
   code survive, 278 of 4,096 on 3x4, and flipping the sign of a_i changes
   the value by -2 q_i, q_i the sum of the terms that contain i: the
   bisection's upper probes, which start at real components and stay there,
@@ -66,8 +66,9 @@ square, or the mirror's alone where that group's head would hold too many
 grid points (_orbit_head).  Every value of the scan lies within rounding_bound
 of the exact value at its grid point, whichever group it uses, so its
 minimum equals the full grid's up to that bound, not bit for bit.  The
-upper probes' real terms come in scan order too; the order sets only the
-last bits of their values.
+upper probes' real terms do not depend on the scan order: _real_terms lists
+them by vertex subset, bit v for site v, whatever the order of the axes, so
+neither do their values.
 """
 
 from __future__ import annotations
@@ -471,40 +472,26 @@ class _Scan:
     the number of grid angles per site, and head = (k, leaders) from
     _orbit_head.
 
-    The head walk of _grid_chunks contracts terms one head site at a time
-    down to level fit, the first level i >= 1 at which the head rows under
-    a prefix fit a chunk, or k; from level 1 on, so that no row of all 3^n
-    codes is formed.  steps[i] contracts the leading code of the
-    level-i terms: the number of level-(i+1) terms and, per code c, the
-    positions of the level-i terms with code c and of their remainders among
-    the level-(i+1) terms.  index holds the flat indices of the level-fit
-    terms among the 3^(n - fit) code strings of the sites from fit on.  tree
-    splits the leaders by digit down to level fit: per level a list of
-    (digit, subtree) pairs, and at level fit the flat indices of the leaders
-    past their prefix, ascending.
+    The head of _grid_chunks splits the leaders at level fit, the first
+    level i >= 1 at which the head rows under a prefix of i digits fit a
+    chunk, or k; from level 1 on, so that no row of all 3^n codes is formed.
+    codes[i] holds each term's code at head site i < fit, and rest its flat
+    index among the 3^(n - fit) code strings of the sites from fit on.
+    prefixes lists, ascending, the distinct leading fit digits of the
+    leaders, each with the flat indices of its leaders past the prefix,
+    ascending.
     """
 
     def __init__(self, terms, n: int, grid: int, head):
         index, self.value = terms
         self.n, self.grid, (self.k, leaders) = n, grid, head
         k = self.k
-        self.fit = min(i for i in range(1, k + 1) if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK)
-        self.steps = []
-        for i in range(self.fit):
-            place = 3 ** (n - i - 1)
-            ends = np.searchsorted(index, place * np.arange(4)).tolist()  # index ascends
-            index, target = np.unique(index % place, return_inverse=True)
-            self.steps.append((len(index), [(slice(*ends[c : c + 2]), target[ends[c] : ends[c + 1]])
-                                            for c in range(3)]))
-        self.index = index
-
-        def split(ids, i):
-            if i == self.fit:
-                return ids
-            digit, ids = np.divmod(ids, grid ** (k - i - 1))
-            return [(d, split(ids[digit == d], i + 1)) for d in np.flatnonzero(np.bincount(digit))]
-
-        self.tree = split(leaders, 0)
+        self.fit = fit = min(i for i in range(1, k + 1) if i == k or grid ** (k - i) * 3 ** (n - k) <= _CHUNK)
+        self.codes = [index // 3 ** (n - 1 - i) % 3 for i in range(fit)]
+        self.rest = index % 3 ** (n - fit)
+        prefixes, starts = np.unique(leaders // grid ** (k - fit), return_index=True)
+        digits = np.array(np.unravel_index(prefixes, (grid,) * fit)).T
+        self.prefixes = list(zip(digits, np.split(leaders % grid ** (k - fit), starts[1:])))
 
 
 def _grid_chunks(scan: _Scan, radii: np.ndarray):
@@ -518,16 +505,17 @@ def _grid_chunks(scan: _Scan, radii: np.ndarray):
     stay in cache.  The head rows scanned are those of scan's leaders,
     ascending.
 
-    Head: one recursive walk over the prefixes of the leader strings, down
-    scan.tree.  Above level scan.fit the walk forms only the terms of the
-    child Y[i][d] contracted with its prefix's terms, per digit d that leads
-    to leaders: per term of the child, the sum over the codes of its parents
-    in ascending order, which is the sum a BLAS product of the dense rows
-    forms.  It holds one set of at most 2^n terms per level, and a scan that
-    stops at chunk 0 skips the rest.  At level scan.fit the terms fill a
-    dense row of 3^(n - fit) codes; one stacked product per remaining head
-    site forms every head row under the prefix, and one fancy index picks
-    the leaders'.
+    Head: one loop over scan.prefixes.  Per prefix (d_0, ..., d_{fit-1})
+    each term's value is multiplied by Y[i][d_i] at its code, one gather
+    per head site i < fit, and one np.bincount sums these weights into a
+    dense row of the 3^(n - fit) codes of the sites from fit on.  The terms
+    ascend, so each entry adds its terms in ascending order of their codes
+    at the prefix's sites, and at most 2^fit of a block's terms, one per
+    vertex subset of those sites, share an entry.  One stacked product
+    per remaining head site then forms every head row under the prefix, and
+    one fancy index picks the leaders'.  The head holds one weight per term
+    and one row at a time, and a scan that stops at chunk 0 skips the other
+    prefixes.
 
     Tail: the rows of two tail sites, np.kron(Y[i-1], Y[i]) of shape
     (grid^2, 9), are built once per scan, the last pair first; a lone first
@@ -562,33 +550,26 @@ def _grid_chunks(scan: _Scan, radii: np.ndarray):
     arithmetic, so they set the last bits; a mirror image need not match
     its grid point bit for bit.
     """
-    n, grid, k = scan.n, scan.grid, scan.k
+    n, grid, k, fit = scan.n, scan.grid, scan.k, scan.fit
     Y = _grid_rows(radii, grid)
     pairs = np.arange(n - 1, k, -2)  # np.kron(Y[i - 1], Y[i]) of each pair, the last first
     tail = list((Y[pairs - 1, :, None, :, None] * Y[pairs, None, :, None, :]).reshape(len(pairs), grid * grid, 9))
     if (n - k) % 2:
         tail.append(Y[k])
 
-    def head_rows(terms, i, node):
-        """Head rows of the leaders under one prefix of length i, whose terms
-        are terms; node is the prefix's subtree of scan.tree."""
-        if i == scan.fit:
-            row = np.zeros(3 ** (n - i))
-            row[scan.index] = terms
-            for y in Y[i:k]:
+    def head_rows():
+        for digits, suffixes in scan.prefixes:
+            weight = scan.value
+            for y, d, codes in zip(Y, digits, scan.codes):
+                weight = weight * y[d][codes]
+            row = np.bincount(scan.rest, weight, minlength=3 ** (n - fit))
+            for y in Y[fit:k]:
                 row = np.matmul(y, row.reshape(-1, 3, row.shape[-1] // 3))
-            yield row.reshape(grid ** (k - i), -1)[node]
-            return
-        size, codes = scan.steps[i]
-        for d, child in node:
-            child_terms = np.zeros(size)
-            for y, (parents, at) in zip(Y[i][d], codes):
-                child_terms[at] += y * terms[parents]
-            yield from head_rows(child_terms, i + 1, child)
+            yield row.reshape(grid ** (k - fit), -1)[suffixes]
 
     rows = max(1, _CHUNK // grid ** (n - k))
     work = np.empty((2, rows * max(grid, 3) ** (n - k)))
-    for t in _rechunk(head_rows(scan.value, 0, scan.tree), rows):
+    for t in _rechunk(head_rows(), rows):
         for P, out in zip(tail, itertools.cycle(work)):
             # the codes of P's sites trail every row; their grid indices lead
             x = t.reshape(-1, P.shape[1]).T
@@ -632,10 +613,13 @@ def rounding_bound(radii) -> float:
     and gamma_m = m u / (1 - m u), u = 2^-53.
 
     Each term D_u prod_i y_i(u_i) of a value meets at most 5 roundings per
-    site: 3 at a head site (one product and two sums in its row of 3), 10 at
-    a tail pair (its np.kron entry, then one product and eight sums in its
-    row of 9) and 3 at a lone tail site.  Any summation order keeps these
-    counts.
+    site: fit + 2^fit - 1 <= 5 fit at the fit <= 4 sites of a prefix (one
+    product per site, then sums over the at most 2^fit terms that share its
+    entry of the row), 3 at a later head site (one product and two sums in
+    its row of 3), 10 at a tail pair (its np.kron entry, then one product
+    and eight sums in its row of 9) and 3 at a lone tail site.  fit is at
+    most 4 as grid >= 4 and grid^n <= _CERT_BUDGET = 4^4 _CHUNK.  Any
+    summation order keeps these counts.
 
     The term of vertex subset S (coeff_tensor) has |D_u| = 2^(|S| - n) and
     weight prod_{i in S} rho_i / 2, so the sum is exactly

@@ -589,6 +589,8 @@ def test_coarse_1x2_bracket(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["r_lower"] <= 0.5 <= result["r_upper"]
     assert result["block"] == "1x2"
+    # the bracket's width depends on the tolerance, so the output records it
+    assert result["bisect_tol"] == 1e-3
     assert not result["search_capped"]
     assert result["cert_inflation"] == 1.0 / math.cos(math.pi / result["certified_grid"])
     # the swap of the two sites and the mirror: Burnside's lemma gives

@@ -567,6 +567,45 @@ def test_real_term_descent_matches_frontier_descent(hw, mode):
             assert abs(v - ref) <= rounding_bound(radii)
 
 
+@pytest.mark.parametrize("hw", [(h, w) for h in (1, 2, 3) for w in (1, 2, 3, 4) if h * w >= 2])
+@pytest.mark.parametrize("mode", [PLAIN, LAMBDA_GROWN])
+def test_real_terms_match_even_subsets(hw, mode):
+    # the real terms are those of the vertex subsets S whose induced
+    # subgraph has only even degrees, in ascending S, each of value
+    # (-1)^(|S| + |E(S)|) 2^(|S| - n), whatever the order of the coefficient
+    # tensor's axes: so the upper probes do not depend on the scan order
+    b = BlockSpec(*hw, mode)
+    n = b.n
+    neighbors = [[u for e in b.edges() if v in e for u in e if u != v] for v in range(n)]
+    subsets = [S for S in range(2**n)
+               if all(sum(S >> u & 1 for u in neighbors[v]) % 2 == 0 for v in range(n) if S >> v & 1)]
+    flips = np.array([[-1.0 if S >> v & 1 else 1.0 for S in subsets] for v in range(n)])
+    values = np.array([(-1.0) ** (S.bit_count() + sum(S >> u & S >> v & 1 for u, v in b.edges()))
+                       * 2.0 ** (S.bit_count() - n) for S in subsets])
+    scan_order = _orbit_head(n, b.automorphisms(), coarse._grid_size(n, 32))[0]
+    for order in (list(range(n)), scan_order):
+        got_flips, got_values = coarse._real_terms(coeff_tensor(b, order), order)
+        assert np.array_equal(got_flips, flips) and np.array_equal(got_values, values)
+        # _RealTerms.least's product sums in an order that the memory layout
+        # sets, so equal rows in another layout may move its last bits
+        assert got_flips.flags.c_contiguous
+
+
+@pytest.mark.parametrize("theta_grid", [4, 5, 8, 16, 32, 64])
+def test_prefix_rows_stay_within_five_roundings_per_site(theta_grid):
+    # rounding_bound counts at most 5 roundings per site.  At the fit sites
+    # of a scan's prefixes a term meets fit products and the sums over the
+    # terms that share its entry of the row, at most 2^fit of them, one per
+    # vertex subset of those sites; fit + 2^fit - 1 <= 5 fit as fit <= 4
+    for hw in RECTANGLES:
+        b = BlockSpec(*hw)
+        grid = coarse._grid_size(b.n, theta_grid)
+        order, head, _ = _orbit_head(b.n, b.automorphisms(), grid)
+        scan = _Scan(coeff_tensor(b, order), b.n, grid, head)
+        shared = np.bincount(scan.rest).max()
+        assert shared <= 2**scan.fit and scan.fit + shared - 1 <= 5 * scan.fit
+
+
 def conjugation_even(T: np.ndarray) -> np.ndarray:
     """T with its entries of an odd number of Im codes (code 2) set to zero."""
     n = T.ndim
@@ -592,7 +631,7 @@ def reference_grid_chunks(D, radii, grid, head=None):
     the leaders' rows of the first k sites; the default scans every row of
     the fewest sites whose tail fits a chunk.  Its kernel forms every head
     row and takes one site at a time, one small product per head row: a
-    contraction order independent of the scan's head walk and paired tail."""
+    contraction order independent of the scan's prefix rows and paired tail."""
     n = D.ndim
     Y = _grid_rows(radii, grid)
     if head is None:
@@ -744,11 +783,11 @@ def test_paired_tail_matches_per_row_reference(grid, monkeypatch):
 
 
 def test_certification_scan_memory():
-    # a lower probe that fails stops after chunk 0; its head walk holds one
-    # set of at most 2^12 terms per prefix level, not a row of 3^11 codes.
-    # The bracket keeps the 2^12 terms of the coefficient tensor, never its
-    # 3^12 entries; its traced peak is about 2.02e6 bytes, and the bound 1.3
-    # times that
+    # a lower probe that fails stops after chunk 0; its head holds one
+    # weight per term, 2^12, and one row of the 3^9 codes past a prefix of
+    # 3 head sites, not a row of 3^11 codes.  The bracket keeps the 2^12
+    # terms of the coefficient tensor, never its 3^12 entries; its traced
+    # peak is about 1.97e6 bytes, and the bound 1.3 times that
     b = BlockSpec(3, 4, LAMBDA_GROWN)
     order, head, _ = _orbit_head(b.n, b.automorphisms(), 4)
     scan = _Scan(coeff_tensor(b, order), b.n, 4, head)
@@ -960,9 +999,10 @@ def test_orbit_scan_covers_the_grid(hw, grid, chunk, monkeypatch):
      ((2, 3), 3, 81), ((2, 3), 4, 256), ((3, 3), 4, 1024)],
 )
 def test_orbit_scan_minimum_matches_mirror_scan(hw, grid, chunk, monkeypatch):
-    # under a small _CHUNK the head walk recurses above the level where a
-    # prefix's head rows fit a chunk and stacks products below it: levels 2
-    # of 4 on 2x3 at grid 3 and 4, 3 of 4 on 3x3
+    # under a small _CHUNK the head scatters the terms of each prefix of
+    # more than one head site into its row and stacks products below it:
+    # prefixes of 2 of the 4 head sites on 2x3 at grid 3, 4 and 5 and on
+    # 3x2, of 3 of 4 on 3x3
     if chunk is not None:
         monkeypatch.setattr(coarse, "_CHUNK", chunk)
     b = BlockSpec(*hw, LAMBDA_GROWN)
